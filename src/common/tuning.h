@@ -93,18 +93,6 @@ struct TuningConfig {
   /// compression mostly pays on open-world content chunks.
   bool spool_compress = false;
 
-  /// Lock-free per-thread SPSC handoff rings between recording threads and
-  /// the spool writer (common/spsc_ring.h + record/wire_format.h): a batch
-  /// handoff is plain stores plus one release publish, no mutex and no
-  /// allocation.  Off = every handoff takes the mutex/condvar bounded
-  /// queue (the ablation baseline; on-disk format identical either way).
-  bool spool_ring = true;
-
-  /// Capacity of each per-thread producer ring (rounded up to a power of
-  /// two, floor 4 KiB).  A full ring parks its producer until the writer
-  /// drains — per-thread bounded memory, counted in producer_blocks.
-  std::size_t spool_ring_bytes = 256 << 10;
-
   /// Worker threads for loading spool files back (replay, trace readback,
   /// offline tools).  Applies only to spools carrying the index footer —
   /// chunks are independently decodable, so an indexed load preads and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -11,7 +10,6 @@
 #include "common/crc32.h"
 #include "record/serializer.h"
 #include "record/spool_codec.h"
-#include "record/wire_format.h"
 
 namespace djvu::record {
 namespace {
@@ -38,25 +36,13 @@ constexpr std::uint32_t kMaxChunkLen = 64u << 20;
 /// Records per synthesized kTrace item when streaming a DJVUTRC1 file.
 constexpr std::size_t kTraceFileBatch = 512;
 
-/// Rings below this are useless (a record ceiling of capacity/4 must fit a
-/// header plus at least one interval/trace entry with room for the spill
-/// escape hatch), so SpoolRing rounds small requests up.
-constexpr std::size_t kMinRingBytes = 4096;
-
-/// Backstop for the producer's full-ring park and the writer's idle park.
-/// The seq_cst fence protocols (see SpoolRing / writer_parked_) make wakes
-/// reliable; the timeouts only bound the cost of the residual
-/// notify-before-wait races.
-constexpr auto kProducerParkBackstop = std::chrono::milliseconds(1);
-constexpr auto kWriterParkBackstop = std::chrono::milliseconds(50);
-
 std::uint32_t le32(const std::uint8_t* p) {
   return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
          (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
 }
 
 void store_max_relaxed(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-  // Single-writer slots only (one producer, or under a lock): a plain
+  // Single-writer slots only (updated under the queue lock): a plain
   // load/compare/store max, relaxed because readers only sample.
   if (v > slot.load(std::memory_order_relaxed)) {
     slot.store(v, std::memory_order_relaxed);
@@ -114,10 +100,10 @@ std::pair<ThreadNum, NetworkLogEntry> decode_network_item(BytesView body) {
 }
 
 Bytes encode_trace_item(const std::vector<sched::TraceRecord>& records) {
-  // Hot path of the queue mode (ring mode defers this to the writer too,
-  // via fixed-width wire records): reserving for the common small-delta
-  // case keeps it to a few ns per record where the generic ByteWriter
-  // costs several times that in per-byte capacity checks.
+  // Writer-thread hot path (trace batches are serialized there): reserving
+  // for the common small-delta case keeps it to a few ns per record where
+  // the generic ByteWriter costs several times that in per-byte capacity
+  // checks.
   Bytes out;
   out.reserve(records.size() * 14 + 10);
   auto put_varint = [&out](std::uint64_t v) {
@@ -333,7 +319,7 @@ LogSpooler::~LogSpooler() {
   }
 }
 
-// --- queue-path producers (LogSink) -----------------------------------------
+// --- producers (LogSink) ----------------------------------------------------
 
 void LogSpooler::schedule_batch(ThreadNum thread,
                                 const sched::IntervalList& intervals) {
@@ -387,10 +373,9 @@ void LogSpooler::finish(const RecordStats& stats, std::uint32_t thread_count) {
     if (finished_) throw UsageError("LogSpooler::finish called twice");
     finished_ = true;
   }
-  // The finish item rides the queue whatever the mode; the writer stashes
-  // it and seals it into its own final chunk only after the queue and
-  // every ring have drained, so it is always the last item on disk and a
-  // torn final chunk costs exactly the clean-end marker.
+  // The writer stashes the finish item and seals it into its own final
+  // chunk only once the queue has drained, so it is always the last item on
+  // disk and a torn final chunk costs exactly the clean-end marker.
   try {
     enqueue({SpoolItemKind::kFinish, encode_finish_item({stats, thread_count}),
              /*records=*/{}, /*cost=*/0});
@@ -443,203 +428,6 @@ void LogSpooler::enqueue(Item item) {
   counters_.items_enqueued.fetch_add(1, std::memory_order_relaxed);
   queue_.push_back(std::move(item));
   writer_cv_.notify_one();
-}
-
-// --- ring-path producers ----------------------------------------------------
-
-SpoolRing* LogSpooler::register_ring() {
-  if (!options_.ring) return nullptr;
-  auto ring = std::make_unique<SpoolRing>(
-      std::max(options_.ring_bytes, kMinRingBytes));
-  // Record ceiling: a quarter of the ring, so backpressure engages well
-  // before a single record could deadlock against the capacity/2 reserve
-  // limit; never beyond the u16 length field.
-  ring->max_record = std::min(wire::kHeaderBytes + wire::kMaxWirePayload,
-                              ring->ring.capacity() / 4);
-  SpoolRing* raw = ring.get();
-  {
-    std::lock_guard<std::mutex> lock(rings_mutex_);
-    rings_.push_back(std::move(ring));
-    ring_count_.store(rings_.size(), std::memory_order_release);
-  }
-  return raw;
-}
-
-void LogSpooler::check_producer_abort() {
-  if (failed_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (writer_error_) std::rethrow_exception(writer_error_);
-    throw Error("spool writer failed");
-  }
-  if (closed_.load(std::memory_order_acquire)) {
-    throw UsageError("LogSpooler used after close()");
-  }
-}
-
-std::uint8_t* LogSpooler::reserve_record(SpoolRing& ring, std::size_t bytes) {
-  std::uint8_t* p = ring.ring.try_reserve(bytes);
-  if (p != nullptr) return p;
-  // Full ring: park.  Dekker handshake with the writer's drain — we store
-  // producer_waiting, fence, and re-try (which acquire-loads head); the
-  // writer stores head, fences, and loads producer_waiting.  One side must
-  // see the other, so either the retry finds the freed space or the wake
-  // is delivered; the timed wait bounds the residual notify-before-wait
-  // window.
-  ring.blocks.fetch_add(1, std::memory_order_relaxed);
-  ring.producer_waiting.store(true, std::memory_order_relaxed);
-  // Clear the parked flag on every exit, the abort throw included — a
-  // producer that left via check_producer_abort must not leave the writer
-  // (or a later failure sweep) forever re-notifying a flag nobody resets.
-  struct Unpark {
-    std::atomic<bool>& waiting;
-    ~Unpark() { waiting.store(false, std::memory_order_relaxed); }
-  } unpark{ring.producer_waiting};
-  for (;;) {
-    check_producer_abort();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    p = ring.ring.try_reserve(bytes);
-    if (p != nullptr) return p;
-    std::unique_lock<std::mutex> lock(ring.mutex);
-    // Re-check failure/close under ring.mutex before sleeping: the writer's
-    // failure path stores failed_ and then notifies under this same mutex,
-    // so either this check sees the flag (next check_producer_abort throws)
-    // or the notify arrives after we wait — the wake is lock-ordered, not
-    // backstop-dependent.
-    if (failed_.load(std::memory_order_acquire) ||
-        closed_.load(std::memory_order_acquire)) {
-      continue;
-    }
-    ring.cv.wait_for(lock, kProducerParkBackstop);
-  }
-}
-
-void LogSpooler::publish_record(SpoolRing& ring) {
-  ring.ring.publish();
-  ring.records.fetch_add(1, std::memory_order_relaxed);
-  store_max_relaxed(ring.high_water, ring.ring.occupancy_producer());
-  // Wake a parked writer.  Mirror-image Dekker to the one above: publish
-  // stored tail, fence, load writer_parked_; the writer stores
-  // writer_parked_, fences, and re-sweeps the rings before sleeping.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (writer_parked_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ring_wake_pending_ = true;
-    }
-    writer_cv_.notify_one();
-  }
-}
-
-void LogSpooler::spill_record(SpoolRing& ring, SpoolItemKind kind, Bytes body) {
-  auto box = std::make_unique<wire::WireSpill>();
-  box->kind = static_cast<std::uint8_t>(kind);
-  box->body = std::move(body);
-  std::uint8_t* p = reserve_record(ring, wire::kHeaderBytes + 8);
-  wire::put_u64(p + wire::kHeaderBytes,
-                reinterpret_cast<std::uint64_t>(box.get()));
-  wire::seal_header(p, wire::WireKind::kSpill, 8);
-  publish_record(ring);
-  box.release();  // the writer takes ownership when it drains the record
-}
-
-void LogSpooler::schedule_batch(SpoolRing* ring, ThreadNum thread,
-                                const sched::IntervalList& intervals) {
-  if (intervals.empty()) return;
-  if (ring == nullptr) {
-    schedule_batch(thread, intervals);
-    return;
-  }
-  check_producer_abort();
-  const std::size_t per = (ring->max_record - wire::kHeaderBytes - 4) / 16;
-  for (std::size_t off = 0; off < intervals.size(); off += per) {
-    const std::size_t n = std::min(per, intervals.size() - off);
-    const std::size_t len = 4 + 16 * n;
-    std::uint8_t* p = reserve_record(*ring, wire::kHeaderBytes + len);
-    std::uint8_t* q = p + wire::kHeaderBytes;
-    wire::put_u32(q, thread);
-    for (std::size_t i = 0; i < n; ++i) {
-      wire::put_u64(q + 4 + 16 * i, intervals[off + i].first);
-      wire::put_u64(q + 4 + 16 * i + 8, intervals[off + i].last);
-    }
-    wire::seal_header(p, wire::WireKind::kSchedule, len);
-    publish_record(*ring);
-  }
-}
-
-void LogSpooler::network_entry(SpoolRing* ring, ThreadNum thread,
-                               const NetworkLogEntry& entry) {
-  if (ring == nullptr) {
-    network_entry(thread, entry);
-    return;
-  }
-  check_producer_abort();
-  // Network entries are unsliceable (one entry = one item) and carry
-  // payload bytes, so serialization happens here; network events are
-  // syscalls, not lock-path events, and can afford it.
-  ByteWriter w;
-  write_network_entry(w, entry);
-  const BytesView bytes = w.view();
-  const std::size_t len = 4 + bytes.size();
-  if (wire::kHeaderBytes + len <= ring->max_record) {
-    std::uint8_t* p = reserve_record(*ring, wire::kHeaderBytes + len);
-    std::uint8_t* q = p + wire::kHeaderBytes;
-    wire::put_u32(q, thread);
-    std::memcpy(q + 4, bytes.data(), bytes.size());
-    wire::seal_header(p, wire::WireKind::kNetwork, len);
-    publish_record(*ring);
-  } else {
-    // Oversized: spill the already-encoded DJVUSPL1 item body; the pointer
-    // record keeps this entry in the thread's FIFO position.
-    spill_record(*ring, SpoolItemKind::kNetwork,
-                 encode_network_item(thread, entry));
-  }
-}
-
-void LogSpooler::trace_batch(SpoolRing* ring,
-                             const std::vector<sched::TraceRecord>& records) {
-  if (records.empty()) return;
-  if (ring == nullptr) {
-    trace_batch(records);  // copies; queue mode callers prefer the
-                           // by-value LogSink overload directly
-    return;
-  }
-  check_producer_abort();
-  const std::size_t per =
-      (ring->max_record - wire::kHeaderBytes) / wire::kTraceWireBytes;
-  for (std::size_t off = 0; off < records.size(); off += per) {
-    const std::size_t n = std::min(per, records.size() - off);
-    const std::size_t len = n * wire::kTraceWireBytes;
-    std::uint8_t* p = reserve_record(*ring, wire::kHeaderBytes + len);
-    std::uint8_t* q = p + wire::kHeaderBytes;
-    for (std::size_t i = 0; i < n; ++i) {
-      wire::put_trace(q + i * wire::kTraceWireBytes, records[off + i]);
-    }
-    wire::seal_header(p, wire::WireKind::kTrace, len);
-    publish_record(*ring);
-  }
-}
-
-void LogSpooler::causal_batch(SpoolRing* ring, ThreadNum thread,
-                              const std::vector<std::uint64_t>& seqs) {
-  if (seqs.empty()) return;
-  if (ring == nullptr) {
-    causal_batch(thread, seqs);
-    return;
-  }
-  check_producer_abort();
-  const std::size_t per = (ring->max_record - wire::kHeaderBytes - 4) / 8;
-  for (std::size_t off = 0; off < seqs.size(); off += per) {
-    const std::size_t n = std::min(per, seqs.size() - off);
-    const std::size_t len = 4 + 8 * n;
-    std::uint8_t* p = reserve_record(*ring, wire::kHeaderBytes + len);
-    std::uint8_t* q = p + wire::kHeaderBytes;
-    wire::put_u32(q, thread);
-    for (std::size_t i = 0; i < n; ++i) {
-      wire::put_u64(q + 4 + 8 * i, seqs[off + i]);
-    }
-    wire::seal_header(p, wire::WireKind::kCausal, len);
-    publish_record(*ring);
-  }
 }
 
 // --- writer thread ----------------------------------------------------------
@@ -726,175 +514,6 @@ bool LogSpooler::drain_queue() {
   return true;
 }
 
-bool LogSpooler::drain_ring(SpoolRing& ring) {
-  bool progress = false;
-  for (;;) {
-    const std::uint8_t* data = nullptr;
-    const std::size_t n = ring.ring.readable(&data);
-    if (n == 0) break;
-    std::size_t pos = 0;
-    while (pos < n) {
-      if (data[pos] == SpscRing::kPadByte) {
-        // Wrap pad: dead space to the buffer edge, which is exactly where
-        // this readable run ends.
-        pos = n;
-        break;
-      }
-      // The producer publishes only whole records and records never cross
-      // the buffer edge, so a run always ends at a record boundary; a
-      // partial or corrupt record here is a handoff bug, not a torn tail.
-      wire::WireHeader h;
-      if (n - pos < wire::kHeaderBytes || !wire::parse_header(data + pos, &h) ||
-          n - pos < wire::kHeaderBytes + h.len) {
-        throw Error("spool ring handoff corrupted (framing)");
-      }
-      const std::uint8_t* payload = data + pos + wire::kHeaderBytes;
-      if (!wire::payload_ok(h, payload)) {
-        throw Error("spool ring handoff corrupted (record CRC)");
-      }
-      handle_wire_record(h, payload);
-      pos += wire::kHeaderBytes + h.len;
-    }
-    ring.ring.consume(pos);
-    progress = true;
-    // Wake a producer parked on this ring (Dekker partner of
-    // reserve_record's store-fence-retry).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (ring.producer_waiting.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lock(ring.mutex);
-      ring.cv.notify_one();
-    }
-  }
-  return progress;
-}
-
-void LogSpooler::handle_wire_record(const wire::WireHeader& h,
-                                    const std::uint8_t* payload) {
-  switch (h.kind) {
-    case wire::WireKind::kSchedule: {
-      if (h.len < 4 || (h.len - 4) % 16 != 0) {
-        throw Error("spool ring schedule record has bad length");
-      }
-      const ThreadNum thread = static_cast<ThreadNum>(wire::get_u32(payload));
-      const std::size_t n = (h.len - 4) / 16;
-      sched::IntervalList list;
-      list.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        list.push_back({wire::get_u64(payload + 4 + 16 * i),
-                        wire::get_u64(payload + 4 + 16 * i + 8)});
-      }
-      ItemMeta meta;
-      if (options_.index && !list.empty()) {
-        meta.thread = thread;
-        meta.has_thread = true;
-        meta.intervals = list.size();
-        for (const auto& lsi : list) {
-          meta.sched_events += lsi.last - lsi.first + 1;
-        }
-        meta.has_gc = true;
-        meta.min_gc = list.front().first;
-        meta.max_gc = list.back().last;
-      }
-      append_item(static_cast<std::uint8_t>(SpoolItemKind::kSchedule),
-                  encode_schedule_item(thread, list), meta);
-      break;
-    }
-    case wire::WireKind::kNetwork: {
-      if (h.len < 4) throw Error("spool ring network record has bad length");
-      // The wire payload past the thread id is already the shared
-      // network-entry encoding — reframe without decoding it.
-      const ThreadNum thread = static_cast<ThreadNum>(wire::get_u32(payload));
-      ByteWriter w;
-      w.varint(thread);
-      w.raw(BytesView(payload + 4, h.len - 4));
-      append_item(static_cast<std::uint8_t>(SpoolItemKind::kNetwork),
-                  w.view());
-      break;
-    }
-    case wire::WireKind::kTrace: {
-      if (h.len % wire::kTraceWireBytes != 0) {
-        throw Error("spool ring trace record has bad length");
-      }
-      const std::size_t n = h.len / wire::kTraceWireBytes;
-      trace_scratch_.clear();
-      trace_scratch_.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        trace_scratch_.push_back(
-            wire::get_trace(payload + i * wire::kTraceWireBytes));
-      }
-      ItemMeta meta;
-      if (options_.index && !trace_scratch_.empty()) {
-        meta.has_gc = true;
-        meta.min_gc = trace_scratch_.front().gc;
-        meta.max_gc = trace_scratch_.back().gc;
-      }
-      append_item(static_cast<std::uint8_t>(SpoolItemKind::kTrace),
-                  encode_trace_item(trace_scratch_), meta);
-      break;
-    }
-    case wire::WireKind::kCausal: {
-      if (h.len < 4 || (h.len - 4) % 8 != 0) {
-        throw Error("spool ring causal record has bad length");
-      }
-      const ThreadNum thread = static_cast<ThreadNum>(wire::get_u32(payload));
-      std::vector<std::uint64_t> seqs;
-      const std::size_t n = (h.len - 4) / 8;
-      seqs.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        seqs.push_back(wire::get_u64(payload + 4 + 8 * i));
-      }
-      ItemMeta meta;
-      if (options_.index) {
-        meta.thread = thread;
-        meta.has_thread = true;
-        meta.causal_entries = n;
-      }
-      append_item(static_cast<std::uint8_t>(SpoolItemKind::kCausalDelta),
-                  encode_causal_delta_item(thread, seqs), meta);
-      break;
-    }
-    case wire::WireKind::kFinish: {
-      if (h.len != wire::kFinishWireBytes) {
-        throw Error("spool ring finish record has bad length");
-      }
-      SpoolFinish finish;
-      finish.stats.critical_events = wire::get_u64(payload);
-      finish.stats.network_events = wire::get_u64(payload + 8);
-      finish.thread_count = wire::get_u32(payload + 16);
-      finish_body_ = encode_finish_item(finish);
-      finish_pending_ = true;
-      break;
-    }
-    case wire::WireKind::kSpill: {
-      if (h.len != 8) throw Error("spool ring spill record has bad length");
-      std::unique_ptr<wire::WireSpill> box(reinterpret_cast<wire::WireSpill*>(
-          static_cast<std::uintptr_t>(wire::get_u64(payload))));
-      // Spills carry no ItemMeta: only network entries (no gc, no per-thread
-      // schedule counts) are ever large enough to spill, and append_item
-      // counts network items by kind on its own.
-      append_item(box->kind, box->body);
-      break;
-    }
-    default:
-      throw Error("spool ring record has unknown kind " +
-                  std::to_string(static_cast<unsigned>(h.kind)));
-  }
-}
-
-bool LogSpooler::all_channels_empty() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!queue_.empty()) return false;
-  }
-  if (ring_cache_.size() != ring_count_.load(std::memory_order_acquire)) {
-    return false;  // unseen ring; the next sweep picks it up
-  }
-  for (SpoolRing* ring : ring_cache_) {
-    if (!ring->ring.empty_approx()) return false;
-  }
-  return true;
-}
-
 void LogSpooler::seal_finish() {
   flush_chunk();
   // Flight mode: assemble the retained tail into the final file first, so
@@ -911,53 +530,15 @@ void LogSpooler::seal_finish() {
 void LogSpooler::writer_main() {
   try {
     for (;;) {
-      bool progress = drain_queue();
-      if (ring_cache_.size() != ring_count_.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(rings_mutex_);
-        ring_cache_.clear();
-        ring_cache_.reserve(rings_.size());
-        for (const auto& ring : rings_) ring_cache_.push_back(ring.get());
-      }
-      for (SpoolRing* ring : ring_cache_) {
-        progress = drain_ring(*ring) || progress;
-      }
-      if (progress) continue;
-      // Quiescent sweep.  The finish item (whatever channel it arrived on)
-      // seals only once every channel is drained, so it is last on disk;
-      // the release-publish the finishing thread did before handing it
-      // over makes everything earlier visible to the sweeps above.
-      if (finish_pending_ && all_channels_empty()) seal_finish();
+      if (drain_queue()) continue;
+      // The queue is empty, so everything handed over before the finish
+      // item is packed: seal it now and it is last on disk.
+      if (finish_pending_) seal_finish();
       std::unique_lock<std::mutex> lock(mutex_);
-      if (!queue_.empty() || ring_wake_pending_) {
-        ring_wake_pending_ = false;
-        continue;
-      }
-      if (closing_) {
-        lock.unlock();
-        if (all_channels_empty()) break;
-        continue;
-      }
-      // Idle park.  Dekker partner of publish_record: store parked, fence,
-      // re-sweep; a publish that missed the parked flag happened before
-      // our fence and its record is visible to this sweep.
-      writer_parked_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      bool pending = ring_cache_.size() !=
-                     ring_count_.load(std::memory_order_acquire);
-      for (SpoolRing* ring : ring_cache_) {
-        if (pending) break;
-        pending = !ring->ring.empty_approx();
-      }
-      if (pending) {
-        writer_parked_.store(false, std::memory_order_relaxed);
-        continue;
-      }
+      if (!queue_.empty()) continue;
+      if (closing_) break;
       counters_.writer_parks.fetch_add(1, std::memory_order_relaxed);
-      writer_cv_.wait_for(lock, kWriterParkBackstop, [&] {
-        return !queue_.empty() || ring_wake_pending_ || closing_;
-      });
-      writer_parked_.store(false, std::memory_order_relaxed);
-      ring_wake_pending_ = false;
+      writer_cv_.wait(lock, [&] { return !queue_.empty() || closing_; });
     }
     // Abnormal close (no finish item): flush whatever was packed so the
     // file recovers as a prefix.  Flight mode additionally assembles the
@@ -973,13 +554,7 @@ void LogSpooler::writer_main() {
       queue_.clear();
       pending_bytes_ = 0;
     }
-    failed_.store(true, std::memory_order_release);
     producer_cv_.notify_all();
-    std::lock_guard<std::mutex> lock(rings_mutex_);
-    for (const auto& ring : rings_) {
-      std::lock_guard<std::mutex> ring_lock(ring->mutex);
-      ring->cv.notify_all();
-    }
   }
 }
 
@@ -1195,7 +770,6 @@ void LogSpooler::close() {
     }
     closing_ = true;
   }
-  closed_.store(true, std::memory_order_release);
   writer_cv_.notify_all();
   producer_cv_.notify_all();
   if (writer_.joinable()) writer_.join();
@@ -1225,14 +799,6 @@ SpoolStats LogSpooler::stats() const {
   s.evicted_chunks = counters_.evicted_chunks.load(std::memory_order_relaxed);
   s.evicted_bytes = counters_.evicted_bytes.load(std::memory_order_relaxed);
   s.anchor_chunks = counters_.anchor_chunks.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(rings_mutex_);
-  for (const auto& ring : rings_) {
-    s.ring_records += ring->records.load(std::memory_order_relaxed);
-    s.producer_blocks += ring->blocks.load(std::memory_order_relaxed);
-    s.ring_high_water_bytes =
-        std::max(s.ring_high_water_bytes,
-                 ring->high_water.load(std::memory_order_relaxed));
-  }
   return s;
 }
 

@@ -11,22 +11,15 @@
 // existing IntervalCursor / network-log machinery without ever
 // materializing the serialized bundle or the trace.
 //
-// Two producer paths feed the writer:
-//
-//   * Ring mode (Options::ring, the default): each recording thread owns a
-//     lock-free SPSC byte ring (common/spsc_ring.h) registered with
-//     register_ring().  A batch handoff is a contiguous reservation, a
-//     fixed-width little-endian record built with plain stores
-//     (record/wire_format.h: magic, kind, u16 length, per-record CRC32),
-//     and one release-store publish — no mutex, no condvar, no allocation
-//     on the producer side.  The writer round-robins the rings, CRC-checks
-//     each record, and reframes it into DJVUSPL1 items, so the on-disk
-//     format is untouched.  A full ring parks its producer on a per-ring
-//     condvar (counted in producer_blocks) — backpressure still bounds
-//     memory; an idle writer parks until a publish wakes it.
-//   * Queue mode (ring off — the ablation baseline — and the LogSink
-//     virtual interface): batches take a mutex/condvar bounded byte queue,
-//     exactly the pre-ring behaviour.
+// One producer path feeds the writer: a mutex/condvar bounded byte queue
+// behind the LogSink interface.  Batches, network entries, anchors and the
+// finish marker all take it; a producer that finds the queue holding
+// buffer_bytes blocks until the writer drains it (counted in
+// producer_blocks), which is what bounds record-mode memory.  Trace
+// batches ride the queue as raw records and are serialized on the writer
+// thread, off the recording threads' critical path.  The queue is the only
+// producer path because it measured faster than per-thread lock-free rings
+// on 4 cores (docs/INTERNALS.md §1c).
 //
 // On-disk format DJVUSPL1:
 //
@@ -49,10 +42,9 @@
 // short frame or CRC mismatch — and ends the stream at the last valid
 // chunk boundary instead of rejecting the file; clean_end() distinguishes
 // a finish-marked recording from a recovered prefix.  The finish item is
-// always sealed into its own final chunk — and, whatever channel it
-// arrived on, the writer holds it until every ring and the queue have
-// drained — so a torn tail costs at most the clean-end marker plus the
-// final partial batch, never earlier data.
+// always sealed into its own final chunk, after everything queued before
+// it, so a torn tail costs at most the clean-end marker plus the final
+// partial batch, never earlier data.
 #pragma once
 
 #include <atomic>
@@ -60,7 +52,6 @@
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -70,10 +61,8 @@
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/ids.h"
-#include "common/spsc_ring.h"
 #include "record/spool_index.h"
 #include "record/trace_io.h"
-#include "record/wire_format.h"
 #include "record/vm_log.h"
 #include "sched/trace.h"
 
@@ -159,8 +148,8 @@ SpoolAnchor decode_anchor_item(BytesView body);
 /// Self-measurements of one spooler run.
 ///
 /// Snapshot semantics: every field is maintained as an atomic counter and
-/// sampled with relaxed loads (stats() never takes the writer's or any
-/// producer's lock and never blocks them).  Each field is therefore exact
+/// sampled with relaxed loads (stats() never takes the queue lock and never
+/// blocks the writer or a producer).  Each field is therefore exact
 /// as of *some* recent moment, but the set is not a mutually consistent
 /// cut — e.g. a snapshot taken mid-run may show a chunk counted whose
 /// bytes are not yet in written_bytes.  After close() returns, all fields
@@ -175,25 +164,17 @@ struct SpoolStats {
   /// File bytes actually written (framing + possibly compressed payloads).
   std::uint64_t written_bytes = 0;
 
-  /// High-water mark of bytes queued between producers and the writer on
-  /// the mutex/condvar queue path — the bounded-memory witness: it never
-  /// exceeds the configured buffer (plus one oversized item, which is
-  /// admitted alone into an empty queue rather than deadlocking).
+  /// High-water mark of bytes queued between producers and the writer —
+  /// the bounded-memory witness: it never exceeds the configured buffer
+  /// (plus one oversized item, which is admitted alone into an empty queue
+  /// rather than deadlocking).
   std::uint64_t queue_high_water_bytes = 0;
 
-  /// Producer handoffs that had to block on backpressure (queue full, or a
-  /// ring-mode reservation that found its ring full and parked).
+  /// Producer handoffs that had to block on backpressure: the queue held
+  /// buffer_bytes, so the producer waited for the writer to drain it.
   std::uint64_t producer_blocks = 0;
 
-  /// Ring mode: wire records published across all producer rings.
-  std::uint64_t ring_records = 0;
-
-  /// Ring mode: the worst per-ring occupancy any producer observed after a
-  /// publish — the per-thread bounded-memory witness (each ring holds at
-  /// most its capacity, spool_ring_bytes).
-  std::uint64_t ring_high_water_bytes = 0;
-
-  /// Times the writer parked idle (all rings and the queue empty).
+  /// Times the writer parked idle (queue empty).
   std::uint64_t writer_parks = 0;
 
   /// Bytes of the index footer appended at seal time (0 when indexing is
@@ -251,42 +232,8 @@ class LogSink {
   virtual void finish(const RecordStats& stats, std::uint32_t thread_count) = 0;
 };
 
-/// One recording thread's lock-free handoff lane (ring mode): the SPSC
-/// byte ring, the parking strip for full-ring backpressure, and per-ring
-/// self-measurements.  Producer side: the owning thread, through
-/// LogSpooler's ring-routed batch methods (SPSC — after that thread ends,
-/// the join handoff lets the finishing thread ship its residue).  Consumer
-/// side: always the writer thread.
-struct SpoolRing {
-  explicit SpoolRing(std::size_t bytes) : ring(bytes) {}
-
-  SpscRing ring;
-
-  /// Largest record (header + payload) admitted inline; batch kinds are
-  /// sliced to fit, unsliceable ones (network entries) spill to the heap
-  /// and ship a pointer record (wire::WireSpill).
-  std::size_t max_record = 0;
-
-  /// Full-ring backpressure parking.  The producer stores
-  /// producer_waiting, fences seq_cst, and re-tries the reservation; the
-  /// writer consumes, fences seq_cst, and loads producer_waiting.  One
-  /// side must observe the other (store → fence → load on both), so either
-  /// the retry finds the freed space or the wake is delivered; the timed
-  /// wait below is a backstop, not the correctness argument.
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::atomic<bool> producer_waiting{false};
-
-  /// Per-ring counters, folded into SpoolStats snapshots.  Single-writer
-  /// each (the producer), published with relaxed stores.
-  std::atomic<std::uint64_t> records{0};
-  std::atomic<std::uint64_t> blocks{0};
-  std::atomic<std::uint64_t> high_water{0};
-};
-
-/// The streaming spooler: a LogSink backed by per-thread SPSC rings (or a
-/// bounded queue) and a background writer thread appending DJVUSPL1 chunks
-/// to one file.
+/// The streaming spooler: a LogSink backed by a bounded queue and a
+/// background writer thread appending DJVUSPL1 chunks to one file.
 class LogSpooler : public LogSink {
  public:
   struct Options {
@@ -294,11 +241,6 @@ class LogSpooler : public LogSink {
     std::size_t buffer_bytes = 1 << 20;
     std::size_t chunk_bytes = 64 << 10;
     bool compress = false;
-    /// Lock-free per-thread producer rings; off = every handoff takes the
-    /// mutex/condvar queue (the ablation baseline).
-    bool ring = true;
-    /// Capacity of each producer ring (rounded up to a power of two).
-    std::size_t ring_bytes = 256 << 10;
     /// Append the per-chunk index footer (record/spool_index.h) after the
     /// finish chunk at seal time, enabling seek_to_gc and the parallel
     /// load path.  Off = the pre-index on-disk format, byte for byte
@@ -337,9 +279,8 @@ class LogSpooler : public LogSink {
   LogSpooler(const LogSpooler&) = delete;
   LogSpooler& operator=(const LogSpooler&) = delete;
 
-  // LogSink (the queue path).  All producer calls apply backpressure: they
-  // block while the queue holds buffer_bytes, which is what bounds
-  // record-mode memory.  A writer I/O failure is rethrown to the next
+  // LogSink.  All producer calls apply backpressure: they block while the
+  // queue holds buffer_bytes, which is what bounds record-mode memory.  A writer I/O failure is rethrown to the next
   // producer call (and to close()), so a full disk surfaces in the
   // recording run.
   void schedule_batch(ThreadNum thread,
@@ -358,28 +299,7 @@ class LogSpooler : public LogSink {
   /// anchor is appended like any other item (harmless, but nothing evicts).
   void anchor(const SpoolAnchor& anchor);
 
-  /// Ring mode: creates and registers the calling (recording) thread's
-  /// producer ring.  nullptr when Options::ring is off — callers then pass
-  /// nullptr to the ring-routed methods below, which fall back to the
-  /// queue.  One registration per producer thread; the spooler owns the
-  /// ring for its own lifetime.
-  SpoolRing* register_ring();
-
-  // Ring-routed handoffs: lock-free fixed-width wire records into `ring`
-  // when non-null (a full ring parks the producer — bounded memory), the
-  // LogSink queue path when null.  Caller discipline matches the LogSink
-  // methods; `ring` must be the calling thread's registered ring (or a
-  // quiesced thread's, at end of record).
-  void schedule_batch(SpoolRing* ring, ThreadNum thread,
-                      const sched::IntervalList& intervals);
-  void network_entry(SpoolRing* ring, ThreadNum thread,
-                     const NetworkLogEntry& entry);
-  void trace_batch(SpoolRing* ring,
-                   const std::vector<sched::TraceRecord>& records);
-  void causal_batch(SpoolRing* ring, ThreadNum thread,
-                    const std::vector<std::uint64_t>& seqs);
-
-  /// Drains the rings and the queue, seals the final chunk, joins the
+  /// Drains the queue, seals the final chunk, joins the
   /// writer and closes the file.  Idempotent.  Rethrows any writer-thread
   /// error.
   void close();
@@ -389,9 +309,9 @@ class LogSpooler : public LogSink {
   const std::string& path() const { return options_.path; }
 
  private:
-  /// Index metadata for one item, computed where the item is produced or
-  /// reframed (the producers and handle_wire_record already hold the
-  /// decoded values, so the writer never re-decodes bodies to index them).
+  /// Index metadata for one item, computed where the item is produced (the
+  /// producers already hold the decoded values, so the writer never
+  /// re-decodes bodies to index them).
   struct ItemMeta {
     ThreadNum thread = 0;
     bool has_thread = false;
@@ -419,30 +339,11 @@ class LogSpooler : public LogSink {
   void enqueue(Item item);
   void writer_main();
 
-  /// Throws when the writer latched an error or the spooler was closed —
-  /// the ring paths' equivalent of enqueue()'s under-lock checks.
-  void check_producer_abort();
-
-  /// Blocking contiguous reservation in `ring` (parks on backpressure).
-  std::uint8_t* reserve_record(SpoolRing& ring, std::size_t bytes);
-
-  /// Publishes the reservation, maintains per-ring stats, wakes a parked
-  /// writer.
-  void publish_record(SpoolRing& ring);
-
-  /// Ships an oversized already-encoded item body through `ring` as a
-  /// heap spill pointer record (preserves per-thread FIFO order).
-  void spill_record(SpoolRing& ring, SpoolItemKind kind, Bytes body);
-
   // Writer-side helpers.
-  void handle_wire_record(const wire::WireHeader& h,
-                          const std::uint8_t* payload);
   void append_item(std::uint8_t kind, BytesView body);
   void append_item(std::uint8_t kind, BytesView body, const ItemMeta& meta);
   void flush_chunk();
-  bool drain_ring(SpoolRing& ring);
   bool drain_queue();
-  bool all_channels_empty();
   void seal_finish();
   /// Appends one framed chunk to the file and flushes; throws Error on I/O
   /// failure.  Writer thread only.  Flight mode routes to write_ring_chunk
@@ -472,27 +373,7 @@ class LogSpooler : public LogSink {
   std::size_t pending_bytes_ = 0;
   bool closing_ = false;
   bool finished_ = false;  // finish() already enqueued
-  /// Ring-mode wake token: set under mutex_ by a producer that saw the
-  /// writer parked, cleared by the writer before it sleeps — closes the
-  /// publish-vs-park race without putting a lock on the publish fast path.
-  bool ring_wake_pending_ = false;
   std::exception_ptr writer_error_;
-
-  /// Mirrors of closing_/writer_error_ for the lock-free producer paths.
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> failed_{false};
-  /// True only while the writer sleeps in its idle park; ring producers
-  /// check it after every publish (fence-paired with the writer's
-  /// pre-park sweep) and take mutex_ only when it is set.
-  std::atomic<bool> writer_parked_{false};
-
-  /// Producer rings, registration-ordered.  Owned here (a ring outlives
-  /// its producer thread); the vector grows under rings_mutex_, the writer
-  /// refreshes its raw-pointer cache when ring_count_ changes.
-  mutable std::mutex rings_mutex_;
-  std::vector<std::unique_ptr<SpoolRing>> rings_;
-  std::atomic<std::size_t> ring_count_{0};
-  std::vector<SpoolRing*> ring_cache_;  // writer-private
 
   /// All counters relaxed atomics: stats() samples them without stopping
   /// anyone (see SpoolStats).
@@ -516,7 +397,6 @@ class LogSpooler : public LogSink {
   // Writer-private chunk assembly state (members so drain helpers share
   // them without threading through every call).
   ByteWriter chunk_;
-  std::vector<sched::TraceRecord> trace_scratch_;
   Bytes finish_body_;
   bool finish_pending_ = false;
 

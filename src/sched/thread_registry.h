@@ -20,10 +20,6 @@
 #include "sched/interval.h"
 #include "sched/trace.h"
 
-namespace djvu::record {
-struct SpoolRing;
-}
-
 namespace djvu::sched {
 
 /// Mutable per-thread record/replay state.  Owned by the registry; used only
@@ -84,14 +80,6 @@ struct ThreadState {
     }
     return t;
   }
-
-  /// Record mode with ring spooling: this thread's lock-free SPSC handoff
-  /// lane to the spool writer, registered when the thread attaches.  Owned
-  /// by the spooler (outlives the thread); nullptr when spooling is off or
-  /// the queue path is configured.  Producer use is strictly by the owning
-  /// thread until it quiesces; after the join handoff the finishing thread
-  /// may ship the residue.
-  record::SpoolRing* spool_ring = nullptr;
 
   /// Per-thread network event numbering ("eventNum is used to order network
   /// events within a specific thread").  Advances identically in record and

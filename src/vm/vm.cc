@@ -88,8 +88,6 @@ Vm::Vm(std::shared_ptr<net::Network> network, VmConfig config,
     opts.buffer_bytes = config_.tuning.spool_buffer_bytes;
     opts.chunk_bytes = config_.tuning.spool_chunk_bytes;
     opts.compress = config_.tuning.spool_compress;
-    opts.ring = config_.tuning.spool_ring;
-    opts.ring_bytes = config_.tuning.spool_ring_bytes;
     opts.flight_recorder = config_.tuning.flight_recorder;
     opts.retention_chunks = config_.tuning.retention_chunks;
     opts.retention_bytes = config_.tuning.retention_bytes;
@@ -141,7 +139,6 @@ void Vm::attach_main() {
       state.causal_seqs = &replay_log_->causal.per_thread[0];
     }
   }
-  if (spooler_ != nullptr) state.spool_ring = spooler_->register_ring();
   t_binding = {this, &state};
   runner_began();
 }
@@ -186,9 +183,6 @@ sched::ThreadState& Vm::register_child_thread() {
       state.causal_seqs = &replay_log_->causal.per_thread[state.num];
     }
   }
-  // The registering (spawning) thread creates the ring; the child becomes
-  // its producer — thread creation's happens-before hands it over.
-  if (spooler_ != nullptr) state.spool_ring = spooler_->register_ring();
   return state;
 }
 
@@ -234,12 +228,7 @@ void Vm::resume_replay(GlobalCount checkpoint_gc,
 
 void Vm::flush_trace(sched::ThreadState& state) {
   if (state.trace_buf.empty()) return;
-  if (spooler_ != nullptr && state.spool_ring != nullptr) {
-    // Ring mode: fixed-width wire records straight out of the buffer, no
-    // allocation, no handoff of the vector — the buffer is reused in place.
-    spooler_->trace_batch(state.spool_ring, state.trace_buf);
-    state.trace_buf.clear();
-  } else if (spooler_ != nullptr) {
+  if (spooler_ != nullptr) {
     // Spooling: the trace streams to disk; trace_ stays empty and the run's
     // digest is computed from the spool file (load_spool sorts by gc).
     // Moving the buffer hands serialization to the spooler's writer thread;
@@ -255,15 +244,10 @@ void Vm::flush_trace(sched::ThreadState& state) {
 }
 
 void Vm::maybe_spool_flush(sched::ThreadState& state) {
-  // The ring-routed overloads fall back to the queue when spool_ring is
-  // null (spool_ring=false), keeping the ablation baseline on one code
-  // path.
   sched::IntervalList closed = state.recorder.drain_closed();
-  if (!closed.empty()) {
-    spooler_->schedule_batch(state.spool_ring, state.num, closed);
-  }
+  if (!closed.empty()) spooler_->schedule_batch(state.num, closed);
   if (causal_ && !state.causal_buf.empty()) {
-    spooler_->causal_batch(state.spool_ring, state.num, state.causal_buf);
+    spooler_->causal_batch(state.num, state.causal_buf);
     state.causal_buf.clear();
   }
   flush_trace(state);
@@ -271,16 +255,7 @@ void Vm::maybe_spool_flush(sched::ThreadState& state) {
 
 void Vm::log_network_entry(ThreadNum thread, record::NetworkLogEntry entry) {
   if (spooler_ != nullptr) {
-    // Every caller logs its own events (thread == the bound thread), so the
-    // entry can ride the caller's ring; the guard keeps any future
-    // cross-thread call correct by falling back to the queue.
-    sched::ThreadState* state =
-        (t_binding.vm == this && t_binding.state != nullptr &&
-         t_binding.state->num == thread)
-            ? t_binding.state
-            : nullptr;
-    spooler_->network_entry(state != nullptr ? state->spool_ring : nullptr,
-                            thread, entry);
+    spooler_->network_entry(thread, entry);
     return;
   }
   network_log_.append(thread, std::move(entry));
@@ -313,19 +288,17 @@ record::VmLog Vm::finish_record() {
   log.stats.network_events = nw_events_.load(std::memory_order_relaxed);
   if (spooler_ != nullptr) {
     // Ship each thread's remaining intervals (everything not drained by
-    // periodic flushes, including the final open interval) through that
-    // thread's own ring — the per-thread FIFO channel the earlier batches
-    // took, so append-order reconstruction still holds.  Using another
-    // thread's ring here is safe SPSC-wise: all workers have quiesced
-    // (joined) before finish_record, so this thread is the sole producer.
-    // Then seal the recording with the finish marker and surface any
-    // writer error.  The returned VmLog is a husk — identity and stats
+    // periodic flushes, including the final open interval) behind its
+    // earlier batches — the queue is FIFO and all workers have quiesced
+    // (joined) before finish_record, so append-order reconstruction still
+    // holds.  Then seal the recording with the finish marker and surface
+    // any writer error.  The returned VmLog is a husk — identity and stats
     // only; the data lives in the spool file.
     registry_.for_each([&](sched::ThreadState& s) {
       const sched::IntervalList rest = s.recorder.finish();
-      if (!rest.empty()) spooler_->schedule_batch(s.spool_ring, s.num, rest);
+      if (!rest.empty()) spooler_->schedule_batch(s.num, rest);
       if (causal_ && !s.causal_buf.empty()) {
-        spooler_->causal_batch(s.spool_ring, s.num, s.causal_buf);
+        spooler_->causal_batch(s.num, s.causal_buf);
         s.causal_buf.clear();
       }
     });

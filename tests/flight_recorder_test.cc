@@ -9,8 +9,8 @@
 //     (index consistency after eviction);
 //   * tail-still-replayable across eviction: a phased workload whose
 //     earlier chunks were evicted resumes from the newest anchor carried
-//     by the tail itself, across {spool_ring} × {order_mode} (causal mode
-//     has no anchors — the degraded mode is no eviction, full replay);
+//     by the tail itself, in both order modes (causal mode has no
+//     anchors — the degraded mode is no eviction, full replay);
 //   * abnormal seal (no finish) during active recording assembles a
 //     recover-to-prefix tail, and seal_incident captures it;
 //   * assemble_flight_tail on a crash-leftover ring with a torn chunk
@@ -18,9 +18,9 @@
 //   * re-record-into-the-same-directory: manifested spools are cleared,
 //     unmanifested spools are refused, and the doctor resolves files
 //     through the manifest instead of the ambiguous vm-id scan;
-//   * writer-failure wakeup: a fault-injected writer death wakes parked
-//     producers (ring and queue paths) so their next handoff rethrows,
-//     and finish() racing the failure stays rethrowable.
+//   * writer-failure wakeup: a fault-injected writer death wakes producers
+//     parked on queue backpressure so their next handoff rethrows, and
+//     finish() racing the failure stays rethrowable.
 
 #include <gtest/gtest.h>
 
@@ -236,15 +236,11 @@ core::Session make_phased(const core::SessionConfig& base, int tail_extra,
   return s;
 }
 
-class FlightTailReplay : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FlightTailReplay, ResumesFromNewestAnchorAcrossEviction) {
-  const bool ring = GetParam();
-  const std::string dir = fresh_dir(ring ? "tail_ring" : "tail_queue");
+TEST(FlightTailReplay, ResumesFromNewestAnchorAcrossEviction) {
+  const std::string dir = fresh_dir("tail");
   core::SessionConfig cfg;
   cfg.tuning.stall_timeout = std::chrono::seconds(5);
   cfg.tuning.spool_dir = dir;
-  cfg.tuning.spool_ring = ring;
   cfg.tuning.flight_recorder = true;
   cfg.tuning.retention_chunks = 4;
   cfg.tuning.spool_chunk_bytes = 1024;
@@ -270,8 +266,6 @@ TEST_P(FlightTailReplay, ResumesFromNewestAnchorAcrossEviction) {
   auto divergent = make_phased(cfg, 2, &cp_log);
   EXPECT_THROW(divergent.replay_from(dir, 99), ReplayDivergenceError);
 }
-
-INSTANTIATE_TEST_SUITE_P(RingAndQueue, FlightTailReplay, ::testing::Bool());
 
 TEST(FlightRecorder, CausalModeHasNoAnchorsAndFullTail) {
   // kCausal refuses kGlobalConflict checkpoints, so a causal flight run
@@ -489,18 +483,13 @@ TEST(SpoolLifecycle, DoctorPrefersManifestOverVmIdScan) {
 
 // --- writer-failure wakeup (fault injection) --------------------------------
 
-class WriterFailure : public ::testing::TestWithParam<bool> {};
-
-TEST_P(WriterFailure, ParkedProducerWakesAndRethrows) {
-  const bool ring = GetParam();
-  const std::string dir = fresh_dir(ring ? "fail_ring" : "fail_queue");
+TEST(WriterFailure, ParkedProducerWakesAndRethrows) {
+  const std::string dir = fresh_dir("fail");
   record::LogSpooler::Options opts;
   opts.path = dir + "/vm.djvuspool";
   opts.chunk_bytes = 512;
-  opts.ring = ring;
-  opts.ring_bytes = 4096;     // floor: park quickly on backpressure
-  opts.buffer_bytes = 4096;   // queue path parks quickly too
-  opts.fail_chunk = 1;        // writer dies sealing its first chunk
+  opts.buffer_bytes = 4096;  // small queue: producers park quickly
+  opts.fail_chunk = 1;       // writer dies sealing its first chunk
 
   record::LogSpooler spooler(7, opts);
   // Pump until the failure propagates.  Bounded: once the writer is dead,
@@ -523,8 +512,6 @@ TEST_P(WriterFailure, ParkedProducerWakesAndRethrows) {
   EXPECT_THROW(spooler.finish(stats, 1), Error);
   EXPECT_THROW(spooler.close(), Error);
 }
-
-INSTANTIATE_TEST_SUITE_P(RingAndQueue, WriterFailure, ::testing::Bool());
 
 }  // namespace
 }  // namespace djvu

@@ -14,7 +14,9 @@
 //     still throws LogFormatError;
 //   * the bounded-memory acceptance criterion: the spooler's
 //     queue_high_water_bytes never exceeds the configured buffer even when
-//     the run streams many times that much log data.
+//     the run streams many times that much log data.  An item larger
+//     than the whole buffer is admitted alone, in FIFO order, rather than
+//     deadlocking.
 
 #include <gtest/gtest.h>
 
@@ -254,21 +256,14 @@ core::Session make_stress(const core::SessionConfig& cfg) {
   return s;
 }
 
-// The acceptance grid: threads × sockets × seeds × producer modes (the
-// lock-free SPSC rings and the mutex/condvar queue ablation baseline),
-// spooled record replayed both from the in-process RunResult and straight
-// from the on-disk files.
+// The acceptance grid: threads × sockets × seeds, spooled record replayed
+// both from the in-process RunResult and straight from the on-disk files.
 TEST(LogSpool, RecordSpoolReplayDigestEquivalence) {
-  for (bool ring : {true, false}) {
   for (std::uint64_t seed : {901u, 902u, 903u}) {
-    const std::string dir = fresh_dir(std::string("grid_") +
-                                      (ring ? "ring_" : "queue_") +
-                                      std::to_string(seed));
+    const std::string dir = fresh_dir("grid_" + std::to_string(seed));
     core::SessionConfig cfg;
     cfg.tuning.spool_dir = dir;
     cfg.tuning.spool_chunk_bytes = 512;  // many chunks even in a small run
-    cfg.tuning.spool_ring = ring;
-    cfg.tuning.spool_ring_bytes = 16 << 10;  // small rings: exercise wraps
     core::Session s = make_stress(cfg);
 
     auto rec = s.record(seed);
@@ -293,17 +288,9 @@ TEST(LogSpool, RecordSpoolReplayDigestEquivalence) {
           << name;
       EXPECT_EQ(rec.vm(name).critical_events, rep.vm(name).critical_events)
           << name;
-      if (ring) {
-        // Every batch took the lock-free path; nothing but the finish
-        // marker rode the queue.
-        EXPECT_GT(rec.vm(name).spool.ring_records, 0u) << name;
-        EXPECT_EQ(rec.vm(name).spool.items_enqueued, 1u) << name;
-      } else {
-        EXPECT_EQ(rec.vm(name).spool.ring_records, 0u) << name;
-        EXPECT_GT(rec.vm(name).spool.items_enqueued, 1u) << name;
-      }
+      // Every batch goes through the queue.
+      EXPECT_GT(rec.vm(name).spool.items_enqueued, 1u) << name;
     }
-  }
   }
 }
 
@@ -467,7 +454,6 @@ TEST(LogSpool, QueueHighWaterStaysWithinBuffer) {
   cfg.tuning.spool_dir = dir;
   cfg.tuning.spool_buffer_bytes = kBuffer;
   cfg.tuning.spool_chunk_bytes = 512;
-  cfg.tuning.spool_ring = false;  // this is the queue path's witness
   core::Session s(cfg);
   s.add_vm("app", 1, true, [](vm::Vm& v) {
     vm::SharedVar<std::uint64_t> x(v, 0);
@@ -496,54 +482,20 @@ TEST(LogSpool, QueueHighWaterStaysWithinBuffer) {
   core::verify(rec, rep);
 }
 
-// Ring-mode counterpart: each producer's resident bytes are bounded by its
-// ring capacity; ring_high_water_bytes is the witness.  Rings are sized
-// small so the run wraps them many times over.
-TEST(LogSpool, RingHighWaterStaysWithinRing) {
-  const std::string dir = fresh_dir("bounded_ring");
-  constexpr std::size_t kRingBytes = 8192;
-  core::SessionConfig cfg;
-  cfg.tuning.spool_dir = dir;
-  cfg.tuning.spool_ring_bytes = kRingBytes;  // already a power of two
-  cfg.tuning.spool_chunk_bytes = 512;
-  core::Session s(cfg);
-  s.add_vm("app", 1, true, [](vm::Vm& v) {
-    vm::SharedVar<std::uint64_t> x(v, 0);
-    std::vector<vm::VmThread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back(v, [&x] {
-        for (int i = 0; i < 2000; ++i) x.set(x.get() + 1);
-      });
-    }
-    for (auto& th : threads) th.join();
-  });
+// --- oversized items -------------------------------------------------------
 
-  auto rec = s.record(971);
-  const auto& spool = rec.vm("app").spool;
-  EXPECT_GT(spool.raw_bytes, 10 * kRingBytes);
-  EXPECT_GT(spool.ring_records, 0u);
-  EXPECT_GT(spool.ring_high_water_bytes, 0u);
-  EXPECT_LE(spool.ring_high_water_bytes, kRingBytes);
-
-  auto rep = s.replay_from(dir, 972);
-  core::verify(rec, rep);
-}
-
-// --- ring producer API ------------------------------------------------------
-
-// Oversized-item admission: a network entry too big for the ring's record
-// ceiling ships as a heap spill without losing its FIFO position among the
-// thread's other items.
-TEST(LogSpool, OversizedNetworkEntrySpillsInOrder) {
-  const std::string dir = fresh_dir("spill");
+// The queue's escape hatch: an item larger than the whole buffer is
+// admitted alone into an empty queue instead of deadlocking, and keeps its
+// FIFO position among the thread's other items.
+TEST(LogSpool, OversizedNetworkEntryPassesAloneInOrder) {
+  const std::string dir = fresh_dir("oversized");
   const std::string path = dir + "/vm.djvuspool";
+  constexpr std::size_t kBuffer = 4096;
   record::LogSpooler::Options opts;
   opts.path = path;
-  opts.ring = true;
-  opts.ring_bytes = 4096;  // record ceiling = 1 KiB
+  opts.buffer_bytes = kBuffer;
   record::LogSpooler spooler(7, opts);
-  record::SpoolRing* ring = spooler.register_ring();
-  ASSERT_NE(ring, nullptr);
+  record::LogSink& sink = spooler;
 
   auto make_entry = [](std::uint64_t num, std::size_t data_bytes) {
     record::NetworkLogEntry e;
@@ -554,45 +506,30 @@ TEST(LogSpool, OversizedNetworkEntrySpillsInOrder) {
     return e;
   };
   const record::NetworkLogEntry small_before = make_entry(1, 16);
-  const record::NetworkLogEntry huge = make_entry(2, 64 << 10);  // 16x ring
+  const record::NetworkLogEntry huge = make_entry(2, 64 << 10);  // 16x buffer
   const record::NetworkLogEntry small_after = make_entry(3, 16);
 
-  sched::IntervalList intervals = {{0, 5}};
-  spooler.schedule_batch(ring, 0, intervals);
-  spooler.network_entry(ring, 0, small_before);
-  spooler.network_entry(ring, 0, huge);
-  spooler.network_entry(ring, 0, small_after);
+  sink.network_entry(0, small_before);
+  sink.network_entry(0, huge);
+  sink.network_entry(0, small_after);
   record::RecordStats stats;
-  stats.critical_events = 6;
   stats.network_events = 3;
-  spooler.finish(stats, 1);
+  sink.finish(stats, 1);
   spooler.close();
-  EXPECT_GE(spooler.stats().ring_records, 4u);
 
   record::SpoolContents contents = record::load_spool(path);
   EXPECT_TRUE(contents.clean_end);
-  EXPECT_EQ(contents.log.schedule.per_thread.at(0), intervals);
   const auto& entries = contents.log.network.thread_entries(0);
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0], small_before);
   EXPECT_EQ(entries[1], huge);
   EXPECT_EQ(entries[2], small_after);
-}
 
-// A ring-mode recording torn mid-file recovers its prefix exactly like a
-// queue-mode one: the reframed chunks are the same DJVUSPL1 format.
-TEST(LogSpool, RingModeDeepTruncationRecoversPrefix) {
-  const std::string dir = fresh_dir("torn_ring");
-  core::Session s = make_solo(dir);  // default tuning: ring mode
-  auto rec = s.record(981);
-  EXPECT_GT(rec.vm("app").spool.ring_records, 0u);
-  const std::string path = rec.vm("app").spool_path;
-  truncate_file(path, file_size(path) * 6 / 10);
-  bool clean = true;
-  record::VmLog prefix = record::load_spooled_log(path, &clean);
-  EXPECT_FALSE(clean);
-  EXPECT_GT(prefix.stats.critical_events, 0u);
-  EXPECT_LT(prefix.stats.critical_events, rec.vm("app").critical_events);
+  // The huge entry alone overshoots the buffer; nothing rode with it.
+  const record::SpoolStats spool = spooler.stats();
+  EXPECT_GT(spool.queue_high_water_bytes, kBuffer);
+  EXPECT_LE(spool.queue_high_water_bytes,
+            kBuffer + record::encode_network_item(0, huge).size());
 }
 
 }  // namespace
