@@ -5,11 +5,12 @@
 // threads, a trace record per critical event, a sprinkle of network
 // entries) is written once per codec row, then loaded repeatedly:
 //
-//   * load_spool with threads=1 — the sequential ablation baseline;
-//   * load_spool with threads=0 — auto (min(cores, 8)) workers decoding
-//     chunks concurrently through the index footer, folded in chunk order
-//     so the result is bit-identical (tests/spool_index_test.cc proves
-//     it; this bench measures it);
+//   * load_spool of a copy cut at the footer's data_end — no index, so the
+//     sequential scan (the ablation baseline);
+//   * load_spool of the footer'd file — min(cores, 8, chunks) workers
+//     decoding chunks concurrently through the index footer, folded in
+//     chunk order so the result is bit-identical
+//     (tests/spool_index_test.cc proves it; this bench measures it);
 //   * seek_to_gc to a position ~90% into the recording and decode of the
 //     covering interval, vs streaming the whole file to the same answer.
 //
@@ -100,14 +101,12 @@ SynthSpool synth_spool(const std::string& path, bool compress,
   return out;
 }
 
-/// Best-of-`reps` wall time of load_spool with the given thread setting.
-double measure_load(const std::string& path, std::size_t threads, int reps) {
-  record::SpoolLoadOptions options;
-  options.threads = threads;
+/// Best-of-`reps` wall time of load_spool.
+double measure_load(const std::string& path, int reps) {
   double best = 1e100;
   for (int i = 0; i < reps; ++i) {
     const double t0 = now_seconds();
-    record::SpoolContents contents = record::load_spool(path, options);
+    record::SpoolContents contents = record::load_spool(path);
     const double dt = now_seconds() - t0;
     if (!contents.clean_end) throw Error("bench spool did not load cleanly");
     best = std::min(best, dt);
@@ -158,11 +157,17 @@ int main(int argc, char** argv) {
         dir + (compress ? "/lz.djvuspool" : "/raw.djvuspool");
     const SynthSpool spool = synth_spool(path, compress, target);
     const double mb = static_cast<double>(spool.bytes) / (1 << 20);
-    const std::size_t chunks =
-        record::build_spool_index(path).chunks.size();
+    const record::SpoolIndex index = record::build_spool_index(path);
+    const std::size_t chunks = index.chunks.size();
+    // The footer selects the indexed load, so the sequential arm loads a
+    // copy cut where the footer begins.
+    const std::string footerless = path + ".seq";
+    std::filesystem::copy_file(
+        path, footerless, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(footerless, index.data_end);
 
-    const double seq = measure_load(path, 1, reps);
-    const double par = measure_load(path, 0, reps);
+    const double seq = measure_load(footerless, reps);
+    const double par = measure_load(path, reps);
     const double speedup = seq / par;
     std::printf("%6s %9.1f %8zu %9.4f %9.4f %9.1f %9.1f %7.2fx\n",
                 compress ? "lz" : "raw", mb, chunks, seq, par, mb / seq,

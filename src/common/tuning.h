@@ -93,15 +93,6 @@ struct TuningConfig {
   /// compression mostly pays on open-world content chunks.
   bool spool_compress = false;
 
-  /// Worker threads for loading spool files back (replay, trace readback,
-  /// offline tools).  Applies only to spools carrying the index footer —
-  /// chunks are independently decodable, so an indexed load preads and
-  /// decodes them on a small pool and folds the results in chunk order,
-  /// bit-identical to the sequential path.  0 = auto (min(cores, 8)),
-  /// 1 = the sequential path (ablation baseline); footerless spools always
-  /// load sequentially whatever this says.
-  std::size_t spool_load_threads = 0;
-
   // --- flight recorder (bounded always-on recording) -----------------------
 
   /// Flight-recorder mode: instead of one append-only spool file, sealed

@@ -160,8 +160,6 @@ RunResult Session::run_spec(const RunSpec& spec) {
       // log file would contain, never in-memory state the file lacks),
       // disk sources are streamed back once — run_impl shares the loaded
       // logs by pointer instead of re-reading per VM.
-      const record::SpoolLoadOptions load_options{
-          config_.tuning.spool_load_threads};
       std::vector<std::shared_ptr<const record::VmLog>> logs;
       if (spec.logs != nullptr) {
         for (const auto& log : *spec.logs) {
@@ -176,8 +174,7 @@ RunResult Session::run_spec(const RunSpec& spec) {
             logs.push_back(info.spooled_log);
           } else if (!info.spool_path.empty()) {
             logs.push_back(std::make_shared<const record::VmLog>(
-                record::load_spooled_log(info.spool_path, nullptr,
-                                         load_options)));
+                record::load_spooled_log(info.spool_path)));
           } else if (info.log) {
             logs.push_back(std::make_shared<const record::VmLog>(
                 record::deserialize(record::serialize(*info.log))));
@@ -207,7 +204,7 @@ RunResult Session::run_spec(const RunSpec& spec) {
             file = vm->spool_path(spec.recording->dir);
           }
           logs.push_back(std::make_shared<const record::VmLog>(
-              record::load_spooled_log(file, nullptr, load_options)));
+              record::load_spooled_log(file)));
         }
       }
       return run_impl(vm::Mode::kReplay, &logs, spec.seed, "");
@@ -519,8 +516,8 @@ RunResult Session::run_impl(
         info.spool_path = r.machine->spool_path();
         info.spool = r.machine->spool_stats();
         if (config_.keep_trace) {
-          record::SpoolContents contents = record::load_spool(
-              info.spool_path, {config_.tuning.spool_load_threads});
+          record::SpoolContents contents =
+              record::load_spool(info.spool_path);
           info.trace = std::move(contents.trace.records);
           info.trace_digest = sched::trace_digest(info.trace);
           info.spooled_log = std::make_shared<const record::VmLog>(

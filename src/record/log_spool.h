@@ -496,15 +496,17 @@ class LogSource {
   std::uint64_t chunk_offset() const { return chunk_offset_; }
   std::uint32_t chunk_stored_len() const { return chunk_stored_len_; }
   std::uint8_t chunk_codec() const { return chunk_codec_; }
-  std::uint32_t chunk_raw_len() const {
-    return static_cast<std::uint32_t>(chunk_.size());
-  }
+  std::uint32_t chunk_raw_len() const { return chunk_raw_len_; }
+
+  /// CRC-32 of the spool file header: the seed of the whole-file CRC, onto
+  /// which the indexed loader combines its per-chunk CRCs.
+  std::uint32_t header_crc() const { return header_crc_; }
 
  private:
   std::optional<SpoolItem> next_spool_item();
   std::optional<SpoolItem> next_trace_item();
-  /// Reads and verifies the next chunk into chunk_/chunk_pos_; false at
-  /// end of file, torn tail (sets truncated_bytes_), or index footer.
+  /// Reads and checks the next chunk into items_/item_pos_; false at end
+  /// of file, torn tail (sets truncated_bytes_), or index footer.
   bool read_chunk();
   bool read_exact(std::uint8_t* out, std::size_t n);
   std::uint64_t read_varint();
@@ -517,15 +519,14 @@ class LogSource {
   std::string path_;
   DjvmId vm_id_ = 0;
   bool trace_backend_ = false;
-  bool compressed_ = false;
   bool done_ = false;
   bool clean_end_ = false;
   std::uint64_t truncated_bytes_ = 0;
   std::uint64_t file_size_ = 0;
 
-  // Spool backend: current decoded chunk payload.
-  Bytes chunk_;
-  std::size_t chunk_pos_ = 0;
+  // Spool backend: the current chunk's items, split and checked.
+  std::vector<SpoolItem> items_;
+  std::size_t item_pos_ = 0;
 
   // Spool backend: current chunk frame facts + running stream state for
   // the whole-file CRC (fed the header and every accepted chunk's frame +
@@ -534,6 +535,8 @@ class LogSource {
   std::uint64_t chunk_offset_ = 0;
   std::uint32_t chunk_stored_len_ = 0;
   std::uint8_t chunk_codec_ = 0;
+  std::uint32_t chunk_raw_len_ = 0;
+  std::uint32_t header_crc_ = 0;
   Crc32 stream_crc_;
   bool seeked_ = false;
   bool footer_seen_ = false;  ///< read_chunk met the footer magic
@@ -566,29 +569,23 @@ class TraceRecordStream {
   std::size_t pos_ = 0;
 };
 
-/// How to load a spool file back (both loaders below).
-struct SpoolLoadOptions {
-  /// Worker threads for the indexed parallel path: 0 = auto (min(cores,
-  /// 8)), 1 = the sequential path.  Spools without a readable index footer
-  /// always load sequentially.  The parallel path preads and decodes
-  /// chunks concurrently (chunks are independently decodable — deltas
-  /// restart per item) and folds the decoded pieces in chunk order, so the
-  /// reconstructed VmLog / trace / digest are bit-identical to the
-  /// sequential path; any validation failure against the footer falls back
-  /// to the sequential scan rather than erroring differently.
-  std::size_t threads = 0;
-};
-
 /// Everything one spool file holds, folded back into in-memory structures
 /// (tests, offline inspection).  trace.records come out gc-sorted.
+///
+/// Both loaders below take the indexed path when the spool carries a
+/// readable index footer: min(cores, 8, chunks) workers pread, check and
+/// fold chunks concurrently (chunks are independently decodable — deltas
+/// restart per item) and the parts are appended in chunk order, so the
+/// VmLog / trace / digest are bit-identical to the sequential scan.  Any
+/// disagreement with the footer falls back to that scan, which footerless
+/// spools always take.
 struct SpoolContents {
   VmLog log;
   TraceFile trace;
   bool clean_end = false;
   std::uint64_t truncated_bytes = 0;
 };
-SpoolContents load_spool(const std::string& path,
-                         const SpoolLoadOptions& options = {});
+SpoolContents load_spool(const std::string& path);
 
 /// Streams just the replay-relevant items (schedule, network, finish) of a
 /// spool file into a VmLog, skipping trace bodies entirely — resident
@@ -598,8 +595,7 @@ SpoolContents load_spool(const std::string& path,
 /// intervals encode (every critical event lands in exactly one interval),
 /// which is precisely what replaying the prefix will execute.  Sets
 /// *clean_end when non-null.
-VmLog load_spooled_log(const std::string& path, bool* clean_end = nullptr,
-                       const SpoolLoadOptions& options = {});
+VmLog load_spooled_log(const std::string& path, bool* clean_end = nullptr);
 
 /// Rebuilds a SpoolIndex by sequentially scanning (and decoding) `path` —
 /// the fallback that keeps seek_to_gc available for pre-index spools and
@@ -630,15 +626,16 @@ struct FlightTailInfo {
 };
 
 /// Post-mortem assembly of a crashed flight-recorder ring: if
-/// `<spool_path>.d/` exists, validates each chunk file (frame + CRC) in seq
-/// order, writes header + surviving chunks to `spool_path` (overwriting any
-/// half-sealed file there — the ring is newer), stops at the first torn
-/// chunk counting it and everything later as truncated, and removes the
-/// ring directory.  No finish item and no footer are synthesized: the
-/// result is a recover-to-prefix file, exactly like a crashed append-only
-/// spool.  Returns {assembled = false} when no ring directory exists (the
-/// spool sealed normally); throws Error/LogFormatError on I/O failure or a
-/// corrupt ring header.
+/// `<spool_path>.d/` exists, checks each chunk file in seq order the way
+/// every spool reader does (frame, CRC, codec, item framing), writes
+/// header + surviving chunks to `spool_path` (overwriting any half-sealed
+/// file there — the ring is newer), stops at the first torn or
+/// undecodable chunk counting it and everything later as truncated, and
+/// removes the ring directory.  No finish item and no footer are
+/// synthesized: the result is a recover-to-prefix file, exactly like a
+/// crashed append-only spool.  Returns {assembled = false} when no ring
+/// directory exists (the spool sealed normally); throws Error/LogFormatError
+/// on I/O failure or a corrupt ring header.
 FlightTailInfo assemble_flight_tail(const std::string& spool_path);
 
 /// All checkpoint anchors in a spool file, in stream order.  A tail that

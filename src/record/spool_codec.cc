@@ -63,6 +63,11 @@ Bytes spool_compress(BytesView raw) {
 Bytes spool_decompress(BytesView compressed) {
   ByteReader r(compressed);
   const std::uint64_t raw_size = r.varint();
+  // No op emits more than kMaxMatch bytes, so a larger declared size is
+  // corrupt and must not become an allocation request.
+  if (raw_size > r.remaining() * kMaxMatch) {
+    throw LogFormatError("spool codec: declared size exceeds the input");
+  }
   Bytes out;
   out.reserve(raw_size);
   while (!r.at_end()) {

@@ -10,18 +10,7 @@
 namespace djvu::record {
 namespace {
 
-// Mirrors of the DJVUSPL1 framing constants in log_spool.cc (fixed format
-// values): the 15-byte file header and the 9-byte chunk frame.  Used to
-// reconstruct chunk offsets from the stored lengths.
-constexpr std::uint64_t kSpoolHeaderBytes = 8 + 2 + 4 + 1;
-constexpr std::uint64_t kChunkFrameBytes = 4 + 1 + 4;
-
 constexpr std::uint8_t kFlagHasGc = 1;
-
-std::uint32_t le32_at(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
-         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
-}
 
 }  // namespace
 
@@ -120,8 +109,9 @@ std::optional<SpoolIndex> read_spool_footer(std::FILE* file,
     restore();
     return std::nullopt;
   }
-  const std::uint32_t footer_len = le32_at(trailer);
-  const std::uint32_t footer_crc = le32_at(trailer + 4);
+  ByteReader trailer_reader(BytesView(trailer, 8));
+  const std::uint32_t footer_len = trailer_reader.u32();
+  const std::uint32_t footer_crc = trailer_reader.u32();
   const std::uint64_t total = footer_len + kSpoolIndexTrailerBytes;
   if (footer_len < 8 + 2 || total > file_size - kSpoolHeaderBytes) {
     restore();
@@ -145,7 +135,10 @@ std::optional<SpoolIndex> read_spool_footer(std::FILE* file,
     index.from_footer = true;
     index.data_end = r.varint();
     index.file_crc = r.u32();
+    // Every entry and thread record takes at least one byte, so a count
+    // beyond the bytes left is corrupt; it must not become a reserve().
     const std::uint64_t n = r.varint();
+    if (n > r.remaining()) return std::nullopt;
     index.chunks.reserve(n);
     std::uint64_t offset = kSpoolHeaderBytes;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -163,6 +156,7 @@ std::optional<SpoolIndex> read_spool_footer(std::FILE* file,
       }
       c.network_items = r.varint();
       const std::uint64_t threads = r.varint();
+      if (threads > r.remaining()) return std::nullopt;
       c.threads.reserve(threads);
       for (std::uint64_t t = 0; t < threads; ++t) {
         SpoolThreadCounts counts;

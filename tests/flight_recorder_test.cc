@@ -7,6 +7,10 @@
 //   * eviction order and retention bounds on the on-disk ring, and that
 //     the sealed tail's index footer agrees with a full-scan rebuild
 //     (index consistency after eviction);
+//   * the byte bound (retention_bytes alone): retained bytes stay within
+//     it once an anchor exists, except for anchor-protected chunks, and
+//     the tail keeps everything from its first anchor on, loads clean and
+//     resumes;
 //   * tail-still-replayable across eviction: a phased workload whose
 //     earlier chunks were evicted resumes from the newest anchor carried
 //     by the tail itself, in both order modes (causal mode has no
@@ -182,6 +186,82 @@ TEST(FlightRecorder, NoAnchorMeansNoEviction) {
   EXPECT_EQ(contents.trace.records.front().gc, 0u);
 }
 
+/// The byte bound on a sealed flight tail: its ring chunks (all but the
+/// final finish chunk) fit `bound`, unless every one of them sits at or
+/// after the newest anchor, which eviction may never cross.
+void expect_byte_bound(const std::string& path, std::uint64_t bound) {
+  const record::SpoolIndex index = record::build_spool_index(path);
+  ASSERT_GE(index.chunks.size(), 2u);
+  const std::uint8_t anchor_bit = record::spool_kind_bit(
+      static_cast<std::uint8_t>(record::SpoolItemKind::kAnchor));
+  std::uint64_t bytes = 0;
+  std::size_t newest_anchor = 0;
+  for (std::size_t i = 0; i + 1 < index.chunks.size(); ++i) {
+    bytes += record::kChunkFrameBytes + index.chunks[i].stored_len;
+    if ((index.chunks[i].kinds & anchor_bit) != 0) newest_anchor = i;
+  }
+  if (bytes > bound) {
+    EXPECT_EQ(newest_anchor, 0u) << bytes << " retained bytes > " << bound
+                                 << " with evictable chunks left";
+  }
+}
+
+TEST(FlightRecorder, ByteBoundEvictsOnceAnchored) {
+  const std::string dir = fresh_dir("byte_bound");
+  const std::string path = dir + "/vm.djvuspool";
+  constexpr std::uint64_t kBound = 1500;
+  constexpr int kRounds = 12;
+  record::LogSpooler::Options opts;
+  opts.path = path;
+  opts.chunk_bytes = 256;  // one 40-record trace batch (~450 B) per chunk
+  opts.flight_recorder = true;
+  opts.retention_chunks = 0;  // the byte bound is the only bound
+  opts.retention_bytes = kBound;
+
+  GlobalCount gc = 0;
+  {
+    record::LogSpooler spooler(7, opts);
+    // Anchor before any data, and keep each anchor-to-anchor stretch far
+    // below the bound: then no chunk is ever protected beyond it, and
+    // every stats() sample must respect it.
+    spooler.anchor(record::SpoolAnchor{});
+    for (int round = 1; round <= kRounds; ++round) {
+      spooler.trace_batch(trace_batch_at(gc, 40));
+      gc += 40;
+      record::SpoolAnchor anchor;
+      anchor.phase = static_cast<std::uint32_t>(round);
+      anchor.gc = gc;
+      spooler.anchor(anchor);
+      EXPECT_LE(spooler.stats().retained_bytes, kBound) << round;
+    }
+    // Un-anchored work after the newest anchor.
+    spooler.trace_batch(trace_batch_at(gc, 40));
+    gc += 40;
+    record::RecordStats stats;
+    stats.critical_events = gc;
+    spooler.finish(stats, 3);
+    spooler.close();
+    const record::SpoolStats s = spooler.stats();
+    EXPECT_GE(s.evicted_chunks, 1u);  // the byte bound actually bit
+    EXPECT_GT(s.evicted_bytes, 0u);
+    EXPECT_EQ(s.evicted_chunks + s.retained_chunks, s.chunks_written);
+  }
+  expect_byte_bound(path, kBound);
+
+  // The tail starts at a surviving anchor and holds every record from
+  // there on — the newest anchor and the work after it included.
+  const auto anchors = record::read_spool_anchors(path);
+  ASSERT_FALSE(anchors.empty());
+  EXPECT_EQ(anchors.back().phase, static_cast<std::uint32_t>(kRounds));
+  EXPECT_GT(anchors.front().gc, 0u);
+  const record::SpoolContents contents = record::load_spool(path);
+  EXPECT_TRUE(contents.clean_end);
+  ASSERT_FALSE(contents.trace.records.empty());
+  EXPECT_EQ(contents.trace.records.front().gc, anchors.front().gc);
+  EXPECT_EQ(contents.trace.records.size(), gc - anchors.front().gc);
+  EXPECT_EQ(contents.trace.records.back().gc, gc - 1);
+}
+
 // --- tail replayable across eviction (session + checkpoint anchors) ---------
 
 constexpr int kPhases = 3;
@@ -265,6 +345,36 @@ TEST(FlightTailReplay, ResumesFromNewestAnchorAcrossEviction) {
   // A tail perturbation still diverges (the tail is really enforced).
   auto divergent = make_phased(cfg, 2, &cp_log);
   EXPECT_THROW(divergent.replay_from(dir, 99), ReplayDivergenceError);
+}
+
+TEST(FlightTailReplay, ByteBoundTailLoadsCleanAndResumes) {
+  const std::string dir = fresh_dir("tail_bytes");
+  constexpr std::uint64_t kBound = 4096;
+  core::SessionConfig cfg;
+  cfg.tuning.stall_timeout = std::chrono::seconds(5);
+  cfg.tuning.spool_dir = dir;
+  cfg.tuning.flight_recorder = true;
+  cfg.tuning.retention_chunks = 0;
+  cfg.tuning.retention_bytes = kBound;
+  cfg.tuning.spool_chunk_bytes = 1024;
+
+  auto recorder = make_phased(cfg, 0, nullptr);
+  auto rec = recorder.record(37);
+  const record::SpoolStats stats = rec.vm("app").spool;
+  ASSERT_GE(stats.evicted_chunks, 1u) << "byte bound never bit";
+
+  const std::string tail = dir + "/app.djvuspool";
+  expect_byte_bound(tail, kBound);
+  bool clean = false;
+  record::load_spooled_log(tail, &clean);
+  EXPECT_TRUE(clean);
+  const auto anchors = record::read_spool_anchors(tail);
+  ASSERT_FALSE(anchors.empty());
+  EXPECT_EQ(anchors.back().phase, static_cast<std::uint32_t>(kPhases - 1));
+  const checkpoint::CheckpointLog cp_log =
+      checkpoint::anchors_to_log(1, anchors);
+  auto resumed = make_phased(cfg, 0, &cp_log);
+  EXPECT_NO_THROW(resumed.replay_from(dir, 99));
 }
 
 TEST(FlightRecorder, CausalModeHasNoAnchorsAndFullTail) {

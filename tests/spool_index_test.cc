@@ -11,7 +11,12 @@
 //     boundaries (per-chunk gc ranges overlap and are non-monotone), and
 //     reports positions beyond the recording;
 //   * parallel load equivalence: the threaded indexed loader folds a
-//     bit-identical VmLog and trace across {compression} x {order mode};
+//     bit-identical VmLog and trace across {compression} x {order mode},
+//     against the sequential scan of a footer-stripped copy;
+//   * load fallbacks through load_spool: a corrupt middle chunk recovers
+//     the same prefix as the sequential scan, a corrupt header throws;
+//   * hostile fields: thread 0xFFFFFFFF and footers claiming 2^62 chunks
+//     or thread records end in LogFormatError or a clean sequential load;
 //   * determinism pins: equal-gc trace records keep file order under both
 //     loaders (stable sort), the whole-file CRC catches corruption the
 //     per-chunk CRCs cannot see (the file header), and the trace-file
@@ -67,6 +72,22 @@ void flip_byte(const std::string& path, std::uint64_t offset) {
   c = static_cast<char>(c ^ 0x40);
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(&c, 1);
+}
+
+/// A copy of the footer'd spool `path` cut at its footer's data_end: the
+/// same chunks without an index, so every loader takes the sequential scan.
+std::string footerless_copy(const std::string& path) {
+  record::LogSource source(path);
+  const record::SpoolIndex* index = source.index();
+  if (index == nullptr) {
+    ADD_FAILURE() << "no index footer in " << path;
+    return path;
+  }
+  const std::string copy = path + ".seq";
+  std::filesystem::copy_file(path, copy,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(copy, index->data_end);
+  return copy;
 }
 
 /// Writes a small spool with a known five-interval schedule across two
@@ -312,13 +333,11 @@ TEST_P(ParallelLoad, BitIdenticalToSequential) {
     ASSERT_FALSE(path.empty()) << name;
     EXPECT_GT(rec.vm(name).spool.chunks_written, 1u) << name;
 
-    record::SpoolLoadOptions sequential;
-    sequential.threads = 1;
-    record::SpoolLoadOptions parallel;
-    parallel.threads = 4;
+    const std::string sequential = footerless_copy(path);
+    EXPECT_EQ(record::LogSource(sequential).index(), nullptr) << name;
 
-    record::SpoolContents a = record::load_spool(path, sequential);
-    record::SpoolContents b = record::load_spool(path, parallel);
+    record::SpoolContents a = record::load_spool(sequential);
+    record::SpoolContents b = record::load_spool(path);
     EXPECT_TRUE(a.clean_end) << name;
     EXPECT_TRUE(b.clean_end) << name;
     EXPECT_EQ(b.truncated_bytes, 0u) << name;
@@ -332,8 +351,8 @@ TEST_P(ParallelLoad, BitIdenticalToSequential) {
 
     bool clean_a = false;
     bool clean_b = false;
-    record::VmLog la = record::load_spooled_log(path, &clean_a, sequential);
-    record::VmLog lb = record::load_spooled_log(path, &clean_b, parallel);
+    record::VmLog la = record::load_spooled_log(sequential, &clean_a);
+    record::VmLog lb = record::load_spooled_log(path, &clean_b);
     EXPECT_TRUE(clean_a) << name;
     EXPECT_TRUE(clean_b) << name;
     EXPECT_EQ(record::serialize(la), record::serialize(lb)) << name;
@@ -367,13 +386,13 @@ TEST(SpoolLoad, EqualGcTraceRecordsKeepFileOrder) {
   spooler.finish(stats, 2);
   spooler.close();
 
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    record::SpoolLoadOptions options;
-    options.threads = threads;
-    record::SpoolContents contents = record::load_spool(path, options);
-    ASSERT_EQ(contents.trace.records.size(), 4u) << threads;
-    EXPECT_EQ(contents.trace.records[1].aux, 111u) << threads;
-    EXPECT_EQ(contents.trace.records[2].aux, 222u) << threads;
+  // The footer'd file takes the indexed load, its footerless copy the
+  // sequential scan.
+  for (const std::string& file : {path, footerless_copy(path)}) {
+    record::SpoolContents contents = record::load_spool(file);
+    ASSERT_EQ(contents.trace.records.size(), 4u) << file;
+    EXPECT_EQ(contents.trace.records[1].aux, 111u) << file;
+    EXPECT_EQ(contents.trace.records[2].aux, 222u) << file;
   }
 }
 
@@ -391,6 +410,136 @@ TEST(SpoolLoad, WholeFileCrcCatchesHeaderCorruption) {
         }
       },
       LogFormatError);
+}
+
+// --- load fallbacks and hostile fields --------------------------------------
+
+/// A footer'd spool with one item per chunk, schedule and trace batches
+/// alternating over two threads, so a middle chunk can be damaged alone.
+std::string write_multi_chunk_spool(const std::string& dir) {
+  const std::string path = dir + "/vm.djvuspool";
+  record::LogSpooler::Options opts;
+  opts.path = path;
+  opts.chunk_bytes = 8;  // one item per chunk
+  record::LogSpooler spooler(5, opts);
+  for (GlobalCount gc = 0; gc < 60; gc += 10) {
+    const auto thread = static_cast<ThreadNum>(gc / 10 % 2);
+    spooler.schedule_batch(thread, {{gc, gc + 9}});
+    spooler.trace_batch(
+        {{gc, thread, sched::EventKind::kSharedRead, gc},
+         {gc + 9, thread, sched::EventKind::kSharedWrite, gc + 9}});
+  }
+  record::RecordStats stats;
+  stats.critical_events = 60;
+  spooler.finish(stats, 2);
+  spooler.close();
+  return path;
+}
+
+TEST(SpoolLoad, CorruptMiddleChunkFallsBackToSequentialPrefix) {
+  const std::string dir = fresh_dir("midchunk");
+  const std::string path = write_multi_chunk_spool(dir);
+  const record::SpoolIndex index = record::build_spool_index(path);
+  ASSERT_GE(index.chunks.size(), 6u);
+  const record::SpoolChunkInfo& middle = index.chunks[index.chunks.size() / 2];
+  // A payload byte: the chunk CRC fails, so the indexed load must give up
+  // and the sequential scan recovers the prefix before this chunk.
+  flip_byte(path, middle.offset + record::kChunkFrameBytes + 1);
+  const std::string sequential = footerless_copy(path);
+
+  const record::SpoolContents expect = record::load_spool(sequential);
+  EXPECT_FALSE(expect.clean_end);
+  EXPECT_GT(expect.truncated_bytes, 0u);
+  EXPECT_FALSE(expect.trace.records.empty());
+
+  const record::SpoolContents got = record::load_spool(path);
+  EXPECT_FALSE(got.clean_end);
+  EXPECT_GT(got.truncated_bytes, 0u);
+  EXPECT_EQ(record::serialize(got.log), record::serialize(expect.log));
+  EXPECT_EQ(got.trace.records, expect.trace.records);
+
+  bool clean = true;
+  const record::VmLog log = record::load_spooled_log(path, &clean);
+  EXPECT_FALSE(clean);
+  EXPECT_EQ(record::serialize(log), record::serialize(expect.log));
+}
+
+TEST(SpoolLoad, CorruptHeaderThrowsThroughLoadSpool) {
+  const std::string dir = fresh_dir("hdrload");
+  const std::string path = write_multi_chunk_spool(dir);
+  // vm_id bytes: no chunk CRC covers them, so the indexed load's stitched
+  // whole-file CRC fails and the sequential scan's check must throw.
+  flip_byte(path, 10);
+  EXPECT_THROW(record::load_spool(path), LogFormatError);
+  EXPECT_THROW(record::load_spooled_log(path), LogFormatError);
+}
+
+TEST(SpoolLoad, HugeThreadNumberIsAFormatError) {
+  const std::string dir = fresh_dir("thread_max");
+  const std::string path = dir + "/vm.djvuspool";
+  {
+    record::LogSpooler::Options opts;
+    opts.path = path;
+    record::LogSpooler spooler(9, opts);
+    // thread + 1 wraps to 0 in 32 bits: the load must neither index past
+    // a resize(0) nor try a multi-GB resize.
+    spooler.schedule_batch(0xFFFFFFFFu, {{0, 3}});
+    record::RecordStats stats;
+    stats.critical_events = 4;
+    spooler.finish(stats, 1);
+    spooler.close();
+  }
+  for (const std::string& file : {path, footerless_copy(path)}) {
+    EXPECT_THROW(record::load_spool(file), LogFormatError) << file;
+    EXPECT_THROW(record::load_spooled_log(file), LogFormatError) << file;
+  }
+}
+
+TEST(SpoolIndex, FooterWithImpossibleCountsReadsAsNoIndex) {
+  const std::string dir = fresh_dir("hostile_footer");
+  const std::string pristine = write_known_spool(dir);
+  const Bytes baseline = record::serialize(record::load_spooled_log(pristine));
+  std::optional<record::SpoolIndex> index;
+  {
+    record::LogSource source(pristine);
+    ASSERT_NE(source.index(), nullptr);
+    index = *source.index();
+  }
+  const BytesView magic(
+      reinterpret_cast<const std::uint8_t*>(record::kSpoolIndexMagic), 8);
+  // Two CRC-valid footers: one claims 2^62 chunks, one a single chunk
+  // with 2^62 thread records.  Both must read as "no index".
+  for (bool huge_threads : {false, true}) {
+    const std::string path =
+        dir + (huge_threads ? "/threads.djvuspool" : "/chunks.djvuspool");
+    std::filesystem::copy_file(
+        pristine, path, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(path, index->data_end);
+    ByteWriter w;
+    w.raw(magic).u16(record::kSpoolIndexVersion).varint(index->data_end);
+    w.u32(index->file_crc);
+    if (huge_threads) {
+      const record::SpoolChunkInfo& c = index->chunks[0];
+      w.varint(1).varint(c.stored_len).varint(c.raw_len);
+      w.u8(c.codec).u8(c.kinds).u8(0).varint(0).varint(1ull << 62);
+    } else {
+      w.varint(1ull << 62);
+    }
+    const auto footer_len = static_cast<std::uint32_t>(w.size());
+    const std::uint32_t footer_crc = crc32(w.view());
+    w.u32(footer_len).u32(footer_crc).raw(magic);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      out.write(reinterpret_cast<const char*>(w.view().data()),
+                static_cast<std::streamsize>(w.size()));
+    }
+
+    EXPECT_EQ(record::LogSource(path).index(), nullptr) << path;
+    record::SpoolContents contents;
+    ASSERT_NO_THROW(contents = record::load_spool(path)) << path;
+    EXPECT_TRUE(contents.clean_end) << path;
+    EXPECT_EQ(record::serialize(contents.log), baseline) << path;
+  }
 }
 
 TEST(TraceFileCrc, TrailingCrcVerifiedWhenStreaming) {
