@@ -418,10 +418,13 @@ void Socket::do_write(BytesView data) {
                    static_cast<std::uint64_t>(entry->error), this);
     throw_recorded(entry->error, "write");
   }
-  std::lock_guard<std::mutex> fd(write_mutex_);
+  // Turn-first: the write lock is taken inside the turn.  Taking it before
+  // the turn lets a writer whose turn comes later hold it while the writer
+  // whose turn is current blocks on it, and the schedule deadlocks.
   vm_.critical_event(
       EventKind::kSockWrite,
       [&](GlobalCount) {
+        std::lock_guard<std::mutex> fd(write_mutex_);
         if (conn_ != nullptr && !virtual_) {
       try {
         conn_->write(data);
