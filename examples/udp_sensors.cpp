@@ -54,9 +54,15 @@ core::Session make_sensors() {
   for (int sid = 0; sid < kSensors; ++sid) {
     s.add_vm("sensor" + std::to_string(sid), 2 + sid, true, [sid](vm::Vm& v) {
       vm::DatagramSocket sock(v, static_cast<net::Port>(9000 + sid));
-      // Give the collector time to bind (a real sensor's warm-up); UDP to
-      // an unbound port silently vanishes, like in a real deployment.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      // Wait for the collector to bind (a real sensor's warm-up); UDP to
+      // an unbound port silently vanishes, like in a real deployment.  A
+      // collector that already has its samples and closed counts as bound.
+      // Replay needs no wait: its reliable layer retransmits until the
+      // collector is there.
+      while (v.mode() != vm::Mode::kReplay &&
+             !v.network().udp_was_bound({1, kCollectorPort})) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
       for (int i = 0; i < kReadingsPerSensor; ++i) {
         ByteWriter w;
         w.u64(static_cast<std::uint64_t>(sid));

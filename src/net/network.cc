@@ -79,6 +79,7 @@ std::shared_ptr<UdpPort> Network::udp_bind(SocketAddress addr) {
   }
   auto port = std::make_shared<UdpPort>(this, addr);
   udp_ports_.emplace(addr, port);
+  udp_ever_bound_.insert(addr);
   return port;
 }
 
@@ -141,6 +142,11 @@ void Network::leave_group(SocketAddress group, SocketAddress member) {
   if (it == groups_.end()) return;
   it->second.erase(member);
   if (it->second.empty()) groups_.erase(it);
+}
+
+bool Network::udp_was_bound(SocketAddress addr) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return udp_ever_bound_.contains(addr);
 }
 
 std::vector<SocketAddress> Network::group_members(SocketAddress group) {

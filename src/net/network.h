@@ -61,6 +61,10 @@ class Network {
   /// Unbinds (called by UdpPort::close()).
   void udp_unbind(SocketAddress addr);
 
+  /// True once a UDP port has been bound at `addr`, even if it has been
+  /// closed since.
+  bool udp_was_bound(SocketAddress addr);
+
   /// Routes one datagram, applying loss/dup/delay per destination.
   /// `dest` may be a unicast address or a multicast group address.
   void route_datagram(SocketAddress from, SocketAddress dest,
@@ -100,6 +104,7 @@ class Network {
   bool shutdown_ = false;
   std::unordered_map<SocketAddress, std::shared_ptr<TcpListener>> listeners_;
   std::unordered_map<SocketAddress, std::shared_ptr<UdpPort>> udp_ports_;
+  std::unordered_set<SocketAddress> udp_ever_bound_;
   std::unordered_map<SocketAddress, std::unordered_set<SocketAddress>>
       groups_;
   std::unordered_map<HostId, Port> next_ephemeral_;

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "core/session.h"
+#include "tests/test_util.h"
 #include "vm/datagram_api.h"
 #include "vm/shared_var.h"
 #include "vm/thread.h"
@@ -56,6 +57,7 @@ TEST(DatagramApi, SourceAddressReplays) {
   for (int c = 0; c < 2; ++c) {
     s.add_vm("send" + std::to_string(c), 2 + c, true, [c](vm::Vm& v) {
       vm::DatagramSocket sock(v, static_cast<net::Port>(4100 + c));
+      testutil::await_udp_bound(v, {1, 4000});
       for (int i = 0; i < 2; ++i) {
         vm::DatagramPacket p;
         p.address = {1, 4000};
@@ -112,6 +114,7 @@ TEST(DatagramApi, RecordedDuplicateReplayedFromBuffer) {
   });
   s.add_vm("send", 2, true, [](vm::Vm& v) {
     vm::DatagramSocket sock(v, 4301);
+    testutil::await_udp_bound(v, {1, 4300});
     for (int i = 0; i < 3; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 4300};
@@ -162,6 +165,7 @@ TEST(DatagramApi, SplitWithReplayLoss) {
   });
   s.add_vm("send", 2, true, [](vm::Vm& v) {
     vm::DatagramSocket sock(v, 4501);
+    testutil::await_udp_bound(v, {1, 4500});
     for (int i = 0; i < 3; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 4500};

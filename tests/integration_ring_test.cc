@@ -129,6 +129,7 @@ TEST(Ring, FanInPipelineReplays) {
              true, [p](vm::Vm& v) {
                vm::DatagramSocket udp(
                    v, static_cast<net::Port>(7200 + p));
+               testutil::await_udp_bound(v, {4, 7100});
                for (int i = 0; i < 10; ++i) {
                  vm::DatagramPacket packet;
                  packet.address = {4, 7100};

@@ -50,6 +50,7 @@ TEST(ClosedWorldUdp, DupAndReorderReplays) {
   });
   s.add_vm("send", 2, true, [&](vm::Vm& v) {
     vm::DatagramSocket sock(v, 4001);
+    testutil::await_udp_bound(v, {1, 4000});
     for (int i = 0; i < kDatagrams; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 4000};
@@ -80,6 +81,7 @@ TEST(ClosedWorldUdp, LossReplays) {
   });
   s.add_vm("send", 2, true, [&](vm::Vm& v) {
     vm::DatagramSocket sock(v, 4101);
+    testutil::await_udp_bound(v, {1, 4100});
     for (int i = 0; i < 40; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 4100};
@@ -114,6 +116,7 @@ TEST(ClosedWorldUdp, SplitDatagramsReplays) {
   });
   s.add_vm("send", 2, true, [&](vm::Vm& v) {
     vm::DatagramSocket sock(v, 4201);
+    testutil::await_udp_bound(v, {1, 4200});
     for (int i = 0; i < 4; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 4200};
@@ -152,9 +155,10 @@ TEST(ClosedWorldUdp, MulticastReplays) {
   }
   s.add_vm("sender", 9, true, [&](vm::Vm& v) {
     vm::DatagramSocket sock(v, 4301);
-    // Give members time to join during record (membership at send time is
-    // genuine nondeterminism; the log pins which datagrams each member saw).
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // Wait for both members to join: a member that joins late could miss
+    // too many of the 40 datagrams to ever read 4.  Loss and duplication
+    // still decide which datagrams each member sees; the log pins them.
+    testutil::await_group_members(v, {kGroupHost, 4300}, 2);
     // Send generously so every member sees at least 4 despite loss.
     for (int i = 0; i < 40; ++i) {
       vm::DatagramPacket p;

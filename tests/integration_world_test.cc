@@ -157,6 +157,7 @@ TEST(MixedWorld, UdpFromDjvmAndPlainSenders) {
   });
   s.add_vm("djvm-send", 2, /*djvm=*/true, [](vm::Vm& v) {
     vm::DatagramSocket sock(v, 5801);
+    testutil::await_udp_bound(v, {1, 5800});
     for (int i = 0; i < 6; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 5800};
@@ -167,6 +168,7 @@ TEST(MixedWorld, UdpFromDjvmAndPlainSenders) {
   });
   s.add_vm("plain-send", 3, /*djvm=*/false, [](vm::Vm& v) {
     vm::DatagramSocket sock(v, 5802);
+    testutil::await_udp_bound(v, {1, 5800});
     for (int i = 0; i < 6; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 5800};

@@ -164,6 +164,7 @@ TEST_P(UdpSweep, RecordReplayVerify) {
   });
   s.add_vm("send", 2, true, [sent](vm::Vm& v) {
     vm::DatagramSocket sock(v, 4001);
+    testutil::await_udp_bound(v, {1, 4000});
     for (int i = 0; i < sent; ++i) {
       vm::DatagramPacket p;
       p.address = {1, 4000};
