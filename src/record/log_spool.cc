@@ -140,29 +140,6 @@ SpoolFinish decode_finish_item(BytesView body) {
   return finish;
 }
 
-Bytes encode_causal_item(ThreadNum thread,
-                         const std::vector<std::uint64_t>& seqs) {
-  // Raw varints, the pre-delta encoding: kept for byte-compatibility tests
-  // and old spools; writers emit kCausalDelta now.
-  ByteWriter w;
-  w.varint(thread);
-  w.varint(seqs.size());
-  for (std::uint64_t s : seqs) w.varint(s);
-  return w.take();
-}
-
-std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_item(
-    BytesView body) {
-  ByteReader r(body);
-  const auto thread = static_cast<ThreadNum>(r.varint());
-  const std::uint64_t n = r.varint();
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(std::min<std::uint64_t>(n, r.remaining()));
-  for (std::uint64_t i = 0; i < n; ++i) seqs.push_back(r.varint());
-  if (!r.at_end()) throw LogFormatError("trailing bytes in causal item");
-  return {thread, std::move(seqs)};
-}
-
 Bytes encode_causal_delta_item(ThreadNum thread,
                                const std::vector<std::uint64_t>& seqs) {
   // First seq absolute, the rest zigzag-encoded deltas: one thread's
@@ -280,7 +257,7 @@ LogSpooler::LogSpooler(DjvmId vm_id, Options options)
   // whole-file CRC covers every byte up to the footer.  (Flight mode
   // reseeds both at seal-assembly time.)
   file_offset_ = hv.size();
-  if (options_.index) file_crc_.update(hv);
+  file_crc_.update(hv);
   writer_ = std::thread([this] { writer_main(); });
 }
 
@@ -300,17 +277,15 @@ void LogSpooler::schedule_batch(ThreadNum thread,
   if (intervals.empty()) return;
   Item item{SpoolItemKind::kSchedule, encode_schedule_item(thread, intervals),
             /*records=*/{}, /*cost=*/0};
-  if (options_.index) {
-    item.meta.thread = thread;
-    item.meta.has_thread = true;
-    item.meta.intervals = intervals.size();
-    for (const auto& lsi : intervals) {
-      item.meta.sched_events += lsi.last - lsi.first + 1;
-    }
-    item.meta.has_gc = true;
-    item.meta.min_gc = intervals.front().first;
-    item.meta.max_gc = intervals.back().last;
+  item.meta.thread = thread;
+  item.meta.has_thread = true;
+  item.meta.intervals = intervals.size();
+  for (const auto& lsi : intervals) {
+    item.meta.sched_events += lsi.last - lsi.first + 1;
   }
+  item.meta.has_gc = true;
+  item.meta.min_gc = intervals.front().first;
+  item.meta.max_gc = intervals.back().last;
   enqueue(std::move(item));
 }
 
@@ -333,11 +308,9 @@ void LogSpooler::causal_batch(ThreadNum thread,
   Item item{SpoolItemKind::kCausalDelta,
             encode_causal_delta_item(thread, seqs),
             /*records=*/{}, /*cost=*/0};
-  if (options_.index) {
-    item.meta.thread = thread;
-    item.meta.has_thread = true;
-    item.meta.causal_entries = seqs.size();
-  }
+  item.meta.thread = thread;
+  item.meta.has_thread = true;
+  item.meta.causal_entries = seqs.size();
   enqueue(std::move(item));
 }
 
@@ -367,11 +340,9 @@ void LogSpooler::finish(const RecordStats& stats, std::uint32_t thread_count) {
 void LogSpooler::anchor(const SpoolAnchor& anchor) {
   Item item{SpoolItemKind::kAnchor, encode_anchor_item(anchor),
             /*records=*/{}, /*cost=*/0};
-  if (options_.index) {
-    item.meta.has_gc = true;
-    item.meta.min_gc = anchor.gc;
-    item.meta.max_gc = anchor.gc;
-  }
+  item.meta.has_gc = true;
+  item.meta.min_gc = anchor.gc;
+  item.meta.max_gc = anchor.gc;
   enqueue(std::move(item));
 }
 
@@ -413,28 +384,26 @@ void LogSpooler::append_item(std::uint8_t kind, BytesView body) {
 void LogSpooler::append_item(std::uint8_t kind, BytesView body,
                              const ItemMeta& meta) {
   chunk_.u8(kind).varint(body.size()).raw(body);
-  if (options_.index) {
-    pending_meta_.kinds |= spool_kind_bit(kind);
-    if (kind == static_cast<std::uint8_t>(SpoolItemKind::kNetwork)) {
-      ++pending_meta_.network_items;
+  pending_meta_.kinds |= spool_kind_bit(kind);
+  if (kind == static_cast<std::uint8_t>(SpoolItemKind::kNetwork)) {
+    ++pending_meta_.network_items;
+  }
+  if (meta.has_gc) {
+    if (!pending_meta_.has_gc) {
+      pending_meta_.has_gc = true;
+      pending_meta_.min_gc = meta.min_gc;
+      pending_meta_.max_gc = meta.max_gc;
+    } else {
+      pending_meta_.min_gc = std::min(pending_meta_.min_gc, meta.min_gc);
+      pending_meta_.max_gc = std::max(pending_meta_.max_gc, meta.max_gc);
     }
-    if (meta.has_gc) {
-      if (!pending_meta_.has_gc) {
-        pending_meta_.has_gc = true;
-        pending_meta_.min_gc = meta.min_gc;
-        pending_meta_.max_gc = meta.max_gc;
-      } else {
-        pending_meta_.min_gc = std::min(pending_meta_.min_gc, meta.min_gc);
-        pending_meta_.max_gc = std::max(pending_meta_.max_gc, meta.max_gc);
-      }
-    }
-    if (meta.has_thread) {
-      SpoolThreadCounts& counts = pending_threads_[meta.thread];
-      counts.thread = meta.thread;
-      counts.intervals += meta.intervals;
-      counts.sched_events += meta.sched_events;
-      counts.causal_entries += meta.causal_entries;
-    }
+  }
+  if (meta.has_thread) {
+    SpoolThreadCounts& counts = pending_threads_[meta.thread];
+    counts.thread = meta.thread;
+    counts.intervals += meta.intervals;
+    counts.sched_events += meta.sched_events;
+    counts.causal_entries += meta.causal_entries;
   }
   if (chunk_.size() >= options_.chunk_bytes) flush_chunk();
 }
@@ -475,12 +444,10 @@ bool LogSpooler::drain_queue() {
       // Deferred serialization: trace batches are encoded here, off the
       // producers' critical path.
       item.body = encode_trace_item(item.records);
-      if (options_.index) {
-        // One thread's batch in program order: gc ascending.
-        item.meta.has_gc = true;
-        item.meta.min_gc = item.records.front().gc;
-        item.meta.max_gc = item.records.back().gc;
-      }
+      // One thread's batch in program order: gc ascending.
+      item.meta.has_gc = true;
+      item.meta.min_gc = item.records.front().gc;
+      item.meta.max_gc = item.records.back().gc;
       item.records.clear();
     }
     append_item(static_cast<std::uint8_t>(item.kind), item.body, item.meta);
@@ -498,7 +465,7 @@ void LogSpooler::seal_finish() {
   finish_pending_ = false;
   // The footer rides only behind a finish chunk: an abnormal close leaves a
   // plain prefix, exactly like a crash, and loaders fall back to scanning.
-  if (options_.index) write_footer();
+  write_footer();
 }
 
 void LogSpooler::writer_main() {
@@ -553,9 +520,20 @@ void LogSpooler::write_chunk(BytesView payload) {
   frame.u8(static_cast<std::uint8_t>(codec));
   frame.u32(crc32(out));
   const BytesView fv = frame.view();
+  // The index entry: the metadata folded as items were appended plus the
+  // frame facts (the file offset is set where the chunk lands).
+  SpoolChunkInfo info = std::move(pending_meta_);
+  info.stored_len = static_cast<std::uint32_t>(out.size());
+  info.raw_len = static_cast<std::uint32_t>(payload.size());
+  info.codec = static_cast<std::uint8_t>(codec);
+  info.threads.reserve(pending_threads_.size());
+  for (const auto& [thread, counts] : pending_threads_) {
+    info.threads.push_back(counts);
+  }
+  pending_meta_ = SpoolChunkInfo{};
+  pending_threads_.clear();
   if (options_.flight_recorder && !sealing_) {
-    write_ring_chunk(fv, out, payload.size(),
-                     static_cast<std::uint8_t>(codec));
+    write_ring_chunk(fv, out, std::move(info));
     return;
   }
   if (std::fwrite(fv.data(), 1, fv.size(), file_) != fv.size() ||
@@ -563,22 +541,10 @@ void LogSpooler::write_chunk(BytesView payload) {
       std::fflush(file_) != 0) {
     throw Error("spool write failed: " + options_.path);
   }
-  if (options_.index) {
-    file_crc_.update(fv);
-    file_crc_.update(out);
-    SpoolChunkInfo info = pending_meta_;
-    info.offset = file_offset_;
-    info.stored_len = static_cast<std::uint32_t>(out.size());
-    info.raw_len = static_cast<std::uint32_t>(payload.size());
-    info.codec = static_cast<std::uint8_t>(codec);
-    info.threads.reserve(pending_threads_.size());
-    for (const auto& [thread, counts] : pending_threads_) {
-      info.threads.push_back(counts);
-    }
-    index_entries_.push_back(std::move(info));
-  }
-  pending_meta_ = SpoolChunkInfo{};
-  pending_threads_.clear();
+  file_crc_.update(fv);
+  file_crc_.update(out);
+  info.offset = file_offset_;
+  index_entries_.push_back(std::move(info));
   file_offset_ += fv.size() + out.size();
   counters_.chunks_written.fetch_add(1, std::memory_order_relaxed);
   counters_.raw_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
@@ -623,7 +589,8 @@ std::string ring_chunk_name(std::uint64_t seq) {
 }  // namespace
 
 void LogSpooler::write_ring_chunk(BytesView frame, BytesView stored,
-                                  std::size_t raw_len, std::uint8_t codec) {
+                                  SpoolChunkInfo info) {
+  const std::uint64_t raw_len = info.raw_len;
   FlightChunk fc;
   fc.seq = next_chunk_seq_++;
   fc.bytes = frame.size() + stored.size();
@@ -637,18 +604,7 @@ void LogSpooler::write_ring_chunk(BytesView frame, BytesView stored,
       std::fflush(f) == 0;
   if (f != nullptr) std::fclose(f);
   if (!wrote) throw Error("flight ring chunk write failed: " + path);
-  if (options_.index) {
-    fc.info = pending_meta_;
-    fc.info.stored_len = static_cast<std::uint32_t>(stored.size());
-    fc.info.raw_len = static_cast<std::uint32_t>(raw_len);
-    fc.info.codec = codec;
-    fc.info.threads.reserve(pending_threads_.size());
-    for (const auto& [thread, counts] : pending_threads_) {
-      fc.info.threads.push_back(counts);
-    }
-  }
-  pending_meta_ = SpoolChunkInfo{};
-  pending_threads_.clear();
+  fc.info = std::move(info);
   pending_anchor_chunk_ = false;
   if (fc.anchor) {
     have_anchor_ = true;
@@ -705,7 +661,7 @@ void LogSpooler::begin_flight_seal() {
   }
   file_offset_ = hv.size();
   file_crc_ = Crc32();
-  if (options_.index) file_crc_.update(hv);
+  file_crc_.update(hv);
   index_entries_.clear();
   Bytes buf;
   for (FlightChunk& fc : retained_) {
@@ -720,11 +676,9 @@ void LogSpooler::begin_flight_seal() {
     if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
       throw Error("spool write failed: " + options_.path);
     }
-    if (options_.index) {
-      file_crc_.update(buf);
-      fc.info.offset = file_offset_;
-      index_entries_.push_back(std::move(fc.info));
-    }
+    file_crc_.update(buf);
+    fc.info.offset = file_offset_;
+    index_entries_.push_back(std::move(fc.info));
     file_offset_ += buf.size();
   }
   if (std::fflush(file_) != 0) {

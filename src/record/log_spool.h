@@ -30,11 +30,12 @@
 //          := item*
 //   item   := kind u8 | body_len varint | body
 //
-// Item bodies reuse the conventions of record/serializer.cc and
-// record/trace_io.cc: delta-varint interval pairs, the shared network-entry
-// encoding, delta-varint trace records.  Every chunk is independently
-// decodable (deltas restart per item), so a reader needs only one chunk in
-// memory at a time.
+// Item bodies reuse the conventions of record/serializer.cc: delta-varint
+// interval pairs, the shared network-entry encoding; trace records are
+// delta-varint gc, thread varint, kind u8, aux u64.  Every chunk is
+// independently decodable (deltas restart per item), so a reader needs
+// only one chunk in memory at a time.  A trace file (record/trace_io.h) is
+// a spool holding only trace items and a finish item.
 //
 // Crash consistency (recover-to-prefix): the CRC makes each chunk
 // self-certifying, and the writer flushes after sealing each chunk, so a
@@ -74,29 +75,26 @@ enum class SpoolItemKind : std::uint8_t {
   kNetwork = 2,   ///< one network log entry (thread + entry)
   kTrace = 3,     ///< one thread's batch of execution-trace records
   kFinish = 4,    ///< end-of-recording stats; marks a clean end
+  // 5 is retired: the raw-varint causal batch that kCausalDelta replaced.
+  // No writer emits it and readers reject it.
   /// One thread's batch of causal per-key seqs (order_mode = causal), in
-  /// that thread's program order.  Added after DJVUSPL1 shipped; the file
-  /// version stays 1 because total-order spools never contain this kind,
-  /// so every pre-causal file remains readable, and pre-causal readers
-  /// never meet a causal spool they recorded themselves.
-  kCausal = 5,
-  /// Same payload as kCausal, zigzag-delta packed: consecutive seqs of one
-  /// thread usually land near each other even though the stream interleaves
-  /// keys, so signed deltas varint-encode tighter than absolute values.
-  /// Writers emit this kind; kCausal stays readable (same compat argument
-  /// as above).
+  /// that thread's program order, zigzag-delta packed: consecutive seqs of
+  /// one thread usually land near each other even though the stream
+  /// interleaves keys, so signed deltas varint-encode tighter than absolute
+  /// values.  Added after DJVUSPL1 shipped; the file version stays 1
+  /// because total-order spools never contain this kind, so every
+  /// pre-causal file remains readable.
   kCausalDelta = 6,
   /// A checkpoint anchor (flight-recorder mode): the serialized quiescent-
   /// point checkpoint — phase, gc, threads created, main event number,
   /// tracked state — sealed into its own chunk so the retention ring can
   /// evict everything before it and the surviving tail still replays via
   /// Checkpointer::resume_at.  Only flight-recorder spools contain this
-  /// kind, so the pre-anchor format compatibility argument from kCausal
-  /// applies unchanged.
+  /// kind, so the compatibility argument of kCausalDelta applies unchanged.
   kAnchor = 7,
 };
 
-/// One decoded item streamed out of a spool (or trace) file.
+/// One decoded item streamed out of a spool file.
 struct SpoolItem {
   SpoolItemKind kind = SpoolItemKind::kTrace;
   Bytes body;
@@ -134,10 +132,6 @@ Bytes encode_trace_item(const std::vector<sched::TraceRecord>& records);
 std::vector<sched::TraceRecord> decode_trace_item(BytesView body);
 Bytes encode_finish_item(const SpoolFinish& finish);
 SpoolFinish decode_finish_item(BytesView body);
-Bytes encode_causal_item(ThreadNum thread,
-                         const std::vector<std::uint64_t>& seqs);
-std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_item(
-    BytesView body);
 Bytes encode_causal_delta_item(ThreadNum thread,
                                const std::vector<std::uint64_t>& seqs);
 std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_delta_item(
@@ -177,9 +171,8 @@ struct SpoolStats {
   /// Times the writer parked idle (queue empty).
   std::uint64_t writer_parks = 0;
 
-  /// Bytes of the index footer appended at seal time (0 when indexing is
-  /// off or the run ended without a finish item).  Included in
-  /// written_bytes.
+  /// Bytes of the index footer appended at seal time (0 when the run ended
+  /// without a finish item).  Included in written_bytes.
   std::uint64_t index_bytes = 0;
 
   // Flight-recorder retention ring (all 0 when flight_recorder is off).
@@ -220,13 +213,9 @@ class LogSink {
   virtual void trace_batch(std::vector<sched::TraceRecord> records) = 0;
 
   /// A batch of `thread`'s causal per-key seqs in program order (causal
-  /// order mode only; same caller discipline as schedule_batch).  Default
-  /// no-op so total-order-era sinks keep compiling unchanged.
+  /// order mode only; same caller discipline as schedule_batch).
   virtual void causal_batch(ThreadNum thread,
-                            const std::vector<std::uint64_t>& seqs) {
-    (void)thread;
-    (void)seqs;
-  }
+                            const std::vector<std::uint64_t>& seqs) = 0;
 
   /// End of recording: final stats and the number of threads created.
   virtual void finish(const RecordStats& stats, std::uint32_t thread_count) = 0;
@@ -241,11 +230,6 @@ class LogSpooler : public LogSink {
     std::size_t buffer_bytes = 1 << 20;
     std::size_t chunk_bytes = 64 << 10;
     bool compress = false;
-    /// Append the per-chunk index footer (record/spool_index.h) after the
-    /// finish chunk at seal time, enabling seek_to_gc and the parallel
-    /// load path.  Off = the pre-index on-disk format, byte for byte
-    /// (tests and ablation baselines).
-    bool index = true;
     /// Flight-recorder mode: sealed chunks land as individual files in a
     /// bounded on-disk retention ring (`<path>.d/`) instead of one
     /// append-only file; the oldest are evicted as new ones seal, but never
@@ -349,14 +333,16 @@ class LogSpooler : public LogSink {
   /// failure.  Writer thread only.  Flight mode routes to write_ring_chunk
   /// until the seal assembly opens the final file.
   void write_chunk(BytesView payload);
-  /// Appends the index footer after the finish chunk (Options::index).
+  /// Appends the index footer (record/spool_index.h) after the finish
+  /// chunk, enabling seek_to_gc and the indexed load path.
   void write_footer();
 
   // Flight-recorder writer-side helpers (writer thread only).
   /// Seals one framed chunk as a ring file and evicts over-budget chunks
-  /// from the front (never at or past the newest anchor chunk).
+  /// from the front (never at or past the newest anchor chunk).  `info` is
+  /// the chunk's index entry, its offset unset until the seal assembly.
   void write_ring_chunk(BytesView frame, BytesView stored,
-                        std::size_t raw_len, std::uint8_t codec);
+                        SpoolChunkInfo info);
   void evict_over_budget();
   /// Opens the final spool file and copies the retained ring chunks into
   /// it in order, rebuilding index offsets; write_chunk appends normally
@@ -435,13 +421,12 @@ class LogSpooler : public LogSink {
   std::thread writer_;
 };
 
-/// Streaming reader over recorded artifacts.  Opens either a DJVUSPL1
-/// spool file (items stream chunk by chunk; a torn tail is truncated to
-/// the last valid chunk — recover-to-prefix) or a DJVUTRC1 trace file
-/// (records stream as synthesized kTrace items; structure is validated
-/// per record, but the whole-file CRC is *not* checked — the price of
-/// early exit; use load_trace_from_file when integrity matters more than
-/// streaming).  At most one chunk / record batch is resident at a time.
+/// Streaming reader over a DJVUSPL1 spool file — a recording's spool or a
+/// trace file (record/trace_io.h).  Items stream chunk by chunk, at most
+/// one chunk resident at a time; a torn tail is truncated to the last
+/// valid chunk (recover-to-prefix).  A stream read from the start to its
+/// finish item also checks the footer's whole-file CRC; a reader that
+/// seeks or stops early has had only the chunks it read checked.
 class LogSource {
  public:
   explicit LogSource(const std::string& path);
@@ -451,17 +436,13 @@ class LogSource {
 
   DjvmId vm_id() const { return vm_id_; }
 
-  /// True when the underlying file is a DJVUTRC1 trace file.
-  bool is_trace_file() const { return trace_backend_; }
-
   /// The next item, or nullopt at end of stream.  Mid-stream corruption
   /// that a chunk CRC certifies against (a writer bug, version skew) still
   /// throws LogFormatError; a torn tail does not.
   std::optional<SpoolItem> next();
 
   /// After next() returned nullopt: true when the stream ended with a
-  /// finish item (spool) / all declared records (trace file); false when a
-  /// torn tail was dropped.
+  /// finish item; false when a torn tail was dropped.
   bool clean_end() const { return clean_end_; }
 
   /// Bytes dropped from a torn tail (0 on a clean end).  The index footer
@@ -470,7 +451,7 @@ class LogSource {
   std::uint64_t truncated_bytes() const { return truncated_bytes_; }
 
   /// The spool's index footer, lazily read from the end of the file:
-  /// nullptr for trace files, pre-index spools, and torn footers (callers
+  /// nullptr for footerless (crashed) spools and torn footers (callers
   /// then fall back to sequential scans, or to build_spool_index when they
   /// genuinely need an index).  Restores the stream position, so it is
   /// safe to call mid-stream.
@@ -482,7 +463,7 @@ class LogSource {
   /// footer, one sequential index-rebuilding scan without.  Returns false
   /// (stream at end) when gc lies beyond the recording.  After a seek the
   /// whole-file CRC check is disabled (the stream no longer covers every
-  /// byte) and truncated_bytes resets.  Spool backend only.
+  /// byte) and truncated_bytes resets.
   bool seek_to_gc(GlobalCount gc);
 
   /// Repositions the stream at chunk `i` of the index.  Same semantics and
@@ -503,34 +484,29 @@ class LogSource {
   std::uint32_t header_crc() const { return header_crc_; }
 
  private:
-  std::optional<SpoolItem> next_spool_item();
-  std::optional<SpoolItem> next_trace_item();
   /// Reads and checks the next chunk into items_/item_pos_; false at end
   /// of file, torn tail (sets truncated_bytes_), or index footer.
   bool read_chunk();
-  bool read_exact(std::uint8_t* out, std::size_t n);
-  std::uint64_t read_varint();
   /// Ensures index_ holds something: the footer if present, else a
   /// sequential index-rebuilding scan of the file (seek support for
-  /// pre-index and torn-footer spools).
+  /// footerless and torn-footer spools).
   const SpoolIndex* ensure_index();
 
   std::FILE* file_ = nullptr;
   std::string path_;
   DjvmId vm_id_ = 0;
-  bool trace_backend_ = false;
   bool done_ = false;
   bool clean_end_ = false;
   std::uint64_t truncated_bytes_ = 0;
   std::uint64_t file_size_ = 0;
 
-  // Spool backend: the current chunk's items, split and checked.
+  // The current chunk's items, split and checked.
   std::vector<SpoolItem> items_;
   std::size_t item_pos_ = 0;
 
-  // Spool backend: current chunk frame facts + running stream state for
-  // the whole-file CRC (fed the header and every accepted chunk's frame +
-  // stored payload; checked against the footer at a clean, unseeked end).
+  // Current chunk frame facts + running stream state for the whole-file
+  // CRC (fed the header and every accepted chunk's frame + stored payload;
+  // checked against the footer at a clean, unseeked end).
   std::size_t chunks_read_ = 0;
   std::uint64_t chunk_offset_ = 0;
   std::uint32_t chunk_stored_len_ = 0;
@@ -545,12 +521,6 @@ class LogSource {
   // one-time footer pread.
   std::optional<SpoolIndex> index_;
   bool tried_footer_ = false;
-
-  // Trace backend: records not yet yielded; hash_reads_ makes read_exact
-  // feed stream_crc_ so the trailing CRC can be verified at end of stream.
-  std::uint64_t trace_remaining_ = 0;
-  GlobalCount trace_prev_gc_ = 0;
-  bool hash_reads_ = false;
 };
 
 /// Pull adapter yielding individual trace records from a LogSource
@@ -598,7 +568,7 @@ SpoolContents load_spool(const std::string& path);
 VmLog load_spooled_log(const std::string& path, bool* clean_end = nullptr);
 
 /// Rebuilds a SpoolIndex by sequentially scanning (and decoding) `path` —
-/// the fallback that keeps seek_to_gc available for pre-index spools and
+/// the fallback that keeps seek_to_gc available for footerless spools and
 /// torn footers.  Covers exactly the recoverable prefix; from_footer is
 /// false and file_crc is 0 (unchecked).
 SpoolIndex build_spool_index(const std::string& path);

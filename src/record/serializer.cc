@@ -1,5 +1,6 @@
 #include "record/serializer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -25,6 +26,18 @@ enum : std::uint8_t {
   kHasDgId = 1u << 3,
   kHasData = 1u << 4,
 };
+
+/// Reads a section's thread count.  A CRC-valid bundle can still declare
+/// any count (a writer bug, a crafted file), and each thread costs a slot,
+/// so counts past kMaxLogThreads are rejected like the spool loader's.
+std::uint64_t read_thread_count(ByteReader& r) {
+  const std::uint64_t n = r.varint();
+  if (n > kMaxLogThreads) {
+    throw LogFormatError("log bundle names " + std::to_string(n) +
+                         " threads, beyond any recording");
+  }
+  return n;
+}
 
 }  // namespace
 
@@ -159,12 +172,14 @@ VmLog deserialize(BytesView data) {
   log.stats.critical_events = r.varint();
   log.stats.network_events = r.varint();
 
-  std::uint64_t thread_count = r.varint();
+  std::uint64_t thread_count = read_thread_count(r);
   log.schedule.per_thread.resize(thread_count);
   for (std::uint64_t t = 0; t < thread_count; ++t) {
     std::uint64_t n = r.varint();
     auto& list = log.schedule.per_thread[t];
-    list.reserve(n);
+    // n is untrusted too: reserve at most one entry per byte left, the
+    // least an entry encodes to.
+    list.reserve(std::min<std::uint64_t>(n, r.remaining()));
     GlobalCount prev_end = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
       GlobalCount first = prev_end + r.varint();
@@ -184,12 +199,12 @@ VmLog deserialize(BytesView data) {
   }
   if (version >= kVersionCausal) {
     const bool delta = version >= kVersionCausalDelta;
-    std::uint64_t causal_threads = r.varint();
+    std::uint64_t causal_threads = read_thread_count(r);
     log.causal.per_thread.resize(causal_threads);
     for (std::uint64_t t = 0; t < causal_threads; ++t) {
       std::uint64_t n = r.varint();
       auto& list = log.causal.per_thread[t];
-      list.reserve(n);
+      list.reserve(std::min<std::uint64_t>(n, r.remaining()));
       if (delta) {
         std::uint64_t prev = 0;
         for (std::uint64_t i = 0; i < n; ++i) {

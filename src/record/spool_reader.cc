@@ -17,15 +17,9 @@
 namespace djvu::record {
 namespace {
 
-constexpr char kTraceMagic[8] = {'D', 'J', 'V', 'U', 'T', 'R', 'C', '1'};
-constexpr std::uint16_t kTraceVersion = 1;
-
 /// A declared chunk length beyond this is treated as a torn tail, not an
 /// allocation request (a torn length field can claim anything).
 constexpr std::uint32_t kMaxChunkLen = 64u << 20;
-
-/// Records per synthesized kTrace item when streaming a DJVUTRC1 file.
-constexpr std::size_t kTraceFileBatch = 512;
 
 }  // namespace
 
@@ -59,6 +53,20 @@ std::optional<std::uint32_t> chunk_payload_len(const std::uint8_t* frame) {
   const std::uint32_t len = ByteReader(BytesView(frame, 4)).u32();
   if (len > kMaxChunkLen) return std::nullopt;
   return len;
+}
+
+/// True for the item kinds a reader accepts.  Retired kind 5 is not one.
+bool known_item_kind(std::uint8_t kind) {
+  switch (static_cast<SpoolItemKind>(kind)) {
+    case SpoolItemKind::kSchedule:
+    case SpoolItemKind::kNetwork:
+    case SpoolItemKind::kTrace:
+    case SpoolItemKind::kFinish:
+    case SpoolItemKind::kCausalDelta:
+    case SpoolItemKind::kAnchor:
+      return true;
+  }
+  return false;
 }
 
 /// One item of a checked chunk: its kind and a view of its body.
@@ -104,8 +112,7 @@ std::optional<CheckedChunk> check_chunk(BytesView framed) {
   while (pos < payload.size()) {
     ByteReader r(payload.subspan(pos));
     const std::uint8_t kind = r.u8();
-    if (kind < static_cast<std::uint8_t>(SpoolItemKind::kSchedule) ||
-        kind > static_cast<std::uint8_t>(SpoolItemKind::kAnchor)) {
+    if (!known_item_kind(kind)) {
       throw LogFormatError("unknown spool item kind " + std::to_string(kind));
     }
     const std::uint64_t body_len = r.varint();
@@ -134,79 +141,26 @@ LogSource::LogSource(const std::string& path) : path_(path) {
   std::fseek(file_, 0, SEEK_SET);
 
   std::uint8_t header[kSpoolHeaderBytes];
-  if (!read_exact(header, 8)) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw LogFormatError("file too small to hold a spool/trace header: " +
-                         path);
-  }
   try {
-    if (std::memcmp(header, kSpoolMagic, 8) == 0) {
-      if (!read_exact(header + 8, kSpoolHeaderBytes - 8)) {
-        throw LogFormatError("torn header in " + path);
-      }
-      vm_id_ = parse_spool_header(header, path);
-      // Seed the whole-file CRC with the header exactly as it lies on disk.
-      stream_crc_.update(BytesView(header, kSpoolHeaderBytes));
-      header_crc_ = stream_crc_.value();
-    } else if (std::memcmp(header, kTraceMagic, 8) == 0) {
-      trace_backend_ = true;
-      // Everything from the magic to the 4-byte trailer feeds the stream
-      // CRC (via read_exact), so the trailer can be verified at end of
-      // stream.
-      stream_crc_.update(BytesView(header, 8));
-      hash_reads_ = true;
-      if (!read_exact(header + 8, 2 + 4)) {
-        throw LogFormatError("torn header in " + path);
-      }
-      ByteReader r(BytesView(header + 8, 2 + 4));
-      const std::uint16_t version = r.u16();
-      if (version != kTraceVersion) {
-        throw LogFormatError("unsupported trace version " +
-                             std::to_string(version));
-      }
-      vm_id_ = r.u32();
-      trace_remaining_ = read_varint();
-    } else {
-      throw LogFormatError("bad magic: not a DJVUSPL/DJVUTRC file: " + path);
+    if (std::fread(header, 1, kSpoolHeaderBytes, file_) != kSpoolHeaderBytes) {
+      throw LogFormatError("file too small to hold a spool header: " + path);
     }
+    vm_id_ = parse_spool_header(header, path);
   } catch (...) {
     std::fclose(file_);
     file_ = nullptr;
     throw;
   }
+  // Seed the whole-file CRC with the header exactly as it lies on disk.
+  stream_crc_.update(BytesView(header, kSpoolHeaderBytes));
+  header_crc_ = stream_crc_.value();
 }
 
 LogSource::~LogSource() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-bool LogSource::read_exact(std::uint8_t* out, std::size_t n) {
-  if (std::fread(out, 1, n, file_) != n) return false;
-  if (hash_reads_) stream_crc_.update(BytesView(out, n));
-  return true;
-}
-
-std::uint64_t LogSource::read_varint() {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    std::uint8_t b;
-    if (!read_exact(&b, 1)) {
-      throw LogFormatError("truncated varint in " + path_);
-    }
-    v |= std::uint64_t{b & 0x7f} << shift;
-    if ((b & 0x80) == 0) return v;
-  }
-  throw LogFormatError("overlong varint in " + path_);
-}
-
-std::optional<SpoolItem> LogSource::next() {
-  if (done_) return std::nullopt;
-  return trace_backend_ ? next_trace_item() : next_spool_item();
-}
-
 const SpoolIndex* LogSource::index() {
-  if (trace_backend_) return nullptr;
   if (!tried_footer_ && !index_) {
     tried_footer_ = true;
     index_ = read_spool_footer(file_, file_size_);
@@ -221,9 +175,6 @@ const SpoolIndex* LogSource::ensure_index() {
 }
 
 bool LogSource::seek_to_gc(GlobalCount gc) {
-  if (trace_backend_) {
-    throw UsageError("seek_to_gc: trace files are not seekable");
-  }
   const SpoolIndex* idx = ensure_index();
   const std::optional<std::size_t> chunk = idx->chunk_covering(gc);
   if (!chunk) {
@@ -237,9 +188,6 @@ bool LogSource::seek_to_gc(GlobalCount gc) {
 }
 
 void LogSource::seek_to_chunk(std::size_t i) {
-  if (trace_backend_) {
-    throw UsageError("seek_to_chunk: trace files are not seekable");
-  }
   const SpoolIndex* idx = ensure_index();
   if (i >= idx->chunks.size()) {
     throw UsageError("seek_to_chunk: chunk " + std::to_string(i) +
@@ -276,7 +224,8 @@ bool LogSource::read_chunk() {
     if (const std::optional<std::uint32_t> len =
             chunk_payload_len(framed.data())) {
       framed.resize(kChunkFrameBytes + *len);
-      if (read_exact(framed.data() + kChunkFrameBytes, *len)) {
+      if (std::fread(framed.data() + kChunkFrameBytes, 1, *len, file_) ==
+          *len) {
         chunk = check_chunk(framed);
       }
     }
@@ -302,7 +251,8 @@ bool LogSource::read_chunk() {
   return true;
 }
 
-std::optional<SpoolItem> LogSource::next_spool_item() {
+std::optional<SpoolItem> LogSource::next() {
+  if (done_) return std::nullopt;
   while (item_pos_ >= items_.size()) {
     if (!read_chunk()) {
       done_ = true;
@@ -332,50 +282,6 @@ std::optional<SpoolItem> LogSource::next_spool_item() {
   return item;
 }
 
-std::optional<SpoolItem> LogSource::next_trace_item() {
-  if (trace_remaining_ == 0) {
-    // All declared records streamed: verify the trailing CRC against the
-    // running stream CRC (everything since the magic fed it).  A reader
-    // that exits early still skips the check — that is the documented
-    // streaming trade — but one that consumes the stream gets the same
-    // integrity guarantee as load_trace_from_file.
-    hash_reads_ = false;
-    std::uint8_t trailer[4];
-    if (!read_exact(trailer, 4)) {
-      throw LogFormatError("truncated trace CRC trailer in " + path_);
-    }
-    if (ByteReader(BytesView(trailer, 4)).u32() != stream_crc_.value()) {
-      throw LogFormatError("trace file CRC mismatch in " + path_);
-    }
-    done_ = true;
-    clean_end_ = true;
-    return std::nullopt;
-  }
-  std::vector<sched::TraceRecord> batch;
-  const std::size_t n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(trace_remaining_,
-                                                       kTraceFileBatch));
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sched::TraceRecord rec;
-    trace_prev_gc_ += read_varint();
-    rec.gc = trace_prev_gc_;
-    rec.thread = static_cast<ThreadNum>(read_varint());
-    std::uint8_t kind_and_aux[9];
-    if (!read_exact(kind_and_aux, 9)) {
-      throw LogFormatError("truncated trace record in " + path_);
-    }
-    rec.kind = static_cast<sched::EventKind>(kind_and_aux[0]);
-    rec.aux = 0;
-    for (int b = 0; b < 8; ++b) {
-      rec.aux |= std::uint64_t{kind_and_aux[1 + b]} << (8 * b);
-    }
-    batch.push_back(rec);
-  }
-  trace_remaining_ -= n;
-  return SpoolItem{SpoolItemKind::kTrace, encode_trace_item(batch)};
-}
-
 // --- TraceRecordStream ------------------------------------------------------
 
 std::optional<sched::TraceRecord> TraceRecordStream::next() {
@@ -393,17 +299,11 @@ std::optional<sched::TraceRecord> TraceRecordStream::next() {
 
 namespace {
 
-/// Ceiling on a decoded thread number or thread count.  Loading allocates
-/// a per-thread slot for every number up to the largest one named, and
-/// thread numbers are dense creation indices, so a number past this is a
-/// corrupt field, not a recording (no DJVM runs a million threads).
-constexpr std::uint64_t kMaxThreads = std::uint64_t{1} << 20;
-
 /// Grows `per_thread` to at least `count` slots.  64-bit arithmetic, so
 /// thread 0xFFFFFFFF + 1 cannot wrap to 0.
 template <class PerThread>
 void grow_threads(PerThread& per_thread, std::uint64_t count) {
-  if (count > kMaxThreads) {
+  if (count > kMaxLogThreads) {
     throw LogFormatError("spool names " + std::to_string(count) +
                          " threads, beyond any recording");
   }
@@ -442,11 +342,6 @@ void fold_item(SpoolItemKind kind, BytesView body, VmLog& log,
       std::vector<sched::TraceRecord> records = decode_trace_item(body);
       trace->records.insert(trace->records.end(), records.begin(),
                             records.end());
-      break;
-    }
-    case SpoolItemKind::kCausal: {
-      auto [thread, seqs] = decode_causal_item(body);
-      append_thread(log.causal.per_thread, thread, seqs);
       break;
     }
     case SpoolItemKind::kCausalDelta: {
@@ -626,10 +521,6 @@ std::optional<VmLog> load_indexed(const std::string& path,
 VmLog stream_spool(const std::string& path, TraceFile* trace, bool* clean_end,
                    std::uint64_t* truncated_bytes) {
   LogSource source(path);
-  if (source.is_trace_file()) {
-    throw LogFormatError("expected a DJVUSPL spool file, got a trace file: " +
-                         path);
-  }
   if (trace != nullptr) trace->vm_id = source.vm_id();
   // The footer selects the indexed load.  It only succeeds for a
   // finish-marked, CRC-verified file: a clean end with nothing torn.
@@ -675,9 +566,6 @@ VmLog load_spooled_log(const std::string& path, bool* clean_end) {
 
 SpoolIndex build_spool_index(const std::string& path) {
   LogSource source(path);
-  if (source.is_trace_file()) {
-    throw UsageError("build_spool_index: not a spool file: " + path);
-  }
   SpoolIndex index;
   std::map<ThreadNum, SpoolThreadCounts> threads;
   const auto close_chunk = [&] {
@@ -726,13 +614,6 @@ SpoolIndex build_spool_index(const std::string& path) {
         const std::vector<sched::TraceRecord> records =
             decode_trace_item(item->body);
         if (!records.empty()) fold_gc(records.front().gc, records.back().gc);
-        break;
-      }
-      case SpoolItemKind::kCausal: {
-        auto [thread, seqs] = decode_causal_item(item->body);
-        SpoolThreadCounts& tc = threads[thread];
-        tc.thread = thread;
-        tc.causal_entries += seqs.size();
         break;
       }
       case SpoolItemKind::kCausalDelta: {
@@ -840,9 +721,6 @@ FlightTailInfo assemble_flight_tail(const std::string& spool_path) {
 
 std::vector<SpoolAnchor> read_spool_anchors(const std::string& path) {
   LogSource source(path);
-  if (source.is_trace_file()) {
-    throw UsageError("read_spool_anchors: not a spool file: " + path);
-  }
   std::vector<SpoolAnchor> anchors;
   while (std::optional<SpoolItem> item = source.next()) {
     if (item->kind == SpoolItemKind::kAnchor) {

@@ -1,98 +1,48 @@
 #include "record/trace_io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
-#include <memory>
 #include <optional>
 
-#include "common/crc32.h"
 #include "common/strutil.h"
 #include "record/log_spool.h"
 
 namespace djvu::record {
 namespace {
 
-constexpr char kMagic[8] = {'D', 'J', 'V', 'U', 'T', 'R', 'C', '1'};
-constexpr std::uint16_t kVersion = 1;
+/// Records per trace batch when saving: ~14 KB items, so a default chunk
+/// holds a few batches and seek_to_gc lands within a few thousand records
+/// of its target.
+constexpr std::size_t kSaveBatchRecords = 1024;
 
 }  // namespace
 
-Bytes serialize_trace(const TraceFile& trace) {
-  ByteWriter w;
-  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(kMagic), 8));
-  w.u16(kVersion);
-  w.u32(trace.vm_id);
-  w.varint(trace.records.size());
-  GlobalCount prev = 0;
-  for (const sched::TraceRecord& r : trace.records) {
-    w.varint(r.gc - prev);  // gc is non-decreasing in a sorted trace
-    prev = r.gc;
-    w.varint(r.thread);
-    w.u8(static_cast<std::uint8_t>(r.kind));
-    w.u64(r.aux);
-  }
-  w.u32(crc32(w.view()));
-  return w.take();
-}
-
-TraceFile deserialize_trace(BytesView data) {
-  if (data.size() < 8 + 2 + 4 + 4) {
-    throw LogFormatError("trace file too small");
-  }
-  BytesView body = data.first(data.size() - 4);
-  ByteReader crc_reader(data.subspan(data.size() - 4));
-  if (crc32(body) != crc_reader.u32()) {
-    throw LogFormatError("trace file CRC mismatch: file is corrupt");
-  }
-  ByteReader r(body);
-  Bytes magic = r.raw(8);
-  if (!std::equal(magic.begin(), magic.end(),
-                  reinterpret_cast<const std::uint8_t*>(kMagic))) {
-    throw LogFormatError("bad magic: not a DJVUTRC file");
-  }
-  if (std::uint16_t v = r.u16(); v != kVersion) {
-    throw LogFormatError("unsupported trace version " + std::to_string(v));
-  }
-  TraceFile trace;
-  trace.vm_id = r.u32();
-  std::uint64_t n = r.varint();
-  trace.records.reserve(n);
-  GlobalCount gc = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    sched::TraceRecord rec;
-    gc += r.varint();
-    rec.gc = gc;
-    rec.thread = static_cast<ThreadNum>(r.varint());
-    rec.kind = static_cast<sched::EventKind>(r.u8());
-    rec.aux = r.u64();
-    trace.records.push_back(rec);
-  }
-  if (!r.at_end()) throw LogFormatError("trailing garbage in trace file");
-  return trace;
-}
-
 void save_trace_to_file(const TraceFile& trace, const std::string& path) {
-  Bytes data = serialize_trace(trace);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for writing");
-  if (std::fwrite(data.data(), 1, data.size(), f.get()) != data.size()) {
-    throw Error("short write to " + path);
+  const auto by_gc = [](const sched::TraceRecord& a,
+                        const sched::TraceRecord& b) { return a.gc < b.gc; };
+  if (!std::is_sorted(trace.records.begin(), trace.records.end(), by_gc)) {
+    throw UsageError("save_trace_to_file: records are not gc-sorted");
   }
+  LogSpooler::Options options;
+  options.path = path;
+  LogSpooler spooler(trace.vm_id, options);
+  const std::vector<sched::TraceRecord>& records = trace.records;
+  for (std::size_t i = 0; i < records.size(); i += kSaveBatchRecords) {
+    const std::size_t n = std::min(kSaveBatchRecords, records.size() - i);
+    spooler.trace_batch({records.begin() + i, records.begin() + i + n});
+  }
+  spooler.finish(RecordStats{}, 0);
+  spooler.close();
 }
 
 TraceFile load_trace_from_file(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for reading");
-  Bytes data;
-  std::uint8_t buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    data.insert(data.end(), buf, buf + n);
+  SpoolContents contents = load_spool(path);
+  if (!contents.clean_end) {
+    throw LogFormatError("torn trace file " + path + " (" +
+                         std::to_string(contents.truncated_bytes) +
+                         " bytes past the last valid chunk)");
   }
-  return deserialize_trace(data);
+  return std::move(contents.trace);
 }
 
 std::string to_text(const sched::TraceRecord& r) {
@@ -142,40 +92,60 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
   return out;
 }
 
+namespace {
+
+/// One input of diff_trace_files: its record stream plus the state the
+/// checks below need.
+struct DiffSide {
+  explicit DiffSide(const std::string& p) : path(p), source(p) {}
+
+  std::string path;
+  LogSource source;
+  TraceRecordStream stream{source};
+  GlobalCount prev = 0;
+  /// seek_to_gc found start_gc beyond the recording: an empty restricted
+  /// stream, not one read to its end.
+  bool past_end = false;
+};
+
+}  // namespace
+
 TraceDiff diff_trace_files(const std::string& path_a,
                            const std::string& path_b,
                            std::size_t context_events, GlobalCount start_gc) {
-  LogSource source_a(path_a);
-  LogSource source_b(path_b);
+  DiffSide side_a(path_a);
+  DiffSide side_b(path_b);
   if (start_gc > 0) {
-    // Spool inputs jump to the covering chunk through the index (footer or
-    // rebuilt); trace files cannot seek and are skipped forward by the gc
-    // filter below.  seek_to_gc returning false just means an empty
-    // restricted stream.
-    if (!source_a.is_trace_file()) source_a.seek_to_gc(start_gc);
-    if (!source_b.is_trace_file()) source_b.seek_to_gc(start_gc);
+    // Jump to the covering chunk through the index (footer or rebuilt); the
+    // gc filter in pull skips the part of that chunk below start_gc.
+    side_a.past_end = !side_a.source.seek_to_gc(start_gc);
+    side_b.past_end = !side_b.source.seek_to_gc(start_gc);
   }
-  TraceRecordStream stream_a(source_a);
-  TraceRecordStream stream_b(source_b);
 
   // A record stream must be gc-ordered for positional comparison to mean
   // anything; enforce it as we go (a multi-threaded spool interleaves
-  // per-thread batches and fails here).
-  GlobalCount prev_a = 0, prev_b = 0;
-  auto pull = [start_gc](TraceRecordStream& s, GlobalCount& prev,
-                         const std::string& path) {
+  // per-thread batches and fails here).  A stream read to its end must end
+  // cleanly: a torn tail would otherwise pass for a shorter, or identical,
+  // trace.
+  auto pull = [start_gc](DiffSide& side) {
     std::optional<sched::TraceRecord> r;
     do {
-      r = s.next();
+      r = side.stream.next();
     } while (r && r->gc < start_gc);  // covering chunk may start below
-    if (r) {
-      if (r->gc < prev) {
-        throw UsageError(path +
-                         ": trace records out of gc order — not streamable "
-                         "(load it with load_spool and use diff_traces)");
+    if (!r) {
+      if (!side.past_end && !side.source.clean_end()) {
+        throw LogFormatError(side.path + ": torn trace (" +
+                             std::to_string(side.source.truncated_bytes()) +
+                             " bytes past the last valid chunk)");
       }
-      prev = r->gc;
+      return r;
     }
+    if (r->gc < side.prev) {
+      throw UsageError(side.path +
+                       ": trace records out of gc order — not streamable "
+                       "(load it with load_spool and use diff_traces)");
+    }
+    side.prev = r->gc;
     return r;
   };
 
@@ -186,8 +156,8 @@ TraceDiff diff_trace_files(const std::string& path_a,
   std::size_t pos = 0;
   std::optional<sched::TraceRecord> a, b;
   for (;; ++pos) {
-    a = pull(stream_a, prev_a, path_a);
-    b = pull(stream_b, prev_b, path_b);
+    a = pull(side_a);
+    b = pull(side_b);
     if (a && b && *a == *b) {
       ring.push_back(*a);
       if (ring.size() > context_events) ring.pop_front();
@@ -213,9 +183,8 @@ TraceDiff diff_trace_files(const std::string& path_a,
         "prefix identical",
         a ? "B" : "A", pos);
   }
-  auto fill = [&](const std::optional<sched::TraceRecord>& at,
-                  TraceRecordStream& stream, GlobalCount& prev,
-                  const std::string& path, std::vector<std::string>& ctx) {
+  auto fill = [&](const std::optional<sched::TraceRecord>& at, DiffSide& side,
+                  std::vector<std::string>& ctx) {
     std::size_t i = pos - ring.size();
     for (const sched::TraceRecord& r : ring) {
       ctx.push_back(str_format(" [%zu] %s", i++, to_text(r).c_str()));
@@ -223,13 +192,13 @@ TraceDiff diff_trace_files(const std::string& path_a,
     if (!at) return;
     ctx.push_back(str_format(">[%zu] %s", pos, to_text(*at).c_str()));
     for (std::size_t k = 0; k < context_events; ++k) {
-      std::optional<sched::TraceRecord> r = pull(stream, prev, path);
+      std::optional<sched::TraceRecord> r = pull(side);
       if (!r) break;
       ctx.push_back(str_format(" [%zu] %s", pos + 1 + k, to_text(*r).c_str()));
     }
   };
-  fill(a, stream_a, prev_a, path_a, out.context_a);
-  fill(b, stream_b, prev_b, path_b, out.context_b);
+  fill(a, side_a, out.context_a);
+  fill(b, side_b, out.context_b);
   return out;
 }
 

@@ -6,15 +6,15 @@
 // two trace files to pinpoint the first divergent event without rerunning
 // anything (examples/trace_diff.cpp).
 //
-// Format: magic "DJVUTRC1", version, vm_id, count, records (gc as delta
-// varint, thread varint, kind u8, aux u64), CRC32 trailer.  Corrupt input
-// throws LogFormatError (invariant I7).
+// Format: a trace file is a DJVUSPL1 spool (record/log_spool.h) holding
+// only kTrace items and a finish item, so it shares the spool's framing,
+// per-chunk CRCs, index footer and whole-file CRC, and every reader of a
+// spool reads it.  Corrupt input throws LogFormatError (invariant I7).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/ids.h"
 #include "sched/trace.h"
 
@@ -28,14 +28,14 @@ struct TraceFile {
   friend bool operator==(const TraceFile&, const TraceFile&) = default;
 };
 
-/// Serializes (records must already be gc-sorted; sorted on load anyway).
-Bytes serialize_trace(const TraceFile& trace);
-
-/// Parses; throws LogFormatError on malformed input.
-TraceFile deserialize_trace(BytesView data);
-
-/// File helpers.
+/// Writes `trace` as a spool file: its records, which must be gc-sorted
+/// (UsageError otherwise), go through a default-option LogSpooler as trace
+/// batches, followed by a finish item.  Throws Error on I/O failure.
 void save_trace_to_file(const TraceFile& trace, const std::string& path);
+
+/// Loads a trace file (or the trace of any spool) through load_spool.
+/// Throws LogFormatError unless the file ends cleanly: a torn tail, which
+/// load_spool would recover as a prefix, is corruption here.
 TraceFile load_trace_from_file(const std::string& path);
 
 /// One line of a trace diff report.
@@ -55,23 +55,25 @@ struct TraceDiff {
 TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
                       std::size_t context_events = 3);
 
-/// Streaming diff of two on-disk traces (DJVUTRC1 trace files, or spool
-/// files whose trace stream is gc-ordered, e.g. single-threaded runs):
-/// reads both files in lockstep through record::LogSource and stops at the
-/// first divergence — resident memory is O(context_events) and a diff that
-/// diverges early never reads the rest of either file.  The early exit is
-/// also the tradeoff: whole-file CRCs are not verified (each spool chunk
-/// still is), and the length-mismatch description reports where one side
-/// ended, not total counts.  Throws UsageError when a stream yields records
-/// out of gc order (a multi-threaded spool — load it with load_spool and
-/// use diff_traces instead).
+/// Streaming diff of two on-disk traces (trace files, or spool files whose
+/// trace stream is gc-ordered, e.g. single-threaded runs): reads both files
+/// in lockstep through record::LogSource and stops at the first divergence
+/// — resident memory is O(context_events) and a diff that diverges early
+/// never reads the rest of either file.  The early exit is also the
+/// tradeoff: a side abandoned mid-file has had only the chunks it read
+/// CRC-checked, and the length-mismatch description reports where one side
+/// ended, not total counts.  A side read to its end must end cleanly:
+/// a torn tail throws LogFormatError, so a damaged file is never reported
+/// as identical or as a prefix of the other.  Throws UsageError when a
+/// stream yields records out of gc order (a multi-threaded spool — load it
+/// with load_spool and use diff_traces instead).
 ///
-/// start_gc > 0 restricts the diff to records at gc >= start_gc.  Spool
+/// start_gc > 0 restricts the diff to records at gc >= start_gc: both
 /// inputs seek there through the index (LogSource::seek_to_gc — O(log
-/// chunks) with a footer instead of decoding the prefix); trace files skip
-/// forward while streaming.  position is then relative to the first
-/// compared record, and records below start_gc are assumed equal — use it
-/// when an earlier pass already located the divergence region.
+/// chunks) with a footer instead of decoding the prefix).  position is then
+/// relative to the first compared record, and records below start_gc are
+/// assumed equal — use it when an earlier pass already located the
+/// divergence region.
 TraceDiff diff_trace_files(const std::string& path_a,
                            const std::string& path_b,
                            std::size_t context_events = 3,

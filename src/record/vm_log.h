@@ -12,6 +12,13 @@
 
 namespace djvu::record {
 
+/// Ceiling on a decoded thread number or thread count, shared by the bundle
+/// and spool decoders.  Loading allocates a per-thread slot for every
+/// number up to the largest one named, and thread numbers are dense
+/// creation indices, so a number past this is a corrupt field, not a
+/// recording (no DJVM runs a million threads).
+inline constexpr std::uint64_t kMaxLogThreads = std::uint64_t{1} << 20;
+
 /// Per-thread logical schedule: interval lists indexed by threadNum (§2.2).
 struct ScheduleLog {
   std::vector<sched::IntervalList> per_thread;

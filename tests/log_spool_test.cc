@@ -11,7 +11,7 @@
 //     Session::replay_from (straight from disk);
 //   * torn-tail recovery: truncating the file mid-chunk replays the valid
 //     prefix instead of rejecting the recording, while CRC-valid corruption
-//     still throws LogFormatError;
+//     — including the retired item kind 5 — still throws LogFormatError;
 //   * the bounded-memory acceptance criterion: the spooler's
 //     queue_high_water_bytes never exceeds the configured buffer even when
 //     the run streams many times that much log data.  An item larger
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/session.h"
 #include "record/log_spool.h"
 #include "record/spool_codec.h"
@@ -440,6 +441,35 @@ TEST(LogSpool, CrcValidCorruptionStillRejected) {
   record::VmLog log = record::load_spooled_log(path, &clean);
   EXPECT_FALSE(clean);
   EXPECT_LT(log.stats.critical_events, rec.vm("app").critical_events);
+}
+
+// Item kind 5 (the raw causal batch) is retired: no writer emits it, so a
+// CRC-valid chunk carrying it is version skew and must be rejected by name,
+// not decoded or skipped.
+TEST(LogSpool, RetiredItemKindRejected) {
+  const std::string path = fresh_dir("kind5") + "/vm.djvuspool";
+  ByteWriter payload;
+  const Bytes body = record::encode_causal_delta_item(0, {1, 2, 3});
+  payload.u8(5).varint(body.size()).raw(body);
+  ByteWriter file;
+  file.raw(BytesView(reinterpret_cast<const std::uint8_t*>(record::kSpoolMagic),
+                     8));
+  file.u16(record::kSpoolVersion).u32(1).u8(0);
+  file.u32(static_cast<std::uint32_t>(payload.size())).u8(0);
+  file.u32(crc32(payload.view())).raw(payload.view());
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(file.view().data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+  }
+  try {
+    record::load_spool(path);
+    FAIL() << "a chunk holding kind 5 loaded";
+  } catch (const LogFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("kind 5"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- bounded memory ---------------------------------------------------------

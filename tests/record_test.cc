@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "record/serializer.h"
 #include "record/text_export.h"
@@ -173,6 +174,38 @@ TEST(Serializer, ManyThreadsManyIntervals) {
   }
   VmLog back = deserialize(serialize(log));
   EXPECT_EQ(back.schedule, log.schedule);
+}
+
+/// A bundle with a valid CRC whose sections are `body` (everything after
+/// the stats varints), for hostile-count tests: the CRC certifies nothing
+/// about the counts inside.
+Bytes crc_valid_bundle(std::uint16_t version,
+                       const std::vector<std::uint64_t>& body) {
+  ByteWriter w;
+  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>("DJVULOG1"), 8));
+  w.u16(version);
+  w.u32(1);      // vm_id
+  w.varint(0);   // critical_events
+  w.varint(0);   // network_events
+  for (std::uint64_t v : body) w.varint(v);
+  w.u32(crc32(w.view()));
+  return w.take();
+}
+
+TEST(Serializer, HostileCountsAreFormatErrors) {
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  // 2^40 schedule threads, 2^40 intervals in one thread, 2^40 causal
+  // threads (v3), 2^40 causal seqs in one thread: each must end in
+  // LogFormatError, never in a 2^40-entry allocation.
+  const Bytes cases[] = {
+      crc_valid_bundle(1, {huge}),
+      crc_valid_bundle(1, {1, huge, 0, 0}),
+      crc_valid_bundle(3, {0, 0, huge}),
+      crc_valid_bundle(3, {0, 0, 1, huge, 0}),
+  };
+  for (const Bytes& data : cases) {
+    EXPECT_THROW(deserialize(data), LogFormatError);
+  }
 }
 
 TEST(TextExport, MentionsKeyFields) {

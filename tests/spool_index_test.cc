@@ -4,9 +4,9 @@
 //   * crc32_combine: stitching segment CRCs equals hashing the whole;
 //   * footer fidelity: the sealed footer decodes to exactly the index a
 //     sequential rebuild scan produces, plus an authoritative file CRC;
-//   * fallbacks: a torn footer and a pre-index (Options::index = false)
-//     spool both load cleanly through the sequential path, and seeking
-//     still works via the rebuild scan;
+//   * fallbacks: a torn footer and a footerless spool (what a crash or a
+//     pre-index writer leaves) both load cleanly through the sequential
+//     path, and seeking still works via the rebuild scan;
 //   * seek_to_gc: lands on the covering chunk at and across chunk
 //     boundaries (per-chunk gc ranges overlap and are non-monotone), and
 //     reports positions beyond the recording;
@@ -19,8 +19,9 @@
 //     or thread records end in LogFormatError or a clean sequential load;
 //   * determinism pins: equal-gc trace records keep file order under both
 //     loaders (stable sort), the whole-file CRC catches corruption the
-//     per-chunk CRCs cannot see (the file header), and the trace-file
-//     trailing CRC is verified when streaming;
+//     per-chunk CRCs cannot see (the file header), and diff_trace_files
+//     throws on a trace file torn in its last chunks instead of reporting
+//     a prefix match or identity;
 //   * the replay doctor's indexed fast path agrees with the footerless
 //     two-pass diagnosis on owner, context, totals and verdict.
 
@@ -96,12 +97,11 @@ std::string footerless_copy(const std::string& path) {
 ///   chunk 0: t0 [0,9] + [20,29]   -> gc range [0,29]
 ///   chunk 1: t1 [10,19] + [30,39] -> gc range [10,39]
 ///   chunk 2: t0 [40,49]           -> gc range [40,49]
-std::string write_known_spool(const std::string& dir, bool index = true) {
+std::string write_known_spool(const std::string& dir) {
   const std::string path = dir + "/vm.djvuspool";
   record::LogSpooler::Options opts;
   opts.path = path;
   opts.chunk_bytes = 8;  // below one batch's size: one batch per chunk
-  opts.index = index;
   record::LogSpooler spooler(7, opts);
   spooler.schedule_batch(0, {{0, 9}, {20, 29}});
   spooler.schedule_batch(1, {{10, 19}, {30, 39}});
@@ -220,9 +220,9 @@ TEST(SpoolIndex, TornFooterFallsBackToCleanSequentialLoad) {
   EXPECT_EQ(*owner, (sched::LogicalInterval{30, 39}));
 }
 
-TEST(SpoolIndex, PreIndexSpoolLoadsAndSeeks) {
-  const std::string dir = fresh_dir("preindex");
-  const std::string path = write_known_spool(dir, /*index=*/false);
+TEST(SpoolIndex, FooterlessSpoolLoadsAndSeeks) {
+  const std::string dir = fresh_dir("footerless");
+  const std::string path = footerless_copy(write_known_spool(dir));
 
   record::LogSource source(path);
   EXPECT_EQ(source.index(), nullptr);
@@ -542,28 +542,39 @@ TEST(SpoolIndex, FooterWithImpossibleCountsReadsAsNoIndex) {
   }
 }
 
-TEST(TraceFileCrc, TrailingCrcVerifiedWhenStreaming) {
-  const std::string dir = fresh_dir("trccrc");
-  const std::string path = dir + "/vm.djvutrace";
+// A trace file torn in its last data chunk, or in its finish chunk, must
+// not diff as a prefix of (or identical to) the intact file: the torn side
+// is read to its end, which did not end cleanly, so the diff throws.
+TEST(TraceFileDiff, TornLastChunksThrowInsteadOfMatching) {
+  const std::string dir = fresh_dir("trcdiff");
   record::TraceFile trace;
   trace.vm_id = 4;
-  for (GlobalCount g = 0; g < 32; ++g) {
+  for (GlobalCount g = 0; g < 3000; ++g) {
     trace.records.push_back(
         {g, static_cast<ThreadNum>(g % 2), sched::EventKind::kSharedRead, g});
   }
-  record::save_trace_to_file(trace, path);
-
-  // Flip a byte inside the LAST record's aux field: varint structure stays
-  // intact, so only the trailing CRC — previously unverified on the
-  // streaming path — can catch it.
-  flip_byte(path, file_size(path) - 6);
-  record::LogSource source(path);
-  EXPECT_THROW(
-      {
-        while (source.next()) {
-        }
-      },
-      LogFormatError);
+  const std::string good = dir + "/good.djvutrace";
+  record::save_trace_to_file(trace, good);
+  std::vector<record::SpoolChunkInfo> chunks;
+  {
+    record::LogSource source(good);
+    ASSERT_NE(source.index(), nullptr);
+    chunks = source.index()->chunks;
+  }
+  ASSERT_GE(chunks.size(), 2u);  // data chunk(s), then the finish chunk
+  for (const std::size_t victim : {chunks.size() - 2, chunks.size() - 1}) {
+    const std::string bad = dir + "/bad.djvutrace";
+    std::filesystem::copy_file(
+        good, bad, std::filesystem::copy_options::overwrite_existing);
+    const record::SpoolChunkInfo& c = chunks[victim];
+    flip_byte(bad, c.offset + record::kChunkFrameBytes + c.stored_len / 2);
+    EXPECT_THROW(record::diff_trace_files(good, bad), LogFormatError)
+        << "chunk " << victim;
+    EXPECT_THROW(record::diff_trace_files(bad, good), LogFormatError)
+        << "chunk " << victim;
+    EXPECT_THROW(record::load_trace_from_file(bad), LogFormatError)
+        << "chunk " << victim;
+  }
 }
 
 // --- doctor fast path -------------------------------------------------------

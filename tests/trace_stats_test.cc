@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
-#include "common/crc32.h"
 #include "core/session.h"
+#include "record/log_spool.h"
 #include "record/log_stats.h"
 #include "record/serializer.h"
 #include "record/trace_io.h"
@@ -33,20 +35,85 @@ TraceFile sample_trace() {
   return t;
 }
 
-TEST(TraceIo, RoundTrip) {
-  TraceFile t = sample_trace();
-  Bytes data = serialize_trace(t);
-  EXPECT_EQ(deserialize_trace(data), t);
+std::string temp_path(const std::string& name) {
+  return testing::TempDir() + "/djvu_trace_test_" + name + ".djvutrace";
 }
 
-TEST(TraceIo, CorruptionRejected) {
-  Bytes data = serialize_trace(sample_trace());
-  for (std::size_t pos : {std::size_t{2}, data.size() / 2, data.size() - 2}) {
-    Bytes bad = data;
-    bad[pos] ^= 0x20;
-    EXPECT_THROW(deserialize_trace(bad), LogFormatError);
+TraceFile file_round_trip(const TraceFile& t, const std::string& name) {
+  const std::string path = temp_path(name);
+  save_trace_to_file(t, path);
+  TraceFile back = load_trace_from_file(path);
+  std::remove(path.c_str());
+  return back;
+}
+
+Bytes read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, BytesView data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+}
+
+/// Loads the damaged copy `data` of a saved trace file: true when it loads
+/// exactly `original`, false when it throws LogFormatError.  Any other
+/// outcome (another trace, another exception) fails the test.
+bool loads_intact(BytesView data, const TraceFile& original,
+                  const std::string& path) {
+  write_file(path, data);
+  try {
+    EXPECT_EQ(load_trace_from_file(path), original);
+    return true;
+  } catch (const LogFormatError&) {
+    return false;
   }
-  EXPECT_THROW(deserialize_trace(Bytes(6, 0)), LogFormatError);
+}
+
+TEST(TraceIo, FileRoundTrip) {
+  TraceFile t = sample_trace();
+  EXPECT_EQ(file_round_trip(t, "roundtrip"), t);
+  TraceFile empty;
+  empty.vm_id = 9;
+  EXPECT_EQ(file_round_trip(empty, "empty"), empty);
+}
+
+// Invariant I7 at file level: every single-byte flip and every truncation
+// of a saved trace file either throws LogFormatError or loads exactly the
+// original.  Damage before the index footer (header, chunk frames,
+// payloads, the finish chunk) is always rejected — the chunk CRCs and the
+// footer's whole-file CRC cover every byte there; damage inside the footer
+// only costs the index, so the intact data loads.
+TEST(TraceIo, EveryFlipAndTruncationRejectedOrIntact) {
+  const TraceFile original = sample_trace();
+  const std::string good_path = temp_path("good");
+  const std::string bad_path = temp_path("bad");
+  save_trace_to_file(original, good_path);
+  const Bytes good = read_file(good_path);
+  const std::uint64_t data_end = [&] {
+    LogSource source(good_path);
+    return source.index()->data_end;
+  }();
+  ASSERT_LT(data_end, good.size());
+
+  for (std::size_t pos = 0; pos < good.size(); ++pos) {
+    for (std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0xff}}) {
+      Bytes bad = good;
+      bad[pos] ^= mask;
+      EXPECT_EQ(loads_intact(bad, original, bad_path), pos >= data_end)
+          << "flip 0x" << std::hex << int{mask} << std::dec << " at " << pos;
+    }
+  }
+  for (std::size_t keep = 0; keep < good.size(); ++keep) {
+    EXPECT_EQ(loads_intact(BytesView(good.data(), keep), original, bad_path),
+              keep >= data_end)
+        << "truncated to " << keep << " bytes";
+  }
+  std::remove(good_path.c_str());
+  std::remove(bad_path.c_str());
 }
 
 // Several records can share one counter value (e.g. a multi-record critical
@@ -62,7 +129,7 @@ TEST(TraceIo, DuplicateGcRecordsRoundTrip) {
     r.aux = static_cast<std::uint64_t>(i);
     t.records.push_back(r);
   }
-  EXPECT_EQ(deserialize_trace(serialize_trace(t)), t);
+  EXPECT_EQ(file_round_trip(t, "dupgc"), t);
 }
 
 // Gc deltas, thread numbers and aux payloads at varint/word boundaries must
@@ -86,68 +153,17 @@ TEST(TraceIo, VarintBoundaryValuesRoundTrip) {
     t.records.push_back(r);
     ++i;
   }
-  TraceFile back = deserialize_trace(serialize_trace(t));
+  TraceFile back = file_round_trip(t, "varint");
   EXPECT_EQ(back, t);
   EXPECT_EQ(back.records.back().gc, gc);
 }
 
-TEST(TraceIo, MalformedInputsRejected) {
-  const Bytes good = serialize_trace(sample_trace());
-
-  // Truncation anywhere (header, body, or losing the CRC trailer).
-  for (std::size_t keep : {std::size_t{0}, std::size_t{7}, std::size_t{13},
-                           good.size() / 2, good.size() - 1}) {
-    EXPECT_THROW(deserialize_trace(BytesView(good.data(), keep)),
-                 LogFormatError)
-        << "truncated to " << keep << " bytes";
-  }
-
-  // Bad magic (CRC recomputed so the magic check itself is what fires).
+// A trace file's records stream in gc order (diff_trace_files relies on
+// it), so saving refuses an unsorted trace instead of writing one.
+TEST(TraceIo, UnsortedTraceRefused) {
   TraceFile t = sample_trace();
-  Bytes bad_magic = serialize_trace(t);
-  bad_magic[0] ^= 0xff;
-  bad_magic.resize(bad_magic.size() - 4);
-  {
-    ByteWriter w;
-    w.raw(bad_magic);
-    w.u32(crc32(w.view()));
-    EXPECT_THROW(deserialize_trace(w.view()), LogFormatError);
-  }
-
-  // Unsupported version, same CRC-fixup treatment.
-  Bytes bad_version = serialize_trace(t);
-  bad_version[8] = 0x7e;
-  bad_version.resize(bad_version.size() - 4);
-  {
-    ByteWriter w;
-    w.raw(bad_version);
-    w.u32(crc32(w.view()));
-    EXPECT_THROW(deserialize_trace(w.view()), LogFormatError);
-  }
-
-  // CRC flip alone.
-  Bytes bad_crc = good;
-  bad_crc.back() ^= 0x01;
-  EXPECT_THROW(deserialize_trace(bad_crc), LogFormatError);
-
-  // Trailing garbage after the records, CRC made consistent.
-  Bytes padded = good;
-  padded.resize(padded.size() - 4);
-  padded.push_back(0xaa);
-  {
-    ByteWriter w;
-    w.raw(padded);
-    w.u32(crc32(w.view()));
-    EXPECT_THROW(deserialize_trace(w.view()), LogFormatError);
-  }
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  TraceFile t = sample_trace();
-  std::string path = testing::TempDir() + "/djvu_trace_test.djvutrace";
-  save_trace_to_file(t, path);
-  EXPECT_EQ(load_trace_from_file(path), t);
-  std::remove(path.c_str());
+  std::swap(t.records[3], t.records[40]);
+  EXPECT_THROW(save_trace_to_file(t, temp_path("unsorted")), UsageError);
 }
 
 TEST(TraceIo, DiffIdentical) {
@@ -174,6 +190,97 @@ TEST(TraceIo, DiffLengthMismatch) {
   auto diff = diff_traces(a, b);
   EXPECT_FALSE(diff.identical);
   EXPECT_EQ(diff.position, b.records.size());
+}
+
+/// A long trace spanning several spool chunks: gc i*2 for record i.
+TraceFile long_trace(std::size_t n) {
+  TraceFile t;
+  t.vm_id = 5;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.records.push_back({static_cast<GlobalCount>(2 * i),
+                         static_cast<ThreadNum>(i % 3),
+                         sched::EventKind::kSharedWrite, i * 0x9e3779b9});
+  }
+  return t;
+}
+
+TEST(TraceFileDiff, IdenticalFiles) {
+  const TraceFile t = long_trace(5000);
+  const std::string a = temp_path("diff_same_a");
+  const std::string b = temp_path("diff_same_b");
+  save_trace_to_file(t, a);
+  save_trace_to_file(t, b);
+  const TraceDiff diff = diff_trace_files(a, b);
+  EXPECT_TRUE(diff.identical) << diff.description;
+  EXPECT_NE(diff.description.find("5000 events"), std::string::npos);
+  EXPECT_TRUE(diff_trace_files(a, a).identical);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+TEST(TraceFileDiff, FindsFirstDifferenceWithContext) {
+  const TraceFile t = long_trace(5000);
+  TraceFile u = t;
+  u.records[3100].aux ^= 1;
+  u.records[4000].thread = 7;
+  const std::string a = temp_path("diff_first_a");
+  const std::string b = temp_path("diff_first_b");
+  save_trace_to_file(t, a);
+  save_trace_to_file(u, b);
+  const TraceDiff diff = diff_trace_files(a, b, /*context_events=*/2);
+  EXPECT_FALSE(diff.identical);
+  EXPECT_EQ(diff.position, 3100u);
+  EXPECT_EQ(diff.description.rfind("first divergence at event 3100", 0), 0u)
+      << diff.description;
+  // Two matched records before, the divergent one, two after.
+  ASSERT_EQ(diff.context_a.size(), 5u);
+  ASSERT_EQ(diff.context_b.size(), 5u);
+  EXPECT_EQ(diff.context_a[2], ">[3100] " + to_text(t.records[3100]));
+  EXPECT_EQ(diff.context_b[2], ">[3100] " + to_text(u.records[3100]));
+
+  // One side ending early is a length mismatch, not identity.
+  TraceFile shorter = t;
+  shorter.records.resize(4321);
+  save_trace_to_file(shorter, b);
+  const TraceDiff cut = diff_trace_files(a, b);
+  EXPECT_FALSE(cut.identical);
+  EXPECT_EQ(cut.position, 4321u);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+// start_gc seeks both files past a known early difference: the diff then
+// starts at the first record with gc >= start_gc, reports the later
+// difference relative to it, and a start beyond both recordings compares
+// two empty streams.
+TEST(TraceFileDiff, StartGcSeeksPastEarlierRecords) {
+  const TraceFile t = long_trace(20000);
+  TraceFile u = t;
+  u.records[100].aux ^= 1;    // below start_gc: assumed equal
+  u.records[15000].aux ^= 1;  // the divergence the restricted diff finds
+  const std::string a = temp_path("diff_seek_a");
+  const std::string b = temp_path("diff_seek_b");
+  save_trace_to_file(t, a);
+  save_trace_to_file(u, b);
+  {
+    LogSource source(a);
+    ASSERT_NE(source.index(), nullptr);
+    ASSERT_GT(source.index()->chunks.size(), 3u);  // the seek skips chunks
+  }
+  EXPECT_EQ(diff_trace_files(a, b).position, 100u);
+
+  const GlobalCount start_gc = t.records[10000].gc;
+  const TraceDiff diff = diff_trace_files(a, b, 3, start_gc);
+  EXPECT_FALSE(diff.identical);
+  EXPECT_EQ(diff.position, 5000u);
+  EXPECT_NE(diff.description.find(to_text(t.records[15000])),
+            std::string::npos)
+      << diff.description;
+
+  const TraceDiff past = diff_trace_files(a, b, 3, t.records.back().gc + 1);
+  EXPECT_TRUE(past.identical) << past.description;
+  std::remove(a.c_str());
+  std::remove(b.c_str());
 }
 
 TEST(TraceIo, SessionSaveTraces) {
