@@ -22,10 +22,13 @@
 //   --no-lease   measure only the per-event protocol (ablation baseline);
 //   --no-causal  skip the causal section;
 //   --smoke      small grid, and exit nonzero if leased replay is >10%
-//                slower than non-leased, or if causal replay of the
-//                key-independent workload is >10% slower than leased
-//                total-order replay on a multi-core host — the CI
-//                regression tripwires.
+//                slower than non-leased, if leased replay parks on more
+//                than 25% of its leases while the process may use two or
+//                more CPUs (the turn wait's spin should catch almost every
+//                handoff; a count, so free of timing noise), or if causal
+//                replay of the key-independent workload is >10% slower
+//                than leased total-order replay on a multi-core host — the
+//                CI regression tripwires.
 //
 // Emits BENCH_replay_speed.json.
 
@@ -37,6 +40,7 @@
 
 #include "bench/emit_json.h"
 #include "bench/workload.h"
+#include "common/cpus.h"
 #include "sched/sched_stats.h"
 
 namespace {
@@ -64,6 +68,7 @@ ReplayMeasurement measure_replay(core::Session& s, const core::RunResult& rec,
         best.sum.ticks += vs.ticks;
         best.sum.waits_fast += vs.waits_fast;
         best.sum.waits_parked += vs.waits_parked;
+        best.sum.waits_spun += vs.waits_spun;
         best.sum.wakeups_delivered += vs.wakeups_delivered;
         best.sum.wakeups_spurious += vs.wakeups_spurious;
         best.sum.stall_detections += vs.stall_detections;
@@ -146,6 +151,9 @@ int main(int argc, char** argv) {
   const std::vector<int> grid = smoke ? std::vector<int>{2, 4}
                                       : std::vector<int>{2, 4, 8, 16};
   const int reps = smoke ? 3 : 2;
+  // Parked waits per lease above this mean the spin missed the handoffs.
+  constexpr double kMaxParkedPerLease = 0.25;
+  const bool spin_gate = usable_cpus() >= 2;
   bool tripwire = false;
   std::vector<Json> records;
   std::vector<std::pair<int, sched::SchedStats>> sched_rows;
@@ -196,6 +204,18 @@ int main(int argc, char** argv) {
                   leased.seconds, plain.seconds, threads);
       tripwire = true;
     }
+    const double parked_per_lease =
+        leasing && leased.sum.leases_taken > 0
+            ? static_cast<double>(leased.sum.waits_parked) /
+                  static_cast<double>(leased.sum.leases_taken)
+            : 0.0;
+    if (leasing && smoke && spin_gate &&
+        parked_per_lease > kMaxParkedPerLease) {
+      std::printf("  TRIPWIRE: leased replay parked on %.3f of its leases "
+                  "(>%.2f) at %d threads\n",
+                  parked_per_lease, kMaxParkedPerLease, threads);
+      tripwire = true;
+    }
 
     Json row = Json::object()
                    .field("threads", threads)
@@ -213,7 +233,10 @@ int main(int argc, char** argv) {
           .field("leases_taken", leased.sum.leases_taken)
           .field("leased_events", leased.sum.leased_events)
           .field("lease_publish_count", leased.sum.lease_publish_count)
-          .field("lease_ticks", leased.sum.ticks);
+          .field("lease_ticks", leased.sum.ticks)
+          .field("lease_waits_parked", leased.sum.waits_parked)
+          .field("waits_spun", leased.sum.waits_spun)
+          .field("parked_per_lease", parked_per_lease);
     }
     records.push_back(row);
   }
@@ -224,14 +247,15 @@ int main(int argc, char** argv) {
     // ~(#intervals + #events/stride) counter publications instead of one
     // per critical event.
     std::printf("\nLeased-replay scheduler counters (best run per row)\n\n");
-    std::printf("%9s %10s %12s %12s %12s %10s %13s\n", "#threads", "leases",
-                "leased ev", "publishes", "parked", "spurious",
-                "wakeups/pub");
+    std::printf("%9s %10s %12s %12s %10s %10s %10s %13s\n", "#threads",
+                "leases", "leased ev", "publishes", "spun", "parked",
+                "spurious", "wakeups/pub");
     for (const auto& [threads, sum] : sched_rows) {
-      std::printf("%9d %10llu %12llu %12llu %12llu %10llu %13.3f\n", threads,
-                  static_cast<unsigned long long>(sum.leases_taken),
+      std::printf("%9d %10llu %12llu %12llu %10llu %10llu %10llu %13.3f\n",
+                  threads, static_cast<unsigned long long>(sum.leases_taken),
                   static_cast<unsigned long long>(sum.leased_events),
                   static_cast<unsigned long long>(sum.lease_publish_count),
+                  static_cast<unsigned long long>(sum.waits_spun),
                   static_cast<unsigned long long>(sum.waits_parked),
                   static_cast<unsigned long long>(sum.wakeups_spurious),
                   sum.wakeups_per_tick());
@@ -285,7 +309,8 @@ int main(int argc, char** argv) {
               .field("replay_total_order_s", total_rp.seconds)
               .field("replay_causal_s", causal_rp.seconds)
               .field("causal_speedup", speedup)
-              .field("causal_parked_waits", causal_rp.sum.waits_parked));
+              .field("causal_parked_waits", causal_rp.sum.waits_parked)
+              .field("causal_spun_waits", causal_rp.sum.waits_spun));
     }
   }
 
@@ -297,6 +322,8 @@ int main(int argc, char** argv) {
                      .field("hardware_concurrency",
                             static_cast<std::uint64_t>(
                                 std::thread::hardware_concurrency()))
+                     .field("usable_cpus",
+                            static_cast<std::uint64_t>(usable_cpus()))
                      .field("leasing", leasing)
                      .field("causal", causal)
                      .field("smoke", smoke)

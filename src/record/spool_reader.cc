@@ -10,6 +10,7 @@
 #include <system_error>
 #include <thread>
 
+#include "common/cpus.h"
 #include "common/crc32.h"
 #include "record/log_spool.h"
 #include "record/spool_codec.h"
@@ -465,9 +466,7 @@ std::optional<VmLog> load_indexed(const std::string& path,
     }
     std::fclose(file);
   };
-  const std::size_t cores =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t workers = std::min<std::size_t>({cores, 8, n});
+  const std::size_t workers = std::min<std::size_t>({usable_cpus(), 8, n});
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   for (std::size_t w = 1; w < workers; ++w) {

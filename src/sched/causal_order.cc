@@ -3,12 +3,14 @@
 #include <string>
 
 #include "common/errors.h"
+#include "sched/spin_wait.h"
 
 namespace djvu::sched {
 
 CausalOrder::CausalOrder(std::chrono::milliseconds stall_timeout,
                          std::size_t shards)
     : stall_timeout_(stall_timeout),
+      spins_(spinning_pays()),
       shard_count_(shards == 0 ? 1 : shards),
       shards_(std::make_unique<Shard[]>(shard_count_)) {}
 
@@ -36,6 +38,21 @@ void CausalOrder::await(Ticket t, SectionKey key, std::uint64_t seq) {
   if (poisoned_.load(std::memory_order_acquire)) throw_poisoned();
   if (c == seq) return;  // lock-free fast path: predecessor published
   if (c > seq) throw_passed(key, seq, c);
+
+  // Spin phase, as in GlobalCounter::await: poll the cell without counting
+  // as a shard waiter (publish keeps skipping the notify).  A passed turn,
+  // like a budget that ran out, falls through to the park path, which
+  // re-checks and reports it.
+  if (spins_ && spin_until([&] {
+        return poisoned_.load(std::memory_order_relaxed) ||
+               t.cell_->load(std::memory_order_seq_cst) >= seq;
+      })) {
+    if (poisoned_.load(std::memory_order_acquire)) throw_poisoned();
+    if (t.cell_->load(std::memory_order_seq_cst) == seq) {
+      waits_spun_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
 
   Shard& s = *t.home_;
   std::unique_lock<std::mutex> lock(s.mutex);

@@ -21,8 +21,10 @@
 // and replay (keys are addresses); correspondence holds by induction on
 // each thread's program order — see §1d for the argument.
 //
-// Stall detection mirrors GlobalCounter's: a parked waiter that sees no
-// publication anywhere for a full stall window while every registered
+// Awaits spin before they park, exactly as GlobalCounter::await does
+// (sched/spin_wait.h), so causal and total-order replay compare like for
+// like.  Stall detection mirrors GlobalCounter's: a parked waiter that sees
+// no publication anywhere for a full stall window while every registered
 // runner is parked aborts with ReplayDivergenceError(kStall); while
 // non-parked runners could still produce progress it extends up to
 // kStallGraceFactor windows.  poison() unwinds every current and future
@@ -128,6 +130,16 @@ class CausalOrder {
     return waits_parked_.load(std::memory_order_relaxed);
   }
 
+  /// Awaits satisfied while spinning, before they would have parked
+  /// (diagnostics; relaxed).  Lock-free fast-path awaits are not counted.
+  std::uint64_t waits_spun() const {
+    return waits_spun_.load(std::memory_order_relaxed);
+  }
+
+  /// Whether await() spins before it parks: fixed at construction, true
+  /// when the constructing thread may run on at least two CPUs.
+  bool spins() const { return spins_; }
+
  private:
   /// One lock-table shard: bookkeeping for every key hashing here.  The
   /// mutex guards only the cell map and the cv protocol; the cells
@@ -168,6 +180,7 @@ class CausalOrder {
                                 std::uint64_t count) const;
 
   const std::chrono::milliseconds stall_timeout_;
+  const bool spins_;
   const std::size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;
 
@@ -178,6 +191,7 @@ class CausalOrder {
   std::atomic<std::uint64_t> parked_{0};
   std::atomic<std::uint64_t> runners_{0};
   std::atomic<std::uint64_t> waits_parked_{0};
+  std::atomic<std::uint64_t> waits_spun_{0};
 };
 
 }  // namespace djvu::sched

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/strutil.h"
+#include "sched/spin_wait.h"
 
 namespace djvu::sched {
 
@@ -24,6 +25,7 @@ struct GlobalCounter::Waiter {
 GlobalCounter::GlobalCounter(std::chrono::milliseconds stall_timeout,
                              std::size_t record_stripes)
     : stall_timeout_(stall_timeout),
+      spins_(spinning_pays()),
       stripe_count_(record_stripes),
       stripes_(record_stripes ? std::make_unique<Stripe[]>(record_stripes)
                               : nullptr) {}
@@ -198,6 +200,23 @@ void GlobalCounter::await(GlobalCount target) {
     }
   }
 
+  // Spin phase: poll without registering.  A spinner is invisible to the
+  // tickers (parked_ stays untouched), so their lock-free fast path holds;
+  // it reads value_ itself instead of being told.  A counter that jumped
+  // past the target, like a budget that ran out, falls through to the park
+  // path, whose publish-then-recheck reports it.
+  if (spins_ && spin_until([&] {
+        return poisoned_.load(std::memory_order_relaxed) ||
+               value_.load(std::memory_order_seq_cst) >= target;
+      })) {
+    if (poisoned_.load(std::memory_order_acquire)) throw_poisoned();
+    if (value_.load(std::memory_order_seq_cst) == target) {
+      waits_fast_.fetch_add(1, std::memory_order_relaxed);
+      waits_spun_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+
   const auto park_start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(mutex_);
   // Stall time only accumulates while at least one waiter is parked: the
@@ -317,6 +336,7 @@ SchedStats GlobalCounter::stats() const {
   s.sections = sections_.load(std::memory_order_relaxed);
   s.waits_fast = waits_fast_.load(std::memory_order_relaxed);
   s.waits_parked = waits_parked_.load(std::memory_order_relaxed);
+  s.waits_spun = waits_spun_.load(std::memory_order_relaxed);
   s.wakeups_delivered = wakeups_delivered_.load(std::memory_order_relaxed);
   s.wakeups_spurious = wakeups_spurious_.load(std::memory_order_relaxed);
   s.stall_detections = stall_detections_.load(std::memory_order_relaxed);
@@ -341,11 +361,12 @@ SchedStats GlobalCounter::stats() const {
 std::string to_text(const SchedStats& s) {
   std::string out;
   out += str_format(
-      "scheduler: %llu ticks, %llu sections, %llu fast waits, "
+      "scheduler: %llu ticks, %llu sections, %llu fast waits (%llu spun), "
       "%llu parked waits\n",
       static_cast<unsigned long long>(s.ticks),
       static_cast<unsigned long long>(s.sections),
       static_cast<unsigned long long>(s.waits_fast),
+      static_cast<unsigned long long>(s.waits_spun),
       static_cast<unsigned long long>(s.waits_parked));
   out += str_format(
       "  wakeups: %llu delivered, %llu spurious (%.3f per tick), "

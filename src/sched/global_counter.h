@@ -41,7 +41,15 @@
 // over-report (docs/INTERNALS.md §1b).  Replay's turn protocol guarantees
 // at most one lease exists at a time.
 //
-// Turn-waiting uses TARGETED wakeups: each parked thread owns a waiter slot
+// Turn-waiting spins, then parks: await() first polls the value for a short
+// fixed budget (sched/spin_wait.h; only when the process may run on two or
+// more CPUs), and only a wait still unsatisfied after it parks.  A spinner
+// never registers as a waiter, so it costs the tickers nothing.  A thread
+// that jumps the counter with advance_to() cannot see a spinner either: a
+// jump past a spinning waiter's turn surfaces as that waiter's
+// kCounterPassed divergence rather than advance_to's UsageError.
+//
+// Parked waits use TARGETED wakeups: each parked thread owns a waiter slot
 // (its own condition_variable keyed by its target value); a tick computes
 // the new value and notifies only the thread whose turn arrived.  The value
 // is an atomic, so `value()`, the await fast path, and replay-mode `tick()`
@@ -221,10 +229,11 @@ class GlobalCounter {
   /// ownership without reaching interval end.
   void lease_release(GlobalCount next);
 
-  /// Blocks until the counter equals `target` (replay turn-waiting).
-  /// Throws ReplayDivergenceError if the counter is already past `target`
-  /// (an earlier event over-ticked — the log and the execution disagree),
-  /// if the counter has been poisoned, or if the stall detector fires (a
+  /// Blocks until the counter equals `target` (replay turn-waiting): spins
+  /// for up to kSpinBudget when spins() is true, then parks.  Throws
+  /// ReplayDivergenceError if the counter is already past `target` (an
+  /// earlier event over-ticked — the log and the execution disagree), if
+  /// the counter has been poisoned, or if the stall detector fires (a
   /// tampered/mismatched log can leave every thread waiting for a value
   /// nobody will produce; the detector turns that deadlock into a
   /// diagnosable error).  The stall window is the constructor's
@@ -256,6 +265,10 @@ class GlobalCounter {
 
   /// Stripes in the record-section lock table (0 = single section).
   std::size_t record_stripes() const { return stripe_count_; }
+
+  /// Whether await() spins before it parks: fixed at construction, true
+  /// when the constructing thread may run on at least two CPUs.
+  bool spins() const { return spins_; }
 
  private:
   struct Waiter;
@@ -341,6 +354,7 @@ class GlobalCounter {
   std::atomic<std::uint64_t> sections_{0};
   std::atomic<std::uint64_t> waits_fast_{0};
   std::atomic<std::uint64_t> waits_parked_{0};
+  std::atomic<std::uint64_t> waits_spun_{0};
   std::atomic<std::uint64_t> wakeups_delivered_{0};
   std::atomic<std::uint64_t> wakeups_spurious_{0};
   std::atomic<std::uint64_t> stall_detections_{0};
@@ -357,6 +371,7 @@ class GlobalCounter {
   std::atomic<std::uint64_t> global_contended_{0};
 
   const std::chrono::milliseconds stall_timeout_;
+  const bool spins_;
 
   /// Record-section lock table (empty = single-section mode).  Immutable
   /// after construction.

@@ -33,6 +33,11 @@ struct SchedStats {
   /// await() calls that actually parked on a waiter slot.
   std::uint64_t waits_parked = 0;
 
+  /// The part of waits_fast satisfied while spinning: the turn arrived
+  /// within the spin budget, so the wait never parked.  Counted in
+  /// waits_fast too, so waits_fast + waits_parked stays the total.
+  std::uint64_t waits_spun = 0;
+
   /// Targeted wakeups delivered to the waiter whose turn arrived (also
   /// counts waiters released to report divergence/poison — every release
   /// of a parked waiter is one delivery).
@@ -50,7 +55,7 @@ struct SchedStats {
   /// High-water mark of simultaneously parked waiters.
   std::uint64_t max_parked_waiters = 0;
 
-  /// Total and maximum time waiters spent parked.
+  /// Total and maximum time waiters spent parked (spinning excluded).
   std::uint64_t total_wait_micros = 0;
   std::uint64_t max_wait_micros = 0;
 

@@ -10,7 +10,13 @@ namespace djvu::sched {
 
 const std::vector<TraceRecord>& ExecutionTrace::sorted_locked() const {
   if (!sorted_valid_) {
-    sorted_cache_ = records_;
+    std::size_t n = 0;
+    for (const auto& part : parts_) n += part.size();
+    sorted_cache_.clear();
+    sorted_cache_.reserve(n);
+    for (const auto& part : parts_) {
+      sorted_cache_.insert(sorted_cache_.end(), part.begin(), part.end());
+    }
     std::sort(sorted_cache_.begin(), sorted_cache_.end(),
               [](const TraceRecord& a, const TraceRecord& b) {
                 return a.gc < b.gc;

@@ -46,16 +46,22 @@ class ExecutionTrace {
   /// Appends one record (any thread).
   void append(const TraceRecord& r) {
     std::lock_guard<std::mutex> lock(mutex_);
-    records_.push_back(r);
+    if (parts_.empty()) parts_.emplace_back();
+    parts_.back().push_back(r);
     sorted_valid_ = false;
   }
 
   /// Appends a batch of records (any thread) — one lock round-trip for a
-  /// whole per-thread buffer.
-  void append_batch(const std::vector<TraceRecord>& batch) {
+  /// whole per-thread buffer.  The batch is kept as its own part instead of
+  /// being copied into one shared vector: a shared vector would regrow on
+  /// whichever thread appends, and glibc keeps those multi-megabyte blocks
+  /// cached in that thread's malloc arena after the trace is gone, so peak
+  /// RSS would climb with every replay.  The merged view is built by the
+  /// reading thread (sorted()).
+  void append_batch(std::vector<TraceRecord> batch) {
     if (batch.empty()) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    records_.insert(records_.end(), batch.begin(), batch.end());
+    parts_.push_back(std::move(batch));
     sorted_valid_ = false;
   }
 
@@ -68,7 +74,9 @@ class ExecutionTrace {
   /// Number of records.
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
+    std::size_t n = 0;
+    for (const auto& part : parts_) n += part.size();
+    return n;
   }
 
   /// Order-insensitive-input, order-significant-output digest of the trace
@@ -86,8 +94,10 @@ class ExecutionTrace {
   const std::vector<TraceRecord>& sorted_locked() const;
 
   mutable std::mutex mutex_;
-  std::vector<TraceRecord> records_;
-  /// Cache of records_ sorted by gc; rebuilt lazily, invalidated by append.
+  /// Appended records in arrival order, one part per batch.
+  std::vector<std::vector<TraceRecord>> parts_;
+  /// All parts merged and sorted by gc; rebuilt lazily, invalidated by
+  /// append.
   mutable std::vector<TraceRecord> sorted_cache_;
   mutable bool sorted_valid_ = false;
 };

@@ -238,7 +238,7 @@ void Vm::flush_trace(sched::ThreadState& state) {
     state.trace_buf.clear();
     state.trace_buf.reserve(batch_size);
   } else {
-    trace_.append_batch(state.trace_buf);
+    trace_.append_batch(std::move(state.trace_buf));
     state.trace_buf.clear();
   }
 }

@@ -224,10 +224,15 @@ class Vm {
   /// Scheduler self-measurements (ticks, waits, targeted wakeups, stall
   /// detections — see sched/sched_stats.h).  Snapshot; never blocks.  In
   /// causal replay, awaits that parked on a per-key predecessor are folded
-  /// into waits_parked (the counter itself is never awaited in that mode).
+  /// into waits_parked and those satisfied while spinning into waits_spun
+  /// and waits_fast (the counter itself is never awaited in that mode).
   sched::SchedStats sched_stats() const {
     sched::SchedStats s = counter_.stats();
-    if (causal_) s.waits_parked += causal_->waits_parked();
+    if (causal_) {
+      s.waits_parked += causal_->waits_parked();
+      s.waits_spun += causal_->waits_spun();
+      s.waits_fast += causal_->waits_spun();
+    }
     return s;
   }
 

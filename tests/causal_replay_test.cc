@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -105,6 +106,46 @@ TEST(CausalOrderUnit, PoisonUnblocksParkedWaiter) {
   waiter.join();
   EXPECT_THROW(o.await(8, 0), ReplayDivergenceError);  // future awaits too
   o.runner_ended();
+}
+
+// The causal await spins before it parks, like GlobalCounter::await; a
+// poison that lands during the spin must unwind it as kPoisoned without it
+// ever parking.  Retried because a preempted waiter may park first.
+TEST(CausalOrderUnit, PoisonWhileSpinningThrowsPoisoned) {
+  if (!CausalOrder().spins()) GTEST_SKIP() << "spinning needs two CPUs";
+  constexpr int kAttempts = 200;
+  for (int i = 0; i < kAttempts; ++i) {
+    CausalOrder o;
+    // Resolved up front: resolve() allocates, which on a fresh thread can
+    // outlast the 10 us delay below and let the poison land before the
+    // await even starts.
+    const CausalOrder::Ticket t = o.resolve(7);
+    std::optional<DivergenceCause> cause;
+    std::atomic<bool> started{false};
+    std::thread waiter([&] {
+      started.store(true);
+      try {
+        o.await(t, 7, 5);
+      } catch (const ReplayDivergenceError& e) {
+        cause = e.cause();
+      }
+    });
+    while (!started.load()) {
+    }
+    // Inside the 50 us spin budget: the waiter is normally still spinning.
+    const auto poison_at =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(10);
+    while (std::chrono::steady_clock::now() < poison_at) {
+    }
+    o.poison();
+    waiter.join();
+    ASSERT_EQ(cause, DivergenceCause::kPoisoned);
+    if (o.waits_parked() == 0) {
+      EXPECT_EQ(o.waits_spun(), 0u);
+      return;
+    }
+  }
+  FAIL() << "the waiter parked before the poison in every attempt";
 }
 
 TEST(CausalOrderUnit, CertainStallWhenEveryRunnerIsParked) {

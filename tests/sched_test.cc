@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <atomic>
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/cpus.h"
 #include "common/rng.h"
 #include "sched/global_counter.h"
 #include "sched/interval.h"
@@ -319,6 +326,140 @@ TEST(GlobalCounter, PoisonReleasesParkedWaiter) {
   c.poison();
   waiter.join();
   EXPECT_THROW(c.await(99), ReplayDivergenceError);
+}
+
+// --- spin-then-park ---------------------------------------------------------
+
+/// Busy-waits `d` (sleep_for would overshoot the spin budget).
+void busy_wait(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+/// Runs `wait` on a new thread and `act` on this one 10 us after the waiter
+/// announced itself: inside the spin budget, so the wait is normally
+/// spinning when `act` lands.  A preempted waiter may still park first (or
+/// not have started), so callers retry until an attempt hit the spin.
+template <typename Wait, typename Act>
+void race_spinner(Wait wait, Act act) {
+  std::atomic<bool> started{false};
+  std::thread waiter([&] {
+    started.store(true);
+    wait();
+  });
+  while (!started.load()) {
+  }
+  busy_wait(std::chrono::microseconds(10));
+  act();
+  waiter.join();
+}
+
+constexpr int kSpinAttempts = 200;
+
+TEST(GlobalCounter, TurnArrivingInsideSpinBudgetNeverParks) {
+  if (!GlobalCounter().spins()) GTEST_SKIP() << "spinning needs two CPUs";
+  for (int i = 0; i < kSpinAttempts; ++i) {
+    GlobalCounter c;
+    race_spinner([&] { c.await(1); }, [&] { c.tick(); });
+    const SchedStats s = c.stats();
+    ASSERT_EQ(s.waits_fast + s.waits_parked, 1u);
+    ASSERT_LE(s.waits_spun, s.waits_fast);
+    if (s.waits_spun == 1) {
+      EXPECT_EQ(s.waits_parked, 0u);
+      EXPECT_EQ(s.wakeups_delivered, 0u);
+      EXPECT_EQ(s.total_wait_micros, 0u);  // parked time only
+      return;
+    }
+  }
+  FAIL() << "no wait was satisfied while spinning in " << kSpinAttempts
+         << " attempts";
+}
+
+TEST(GlobalCounter, PoisonWhileSpinningThrowsPoisoned) {
+  if (!GlobalCounter().spins()) GTEST_SKIP() << "spinning needs two CPUs";
+  for (int i = 0; i < kSpinAttempts; ++i) {
+    GlobalCounter c;
+    std::optional<DivergenceCause> cause;
+    race_spinner(
+        [&] {
+          try {
+            c.await(3);
+          } catch (const ReplayDivergenceError& e) {
+            cause = e.cause();
+          }
+        },
+        [&] { c.poison(); });
+    ASSERT_EQ(cause, DivergenceCause::kPoisoned);
+    if (c.stats().waits_parked == 0) return;  // poisoned before it parked
+  }
+  FAIL() << "the waiter parked before the poison in every attempt";
+}
+
+// A jump past a spinning waiter's turn is that waiter's schedule
+// divergence: the spinner exits to the park path, whose re-check reports
+// the passed counter at once — no stall window elapses.
+TEST(GlobalCounter, AdvancePastTargetWhileSpinningThrowsCounterPassed) {
+  if (!GlobalCounter().spins()) GTEST_SKIP() << "spinning needs two CPUs";
+  for (int i = 0; i < kSpinAttempts; ++i) {
+    GlobalCounter c(std::chrono::milliseconds(100));
+    std::optional<DivergenceCause> cause;
+    bool advanced = false;
+    race_spinner(
+        [&] {
+          try {
+            c.await(1);
+          } catch (const ReplayDivergenceError& e) {
+            cause = e.cause();
+          }
+        },
+        [&] {
+          try {
+            c.advance_to(5);
+            advanced = true;
+          } catch (const UsageError&) {
+            c.advance_to(1);  // the waiter had parked: release it
+          }
+        });
+    if (!advanced) continue;
+    ASSERT_EQ(cause, DivergenceCause::kCounterPassed);
+    ASSERT_EQ(c.stats().stall_detections, 0u);
+    // The spin's fall-through registers once before it reports; zero means
+    // the waiter had not reached the spin yet.
+    if (c.stats().waits_parked == 1) return;
+  }
+  FAIL() << "advance_to never landed during the spin";
+}
+
+// The spin gate reads the constructing thread's affinity mask, not
+// hardware_concurrency(): a counter built on a thread pinned to one CPU
+// parks at once, even for a turn that arrives inside the budget.
+TEST(GlobalCounter, CounterBuiltOnOneCpuNeverSpins) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+
+  std::unique_ptr<GlobalCounter> c;
+  std::thread pinned([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+    EXPECT_EQ(usable_cpus(), 1u);
+    c = std::make_unique<GlobalCounter>();
+  });
+  pinned.join();
+  ASSERT_NE(c, nullptr);
+  EXPECT_FALSE(c->spins());
+
+  for (GlobalCount turn = 1; turn <= 20; ++turn) {
+    race_spinner([&] { c->await(turn); }, [&] { c->tick(); });
+  }
+  const SchedStats s = c->stats();
+  EXPECT_EQ(s.waits_spun, 0u);
+  EXPECT_EQ(s.waits_fast + s.waits_parked, 20u);
 }
 
 TEST(IntervalRecorder, SingleRunIsOneInterval) {
