@@ -27,8 +27,8 @@
 //   --smoke      small spool grid (implies --spool and --flight); exit
 //                nonzero if the spool arm is >15% slower than in-memory or
 //                the flight arm is >5% slower than unbounded spool (the
-//                regression tripwires; both need >= 2 cores for overlap to
-//                be possible)
+//                regression tripwires; both need >= 2 usable CPUs for
+//                overlap to be possible)
 
 #include <chrono>
 #include <cstdio>
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "bench/emit_json.h"
+#include "common/cpus.h"
 #include "net/network.h"
 #include "record/log_spool.h"
 #include "sched/sched_stats.h"
@@ -286,7 +287,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %10s %10s %12s %14s %10s\n", "#threads", "mode",
               "Mev/s", "slowdown", "written(KB)", "high_water(KB)", "blocks");
   bool tripwire = false;
-  const bool multicore = std::thread::hardware_concurrency() >= 2;
+  const bool multicore = usable_cpus() >= 2;
   for (int threads : spool_grid) {
     SpoolResult mem =
         best_record_arm(threads, SpoolMode::kMemory, spool_iters, spool_path);
@@ -314,10 +315,11 @@ int main(int argc, char** argv) {
                   hw / 1024.0,
                   static_cast<unsigned long long>(sp->spool.producer_blocks));
     }
-    // On one core the writer thread timeslices with the recording threads
-    // instead of overlapping them, so the serialization+IO work shows up as
-    // wall time no matter how cheap the producer path is; only enforce the
-    // tripwires where overlap is possible.
+    // On one usable CPU (one core, or a taskset -c 0 run) the writer thread
+    // timeslices with the recording threads instead of overlapping them, so
+    // the serialization+IO work shows up as wall time no matter how cheap
+    // the producer path is; only enforce the tripwires where overlap is
+    // possible.
     if (smoke && multicore && spool.seconds > 1.15 * mem.seconds) {
       std::fprintf(stderr,
                    "TRIPWIRE: spool record >15%% slower than in-memory "
@@ -351,6 +353,8 @@ int main(int argc, char** argv) {
                               .field("hardware_concurrency",
                                      static_cast<std::uint64_t>(
                                          std::thread::hardware_concurrency()))
+                              .field("usable_cpus",
+                                     static_cast<std::uint64_t>(usable_cpus()))
                               .field("total_iters", spool_iters)
                               .field("reps", kReps)
                               .field("smoke", smoke))
@@ -397,6 +401,8 @@ int main(int argc, char** argv) {
                             .field("hardware_concurrency",
                                    static_cast<std::uint64_t>(
                                        std::thread::hardware_concurrency()))
+                            .field("usable_cpus",
+                                   static_cast<std::uint64_t>(usable_cpus()))
                             .field("total_iters", kTotalIters)
                             .field("reps", kReps))
           .field("results", records)

@@ -503,7 +503,6 @@ RunResult Session::run_impl(
     info.wall_seconds = r.wall_seconds;
     if (config_.keep_trace && !r.machine->spooling()) {
       info.trace = r.machine->trace().sorted();
-      info.trace_digest = r.machine->trace().digest();
     }
     if (r.machine->mode() == vm::Mode::kRecord) {
       record::VmLog log = r.machine->finish_record();
@@ -519,7 +518,6 @@ RunResult Session::run_impl(
           record::SpoolContents contents =
               record::load_spool(info.spool_path);
           info.trace = std::move(contents.trace.records);
-          info.trace_digest = sched::trace_digest(info.trace);
           info.spooled_log = std::make_shared<const record::VmLog>(
               std::move(contents.log));
         }
@@ -535,6 +533,7 @@ RunResult Session::run_impl(
         finish_reports.push_back(std::move(rep));
       }
     }
+    if (config_.keep_trace) info.trace_digest = sched::trace_digest(info.trace);
     result.vms.push_back(std::move(info));
   }
   if (!finish_reports.empty()) {

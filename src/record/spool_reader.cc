@@ -366,18 +366,6 @@ void fold_item(SpoolItemKind kind, BytesView body, VmLog& log,
   }
 }
 
-/// gc-sorts a loaded trace.  Stable: distinct threads can log trace records
-/// at the same gc (e.g. a thread-start handshake), and chunk order — which
-/// both load paths reproduce — is the recorder's append order, so a stable
-/// sort makes the loaded record order deterministic where an unstable one
-/// left equal-gc runs to the allocator's whims.
-void sort_trace(TraceFile& trace) {
-  std::stable_sort(trace.records.begin(), trace.records.end(),
-                   [](const sched::TraceRecord& a, const sched::TraceRecord& b) {
-                     return a.gc < b.gc;
-                   });
-}
-
 /// One chunk's share of an indexed load: its items folded into a partial
 /// log and trace, the items the driver folds itself, and the CRC and
 /// length of the chunk's on-disk bytes for the whole-file check.
@@ -526,7 +514,7 @@ VmLog stream_spool(const std::string& path, TraceFile* trace, bool* clean_end,
   const SpoolIndex* index = source.index();
   if (index != nullptr && !index->chunks.empty()) {
     if (std::optional<VmLog> log = load_indexed(path, source, *index, trace)) {
-      if (trace != nullptr) sort_trace(*trace);
+      if (trace != nullptr) sched::sort_by_gc(trace->records);
       if (clean_end != nullptr) *clean_end = true;
       if (truncated_bytes != nullptr) *truncated_bytes = 0;
       return std::move(*log);
@@ -544,7 +532,7 @@ VmLog stream_spool(const std::string& path, TraceFile* trace, bool* clean_end,
     // trace and stays 0.
     log.stats.critical_events = log.schedule.event_count();
   }
-  if (trace != nullptr) sort_trace(*trace);
+  if (trace != nullptr) sched::sort_by_gc(trace->records);
   if (clean_end != nullptr) *clean_end = source.clean_end();
   if (truncated_bytes != nullptr) *truncated_bytes = source.truncated_bytes();
   return log;

@@ -18,9 +18,7 @@ constexpr std::size_t kSaveBatchRecords = 1024;
 }  // namespace
 
 void save_trace_to_file(const TraceFile& trace, const std::string& path) {
-  const auto by_gc = [](const sched::TraceRecord& a,
-                        const sched::TraceRecord& b) { return a.gc < b.gc; };
-  if (!std::is_sorted(trace.records.begin(), trace.records.end(), by_gc)) {
+  if (!sched::is_sorted_by_gc(trace.records)) {
     throw UsageError("save_trace_to_file: records are not gc-sorted");
   }
   LogSpooler::Options options;

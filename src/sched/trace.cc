@@ -4,31 +4,39 @@
 
 #include "common/bytes.h"
 #include "common/crc32.h"
-#include "common/strutil.h"
 
 namespace djvu::sched {
+namespace {
 
-const std::vector<TraceRecord>& ExecutionTrace::sorted_locked() const {
-  if (!sorted_valid_) {
-    std::size_t n = 0;
-    for (const auto& part : parts_) n += part.size();
-    sorted_cache_.clear();
-    sorted_cache_.reserve(n);
-    for (const auto& part : parts_) {
-      sorted_cache_.insert(sorted_cache_.end(), part.begin(), part.end());
-    }
-    std::sort(sorted_cache_.begin(), sorted_cache_.end(),
-              [](const TraceRecord& a, const TraceRecord& b) {
-                return a.gc < b.gc;
-              });
-    sorted_valid_ = true;
-  }
-  return sorted_cache_;
+// A lambda, not a function: its type carries the comparison, so the sort
+// inlines it instead of calling through a function pointer.
+constexpr auto gc_before = [](const TraceRecord& a, const TraceRecord& b) {
+  return a.gc < b.gc;
+};
+
+}  // namespace
+
+void sort_by_gc(std::vector<TraceRecord>& records) {
+  std::stable_sort(records.begin(), records.end(), gc_before);
+}
+
+bool is_sorted_by_gc(const std::vector<TraceRecord>& records) {
+  return std::is_sorted(records.begin(), records.end(), gc_before);
 }
 
 std::vector<TraceRecord> ExecutionTrace::sorted() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sorted_locked();
+  std::vector<TraceRecord> out;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t n = 0;
+    for (const auto& part : parts_) n += part.size();
+    out.reserve(n);
+    for (const auto& part : parts_) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
+  }
+  sort_by_gc(out);
+  return out;
 }
 
 std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {
@@ -45,33 +53,6 @@ std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {
   Crc32 hi;
   hi.update(BytesView(buf).subspan(buf.size() / 2));
   return (std::uint64_t{hi.value()} << 32) | lo;
-}
-
-std::uint64_t ExecutionTrace::digest() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return trace_digest(sorted_locked());
-}
-
-std::string ExecutionTrace::first_divergence(const ExecutionTrace& recorded,
-                                             const ExecutionTrace& replayed) {
-  auto a = recorded.sorted();
-  auto b = replayed.sorted();
-  std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] == b[i]) continue;
-    return str_format(
-        "divergence at position %zu: recorded {gc=%llu t%u %s aux=%llx} vs "
-        "replayed {gc=%llu t%u %s aux=%llx}",
-        i, static_cast<unsigned long long>(a[i].gc), a[i].thread,
-        event_kind_name(a[i].kind), static_cast<unsigned long long>(a[i].aux),
-        static_cast<unsigned long long>(b[i].gc), b[i].thread,
-        event_kind_name(b[i].kind), static_cast<unsigned long long>(b[i].aux));
-  }
-  if (a.size() != b.size()) {
-    return str_format("trace lengths differ: recorded %zu vs replayed %zu",
-                      a.size(), b.size());
-  }
-  return "";
 }
 
 }  // namespace djvu::sched

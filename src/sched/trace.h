@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -33,24 +32,30 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
+/// Stable-sorts `records` by gc: the one trace order.  Every trace the
+/// system compares — a run's in-memory trace (ExecutionTrace::sorted), a
+/// spool's loaded trace (record::load_spool) and a saved trace file — is in
+/// this order, so equal records digest equally whichever path built them.
+///
+/// Recorded and replayed traces have no ties: every critical event takes
+/// its own counter value (Vm::critical_event ticks once per event, and
+/// Vm::replay_turn_end runs the event at its own recorded gc), and a thread
+/// spawn is one critical event of the parent.  Ties come only from
+/// hand-built inputs.  Stability makes those deterministic too: equal gcs
+/// keep their input order, which for a trace is batch append order.
+void sort_by_gc(std::vector<TraceRecord>& records);
+
+/// True when `records` is in sort_by_gc's order.
+bool is_sorted_by_gc(const std::vector<TraceRecord>& records);
+
 /// Order-insensitive-input, order-significant-output digest of a trace:
 /// CRC64 (two CRC32 slicings) over the serialized records, which must
-/// already be gc-sorted.  The free-function form exists so spooled runs —
-/// whose records come off disk, not out of an ExecutionTrace — produce
-/// digests comparable with ExecutionTrace::digest().
+/// already be in sort_by_gc's order.
 std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records);
 
-/// Thread-safe append-only trace with a cached sorted view.
+/// Thread-safe append-only trace, kept as the batches it was handed.
 class ExecutionTrace {
  public:
-  /// Appends one record (any thread).
-  void append(const TraceRecord& r) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (parts_.empty()) parts_.emplace_back();
-    parts_.back().push_back(r);
-    sorted_valid_ = false;
-  }
-
   /// Appends a batch of records (any thread) — one lock round-trip for a
   /// whole per-thread buffer.  The batch is kept as its own part instead of
   /// being copied into one shared vector: a shared vector would regrow on
@@ -62,14 +67,7 @@ class ExecutionTrace {
     if (batch.empty()) return;
     std::lock_guard<std::mutex> lock(mutex_);
     parts_.push_back(std::move(batch));
-    sorted_valid_ = false;
   }
-
-  /// Records sorted by global counter value (the per-VM total order).
-  /// The sorted view is computed once and cached until the next append;
-  /// digest()/first_divergence()/exports calling this repeatedly cost one
-  /// sort total, not one per call.
-  std::vector<TraceRecord> sorted() const;
 
   /// Number of records.
   std::size_t size() const {
@@ -79,27 +77,14 @@ class ExecutionTrace {
     return n;
   }
 
-  /// Order-insensitive-input, order-significant-output digest of the trace
-  /// (CRC over the gc-sorted serialized records).
-  std::uint64_t digest() const;
-
-  /// Human-readable description of the first position where two traces
-  /// differ; empty string when identical.
-  static std::string first_divergence(const ExecutionTrace& recorded,
-                                      const ExecutionTrace& replayed);
+  /// All records in the trace order (sort_by_gc).  The parts are merged
+  /// under the lock and sorted outside it; every call builds a new vector.
+  std::vector<TraceRecord> sorted() const;
 
  private:
-  /// Ensures sorted_cache_ is valid and returns a reference to it.  Caller
-  /// holds mutex_; the reference is only valid while the lock is held.
-  const std::vector<TraceRecord>& sorted_locked() const;
-
   mutable std::mutex mutex_;
   /// Appended records in arrival order, one part per batch.
   std::vector<std::vector<TraceRecord>> parts_;
-  /// All parts merged and sorted by gc; rebuilt lazily, invalidated by
-  /// append.
-  mutable std::vector<TraceRecord> sorted_cache_;
-  mutable bool sorted_valid_ = false;
 };
 
 }  // namespace djvu::sched

@@ -179,6 +179,71 @@ TEST(Divergence, VerifyCatchesCrossRunMismatch) {
   EXPECT_THROW(core::verify(rec_a, rec_b), ReplayDivergenceError);
 }
 
+/// The fields core::verify reads, copied out of `run` (a RunResult's logs
+/// are move-only).
+core::RunResult trace_copy(const core::RunResult& run) {
+  core::RunResult out;
+  for (const auto& vm : run.vms) {
+    core::VmRunInfo info;
+    info.name = vm.name;
+    info.vm_id = vm.vm_id;
+    info.djvm = vm.djvm;
+    info.trace = vm.trace;
+    info.trace_digest = vm.trace_digest;
+    out.vms.push_back(std::move(info));
+  }
+  return out;
+}
+
+/// Runs core::verify(recorded, replayed), which must throw a trace
+/// mismatch, and returns the report it threw.
+sched::DivergenceReport verify_report(const core::RunResult& recorded,
+                                      const core::RunResult& replayed) {
+  try {
+    core::verify(recorded, replayed);
+  } catch (const sched::ReportedDivergenceError& e) {
+    EXPECT_EQ(e.cause(), DivergenceCause::kTraceMismatch);
+    EXPECT_EQ(e.what(), e.report().detail);
+    return e.report();
+  }
+  ADD_FAILURE() << "verify accepted a differing trace";
+  return {};
+}
+
+TEST(Divergence, VerifyReportsTamperedPayloadPosition) {
+  auto s = counter_app(nullptr);
+  const auto rec = s.record(4);
+  ASSERT_EQ(rec.vms.size(), 1u);
+  ASSERT_GT(rec.vms[0].trace.size(), 40u);
+  EXPECT_NO_THROW(core::verify(rec, trace_copy(rec)));
+
+  // Same schedule, one different payload: only the trace shows it.
+  core::RunResult rep = trace_copy(rec);
+  auto& trace = rep.vms[0].trace;
+  const std::size_t i = 37;
+  trace[i].aux ^= 1;
+  rep.vms[0].trace_digest = sched::trace_digest(trace);
+  const sched::DivergenceReport d = verify_report(rec, rep);
+  EXPECT_EQ(d.vm_name, "app");
+  EXPECT_EQ(d.gc, trace[i].gc);
+  EXPECT_NE(d.detail.find("diverged at trace position " + std::to_string(i)),
+            std::string::npos)
+      << d.detail;
+}
+
+TEST(Divergence, VerifyReportsDroppedLastRecord) {
+  auto s = counter_app(nullptr);
+  const auto rec = s.record(5);
+  core::RunResult rep = trace_copy(rec);
+  auto& trace = rep.vms[0].trace;
+  ASSERT_FALSE(trace.empty());
+  trace.pop_back();
+  rep.vms[0].trace_digest = sched::trace_digest(trace);
+  const sched::DivergenceReport d = verify_report(rec, rep);
+  EXPECT_NE(d.detail.find("trace length differs"), std::string::npos)
+      << d.detail;
+}
+
 // Removes the last `k` recorded critical events from a thread's interval
 // list, returning the gc values that were removed (ascending).
 std::vector<GlobalCount> truncate_tail(sched::IntervalList& list,
@@ -297,9 +362,11 @@ TEST(Divergence, MultiVmSelectsLowestGcDivergence) {
   auto logs = logs_of(rec);
   ASSERT_EQ(logs.size(), 2u);
 
-  // Cut VM a's thread-1 tail shallowly and VM b's deeply: b diverges at a
-  // lower counter position, so blame must land on b whichever VM finishes
-  // unwinding first.
+  // Cut VM a's thread-1 tail shallowly and VM b's deeply: b usually
+  // diverges at a lower counter position.  Each VM records its own
+  // interleaving, though, so under load a's thread 1 can finish before b's
+  // starts and a diverges lower.  Blame must land on the lower position
+  // (a tie goes to the lower vm id) whichever VM finishes unwinding first.
   GlobalCount expected_gc[2] = {0, 0};
   for (std::size_t i = 0; i < 2; ++i) {
     auto& list = logs[i].schedule.per_thread[1];
@@ -307,20 +374,23 @@ TEST(Divergence, MultiVmSelectsLowestGcDivergence) {
     ASSERT_FALSE(list.empty());
     expected_gc[i] = list.back().last + 1;
   }
-  ASSERT_LT(expected_gc[1], expected_gc[0]);
+  const std::size_t blamed = expected_gc[1] < expected_gc[0] ? 1 : 0;
+  const char* names[2] = {"a", "b"};
 
   try {
     s.replay_logs(logs, 32);
     FAIL() << "tampered logs replayed cleanly";
   } catch (const sched::ReportedDivergenceError& e) {
-    EXPECT_EQ(e.report().vm_id, logs[1].vm_id);
-    EXPECT_EQ(e.report().vm_name, "b");
-    EXPECT_EQ(e.report().divergence_gc(), expected_gc[1]);
+    EXPECT_EQ(e.report().vm_id, logs[blamed].vm_id);
+    EXPECT_EQ(e.report().vm_name, names[blamed]);
+    EXPECT_EQ(e.report().divergence_gc(), expected_gc[blamed]);
     EXPECT_EQ(e.report().cause, DivergenceCause::kBeyondSchedule);
     // Both VMs are represented in the pooled reports.
-    bool saw_a = false;
-    for (const auto& r : e.all_reports()) saw_a = saw_a || (r.vm_name == "a");
-    EXPECT_TRUE(saw_a);
+    bool saw_other = false;
+    for (const auto& r : e.all_reports()) {
+      saw_other = saw_other || (r.vm_name == names[1 - blamed]);
+    }
+    EXPECT_TRUE(saw_other);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cpus.h"
@@ -633,56 +634,65 @@ TEST(ThreadRegistry, EventNumPerThread) {
 }
 
 TEST(Trace, DigestSensitivity) {
-  ExecutionTrace a, b, c;
+  std::vector<TraceRecord> a, c;
   for (GlobalCount g = 0; g < 10; ++g) {
     TraceRecord r{g, 0, EventKind::kSharedRead, g * 3};
-    a.append(r);
-    b.append(r);
+    a.push_back(r);
     r.aux += (g == 7);  // one different payload
-    c.append(r);
+    c.push_back(r);
   }
-  EXPECT_EQ(a.digest(), b.digest());
-  EXPECT_NE(a.digest(), c.digest());
-  EXPECT_EQ(ExecutionTrace::first_divergence(a, b), "");
-  EXPECT_NE(ExecutionTrace::first_divergence(a, c), "");
+  EXPECT_NE(trace_digest(a), trace_digest(c));
+  std::vector<TraceRecord> d = a;
+  std::swap(d[2], d[3]);  // same records, different order
+  EXPECT_NE(trace_digest(a), trace_digest(d));
 }
 
+// Equal gcs (hand-built traces only) keep batch append order.
 TEST(Trace, SortsByCounter) {
   ExecutionTrace t;
-  t.append({5, 0, EventKind::kSharedRead, 0});
-  t.append({1, 1, EventKind::kSharedWrite, 0});
-  t.append({3, 0, EventKind::kNotify, 0});
+  t.append_batch({{5, 0, EventKind::kSharedRead, 0},
+                  {1, 1, EventKind::kSharedWrite, 0},
+                  {3, 0, EventKind::kNotify, 0}});
+  t.append_batch({{3, 2, EventKind::kNotify, 0}, {1, 2, EventKind::kNotify, 0}});
   auto sorted = t.sorted();
-  ASSERT_EQ(sorted.size(), 3u);
+  ASSERT_EQ(sorted.size(), 5u);
+  EXPECT_TRUE(is_sorted_by_gc(sorted));
   EXPECT_EQ(sorted[0].gc, 1u);
-  EXPECT_EQ(sorted[1].gc, 3u);
-  EXPECT_EQ(sorted[2].gc, 5u);
+  EXPECT_EQ(sorted[0].thread, 1u);
+  EXPECT_EQ(sorted[1].thread, 2u);
+  EXPECT_EQ(sorted[2].gc, 3u);
+  EXPECT_EQ(sorted[2].thread, 0u);
+  EXPECT_EQ(sorted[3].thread, 2u);
+  EXPECT_EQ(sorted[4].gc, 5u);
+  std::swap(sorted[0], sorted[4]);
+  EXPECT_FALSE(is_sorted_by_gc(sorted));
 }
 
-TEST(Trace, LengthMismatchReported) {
-  ExecutionTrace a, b;
-  a.append({0, 0, EventKind::kSharedRead, 0});
-  EXPECT_NE(ExecutionTrace::first_divergence(a, b), "");
+// A trace missing its last record must not digest like the full one, or
+// core::verify would skip its first-difference scan for it.
+TEST(Trace, DigestCoversLength) {
+  std::vector<TraceRecord> a = {{0, 0, EventKind::kSharedRead, 0},
+                                {1, 0, EventKind::kSharedRead, 0}};
+  std::vector<TraceRecord> b = a;
+  b.pop_back();
+  EXPECT_NE(trace_digest(a), trace_digest(b));
+  EXPECT_NE(trace_digest(b), trace_digest({}));
 }
 
-// The cached sorted view must never serve stale data: every append (single
-// or batch) invalidates it, and repeated sorted()/digest() calls in between
-// return consistent results.
-TEST(Trace, SortedCacheInvalidatedByInterleavedAppends) {
+// sorted() reflects every batch appended before the call, however batches
+// and reads interleave, and a read changes nothing.
+TEST(Trace, SortedAfterInterleavedBatches) {
   ExecutionTrace t;
-  t.append({5, 0, EventKind::kSharedRead, 1});
+  t.append_batch({{5, 0, EventKind::kSharedRead, 1}});
   auto s1 = t.sorted();
   ASSERT_EQ(s1.size(), 1u);
-  const std::uint64_t d1 = t.digest();
-  EXPECT_EQ(t.digest(), d1);  // repeated digest: cache hit, same value
 
-  t.append({1, 1, EventKind::kSharedWrite, 2});
+  t.append_batch({{1, 1, EventKind::kSharedWrite, 2}});
   auto s2 = t.sorted();
   ASSERT_EQ(s2.size(), 2u);
   EXPECT_EQ(s2[0].gc, 1u);
   EXPECT_EQ(s2[1].gc, 5u);
-  const std::uint64_t d2 = t.digest();
-  EXPECT_NE(d2, d1);
+  EXPECT_NE(trace_digest(s2), trace_digest(s1));
 
   t.append_batch({{3, 0, EventKind::kNotify, 3}, {0, 2, EventKind::kNotify, 4}});
   auto s3 = t.sorted();
@@ -691,13 +701,36 @@ TEST(Trace, SortedCacheInvalidatedByInterleavedAppends) {
   EXPECT_EQ(s3[1].gc, 1u);
   EXPECT_EQ(s3[2].gc, 3u);
   EXPECT_EQ(s3[3].gc, 5u);
-  EXPECT_NE(t.digest(), d2);
-  EXPECT_EQ(t.sorted(), s3);  // cache hit after no append: identical
+  EXPECT_EQ(t.sorted(), s3);
 
-  // An empty batch is a no-op and must not disturb the cache.
-  t.append_batch({});
+  t.append_batch({});  // no-op
   EXPECT_EQ(t.sorted(), s3);
   EXPECT_EQ(t.size(), 4u);
+}
+
+// Random records from a fixed seed: gc steps of 0-3 (ties included), any
+// thread below 16, the first twelve event kinds, any payload.
+std::vector<TraceRecord> seeded_trace(std::size_t n) {
+  Xoshiro256 rng(0x5eed);
+  std::vector<TraceRecord> out;
+  GlobalCount gc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    gc += rng.next_below(4);
+    out.push_back({gc, static_cast<ThreadNum>(rng.next_below(16)),
+                   static_cast<EventKind>(rng.next_below(12)), rng.next()});
+  }
+  return out;
+}
+
+// trace_digest's value is part of the record/replay contract: a saved run's
+// digest must still verify after the digest's implementation changes.  The
+// constants were computed by the original ByteWriter-and-CRC32
+// implementation.
+TEST(Trace, FrozenDigestValues) {
+  EXPECT_EQ(trace_digest(seeded_trace(0)), 0u);
+  EXPECT_EQ(trace_digest(seeded_trace(1)), 0x9ec8de11538215d5u);
+  EXPECT_EQ(trace_digest(seeded_trace(257)), 0xf2bd20ce399adb63u);
+  EXPECT_EQ(trace_digest(seeded_trace(1000)), 0xac9cb2d3d05d1160u);
 }
 
 }  // namespace

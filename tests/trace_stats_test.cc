@@ -116,8 +116,8 @@ TEST(TraceIo, EveryFlipAndTruncationRejectedOrIntact) {
   std::remove(bad_path.c_str());
 }
 
-// Several records can share one counter value (e.g. a multi-record critical
-// event): the gc-delta encoding must handle delta 0, not just gaps.
+// Hand-built traces can share one counter value (recorded ones never do):
+// the gc-delta encoding must handle delta 0, not just gaps.
 TEST(TraceIo, DuplicateGcRecordsRoundTrip) {
   TraceFile t;
   t.vm_id = 1;
@@ -130,6 +130,41 @@ TEST(TraceIo, DuplicateGcRecordsRoundTrip) {
     t.records.push_back(r);
   }
   EXPECT_EQ(file_round_trip(t, "dupgc"), t);
+}
+
+// Equal-gc records must come out in the same order whether the trace stayed
+// in memory or went through a spool: both paths use sort_by_gc, and both
+// keep the batches in append order.
+TEST(TraceIo, TiesOrderedAlikeInMemoryAndSpooled) {
+  constexpr GlobalCount kRecords = 1000;
+  std::vector<std::vector<sched::TraceRecord>> batches(2);
+  for (ThreadNum t = 0; t < 2; ++t) {
+    for (GlobalCount gc = 0; gc < kRecords; ++gc) {
+      batches[t].push_back({gc, t + 1, sched::EventKind::kSharedWrite,
+                            gc * 2 + t});
+    }
+  }
+  sched::ExecutionTrace memory;
+  const std::string path = temp_path("ties");
+  LogSpooler::Options options;
+  options.path = path;
+  LogSpooler spooler(1, options);
+  for (const auto& batch : batches) {
+    memory.append_batch(batch);
+    spooler.trace_batch(batch);
+  }
+  spooler.finish(RecordStats{}, 0);
+  spooler.close();
+  const std::vector<sched::TraceRecord> spooled =
+      load_spool(path).trace.records;
+  std::remove(path.c_str());
+
+  const std::vector<sched::TraceRecord> sorted = memory.sorted();
+  ASSERT_EQ(sorted.size(), spooled.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    ASSERT_EQ(sorted[i], spooled[i]) << "position " << i;
+  }
+  EXPECT_EQ(sched::trace_digest(sorted), sched::trace_digest(spooled));
 }
 
 // Gc deltas, thread numbers and aux payloads at varint/word boundaries must
