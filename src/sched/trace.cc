@@ -1,8 +1,8 @@
 #include "sched/trace.h"
 
 #include <algorithm>
+#include <array>
 
-#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace djvu::sched {
@@ -14,10 +14,49 @@ constexpr auto gc_before = [](const TraceRecord& a, const TraceRecord& b) {
   return a.gc < b.gc;
 };
 
+// Stable counting sort on gc - min; `range` = max - min < 2 * size.
+void counting_sort_by_gc(std::vector<TraceRecord>& records, GlobalCount min,
+                         std::uint64_t range) {
+  // starts[k + 1] counts gc == min + k; the prefix sum turns starts[k] into
+  // the first output slot of that gc.
+  std::vector<std::size_t> starts(range + 2, 0);
+  for (const TraceRecord& r : records) ++starts[r.gc - min + 1];
+  for (std::size_t k = 1; k < starts.size(); ++k) starts[k] += starts[k - 1];
+  std::vector<TraceRecord> out(records.size());
+  for (const TraceRecord& r : records) out[starts[r.gc - min]++] = r;
+  records.swap(out);
+}
+
+// Bytes one record serializes to in the digest: gc u64, thread u32, kind
+// u8, aux u64, all little-endian.
+constexpr std::size_t kDigestRecordBytes = 21;
+// Records encoded per stack block before the block is fed to the CRCs.
+constexpr std::size_t kDigestBlockRecords = 64;
+
+template <typename T>
+std::uint8_t* put_le(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    *p++ = static_cast<std::uint8_t>(v);
+    v >>= 8;
+  }
+  return p;
+}
+
 }  // namespace
 
 void sort_by_gc(std::vector<TraceRecord>& records) {
-  std::stable_sort(records.begin(), records.end(), gc_before);
+  const std::size_t n = records.size();
+  if (n < 2) return;
+  const auto [min, max] = std::minmax_element(records.begin(), records.end(),
+                                              gc_before);
+  const std::uint64_t range = max->gc - min->gc;
+  // A recorded trace has range = n - 1 and takes the linear path; the bound
+  // keeps the count array within two entries per record.
+  if (range < 2 * std::uint64_t{n}) {
+    counting_sort_by_gc(records, min->gc, range);
+  } else {
+    std::stable_sort(records.begin(), records.end(), gc_before);
+  }
 }
 
 bool is_sorted_by_gc(const std::vector<TraceRecord>& records) {
@@ -40,19 +79,43 @@ std::vector<TraceRecord> ExecutionTrace::sorted() const {
 }
 
 std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {
-  ByteWriter w;
-  for (const TraceRecord& r : sorted_records) {
-    w.u64(r.gc)
-        .u32(r.thread)
-        .u8(static_cast<std::uint8_t>(r.kind))
-        .u64(r.aux);
+  // The digest is two CRC-32s of the serialized trace: `lo` over all of it,
+  // `hi` over its second half.  The records are encoded a block at a time
+  // and each block feeds `first` (bytes [0, split)) or `second` (bytes
+  // [split, total)), split where it straddles the half; `lo` is then
+  // `first` and `second` combined.  One pass, no buffer of the whole trace.
+  const std::uint64_t total = sorted_records.size() * kDigestRecordBytes;
+  const std::uint64_t split = total / 2;
+  Crc32 first;
+  Crc32 second;
+  std::uint64_t fed = 0;
+  std::array<std::uint8_t, kDigestBlockRecords * kDigestRecordBytes> block{};
+  for (std::size_t i = 0; i < sorted_records.size();) {
+    const std::size_t end =
+        std::min(sorted_records.size(), i + kDigestBlockRecords);
+    std::uint8_t* p = block.data();
+    for (; i < end; ++i) {
+      const TraceRecord& r = sorted_records[i];
+      p = put_le(p, r.gc);
+      p = put_le(p, r.thread);
+      p = put_le(p, static_cast<std::uint8_t>(r.kind));
+      p = put_le(p, r.aux);
+    }
+    const BytesView bytes(block.data(), p);
+    if (fed >= split) {
+      second.update(bytes);
+    } else if (fed + bytes.size() <= split) {
+      first.update(bytes);
+    } else {
+      const std::size_t head = split - fed;
+      first.update(bytes.first(head));
+      second.update(bytes.subspan(head));
+    }
+    fed += bytes.size();
   }
-  Bytes buf = w.take();
-  // Two CRCs over different slicings give a 64-bit digest.
-  std::uint64_t lo = crc32(buf);
-  Crc32 hi;
-  hi.update(BytesView(buf).subspan(buf.size() / 2));
-  return (std::uint64_t{hi.value()} << 32) | lo;
+  const std::uint32_t hi = second.value();
+  const std::uint32_t lo = crc32_combine(first.value(), hi, total - split);
+  return (std::uint64_t{hi} << 32) | lo;
 }
 
 }  // namespace djvu::sched

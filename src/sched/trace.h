@@ -43,14 +43,20 @@ struct TraceRecord {
 /// spawn is one critical event of the parent.  Ties come only from
 /// hand-built inputs.  Stability makes those deterministic too: equal gcs
 /// keep their input order, which for a trace is batch append order.
+///
+/// Linear time when max - min < 2n (a stable counting sort on gc - min),
+/// which every recorded trace meets: its gcs are dense, one counter value
+/// per critical event.  Sparser inputs take a stable comparison sort.
 void sort_by_gc(std::vector<TraceRecord>& records);
 
 /// True when `records` is in sort_by_gc's order.
 bool is_sorted_by_gc(const std::vector<TraceRecord>& records);
 
-/// Order-insensitive-input, order-significant-output digest of a trace:
-/// CRC64 (two CRC32 slicings) over the serialized records, which must
-/// already be in sort_by_gc's order.
+/// Order-significant digest of a trace, which must already be in
+/// sort_by_gc's order: two CRC-32s of the records serialized as 21
+/// little-endian bytes each, the high word over the second half of the
+/// bytes and the low word over all of them.  Computed in one streaming
+/// pass with no buffer of the whole trace.
 std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records);
 
 /// Thread-safe append-only trace, kept as the batches it was handed.

@@ -6,6 +6,7 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -338,14 +339,37 @@ void busy_wait(std::chrono::microseconds d) {
   }
 }
 
+/// Pins the calling thread to one CPU.
+void pin_to(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+}
+
 /// Runs `wait` on a new thread and `act` on this one 10 us after the waiter
 /// announced itself: inside the spin budget, so the wait is normally
 /// spinning when `act` lands.  A preempted waiter may still park first (or
 /// not have started), so callers retry until an attempt hit the spin.
+///
+/// With two usable CPUs the two sides are pinned to different ones for the
+/// race.  Left to the scheduler, a new thread can start on its creator's
+/// CPU and stay there: the two timeslice, `act` lands only after the spin
+/// budget, and every attempt parks (seen for whole runs under ASan).
 template <typename Wait, typename Act>
 void race_spinner(Wait wait, Act act) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) cpus.push_back(cpu);
+  }
+  const bool pin = cpus.size() == 2;
+  if (pin) pin_to(cpus[0]);
   std::atomic<bool> started{false};
   std::thread waiter([&] {
+    if (pin) pin_to(cpus[1]);
     started.store(true);
     wait();
   });
@@ -354,6 +378,7 @@ void race_spinner(Wait wait, Act act) {
   busy_wait(std::chrono::microseconds(10));
   act();
   waiter.join();
+  pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
 }
 
 constexpr int kSpinAttempts = 200;
@@ -725,12 +750,134 @@ std::vector<TraceRecord> seeded_trace(std::size_t n) {
 // trace_digest's value is part of the record/replay contract: a saved run's
 // digest must still verify after the digest's implementation changes.  The
 // constants were computed by the original ByteWriter-and-CRC32
-// implementation.
+// implementation, which serialized the whole trace into one buffer.  The
+// streaming digest encodes 64 records per block and splits the stream at
+// byte total/2, so the sizes below straddle both seams: the half split
+// inside a record (1, 3) and on a record boundary (2), one block minus, at
+// and plus one record (63, 64, 65), and four full blocks with the half
+// split on a block boundary (256).
 TEST(Trace, FrozenDigestValues) {
   EXPECT_EQ(trace_digest(seeded_trace(0)), 0u);
   EXPECT_EQ(trace_digest(seeded_trace(1)), 0x9ec8de11538215d5u);
+  EXPECT_EQ(trace_digest(seeded_trace(2)), 0x371b21b66ccf30acu);
+  EXPECT_EQ(trace_digest(seeded_trace(3)), 0x0712d5be95a016afu);
+  EXPECT_EQ(trace_digest(seeded_trace(63)), 0xa7ffc2495cba36d6u);
+  EXPECT_EQ(trace_digest(seeded_trace(64)), 0x3d3b03512548b556u);
+  EXPECT_EQ(trace_digest(seeded_trace(65)), 0xf18e7adb48f1c11bu);
+  EXPECT_EQ(trace_digest(seeded_trace(256)), 0xa40814e1a8bcc5a9u);
   EXPECT_EQ(trace_digest(seeded_trace(257)), 0xf2bd20ce399adb63u);
   EXPECT_EQ(trace_digest(seeded_trace(1000)), 0xac9cb2d3d05d1160u);
+}
+
+// sort_by_gc must order exactly like a stable comparison sort, on the
+// linear counting path (gc range below 2n) and on the fallback alike.  The
+// payload is each record's input position, so a tie that moves shows.
+void expect_sorts_like_stable_sort(std::vector<TraceRecord> records) {
+  for (std::size_t i = 0; i < records.size(); ++i) records[i].aux = i;
+  std::vector<TraceRecord> expected = records;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return a.gc < b.gc;
+                   });
+  sort_by_gc(records);
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i], expected[i]) << "at " << i;
+  }
+}
+
+// Per-thread batches as a recording appends them: each thread's gcs
+// ascending, the batches arriving interleaved, every gc in [base, base+n)
+// taken once.
+std::vector<TraceRecord> interleaved_batches(std::size_t n, GlobalCount base,
+                                             std::uint64_t seed) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kBatch = 50;
+  Xoshiro256 rng(seed);
+  std::vector<TraceRecord> per_thread[kThreads];
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto t = static_cast<ThreadNum>(rng.next_below(kThreads));
+    per_thread[t].push_back({base + i, t, EventKind::kSharedRead, 0});
+  }
+  std::vector<TraceRecord> out;
+  std::size_t next[kThreads] = {};
+  while (out.size() < n) {
+    const std::size_t t = rng.next_below(kThreads);
+    const std::size_t end = std::min(per_thread[t].size(), next[t] + kBatch);
+    out.insert(out.end(), per_thread[t].begin() + next[t],
+               per_thread[t].begin() + end);
+    next[t] = end;
+  }
+  return out;
+}
+
+TEST(Trace, SortByGcDenseUniqueMatchesStableSort) {
+  expect_sorts_like_stable_sort(interleaved_batches(10'000, 0, 1));
+  expect_sorts_like_stable_sort(interleaved_batches(10'000, 1'000'000, 2));
+}
+
+TEST(Trace, SortByGcDenseTiesStayStable) {
+  // gc steps of 0-3 from a random start: ties, range about 1.5n.
+  std::vector<TraceRecord> records = seeded_trace(5'000);
+  Xoshiro256 rng(7);
+  for (std::size_t i = records.size(); i > 1; --i) {
+    std::swap(records[i - 1], records[rng.next_below(i)]);
+  }
+  expect_sorts_like_stable_sort(records);
+  // Every record on one gc: range 0.
+  expect_sorts_like_stable_sort(std::vector<TraceRecord>(
+      1'000, TraceRecord{42, 0, EventKind::kNotify, 0}));
+}
+
+// n records with gcs in [0, span], both ends present, in random order.
+std::vector<TraceRecord> spanning(std::size_t n, std::uint64_t span,
+                                  std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<TraceRecord> out = {{span, 0, EventKind::kSharedRead, 0},
+                                  {0, 0, EventKind::kSharedRead, 0}};
+  while (out.size() < n) {
+    out.push_back({rng.next_below(span + 1), 0, EventKind::kSharedRead, 0});
+  }
+  std::swap(out[0], out[n / 2]);
+  return out;
+}
+
+TEST(Trace, SortByGcRangeBoundaryAndSparseFallback) {
+  // max - min = 2n - 1 is the widest range the counting sort takes; 2n and
+  // beyond fall back to the comparison sort.
+  expect_sorts_like_stable_sort(spanning(1'000, 1'999, 11));
+  expect_sorts_like_stable_sort(spanning(1'000, 2'000, 12));
+  expect_sorts_like_stable_sort(spanning(3'000, 1'000'000'000'000, 13));
+}
+
+TEST(Trace, SortByGcNearCounterMaxDoesNotOverflow) {
+  constexpr GlobalCount kMax = UINT64_MAX;
+  // Dense below the maximum: the count index reaches max - min.
+  expect_sorts_like_stable_sort(interleaved_batches(1'000, kMax - 999, 3));
+  // Ties on the maximum itself.
+  expect_sorts_like_stable_sort({{kMax, 0, EventKind::kSharedRead, 0},
+                                 {kMax - 1, 0, EventKind::kSharedRead, 0},
+                                 {kMax, 1, EventKind::kSharedRead, 0},
+                                 {kMax - 1, 1, EventKind::kSharedRead, 0}});
+  // The whole range: max - min = UINT64_MAX takes the fallback.
+  expect_sorts_like_stable_sort({{kMax, 0, EventKind::kSharedRead, 0},
+                                 {0, 0, EventKind::kSharedRead, 0},
+                                 {kMax, 1, EventKind::kSharedRead, 0},
+                                 {0, 1, EventKind::kSharedRead, 0}});
+}
+
+TEST(Trace, SortByGcSmallAndSortedInputs) {
+  expect_sorts_like_stable_sort({});
+  expect_sorts_like_stable_sort({{9, 0, EventKind::kSharedRead, 0}});
+  expect_sorts_like_stable_sort({{9, 0, EventKind::kSharedRead, 0},
+                                 {3, 1, EventKind::kSharedRead, 0}});
+  expect_sorts_like_stable_sort({{3, 0, EventKind::kSharedRead, 0},
+                                 {3, 1, EventKind::kSharedRead, 0}});
+  std::vector<TraceRecord> ascending;
+  for (GlobalCount g = 0; g < 1'000; ++g) {
+    ascending.push_back({g, 0, EventKind::kSharedRead, 0});
+  }
+  expect_sorts_like_stable_sort(ascending);
 }
 
 }  // namespace
