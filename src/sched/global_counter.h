@@ -41,24 +41,14 @@
 // over-report (docs/INTERNALS.md §1b).  Replay's turn protocol guarantees
 // at most one lease exists at a time.
 //
-// Turn-waiting spins, then parks: await() first polls the value for a short
-// fixed budget (sched/spin_wait.h; only when the process may run on two or
-// more CPUs), and only a wait still unsatisfied after it parks.  A spinner
-// never registers as a waiter, so it costs the tickers nothing.  A thread
-// that jumps the counter with advance_to() cannot see a spinner either: a
-// jump past a spinning waiter's turn surfaces as that waiter's
-// kCounterPassed divergence rather than advance_to's UsageError.
-//
-// Parked waits use TARGETED wakeups: each parked thread owns a waiter slot
-// (its own condition_variable keyed by its target value); a tick computes
-// the new value and notifies only the thread whose turn arrived.  The value
-// is an atomic, so `value()`, the await fast path, and replay-mode `tick()`
-// with no waiters parked never take the mutex.  Concurrency contract:
-// with_section() calls on the same stripe (always, in single-section mode)
-// are mutually exclusive with each other but NOT with tick(); the two are
-// never mixed concurrently — with_section() is the record-mode event path,
-// tick() the replay-mode one, where the turn protocol already serializes
-// tickers.
+// Replay turn waits, poison and the stall detector live in the counter's
+// TurnGate (sched/turn_gate.h), which causal replay shares.  value(), the
+// await fast path and replay-mode tick() with nobody parked never take a
+// mutex.  Concurrency contract: with_section() calls on the same stripe
+// (always, in single-section mode) are mutually exclusive with each other
+// but NOT with tick(); the two are never mixed concurrently —
+// with_section() is the record-mode event path, tick() the replay-mode
+// one, where the turn protocol already serializes tickers.
 #pragma once
 
 #include <atomic>
@@ -71,6 +61,7 @@
 #include "common/errors.h"
 #include "common/ids.h"
 #include "sched/sched_stats.h"
+#include "sched/turn_gate.h"
 
 namespace djvu::sched {
 
@@ -80,16 +71,10 @@ namespace djvu::sched {
 /// can never collide with an aligned pointer).
 using SectionKey = std::uint64_t;
 
-/// Thread-safe global counter with targeted-wakeup turn-waiting.
+/// Thread-safe global counter; replay turn-waiting goes through its gate.
 class GlobalCounter {
  public:
-  /// `stall_timeout` is the replay stall detector's window: a parked waiter
-  /// that sees no counter progress for this long while every registered
-  /// runner is parked aborts with ReplayDivergenceError (a mismatched log
-  /// would otherwise deadlock the VM).  While at least one runner is off
-  /// doing real work (e.g. a slow recorded read), waiters keep waiting up
-  /// to kStallGraceFactor windows before giving up — so legitimate slowness
-  /// elsewhere no longer trips the detector at the first window.
+  /// `stall_timeout` is the turn gate's stall window (TurnGate).
   ///
   /// `record_stripes` selects the record-mode section layout: 0 keeps the
   /// paper-faithful single GC-critical section; N > 0 builds an N-stripe
@@ -98,23 +83,15 @@ class GlobalCounter {
   explicit GlobalCounter(std::chrono::milliseconds stall_timeout =
                              std::chrono::milliseconds(10000),
                          std::size_t record_stripes = 0);
-  ~GlobalCounter();
   GlobalCounter(const GlobalCounter&) = delete;
   GlobalCounter& operator=(const GlobalCounter&) = delete;
-
-  /// Backstop multiplier: with runners active, a waiter gives up after
-  /// stall_timeout * kStallGraceFactor without progress (threads wedged in
-  /// non-counter blockage — e.g. a mismatched connection pool — must still
-  /// surface as an error, just not as eagerly as a certain deadlock).
-  static constexpr int kStallGraceFactor = 8;
 
   /// Current value (== number of critical events started so far; with the
   /// single section "started" and "completed" coincide).  Lock-free.
   /// Acquire, not seq_cst: this is a pure observer — it pairs with the
   /// (release-or-stronger) publications in tick() / with_section() /
-  /// publish_increment_locked() to see a fresh value, but it is NOT part of
-  /// the register-vs-tick Dekker pair (await() performs its own seq_cst
-  /// loads of value_ for that; see parked_'s comment).
+  /// publish() to see a fresh value, but it is NOT part of the
+  /// register-vs-publish pairing (see TurnGate::published()).
   GlobalCount value() const { return value_.load(std::memory_order_acquire); }
 
   /// Marks one critical event: atomically assigns the current value to the
@@ -135,7 +112,7 @@ class GlobalCounter {
       std::unique_lock<std::mutex> lock = acquire_timed(mutex_, nullptr);
       v = value_.load(std::memory_order_relaxed);
       std::forward<F>(f)(v);
-      publish_increment_locked(v + 1);
+      publish(v + 1);
     }
     sections_.fetch_add(1, std::memory_order_relaxed);
     return v;
@@ -197,6 +174,8 @@ class GlobalCounter {
   /// error, not a schedule divergence; the error names the skipped target)
   /// — or while an interval lease is active (the leaseholder owns the
   /// counter; jumping underneath it would forge its unpublished events).
+  /// Like a spinner, a waiter that parks after the check sees the jump as
+  /// its own kCounterPassed divergence.
   void advance_to(GlobalCount target);
 
   // --- replay interval leasing ------------------------------------------
@@ -229,49 +208,31 @@ class GlobalCounter {
   /// ownership without reaching interval end.
   void lease_release(GlobalCount next);
 
-  /// Blocks until the counter equals `target` (replay turn-waiting): spins
-  /// for up to kSpinBudget when spins() is true, then parks.  Throws
-  /// ReplayDivergenceError if the counter is already past `target` (an
-  /// earlier event over-ticked — the log and the execution disagree), if
-  /// the counter has been poisoned, or if the stall detector fires (a
-  /// tampered/mismatched log can leave every thread waiting for a value
-  /// nobody will produce; the detector turns that deadlock into a
-  /// diagnosable error).  The stall window is the constructor's
-  /// `stall_timeout`, counted only while at least one waiter is parked and
-  /// held off (up to kStallGraceFactor windows) while non-parked runners
-  /// could still produce progress.
-  void await(GlobalCount target);
+  /// Blocks until the counter equals `target` (replay turn-waiting, see
+  /// TurnGate::wait).  Throws ReplayDivergenceError if the counter is
+  /// already past `target` (an earlier event over-ticked — the log and the
+  /// execution disagree), when poisoned, or when the stall detector fires.
+  void await(GlobalCount target) {
+    const GlobalCount v = gate_.wait(value_, target);
+    if (v != target) throw_passed(target, v);
+  }
 
-  /// Marks the counter poisoned: every current and future await throws.
-  /// Called when any thread of the VM fails, so sibling threads unwind
-  /// instead of waiting for turns that will never come.
-  void poison();
+  /// The gate every replay wait of this VM goes through (CausalOrder too).
+  /// Poison, the runner registry and the stall window live there.
+  TurnGate& gate() { return gate_; }
+  void poison() { gate_.poison(); }
+  void runner_began() { gate_.runner_began(); }
+  void runner_ended() { gate_.runner_ended(); }
+  bool spins() const { return gate_.spins(); }
 
-  /// Runner registry for the stall detector: a "runner" is a thread that
-  /// can potentially tick the counter (a bound application thread that is
-  /// not blocked outside the scheduler, e.g. in std::thread::join).  When
-  /// every runner is parked in await(), no progress is possible and a
-  /// stall is certain after one window; otherwise waiters extend.  A
-  /// counter with no registered runners (unit tests, benches) treats every
-  /// quiet window as a stall, matching the historical behaviour.
-  void runner_began();
-  void runner_ended();
-
-  /// Self-measurement snapshot (lock-free, monotone between calls).
+  /// Self-measurement snapshot (lock-free, monotone between calls); the
+  /// wait fields count every wait through gate(), causal ones included.
   SchedStats stats() const;
-
-  /// The configured stall window.
-  std::chrono::milliseconds stall_timeout() const { return stall_timeout_; }
 
   /// Stripes in the record-section lock table (0 = single section).
   std::size_t record_stripes() const { return stripe_count_; }
 
-  /// Whether await() spins before it parks: fixed at construction, true
-  /// when the constructing thread may run on at least two CPUs.
-  bool spins() const { return spins_; }
-
  private:
-  struct Waiter;
 
   /// One lock-table stripe.  Cache-line sized so neighbouring stripes do
   /// not false-share under concurrent record traffic.
@@ -314,34 +275,27 @@ class GlobalCounter {
   /// stays a bare try_lock.
   std::unique_lock<std::mutex> acquire_timed(std::mutex& m, Stripe* stripe);
 
-  /// Stores the new value and, when waiters are parked, records progress
-  /// and releases those whose turn arrived.  Caller holds mutex_.
-  void publish_increment_locked(GlobalCount new_value);
+  /// Stores `v` (seq_cst, the cell side of TurnGate::published()'s
+  /// pairing) and releases the waiters whose turn arrived.
+  void publish(GlobalCount v) {
+    value_.store(v, std::memory_order_seq_cst);
+    gate_.published(value_, v);
+  }
 
-  /// Mutex-taking tail of tick(): record progress, release the waiter whose
-  /// turn arrived.
-  void notify_waiters_slow(GlobalCount new_value);
+  [[noreturn]] static void throw_passed(GlobalCount target, GlobalCount v);
 
-  /// Releases (and notifies) every parked waiter whose target the counter
-  /// has reached or passed.  Caller holds mutex_.
-  void release_reached_locked(GlobalCount new_value);
+  /// A spinning waiter polls value_ and the gate's poison flag, so both
+  /// sit on cache lines that nothing else writes per turn: a lease's own
+  /// bookkeeping (lease_active_, the stats) would otherwise invalidate
+  /// every spinner's copy several times per handoff.  Likewise the stats,
+  /// written per event, stay off the lines every record section reads.
+  alignas(64) TurnCell value_{0};
+  TurnGate gate_;
 
-  [[noreturn]] void throw_poisoned() const;
-
-  std::atomic<GlobalCount> value_{0};
-  std::atomic<bool> poisoned_{false};
-
-  /// Number of currently parked waiters.  seq_cst stores/loads pair with
-  /// value_'s to close the register-vs-tick race (Dekker): a waiter
-  /// publishes its slot (parked_.fetch_add in await) then re-reads the
-  /// value (value_.load in await's loop); a ticker publishes the value
-  /// (value_.fetch_add in tick) then reads the parked count (parked_.load
-  /// in tick) — at least one side always sees the other.  Each seq_cst
-  /// operation below names its partner on the other side of this pair.
-  std::atomic<std::uint64_t> parked_{0};
-
-  std::atomic<std::uint64_t> runners_{0};
-
+  /// Record-section lock table (empty = single-section mode).  Immutable
+  /// after construction.
+  const std::size_t stripe_count_;
+  std::unique_ptr<Stripe[]> stripes_;
   /// True while a replay interval lease is held.  Atomic because guards
   /// (advance_to, with_section, a second lease_begin) read it from other
   /// threads; lease_first_ is written at lease_begin and read at
@@ -350,43 +304,19 @@ class GlobalCounter {
   GlobalCount lease_first_ = 0;
 
   // Stats (relaxed; exactness across threads is not required).
-  std::atomic<std::uint64_t> ticks_{0};
+  alignas(64) std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> sections_{0};
-  std::atomic<std::uint64_t> waits_fast_{0};
-  std::atomic<std::uint64_t> waits_parked_{0};
-  std::atomic<std::uint64_t> waits_spun_{0};
-  std::atomic<std::uint64_t> wakeups_delivered_{0};
-  std::atomic<std::uint64_t> wakeups_spurious_{0};
-  std::atomic<std::uint64_t> stall_detections_{0};
-  std::atomic<std::uint64_t> max_parked_waiters_{0};
-  std::atomic<std::uint64_t> total_wait_micros_{0};
-  std::atomic<std::uint64_t> max_wait_micros_{0};
-  std::atomic<std::uint64_t> stripe_waits_{0};
-  std::atomic<std::uint64_t> section_wait_micros_{0};
+  std::atomic<std::uint64_t> lease_publishes_{0};
   std::atomic<std::uint64_t> leases_{0};
   std::atomic<std::uint64_t> leased_events_{0};
-  std::atomic<std::uint64_t> lease_publishes_{0};
+  std::atomic<std::uint64_t> stripe_waits_{0};
+  std::atomic<std::uint64_t> section_wait_micros_{0};
   /// Contended acquisitions of the single global section (the "stripe 0"
   /// of the unsharded layout; feeds max_stripe_collisions there).
   std::atomic<std::uint64_t> global_contended_{0};
 
-  const std::chrono::milliseconds stall_timeout_;
-  const bool spins_;
-
-  /// Record-section lock table (empty = single-section mode).  Immutable
-  /// after construction.
-  const std::size_t stripe_count_;
-  std::unique_ptr<Stripe[]> stripes_;
-
-  mutable std::mutex mutex_;
-  /// Intrusive list of parked waiters (slots live on the waiting threads'
-  /// stacks).  Guarded by mutex_.
-  Waiter* waiters_ = nullptr;
-  /// Last time the counter made progress while waiters were parked; the
-  /// stall clock's anchor.  Reset when the parked set becomes non-empty so
-  /// stall time only accumulates while someone is actually parked.
-  /// Guarded by mutex_.
-  std::chrono::steady_clock::time_point last_progress_{};
+  /// The single GC-critical section.
+  std::mutex mutex_;
 };
 
 }  // namespace djvu::sched

@@ -3,10 +3,10 @@
 // A replay turn handoff is short: the turn-holder runs one event (or one
 // leased interval) and publishes the next value.  Parking on a condition
 // variable turns every such handoff into a futex wake plus a cross-core
-// reschedule, tens of microseconds each.  GlobalCounter::await and
-// CausalOrder::await therefore poll for a short fixed budget first and only
-// park when the turn has not arrived by then.  The pollers never register
-// as waiters, so the wakers' lock-free fast paths are unaffected.
+// reschedule, tens of microseconds each.  TurnGate::wait therefore polls
+// for a short fixed budget first and only parks when the turn has not
+// arrived by then.  The pollers never register as waiters, so the wakers'
+// lock-free fast paths are unaffected.
 #pragma once
 
 #include <chrono>

@@ -105,6 +105,7 @@ class DatagramSocket {
   std::pair<DgNetworkEventId, Bytes> fetch_replay();
 
   Vm& vm_;
+  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::shared_ptr<net::UdpPort> port_;
   std::unique_ptr<replay::ReliableUdp> rel_;  // replay mode only
   replay::DatagramReplayer replayer_;

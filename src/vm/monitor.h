@@ -82,6 +82,7 @@ class Monitor {
   ThreadNum check_owner(const char* op);
 
   Vm& vm_;
+  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::mutex mutex_;
   std::condition_variable cv_;
   /// Owning thread (kNoOwner when free).  Atomic so a thread can check "am

@@ -144,6 +144,7 @@ class SharedVar {
 
  private:
   Vm& vm_;
+  ConflictKeyLifetime key_lifetime_{vm_, this};
   detail::SharedCell<T> cell_;
 };
 

@@ -125,6 +125,7 @@ class Socket {
   void do_write(BytesView data);
 
   Vm& vm_;
+  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::shared_ptr<net::TcpConnection> conn_;  // null for virtual sockets
   net::SocketAddress remote_{};
   bool peer_is_djvm_ = false;
@@ -169,6 +170,7 @@ class ServerSocket {
 
  private:
   Vm& vm_;
+  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::shared_ptr<net::TcpListener> listener_;
   replay::ConnectionPool pool_;
   std::mutex fd_mutex_;  // serializes net-level accepts (synchronized call)

@@ -56,8 +56,7 @@ Vm::Vm(std::shared_ptr<net::Network> network, VmConfig config,
                      std::to_string(config_.vm_id));
   }
   if (instrumented() && config_.tuning.order_mode == OrderMode::kCausal) {
-    causal_ = std::make_unique<sched::CausalOrder>(
-        config_.tuning.stall_timeout, config_.tuning.record_stripes);
+    causal_ = std::make_unique<sched::CausalOrder>(counter_.gate());
   }
   if (causal_ && config_.mode == Mode::kReplay) {
     // Causal replay needs one per-key seq per recorded event, thread by
@@ -192,8 +191,11 @@ void Vm::bind_current(Vm* vm, sched::ThreadState* state) {
 
 void Vm::poison() {
   counter_.poison();
-  if (causal_) causal_->poison();
   network_->shutdown();
+}
+
+void Vm::retire_conflict(ConflictKey conflict) {
+  if (causal_) causal_->retire(conflict_section_key(0, conflict));
 }
 
 void Vm::resume_replay(GlobalCount checkpoint_gc,

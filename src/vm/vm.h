@@ -81,11 +81,11 @@ enum class Mode {
 ///     events so value() observers (stall detector, checkpoint snapshots,
 ///     SchedStats) never see a frozen counter.
 ///   * stall_timeout — replay stall detector window: a turn-wait that sees
-///     no counter progress for this long — while every bound thread is
-///     itself parked on a turn, so progress is impossible — aborts with
+///     no publication for this long — while every bound thread is itself
+///     parked on a turn, so progress is impossible — aborts with
 ///     ReplayDivergenceError (a mismatched log can otherwise deadlock the
 ///     whole VM).  While some thread is off doing real work, waiters hold
-///     off for up to sched::GlobalCounter::kStallGraceFactor windows.
+///     off for up to sched::TurnGate::kStallGraceFactor quiet windows.
 ///     The counter is constructed with it, so no await() call site can
 ///     fall back to a hardcoded default.  Tests shrink it.
 ///   * chaos_prob — schedule fuzzing ("chaos mode", cf. rr): during
@@ -222,19 +222,10 @@ class Vm {
   GlobalCount critical_events() const;
 
   /// Scheduler self-measurements (ticks, waits, targeted wakeups, stall
-  /// detections — see sched/sched_stats.h).  Snapshot; never blocks.  In
-  /// causal replay, awaits that parked on a per-key predecessor are folded
-  /// into waits_parked and those satisfied while spinning into waits_spun
-  /// and waits_fast (the counter itself is never awaited in that mode).
-  sched::SchedStats sched_stats() const {
-    sched::SchedStats s = counter_.stats();
-    if (causal_) {
-      s.waits_parked += causal_->waits_parked();
-      s.waits_spun += causal_->waits_spun();
-      s.waits_fast += causal_->waits_spun();
-    }
-    return s;
-  }
+  /// detections — see sched/sched_stats.h).  Snapshot; never blocks.  The
+  /// wait fields count causal per-key waits too: they share the counter's
+  /// turn gate.
+  sched::SchedStats sched_stats() const { return counter_.stats(); }
 
   /// Network critical events executed so far ("#nw events").
   std::uint64_t network_events() const {
@@ -324,6 +315,14 @@ class Vm {
                              std::uint64_t fixed_aux = 0,
                              ConflictKey conflict = kThreadLocalConflict);
 
+  /// Causal order mode: restarts `conflict`'s per-key order at 0 when the
+  /// object it names dies (ConflictKeyLifetime calls this).  Keys are
+  /// addresses, and the allocator reuses them in different patterns in
+  /// record and replay: without the restart, an object born at a dead
+  /// object's address continues that order in one phase and starts afresh
+  /// in the other.  No-op in total order.
+  void retire_conflict(ConflictKey conflict);
+
   /// Marks an already-executed blocking event (the paper's marking
   /// strategy): equivalent to critical_event with an empty body.
   GlobalCount mark_event(sched::EventKind kind, std::uint64_t aux,
@@ -373,16 +372,9 @@ class Vm {
   /// Stall-detector runner registry (sched::GlobalCounter::runner_*):
   /// attach/bind marks a thread as a runner; a thread blocked outside the
   /// scheduler (VmThread::join) deregisters for the duration so the
-  /// detector knows whether counter progress is still possible.  Mirrored
-  /// into the causal order (its await has its own stall detector).
-  void runner_began() {
-    counter_.runner_began();
-    if (causal_) causal_->runner_began();
-  }
-  void runner_ended() {
-    counter_.runner_ended();
-    if (causal_) causal_->runner_ended();
-  }
+  /// detector knows whether counter progress is still possible.
+  void runner_began() { counter_.runner_began(); }
+  void runner_ended() { counter_.runner_ended(); }
 
   /// Record-mode chaos: maybe yield/sleep before an event (see
   /// VmConfig::chaos_prob).
@@ -474,6 +466,21 @@ class Vm {
   /// Events between per-thread spool flushes (derived from
   /// tuning.spool_chunk_bytes so one flush roughly fills a chunk).
   GlobalCount spool_flush_events_ = 0;
+};
+
+/// A member of every object whose address is its events' conflict key:
+/// retires the key when the object dies, also when its constructor throws
+/// after events were already marked (a refused connect, a failed bind).
+class ConflictKeyLifetime {
+ public:
+  ConflictKeyLifetime(Vm& vm, ConflictKey key) : vm_(vm), key_(key) {}
+  ~ConflictKeyLifetime() { vm_.retire_conflict(key_); }
+  ConflictKeyLifetime(const ConflictKeyLifetime&) = delete;
+  ConflictKeyLifetime& operator=(const ConflictKeyLifetime&) = delete;
+
+ private:
+  Vm& vm_;
+  ConflictKey key_;
 };
 
 }  // namespace djvu::vm

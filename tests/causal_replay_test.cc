@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <new>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "core/session.h"
+#include "net/network.h"
 #include "record/serializer.h"
 #include "sched/causal_order.h"
 #include "tests/test_util.h"
@@ -33,12 +35,24 @@ namespace djvu {
 namespace {
 
 using sched::CausalOrder;
+using sched::TurnGate;
+
+/// A stand-alone order over its own gate, as a Vm builds one over its
+/// counter's gate.
+struct GatedOrder {
+  explicit GatedOrder(std::chrono::milliseconds stall_timeout =
+                          std::chrono::milliseconds(10000))
+      : gate(stall_timeout), order(gate) {}
+  TurnGate gate;
+  CausalOrder order;
+};
 
 // ---------------------------------------------------------------------------
 // CausalOrder unit tests.
 
 TEST(CausalOrderUnit, PerKeySequencesAreIndependent) {
-  CausalOrder o;
+  GatedOrder g;
+  CausalOrder& o = g.order;
   EXPECT_EQ(o.record_next(1), 0u);
   EXPECT_EQ(o.record_next(1), 1u);
   EXPECT_EQ(o.record_next(2), 0u);
@@ -47,21 +61,25 @@ TEST(CausalOrderUnit, PerKeySequencesAreIndependent) {
 }
 
 TEST(CausalOrderUnit, AwaitSeqZeroNeverBlocks) {
-  CausalOrder o;
+  GatedOrder g;
+  CausalOrder& o = g.order;
   o.await(7, 0);  // no predecessor — returns immediately
   o.publish(7);
-  EXPECT_EQ(o.published(), 1u);
+  o.await(7, 1);  // the publication reached the key's cell
+  EXPECT_EQ(g.gate.stats().waits_fast, 2u);
+  EXPECT_EQ(g.gate.stats().waits_parked, 0u);
 }
 
 TEST(CausalOrderUnit, AwaitBlocksUntilPredecessorPublishes) {
-  CausalOrder o;
-  o.runner_began();
+  GatedOrder g;
+  CausalOrder& o = g.order;
+  g.gate.runner_began();
   std::atomic<bool> passed{false};
   std::thread waiter([&] {
-    o.runner_began();
+    g.gate.runner_began();
     o.await(7, 2);  // needs two same-key publications first
     passed.store(true);
-    o.runner_ended();
+    g.gate.runner_ended();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(passed.load());
@@ -73,75 +91,85 @@ TEST(CausalOrderUnit, AwaitBlocksUntilPredecessorPublishes) {
   o.publish(7);
   waiter.join();
   EXPECT_TRUE(passed.load());
-  o.runner_ended();
+  g.gate.runner_ended();
 }
 
 TEST(CausalOrderUnit, IndependentKeysDoNotWaitOnEachOther) {
-  CausalOrder o;
+  GatedOrder g;
+  CausalOrder& o = g.order;
   // Key 9's first event proceeds regardless of key 7's pending history.
   o.await(9, 0);
   o.publish(9);
-  EXPECT_EQ(o.published(), 1u);
+  o.await(9, 1);
+  EXPECT_EQ(g.gate.stats().waits_fast, 2u);
+}
+
+TEST(CausalOrderUnit, RetireRestartsTheKeysOrder) {
+  GatedOrder g;
+  CausalOrder& o = g.order;
+  const CausalOrder::Ticket t = o.resolve(7);
+  o.record_next(t);
+  o.record_next(t);
+  o.record_next(8);
+  o.retire(7);
+  EXPECT_EQ(o.record_next(t), 0u);  // a cached ticket sees the restart
+  EXPECT_EQ(o.record_next(8), 1u);  // other keys keep their order
 }
 
 TEST(CausalOrderUnit, AwaitPastSequenceThrows) {
-  CausalOrder o;
+  GatedOrder g;
+  CausalOrder& o = g.order;
   o.publish(7);
   o.publish(7);
   EXPECT_THROW(o.await(7, 1), ReplayDivergenceError);  // count already 2
 }
 
 TEST(CausalOrderUnit, PoisonUnblocksParkedWaiter) {
-  CausalOrder o;
-  o.runner_began();
+  GatedOrder g;
+  CausalOrder& o = g.order;
+  g.gate.runner_began();
   std::thread waiter([&] {
-    o.runner_began();
+    g.gate.runner_began();
     EXPECT_THROW(o.await(7, 5), ReplayDivergenceError);
-    o.runner_ended();
+    g.gate.runner_ended();
   });
-  while (o.waits_parked() == 0) {
+  while (g.gate.stats().waits_parked == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  o.poison();
+  g.gate.poison();
   waiter.join();
   EXPECT_THROW(o.await(8, 0), ReplayDivergenceError);  // future awaits too
-  o.runner_ended();
+  g.gate.runner_ended();
 }
 
 // The causal await spins before it parks, like GlobalCounter::await; a
 // poison that lands during the spin must unwind it as kPoisoned without it
 // ever parking.  Retried because a preempted waiter may park first.
 TEST(CausalOrderUnit, PoisonWhileSpinningThrowsPoisoned) {
-  if (!CausalOrder().spins()) GTEST_SKIP() << "spinning needs two CPUs";
+  if (!TurnGate(std::chrono::milliseconds(10000)).spins()) {
+    GTEST_SKIP() << "spinning needs two CPUs";
+  }
   constexpr int kAttempts = 200;
   for (int i = 0; i < kAttempts; ++i) {
-    CausalOrder o;
+    GatedOrder g;
+    CausalOrder& o = g.order;
     // Resolved up front: resolve() allocates, which on a fresh thread can
-    // outlast the 10 us delay below and let the poison land before the
-    // await even starts.
+    // outlast the 10 us delay and let the poison land before the await
+    // even starts.
     const CausalOrder::Ticket t = o.resolve(7);
     std::optional<DivergenceCause> cause;
-    std::atomic<bool> started{false};
-    std::thread waiter([&] {
-      started.store(true);
-      try {
-        o.await(t, 7, 5);
-      } catch (const ReplayDivergenceError& e) {
-        cause = e.cause();
-      }
-    });
-    while (!started.load()) {
-    }
-    // Inside the 50 us spin budget: the waiter is normally still spinning.
-    const auto poison_at =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(10);
-    while (std::chrono::steady_clock::now() < poison_at) {
-    }
-    o.poison();
-    waiter.join();
+    testutil::race_spinner(
+        [&] {
+          try {
+            o.await(t, 7, 5);
+          } catch (const ReplayDivergenceError& e) {
+            cause = e.cause();
+          }
+        },
+        [&] { g.gate.poison(); });
     ASSERT_EQ(cause, DivergenceCause::kPoisoned);
-    if (o.waits_parked() == 0) {
-      EXPECT_EQ(o.waits_spun(), 0u);
+    if (g.gate.stats().waits_parked == 0) {
+      EXPECT_EQ(g.gate.stats().waits_spun, 0u);
       return;
     }
   }
@@ -151,14 +179,46 @@ TEST(CausalOrderUnit, PoisonWhileSpinningThrowsPoisoned) {
 TEST(CausalOrderUnit, CertainStallWhenEveryRunnerIsParked) {
   // One registered runner, and it parks: nobody can ever publish, so the
   // detector fires after a single quiet window instead of the grace factor.
-  CausalOrder o(std::chrono::milliseconds(50));
-  o.runner_began();
+  GatedOrder g(std::chrono::milliseconds(50));
+  CausalOrder& o = g.order;
+  g.gate.runner_began();
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(o.await(7, 1), ReplayDivergenceError);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(50) *
-                         CausalOrder::kStallGraceFactor);
-  o.runner_ended();
+                         TurnGate::kStallGraceFactor);
+  g.gate.runner_ended();
+}
+
+// A causal stall is a turn-gate stall like any other: the Vm's SchedStats
+// count it, and the parked wait behind it, with no causal special case.
+TEST(CausalOrderUnit, CausalStallCountsInVmSchedStats) {
+  auto log = std::make_shared<record::VmLog>();
+  log->vm_id = 1;
+  log->schedule.per_thread = {{sched::LogicalInterval{0, 0}}};
+  log->causal.per_thread = {{5}};  // five same-key predecessors never come
+  log->stats.critical_events = 1;
+  vm::VmConfig cfg;
+  cfg.vm_id = 1;
+  cfg.host = 1;
+  cfg.mode = vm::Mode::kReplay;
+  cfg.tuning.order_mode = OrderMode::kCausal;
+  cfg.tuning.stall_timeout = std::chrono::milliseconds(50);
+  vm::Vm v(std::make_shared<net::Network>(), cfg, log);
+  v.attach_main();
+  std::optional<DivergenceCause> cause;
+  try {
+    v.mark_event(sched::EventKind::kSharedWrite, 0);
+  } catch (const ReplayDivergenceError& e) {
+    cause = e.cause();
+  }
+  v.detach_current();
+  EXPECT_EQ(cause, DivergenceCause::kStall);
+  const sched::SchedStats s = v.sched_stats();
+  EXPECT_EQ(s.stall_detections, 1u);
+  EXPECT_EQ(s.waits_parked, 1u);
+  EXPECT_EQ(s.max_parked_waiters, 1u);
+  EXPECT_GE(s.total_wait_micros, 50'000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,6 +479,32 @@ TEST(CausalReplay, SpooledCausalRecordingReplaysFromDisk) {
   auto rep = s.replay_from(rec.recording(), 89);
   expect_equal_digests(rec, rep);
   std::filesystem::remove_all(dir);
+}
+
+// Keys are addresses, and the allocator reuses them in different patterns
+// in record and replay.  Here record builds the second variable where the
+// first one died and replay builds it elsewhere: the dead variable's order
+// must not leak into its successor's.
+TEST(CausalReplay, DeadObjectsOrderDoesNotPassToItsAddress) {
+  core::SessionConfig cfg;
+  cfg.tuning.order_mode = OrderMode::kCausal;
+  cfg.tuning.stall_timeout = std::chrono::milliseconds(200);
+  core::Session s(cfg);
+  s.add_vm("solo", 1, true, [](vm::Vm& v) {
+    using Var = vm::SharedVar<std::uint64_t>;
+    alignas(Var) unsigned char first[sizeof(Var)];
+    alignas(Var) unsigned char elsewhere[sizeof(Var)];
+    Var* a = new (first) Var(v, 0);
+    a->set(1);
+    a->set(2);
+    a->~Var();
+    Var* b = new (v.mode() == vm::Mode::kRecord ? first : elsewhere) Var(v, 0);
+    b->set(3);
+    b->~Var();
+  });
+  auto rec = s.record(5);
+  auto rep = s.replay(rec, 6);
+  core::verify(rec, rep);
 }
 
 TEST(CausalReplay, RepeatedCausalReplaysAgree) {

@@ -1,5 +1,5 @@
-// Unit tests for src/sched: global counter, GC-critical section, logical
-// interval detection, replay cursors, traces.
+// Unit tests for src/sched: global counter, GC-critical section, turn gate,
+// logical interval detection, replay cursors, traces.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,13 @@
 
 #include "common/cpus.h"
 #include "common/rng.h"
+#include "sched/causal_order.h"
 #include "sched/global_counter.h"
 #include "sched/interval.h"
 #include "sched/thread_registry.h"
 #include "sched/trace.h"
+#include "sched/turn_gate.h"
+#include "tests/test_util.h"
 
 namespace djvu::sched {
 namespace {
@@ -317,6 +320,59 @@ TEST(GlobalCounter, StallFiresQuicklyWhenAllRunnersParked) {
   c.runner_ended();
 }
 
+/// 99 publications 3 ms apart: ~300 ms, past 8 windows of 20 ms.
+constexpr int kTricklePublications = 99;
+
+// The one stall rule: while another runner is not parked, a wait rides out
+// up to kStallGraceFactor quiet windows, and every publication restarts the
+// count.  A wait far longer than the grace, fed by a steady trickle of
+// publications, must never stall — whichever cell it waits on.
+template <typename Wait, typename Publish>
+void trickle_past_grace(TurnGate& gate, std::chrono::milliseconds window,
+                        Wait wait, Publish publish) {
+  gate.runner_began();  // the publisher, this thread
+  gate.runner_began();  // the waiter
+  std::optional<DivergenceCause> cause;
+  std::chrono::steady_clock::duration waited{};
+  std::thread waiter([&] {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      wait();
+    } catch (const ReplayDivergenceError& e) {
+      cause = e.cause();
+    }
+    waited = std::chrono::steady_clock::now() - start;
+  });
+  for (int i = 0; i < kTricklePublications; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    publish();
+  }
+  waiter.join();
+  gate.runner_ended();
+  gate.runner_ended();
+  EXPECT_EQ(cause, std::nullopt);
+  EXPECT_EQ(gate.stats().stall_detections, 0u);
+  EXPECT_EQ(gate.stats().waits_parked, 1u);
+  EXPECT_GT(waited, window * TurnGate::kStallGraceFactor);
+}
+
+TEST(GlobalCounter, PublicationsRestartTheStallGrace) {
+  constexpr std::chrono::milliseconds kWindow(20);
+  GlobalCounter c(kWindow);
+  trickle_past_grace(
+      c.gate(), kWindow, [&] { c.await(kTricklePublications); },
+      [&] { c.tick(); });
+}
+
+TEST(CausalOrder, PublicationsRestartTheStallGrace) {
+  constexpr std::chrono::milliseconds kWindow(20);
+  TurnGate gate(kWindow);
+  CausalOrder o(gate);
+  trickle_past_grace(
+      gate, kWindow, [&] { o.await(7, kTricklePublications); },
+      [&] { o.publish(7); });
+}
+
 TEST(GlobalCounter, PoisonReleasesParkedWaiter) {
   GlobalCounter c;
   std::thread waiter([&] {
@@ -332,54 +388,7 @@ TEST(GlobalCounter, PoisonReleasesParkedWaiter) {
 
 // --- spin-then-park ---------------------------------------------------------
 
-/// Busy-waits `d` (sleep_for would overshoot the spin budget).
-void busy_wait(std::chrono::microseconds d) {
-  const auto end = std::chrono::steady_clock::now() + d;
-  while (std::chrono::steady_clock::now() < end) {
-  }
-}
-
-/// Pins the calling thread to one CPU.
-void pin_to(int cpu) {
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
-}
-
-/// Runs `wait` on a new thread and `act` on this one 10 us after the waiter
-/// announced itself: inside the spin budget, so the wait is normally
-/// spinning when `act` lands.  A preempted waiter may still park first (or
-/// not have started), so callers retry until an attempt hit the spin.
-///
-/// With two usable CPUs the two sides are pinned to different ones for the
-/// race.  Left to the scheduler, a new thread can start on its creator's
-/// CPU and stay there: the two timeslice, `act` lands only after the spin
-/// budget, and every attempt parks (seen for whole runs under ASan).
-template <typename Wait, typename Act>
-void race_spinner(Wait wait, Act act) {
-  cpu_set_t saved;
-  CPU_ZERO(&saved);
-  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
-  std::vector<int> cpus;
-  for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
-    if (CPU_ISSET(cpu, &saved)) cpus.push_back(cpu);
-  }
-  const bool pin = cpus.size() == 2;
-  if (pin) pin_to(cpus[0]);
-  std::atomic<bool> started{false};
-  std::thread waiter([&] {
-    if (pin) pin_to(cpus[1]);
-    started.store(true);
-    wait();
-  });
-  while (!started.load()) {
-  }
-  busy_wait(std::chrono::microseconds(10));
-  act();
-  waiter.join();
-  pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
-}
+using testutil::race_spinner;
 
 constexpr int kSpinAttempts = 200;
 

@@ -1,9 +1,16 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <pthread.h>
+#include <sched.h>
+
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "vm/exceptions.h"
 #include "vm/socket_api.h"
@@ -76,6 +83,56 @@ inline Bytes read_exactly(vm::Socket& s, std::size_t n) {
     append(out, part);
   }
   return out;
+}
+
+/// Busy-waits `d` (sleep_for would overshoot a turn wait's spin budget).
+inline void busy_wait(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+/// Pins the calling thread to one CPU.
+inline void pin_to(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+}
+
+/// Runs `wait` on a new thread and `act` on this one 10 us after the waiter
+/// announced itself: inside the spin budget, so the wait is normally
+/// spinning when `act` lands.  A preempted waiter may still park first (or
+/// not have started), so callers retry until an attempt hit the spin.
+///
+/// With two usable CPUs the two sides are pinned to different ones for the
+/// race.  Left to the scheduler, a new thread can start on its creator's
+/// CPU and stay there: the two timeslice, `act` lands only after the spin
+/// budget, and every attempt parks (seen for whole runs under ASan, and
+/// for the causal poison test without a sanitizer).
+template <typename Wait, typename Act>
+void race_spinner(Wait wait, Act act) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) cpus.push_back(cpu);
+  }
+  const bool pin = cpus.size() == 2;
+  if (pin) pin_to(cpus[0]);
+  std::atomic<bool> started{false};
+  std::thread waiter([&] {
+    if (pin) pin_to(cpus[1]);
+    started.store(true);
+    wait();
+  });
+  while (!started.load()) {
+  }
+  busy_wait(std::chrono::microseconds(10));
+  act();
+  waiter.join();
+  pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
 }
 
 }  // namespace djvu::testutil
