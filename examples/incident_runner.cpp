@@ -211,8 +211,7 @@ int main(int argc, char** argv) {
   const auto anchors = record::read_spool_anchors(tail_path);
   CHECK(!anchors.empty());
   CHECK(anchors.back().phase == kPhases - 1);
-  const checkpoint::CheckpointLog cp_log =
-      checkpoint::anchors_to_log(1, anchors);
+  const checkpoint::CheckpointLog cp_log{1, anchors};
   std::printf("tail carries %zu anchor(s); resuming from phase %u\n",
               anchors.size(), anchors.back().phase);
 

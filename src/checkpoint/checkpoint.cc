@@ -1,9 +1,9 @@
 #include "checkpoint/checkpoint.h"
 
-#include <cstdio>
-#include <memory>
+#include <algorithm>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 
 namespace djvu::checkpoint {
 namespace {
@@ -27,17 +27,7 @@ Bytes serialize(const CheckpointLog& log) {
   w.u16(kVersion);
   w.u32(log.vm_id);
   w.varint(log.checkpoints.size());
-  for (const Checkpoint& cp : log.checkpoints) {
-    w.varint(cp.phase);
-    w.varint(cp.gc);
-    w.varint(cp.threads_created);
-    w.varint(cp.main_event_num);
-    w.varint(cp.state.size());
-    for (const auto& [name, data] : cp.state) {
-      w.str(name);
-      w.bytes(data);
-    }
-  }
+  for (const Checkpoint& cp : log.checkpoints) record::write_anchor(w, cp);
   w.u32(crc32(w.view()));
   return w.take();
 }
@@ -63,20 +53,12 @@ CheckpointLog deserialize(BytesView data) {
   }
   CheckpointLog log;
   log.vm_id = r.u32();
-  std::uint64_t n = r.varint();
-  log.checkpoints.reserve(n);
+  const std::uint64_t n = r.varint();
+  // Every entry takes at least five bytes, so an absurd count from a
+  // corrupt file must not become the reserve().
+  log.checkpoints.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i) {
-    Checkpoint cp;
-    cp.phase = static_cast<std::uint32_t>(r.varint());
-    cp.gc = r.varint();
-    cp.threads_created = static_cast<std::uint32_t>(r.varint());
-    cp.main_event_num = r.varint();
-    std::uint64_t entries = r.varint();
-    for (std::uint64_t j = 0; j < entries; ++j) {
-      std::string name = r.str();
-      cp.state.emplace(std::move(name), r.bytes());
-    }
-    log.checkpoints.push_back(std::move(cp));
+    log.checkpoints.push_back(record::read_anchor(r));
   }
   if (!r.at_end()) {
     throw LogFormatError("trailing garbage in checkpoint log");
@@ -84,44 +66,12 @@ CheckpointLog deserialize(BytesView data) {
   return log;
 }
 
-CheckpointLog anchors_to_log(
-    DjvmId vm_id, const std::vector<record::SpoolAnchor>& anchors) {
-  CheckpointLog log;
-  log.vm_id = vm_id;
-  log.checkpoints.reserve(anchors.size());
-  for (const record::SpoolAnchor& a : anchors) {
-    Checkpoint cp;
-    cp.phase = a.phase;
-    cp.gc = a.gc;
-    cp.threads_created = a.threads_created;
-    cp.main_event_num = a.main_event_num;
-    cp.state = a.state;
-    log.checkpoints.push_back(std::move(cp));
-  }
-  return log;
-}
-
 void save_to_file(const CheckpointLog& log, const std::string& path) {
-  Bytes data = serialize(log);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for writing");
-  if (std::fwrite(data.data(), 1, data.size(), f.get()) != data.size()) {
-    throw Error("short write to " + path);
-  }
+  write_file(path, serialize(log));
 }
 
 CheckpointLog load_from_file(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for reading");
-  Bytes data;
-  std::uint8_t buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    data.insert(data.end(), buf, buf + n);
-  }
-  return deserialize(data);
+  return deserialize(read_file(path));
 }
 
 Checkpointer::Checkpointer(vm::Vm& vm) : vm_(vm) {
@@ -166,8 +116,7 @@ void Checkpointer::barrier(std::uint32_t phase) {
     // Flight-recorder spools additionally carry the checkpoint inline as a
     // kAnchor item (its own chunk), advancing the retention ring's eviction
     // horizon — a no-op for plain spools and in-memory logs.
-    vm_.spool_anchor(record::SpoolAnchor{cp.phase, cp.gc, cp.threads_created,
-                                         cp.main_event_num, cp.state});
+    vm_.spool_anchor(cp);
     recorded_.checkpoints.push_back(std::move(cp));
     return;
   }

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,28 +33,13 @@
 
 namespace djvu::checkpoint {
 
-/// One recorded checkpoint.
-struct Checkpoint {
-  /// Application-chosen phase id (must be distinct per barrier call).
-  std::uint32_t phase = 0;
+/// One recorded checkpoint: the record a flight-recorder spool carries as
+/// its kAnchor item (fields documented there).
+using Checkpoint = record::SpoolAnchor;
 
-  /// Global counter value of the kCheckpoint event itself.
-  GlobalCount gc = 0;
-
-  /// Threads created before the checkpoint (registry size), so replay can
-  /// keep later threadNums identical.
-  std::uint32_t threads_created = 0;
-
-  /// Main thread's next network event number at the checkpoint.
-  EventNum main_event_num = 0;
-
-  /// Registered state, by tracking name.
-  std::map<std::string, Bytes> state;
-
-  friend bool operator==(const Checkpoint&, const Checkpoint&) = default;
-};
-
-/// The per-VM checkpoint log (persisted separately from the VmLog).
+/// The per-VM checkpoint log (persisted separately from the VmLog).  A
+/// flight-recorder spool tail's anchors make one too:
+/// `CheckpointLog{vm_id, record::read_spool_anchors(path)}`.
 struct CheckpointLog {
   DjvmId vm_id = 0;
   std::vector<Checkpoint> checkpoints;
@@ -73,13 +57,6 @@ Bytes serialize(const CheckpointLog& log);
 CheckpointLog deserialize(BytesView data);
 void save_to_file(const CheckpointLog& log, const std::string& path);
 CheckpointLog load_from_file(const std::string& path);
-
-/// Rebuilds a CheckpointLog from the kAnchor items embedded in a
-/// flight-recorder spool tail (record::read_spool_anchors), so an incident
-/// bundle is resumable without a separately-saved DJVUCKP file.  The fields
-/// of record::SpoolAnchor mirror Checkpoint one-for-one.
-CheckpointLog anchors_to_log(DjvmId vm_id,
-                             const std::vector<record::SpoolAnchor>& anchors);
 
 /// Snapshot/restore hooks for one piece of application state.
 struct Tracked {

@@ -57,9 +57,6 @@ struct TuningConfig {
   /// await/tick protocol (ablation baseline).
   bool replay_leasing = true;
 
-  /// Events between intra-lease counter publications (replay_leasing only).
-  GlobalCount lease_publish_stride = 1024;
-
   /// Record/replay ordering scheme (see OrderMode above).  kCausal must be
   /// set on *both* sides: record logs per-key seqs, replay consumes them.
   OrderMode order_mode = OrderMode::kTotal;

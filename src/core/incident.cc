@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "common/errors.h"
+#include "common/file_io.h"
 #include "record/chrome_trace.h"
 #include "record/log_spool.h"
 #include "record/run_manifest.h"
@@ -26,29 +27,6 @@ namespace fs = std::filesystem;
 
 constexpr const char* kManifestMagic = "DJVUINC1";
 constexpr const char* kMarkerName = "INCIDENT";
-
-void write_text_file(const std::string& path, const std::string& text) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for writing");
-  if (std::fwrite(text.data(), 1, text.size(), f.get()) != text.size() ||
-      std::fflush(f.get()) != 0) {
-    throw Error("short write to " + path);
-  }
-}
-
-std::string read_text_file(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for reading");
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    text.append(buf, n);
-  }
-  return text;
-}
 
 std::string single_line(std::string text) {
   for (char& c : text) {
@@ -88,7 +66,7 @@ int read_marker_signal(const std::string& ring_dir) {
   std::error_code ec;
   if (!fs::exists(path, ec)) return 0;
   try {
-    const std::string text = read_text_file(path);
+    const std::string text = to_string(read_file(path));
     constexpr const char* kPrefix = "signal ";
     if (text.rfind(kPrefix, 0) == 0) {
       return std::atoi(text.c_str() + std::strlen(kPrefix));
@@ -263,7 +241,7 @@ IncidentBundle seal_incident(const std::string& incident_dir,
       out << "\n  " << sched::to_json(*divergence);
     }
     out << "\n]\n";
-    write_text_file(bundle.dir + "/divergence.json", out.str());
+    write_file(bundle.dir + "/divergence.json", to_bytes(out.str()));
   }
 
   // Doctor cross-reference against the *captured* tails (diagnosing the
@@ -292,8 +270,10 @@ IncidentBundle seal_incident(const std::string& incident_dir,
               " (INCIDENT marker left by the recording process)");
         }
       }
-      write_text_file(bundle.dir + "/report.txt", replay::to_text(report));
-      write_text_file(bundle.dir + "/report.json", replay::to_json(report));
+      write_file(bundle.dir + "/report.txt",
+                 to_bytes(replay::to_text(report)));
+      write_file(bundle.dir + "/report.json",
+                 to_bytes(replay::to_json(report)));
     } catch (const Error& e) {
       notes.push_back("doctor diagnosis failed: " + single_line(e.what()));
     }
@@ -335,12 +315,12 @@ IncidentBundle seal_incident(const std::string& incident_dir,
       << t.marker_signal << " " << t.name << "\n";
   }
   for (const std::string& n : notes) m << "note " << n << "\n";
-  write_text_file(bundle.dir + "/manifest.txt", m.str());
+  write_file(bundle.dir + "/manifest.txt", to_bytes(m.str()));
   return bundle;
 }
 
 IncidentBundle read_incident_manifest(const std::string& bundle_dir) {
-  const std::string text = read_text_file(bundle_dir + "/manifest.txt");
+  const std::string text = to_string(read_file(bundle_dir + "/manifest.txt"));
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kManifestMagic) {

@@ -30,6 +30,16 @@ struct SocketAddress {
   friend auto operator<=>(const SocketAddress&, const SocketAddress&) = default;
 };
 
+/// Packs an address into one u64, host above the 16-bit port: the value
+/// network logs and trace aux fields record, so it must never change.
+inline constexpr std::uint64_t pack_address(SocketAddress a) {
+  return (std::uint64_t{a.host} << 16) | a.port;
+}
+
+inline constexpr SocketAddress unpack_address(std::uint64_t v) {
+  return {static_cast<HostId>(v >> 16), static_cast<Port>(v & 0xffff)};
+}
+
 /// "h<host>:<port>" rendering for diagnostics.
 inline std::string to_string(const SocketAddress& a) {
   return "h" + std::to_string(a.host) + ":" + std::to_string(a.port);
@@ -40,6 +50,6 @@ inline std::string to_string(const SocketAddress& a) {
 template <>
 struct std::hash<djvu::net::SocketAddress> {
   std::size_t operator()(const djvu::net::SocketAddress& a) const noexcept {
-    return std::hash<std::uint64_t>{}((std::uint64_t{a.host} << 16) | a.port);
+    return std::hash<std::uint64_t>{}(djvu::net::pack_address(a));
   }
 };

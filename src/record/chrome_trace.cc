@@ -1,7 +1,6 @@
 #include "record/chrome_trace.h"
 
-#include <cstdio>
-
+#include "common/file_io.h"
 #include "common/strutil.h"
 
 namespace djvu::record {
@@ -87,16 +86,7 @@ std::string chrome_trace_json(const std::vector<ChromeTraceVm>& vms) {
 
 void save_chrome_trace(const std::string& path,
                        const std::vector<ChromeTraceVm>& vms) {
-  const std::string json = chrome_trace_json(vms);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw UsageError("cannot open chrome trace output file: " + path);
-  }
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = (n == json.size()) && (std::fclose(f) == 0);
-  if (!ok) {
-    throw UsageError("failed writing chrome trace output file: " + path);
-  }
+  write_file(path, to_bytes(chrome_trace_json(vms)));
 }
 
 }  // namespace djvu::record

@@ -38,7 +38,7 @@ struct ChromeTraceVm {
 /// Renders the trace_event JSON for the given VMs.
 std::string chrome_trace_json(const std::vector<ChromeTraceVm>& vms);
 
-/// Writes chrome_trace_json() to `path` (UsageError on I/O failure).
+/// Writes chrome_trace_json() to `path` (Error on I/O failure).
 void save_chrome_trace(const std::string& path,
                        const std::vector<ChromeTraceVm>& vms);
 

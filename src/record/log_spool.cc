@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "record/serializer.h"
 #include "record/spool_codec.h"
 
@@ -176,8 +177,7 @@ std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_delta_item(
   return {thread, std::move(seqs)};
 }
 
-Bytes encode_anchor_item(const SpoolAnchor& anchor) {
-  ByteWriter w;
+void write_anchor(ByteWriter& w, const SpoolAnchor& anchor) {
   w.varint(anchor.phase);
   w.varint(anchor.gc);
   w.varint(anchor.threads_created);
@@ -187,11 +187,9 @@ Bytes encode_anchor_item(const SpoolAnchor& anchor) {
     w.str(name);
     w.bytes(data);
   }
-  return w.take();
 }
 
-SpoolAnchor decode_anchor_item(BytesView body) {
-  ByteReader r(body);
+SpoolAnchor read_anchor(ByteReader& r) {
   SpoolAnchor anchor;
   anchor.phase = static_cast<std::uint32_t>(r.varint());
   anchor.gc = r.varint();
@@ -202,8 +200,69 @@ SpoolAnchor decode_anchor_item(BytesView body) {
     std::string name = r.str();
     anchor.state.emplace(std::move(name), r.bytes());
   }
+  return anchor;
+}
+
+Bytes encode_anchor_item(const SpoolAnchor& anchor) {
+  ByteWriter w;
+  write_anchor(w, anchor);
+  return w.take();
+}
+
+SpoolAnchor decode_anchor_item(BytesView body) {
+  ByteReader r(body);
+  SpoolAnchor anchor = read_anchor(r);
   if (!r.at_end()) throw LogFormatError("trailing bytes in anchor item");
   return anchor;
+}
+
+// --- item index facts -------------------------------------------------------
+
+namespace {
+
+SpoolItemFacts gc_facts(GlobalCount min_gc, GlobalCount max_gc) {
+  SpoolItemFacts facts;
+  facts.has_gc = true;
+  facts.min_gc = min_gc;
+  facts.max_gc = max_gc;
+  return facts;
+}
+
+}  // namespace
+
+SpoolItemFacts schedule_item_facts(ThreadNum thread,
+                                   const sched::IntervalList& intervals) {
+  SpoolItemFacts facts =
+      intervals.empty()
+          ? SpoolItemFacts{}
+          : gc_facts(intervals.front().first, intervals.back().last);
+  facts.thread = SpoolThreadCounts{thread, intervals.size(), 0, 0};
+  for (const auto& lsi : intervals) facts.thread->sched_events += lsi.length();
+  return facts;
+}
+
+SpoolItemFacts network_item_facts() {
+  SpoolItemFacts facts;
+  facts.network_items = 1;
+  return facts;
+}
+
+SpoolItemFacts trace_item_facts(
+    const std::vector<sched::TraceRecord>& records) {
+  return records.empty()
+             ? SpoolItemFacts{}
+             : gc_facts(records.front().gc, records.back().gc);
+}
+
+SpoolItemFacts causal_item_facts(ThreadNum thread,
+                                 const std::vector<std::uint64_t>& seqs) {
+  SpoolItemFacts facts;
+  facts.thread = SpoolThreadCounts{thread, 0, 0, seqs.size()};
+  return facts;
+}
+
+SpoolItemFacts anchor_item_facts(const SpoolAnchor& anchor) {
+  return gc_facts(anchor.gc, anchor.gc);
 }
 
 // --- LogSpooler -------------------------------------------------------------
@@ -230,16 +289,7 @@ LogSpooler::LogSpooler(DjvmId vm_id, Options options)
     if (ec) {
       throw Error("cannot create flight ring directory " + ring_dir_);
     }
-    const std::string header_path = ring_dir_ + "/header";
-    std::FILE* hf = std::fopen(header_path.c_str(), "wb");
-    const bool wrote =
-        hf != nullptr &&
-        std::fwrite(hv.data(), 1, hv.size(), hf) == hv.size() &&
-        std::fflush(hf) == 0;
-    if (hf != nullptr) std::fclose(hf);
-    if (!wrote) {
-      throw Error("cannot write flight ring header to " + header_path);
-    }
+    write_file(ring_dir_ + "/header", hv);
   } else {
     file_ = std::fopen(options_.path.c_str(), "wb");
     if (file_ == nullptr) {
@@ -275,23 +325,14 @@ LogSpooler::~LogSpooler() {
 void LogSpooler::schedule_batch(ThreadNum thread,
                                 const sched::IntervalList& intervals) {
   if (intervals.empty()) return;
-  Item item{SpoolItemKind::kSchedule, encode_schedule_item(thread, intervals),
-            /*records=*/{}, /*cost=*/0};
-  item.meta.thread = thread;
-  item.meta.has_thread = true;
-  item.meta.intervals = intervals.size();
-  for (const auto& lsi : intervals) {
-    item.meta.sched_events += lsi.last - lsi.first + 1;
-  }
-  item.meta.has_gc = true;
-  item.meta.min_gc = intervals.front().first;
-  item.meta.max_gc = intervals.back().last;
-  enqueue(std::move(item));
+  enqueue({SpoolItemKind::kSchedule, encode_schedule_item(thread, intervals),
+           /*records=*/{}, /*cost=*/0,
+           schedule_item_facts(thread, intervals)});
 }
 
 void LogSpooler::network_entry(ThreadNum thread, const NetworkLogEntry& entry) {
   enqueue({SpoolItemKind::kNetwork, encode_network_item(thread, entry),
-           /*records=*/{}, /*cost=*/0});
+           /*records=*/{}, /*cost=*/0, network_item_facts()});
 }
 
 void LogSpooler::trace_batch(std::vector<sched::TraceRecord> records) {
@@ -305,13 +346,8 @@ void LogSpooler::trace_batch(std::vector<sched::TraceRecord> records) {
 void LogSpooler::causal_batch(ThreadNum thread,
                               const std::vector<std::uint64_t>& seqs) {
   if (seqs.empty()) return;
-  Item item{SpoolItemKind::kCausalDelta,
-            encode_causal_delta_item(thread, seqs),
-            /*records=*/{}, /*cost=*/0};
-  item.meta.thread = thread;
-  item.meta.has_thread = true;
-  item.meta.causal_entries = seqs.size();
-  enqueue(std::move(item));
+  enqueue({SpoolItemKind::kCausalDelta, encode_causal_delta_item(thread, seqs),
+           /*records=*/{}, /*cost=*/0, causal_item_facts(thread, seqs)});
 }
 
 void LogSpooler::finish(const RecordStats& stats, std::uint32_t thread_count) {
@@ -338,12 +374,8 @@ void LogSpooler::finish(const RecordStats& stats, std::uint32_t thread_count) {
 }
 
 void LogSpooler::anchor(const SpoolAnchor& anchor) {
-  Item item{SpoolItemKind::kAnchor, encode_anchor_item(anchor),
-            /*records=*/{}, /*cost=*/0};
-  item.meta.has_gc = true;
-  item.meta.min_gc = anchor.gc;
-  item.meta.max_gc = anchor.gc;
-  enqueue(std::move(item));
+  enqueue({SpoolItemKind::kAnchor, encode_anchor_item(anchor),
+           /*records=*/{}, /*cost=*/0, anchor_item_facts(anchor)});
 }
 
 void LogSpooler::enqueue(Item item) {
@@ -377,34 +409,11 @@ void LogSpooler::enqueue(Item item) {
 
 // --- writer thread ----------------------------------------------------------
 
-void LogSpooler::append_item(std::uint8_t kind, BytesView body) {
-  append_item(kind, body, ItemMeta{});
-}
-
-void LogSpooler::append_item(std::uint8_t kind, BytesView body,
-                             const ItemMeta& meta) {
-  chunk_.u8(kind).varint(body.size()).raw(body);
-  pending_meta_.kinds |= spool_kind_bit(kind);
-  if (kind == static_cast<std::uint8_t>(SpoolItemKind::kNetwork)) {
-    ++pending_meta_.network_items;
-  }
-  if (meta.has_gc) {
-    if (!pending_meta_.has_gc) {
-      pending_meta_.has_gc = true;
-      pending_meta_.min_gc = meta.min_gc;
-      pending_meta_.max_gc = meta.max_gc;
-    } else {
-      pending_meta_.min_gc = std::min(pending_meta_.min_gc, meta.min_gc);
-      pending_meta_.max_gc = std::max(pending_meta_.max_gc, meta.max_gc);
-    }
-  }
-  if (meta.has_thread) {
-    SpoolThreadCounts& counts = pending_threads_[meta.thread];
-    counts.thread = meta.thread;
-    counts.intervals += meta.intervals;
-    counts.sched_events += meta.sched_events;
-    counts.causal_entries += meta.causal_entries;
-  }
+void LogSpooler::append_item(SpoolItemKind kind, BytesView body,
+                             const SpoolItemFacts& facts) {
+  const auto k = static_cast<std::uint8_t>(kind);
+  chunk_.u8(k).varint(body.size()).raw(body);
+  chunk_facts_.add(k, facts);
   if (chunk_.size() >= options_.chunk_bytes) flush_chunk();
 }
 
@@ -436,7 +445,7 @@ bool LogSpooler::drain_queue() {
       // new eviction horizon (a no-op outside flight mode).
       flush_chunk();
       pending_anchor_chunk_ = true;
-      append_item(static_cast<std::uint8_t>(item.kind), item.body, item.meta);
+      append_item(item.kind, item.body, item.facts);
       flush_chunk();
       continue;
     }
@@ -444,13 +453,10 @@ bool LogSpooler::drain_queue() {
       // Deferred serialization: trace batches are encoded here, off the
       // producers' critical path.
       item.body = encode_trace_item(item.records);
-      // One thread's batch in program order: gc ascending.
-      item.meta.has_gc = true;
-      item.meta.min_gc = item.records.front().gc;
-      item.meta.max_gc = item.records.back().gc;
+      item.facts = trace_item_facts(item.records);
       item.records.clear();
     }
-    append_item(static_cast<std::uint8_t>(item.kind), item.body, item.meta);
+    append_item(item.kind, item.body, item.facts);
   }
   return true;
 }
@@ -460,7 +466,7 @@ void LogSpooler::seal_finish() {
   // Flight mode: assemble the retained tail into the final file first, so
   // the finish chunk and footer below append to it through the normal path.
   if (options_.flight_recorder) begin_flight_seal();
-  append_item(static_cast<std::uint8_t>(SpoolItemKind::kFinish), finish_body_);
+  append_item(SpoolItemKind::kFinish, finish_body_, SpoolItemFacts{});
   flush_chunk();
   finish_pending_ = false;
   // The footer rides only behind a finish chunk: an abnormal close leaves a
@@ -520,18 +526,12 @@ void LogSpooler::write_chunk(BytesView payload) {
   frame.u8(static_cast<std::uint8_t>(codec));
   frame.u32(crc32(out));
   const BytesView fv = frame.view();
-  // The index entry: the metadata folded as items were appended plus the
+  // The index entry: the facts folded as items were appended plus the
   // frame facts (the file offset is set where the chunk lands).
-  SpoolChunkInfo info = std::move(pending_meta_);
-  info.stored_len = static_cast<std::uint32_t>(out.size());
-  info.raw_len = static_cast<std::uint32_t>(payload.size());
-  info.codec = static_cast<std::uint8_t>(codec);
-  info.threads.reserve(pending_threads_.size());
-  for (const auto& [thread, counts] : pending_threads_) {
-    info.threads.push_back(counts);
-  }
-  pending_meta_ = SpoolChunkInfo{};
-  pending_threads_.clear();
+  SpoolChunkInfo info = chunk_facts_.take(
+      static_cast<std::uint32_t>(out.size()),
+      static_cast<std::uint32_t>(payload.size()),
+      static_cast<std::uint8_t>(codec));
   if (options_.flight_recorder && !sealing_) {
     write_ring_chunk(fv, out, std::move(info));
     return;
@@ -663,16 +663,12 @@ void LogSpooler::begin_flight_seal() {
   file_crc_ = Crc32();
   file_crc_.update(hv);
   index_entries_.clear();
-  Bytes buf;
   for (FlightChunk& fc : retained_) {
     const std::string path = ring_dir_ + "/" + ring_chunk_name(fc.seq);
-    std::FILE* cf = std::fopen(path.c_str(), "rb");
-    if (cf == nullptr) throw Error("flight ring chunk missing: " + path);
-    buf.resize(fc.bytes);
-    const bool read_ok =
-        std::fread(buf.data(), 1, buf.size(), cf) == buf.size();
-    std::fclose(cf);
-    if (!read_ok) throw Error("flight ring chunk torn at seal: " + path);
+    const Bytes buf = read_file(path);
+    if (buf.size() != fc.bytes) {
+      throw Error("flight ring chunk torn at seal: " + path);
+    }
     if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
       throw Error("spool write failed: " + options_.path);
     }

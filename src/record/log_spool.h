@@ -106,19 +106,36 @@ struct SpoolFinish {
   std::uint32_t thread_count = 0;
 };
 
-/// A checkpoint anchor's payload (SpoolItemKind::kAnchor): the schedule
-/// position and tracked state of one quiescent-point checkpoint, mirroring
-/// checkpoint::Checkpoint field for field (defined here, not there, so the
-/// record layer stays free of a checkpoint-library dependency).
+/// One quiescent-point checkpoint (checkpoint::Checkpoint is this type): the
+/// schedule position and tracked state a replay resumes from.  The same
+/// record is a flight-recorder spool's kAnchor item body and an entry of a
+/// DJVUCKP checkpoint log (record layer, so spools carry it without a
+/// checkpoint-library dependency).
 struct SpoolAnchor {
+  /// Application-chosen phase id (must be distinct per barrier call).
   std::uint32_t phase = 0;
+
+  /// Global counter value of the kCheckpoint event itself.
   GlobalCount gc = 0;
+
+  /// Threads created before the checkpoint (registry size), so replay can
+  /// keep later threadNums identical.
   std::uint32_t threads_created = 0;
+
+  /// Main thread's next network event number at the checkpoint.
   EventNum main_event_num = 0;
+
+  /// Registered state, by tracking name.
   std::map<std::string, Bytes> state;
 
   friend bool operator==(const SpoolAnchor&, const SpoolAnchor&) = default;
 };
+
+/// The one encoding of an anchor's fields: phase, gc, threads_created and
+/// main_event_num as varints, then the state entry count and each entry as
+/// a name string and a byte string.
+void write_anchor(ByteWriter& w, const SpoolAnchor& anchor);
+SpoolAnchor read_anchor(ByteReader& r);
 
 // Item body codecs (shared by the spooler, LogSource, and tests).  Schedule
 // and trace bodies delta-encode within the batch, starting absolute, so
@@ -138,6 +155,20 @@ std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_delta_item(
     BytesView body);
 Bytes encode_anchor_item(const SpoolAnchor& anchor);
 SpoolAnchor decode_anchor_item(BytesView body);
+
+// Index facts per item kind (record/spool_index.h), from the values an item
+// encodes: the writer passes what its producers hold, build_spool_index
+// what it decoded.  Finish items carry none (SpoolItemFacts{}).
+SpoolItemFacts schedule_item_facts(ThreadNum thread,
+                                   const sched::IntervalList& intervals);
+SpoolItemFacts network_item_facts();
+/// `records` is one thread's batch, gc ascending.
+SpoolItemFacts trace_item_facts(const std::vector<sched::TraceRecord>& records);
+SpoolItemFacts causal_item_facts(ThreadNum thread,
+                                 const std::vector<std::uint64_t>& seqs);
+/// The anchor's gc feeds the chunk range, so chunk_covering lands a seek
+/// exactly on the anchor chunk.
+SpoolItemFacts anchor_item_facts(const SpoolAnchor& anchor);
 
 /// Self-measurements of one spooler run.
 ///
@@ -293,20 +324,6 @@ class LogSpooler : public LogSink {
   const std::string& path() const { return options_.path; }
 
  private:
-  /// Index metadata for one item, computed where the item is produced (the
-  /// producers already hold the decoded values, so the writer never
-  /// re-decodes bodies to index them).
-  struct ItemMeta {
-    ThreadNum thread = 0;
-    bool has_thread = false;
-    std::uint64_t intervals = 0;
-    std::uint64_t sched_events = 0;
-    std::uint64_t causal_entries = 0;
-    bool has_gc = false;
-    GlobalCount min_gc = 0;
-    GlobalCount max_gc = 0;
-  };
-
   struct Item {
     SpoolItemKind kind;
     Bytes body;
@@ -316,16 +333,18 @@ class LogSpooler : public LogSink {
     std::vector<sched::TraceRecord> records;
     /// Byte-accounting cost charged against buffer_bytes (set by enqueue).
     std::size_t cost = 0;
-    /// Index metadata (empty for kinds that carry none).
-    ItemMeta meta{};
+    /// Index facts, computed where the item is produced (the producers
+    /// already hold the decoded values, so the writer never re-decodes
+    /// bodies to index them).  Trace facts are filled in by the writer.
+    SpoolItemFacts facts{};
   };
 
   void enqueue(Item item);
   void writer_main();
 
   // Writer-side helpers.
-  void append_item(std::uint8_t kind, BytesView body);
-  void append_item(std::uint8_t kind, BytesView body, const ItemMeta& meta);
+  void append_item(SpoolItemKind kind, BytesView body,
+                   const SpoolItemFacts& facts);
   void flush_chunk();
   bool drain_queue();
   void seal_finish();
@@ -387,12 +406,11 @@ class LogSpooler : public LogSink {
   bool finish_pending_ = false;
 
   // Writer-private index state: the entry table built as chunks seal, the
-  // metadata accumulator for the chunk currently assembling, the running
-  // file offset, and the whole-file CRC (all bytes written so far).  The
+  // facts folded for the chunk currently assembling, the running file
+  // offset, and the whole-file CRC (all bytes written so far).  The
   // constructor seeds offset/CRC with the header before the writer starts.
   std::vector<SpoolChunkInfo> index_entries_;
-  SpoolChunkInfo pending_meta_{};
-  std::map<ThreadNum, SpoolThreadCounts> pending_threads_;
+  SpoolChunkFolder chunk_facts_;
   std::uint64_t file_offset_ = 0;
   Crc32 file_crc_;
 

@@ -1,10 +1,10 @@
 #include "record/run_manifest.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <sstream>
+
+#include "common/file_io.h"
 
 namespace djvu::record {
 namespace {
@@ -51,30 +51,12 @@ void save_run_manifest(const RunManifest& manifest, const std::string& dir) {
     }
     out << "vm " << vm.vm_id << " " << vm.name << "\n";
   }
-  const std::string text = out.str();
-  const std::string path = run_manifest_path(dir);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for writing");
-  if (std::fwrite(text.data(), 1, text.size(), f.get()) != text.size() ||
-      std::fflush(f.get()) != 0) {
-    throw Error("short write to " + path);
-  }
+  write_file(run_manifest_path(dir), to_bytes(out.str()));
 }
 
 RunManifest load_run_manifest(const std::string& dir) {
   const std::string path = run_manifest_path(dir);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for reading");
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    text.append(buf, n);
-  }
-
-  std::istringstream in(text);
+  std::istringstream in(to_string(read_file(path)));
   std::string line;
   if (!std::getline(in, line) || line != kMagicLine) {
     throw LogFormatError("bad magic in " + path + ": not a DJVURUN manifest");

@@ -1,10 +1,9 @@
 #include "record/serializer.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 
 namespace djvu::record {
 namespace {
@@ -226,26 +225,11 @@ VmLog deserialize(BytesView data) {
 }
 
 void save_to_file(const VmLog& log, const std::string& path) {
-  Bytes data = serialize(log);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for writing");
-  if (std::fwrite(data.data(), 1, data.size(), f.get()) != data.size()) {
-    throw Error("short write to " + path);
-  }
+  write_file(path, serialize(log));
 }
 
 VmLog load_from_file(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for reading");
-  Bytes data;
-  std::uint8_t buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    data.insert(data.end(), buf, buf + n);
-  }
-  return deserialize(data);
+  return deserialize(read_file(path));
 }
 
 std::size_t log_payload_size(const VmLog& log) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/errors.h"
@@ -12,7 +12,44 @@ namespace {
 
 constexpr std::uint8_t kFlagHasGc = 1;
 
+/// Adds `t` to its thread's entry in the thread-ascending `acc`.
+void add_counts(std::vector<SpoolThreadCounts>& acc,
+                const SpoolThreadCounts& t) {
+  auto it = std::lower_bound(
+      acc.begin(), acc.end(), t.thread,
+      [](const SpoolThreadCounts& c, ThreadNum n) { return c.thread < n; });
+  if (it == acc.end() || it->thread != t.thread) {
+    it = acc.insert(it, SpoolThreadCounts{t.thread, 0, 0, 0});
+  }
+  it->intervals += t.intervals;
+  it->sched_events += t.sched_events;
+  it->causal_entries += t.causal_entries;
+}
+
 }  // namespace
+
+void SpoolChunkFolder::add(std::uint8_t kind, const SpoolItemFacts& item) {
+  info_.kinds |= spool_kind_bit(kind);
+  info_.network_items += item.network_items;
+  if (item.has_gc) {
+    info_.min_gc = info_.has_gc ? std::min(info_.min_gc, item.min_gc)
+                                : item.min_gc;
+    info_.max_gc = info_.has_gc ? std::max(info_.max_gc, item.max_gc)
+                                : item.max_gc;
+    info_.has_gc = true;
+  }
+  if (item.thread) add_counts(info_.threads, *item.thread);
+}
+
+SpoolChunkInfo SpoolChunkFolder::take(std::uint32_t stored_len,
+                                      std::uint32_t raw_len,
+                                      std::uint8_t codec) {
+  SpoolChunkInfo info = std::exchange(info_, {});
+  info.stored_len = stored_len;
+  info.raw_len = raw_len;
+  info.codec = codec;
+  return info;
+}
 
 void SpoolIndex::finalize() {
   prefix_max_gc.clear();
@@ -36,20 +73,11 @@ std::optional<std::size_t> SpoolIndex::chunk_covering(GlobalCount gc) const {
 }
 
 std::vector<SpoolThreadCounts> SpoolIndex::totals_by_thread() const {
-  std::map<ThreadNum, SpoolThreadCounts> acc;
+  std::vector<SpoolThreadCounts> acc;
   for (const SpoolChunkInfo& c : chunks) {
-    for (const SpoolThreadCounts& t : c.threads) {
-      SpoolThreadCounts& dst = acc[t.thread];
-      dst.thread = t.thread;
-      dst.intervals += t.intervals;
-      dst.sched_events += t.sched_events;
-      dst.causal_entries += t.causal_entries;
-    }
+    for (const SpoolThreadCounts& t : c.threads) add_counts(acc, t);
   }
-  std::vector<SpoolThreadCounts> out;
-  out.reserve(acc.size());
-  for (auto& [thread, counts] : acc) out.push_back(counts);
-  return out;
+  return acc;
 }
 
 Bytes encode_spool_footer(const SpoolIndex& index) {

@@ -102,6 +102,36 @@ struct SpoolChunkInfo {
                          const SpoolChunkInfo&) = default;
 };
 
+/// What one spool item adds to its chunk's index entry.  The facts helpers
+/// beside the item codecs (record/log_spool.h) build it: the spool writer
+/// from the values its producers already hold, build_spool_index from the
+/// decoded body.
+struct SpoolItemFacts {
+  /// Per-thread counts of schedule and causal items (their owning thread).
+  std::optional<SpoolThreadCounts> thread;
+  std::uint64_t network_items = 0;
+  /// gc range of schedule, trace and anchor items.
+  bool has_gc = false;
+  GlobalCount min_gc = 0;
+  GlobalCount max_gc = 0;
+};
+
+/// Folds item facts into one chunk's SpoolChunkInfo: the one derivation of
+/// an index entry, shared by the spool writer and build_spool_index.
+class SpoolChunkFolder {
+ public:
+  /// Adds one item of DJVUSPL1 kind `kind`.
+  void add(std::uint8_t kind, const SpoolItemFacts& item);
+
+  /// The entry folded so far, with the chunk's frame facts (offset left 0:
+  /// the caller knows where the chunk lands).  Resets the folder.
+  SpoolChunkInfo take(std::uint32_t stored_len, std::uint32_t raw_len,
+                      std::uint8_t codec);
+
+ private:
+  SpoolChunkInfo info_;  ///< threads kept ascending as items fold in
+};
+
 /// The decoded index: one entry per chunk plus whole-file integrity data.
 /// Obtained from the footer (from_footer) or rebuilt by a sequential scan
 /// (record::build_spool_index) when the footer is missing or torn.

@@ -12,6 +12,7 @@
 
 #include "common/cpus.h"
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "record/log_spool.h"
 #include "record/spool_codec.h"
 
@@ -551,78 +552,59 @@ VmLog load_spooled_log(const std::string& path, bool* clean_end) {
   return stream_spool(path, nullptr, clean_end, nullptr);
 }
 
+namespace {
+
+/// Decodes `item` and returns its index facts: the rebuild scan's side of
+/// the facts the writer derives from its producers' values.
+SpoolItemFacts decoded_item_facts(const SpoolItem& item) {
+  switch (item.kind) {
+    case SpoolItemKind::kSchedule: {
+      const auto [thread, list] = decode_schedule_item(item.body);
+      return schedule_item_facts(thread, list);
+    }
+    case SpoolItemKind::kNetwork:
+      return network_item_facts();
+    case SpoolItemKind::kTrace:
+      return trace_item_facts(decode_trace_item(item.body));
+    case SpoolItemKind::kCausalDelta: {
+      const auto [thread, seqs] = decode_causal_delta_item(item.body);
+      return causal_item_facts(thread, seqs);
+    }
+    case SpoolItemKind::kAnchor:
+      return anchor_item_facts(decode_anchor_item(item.body));
+    case SpoolItemKind::kFinish:
+      break;
+  }
+  return {};
+}
+
+}  // namespace
+
 SpoolIndex build_spool_index(const std::string& path) {
   LogSource source(path);
   SpoolIndex index;
-  std::map<ThreadNum, SpoolThreadCounts> threads;
+  SpoolChunkFolder folder;
+  SpoolChunkInfo frame;  // frame facts of the chunk being folded
+  std::size_t opened = 0;
   const auto close_chunk = [&] {
-    if (index.chunks.empty()) return;
-    SpoolChunkInfo& c = index.chunks.back();
-    c.threads.reserve(threads.size());
-    for (const auto& [thread, counts] : threads) c.threads.push_back(counts);
-    threads.clear();
+    SpoolChunkInfo c = folder.take(frame.stored_len, frame.raw_len,
+                                   frame.codec);
+    c.offset = frame.offset;
+    index.chunks.push_back(std::move(c));
   };
   while (std::optional<SpoolItem> item = source.next()) {
-    if (source.chunk_ordinal() != index.chunks.size()) {
-      close_chunk();
-      SpoolChunkInfo c;
-      c.offset = source.chunk_offset();
-      c.stored_len = source.chunk_stored_len();
-      c.raw_len = source.chunk_raw_len();
-      c.codec = source.chunk_codec();
-      index.chunks.push_back(std::move(c));
+    if (source.chunk_ordinal() != opened) {
+      if (opened != 0) close_chunk();
+      opened = source.chunk_ordinal();
+      frame.offset = source.chunk_offset();
+      frame.stored_len = source.chunk_stored_len();
+      frame.raw_len = source.chunk_raw_len();
+      frame.codec = source.chunk_codec();
     }
-    SpoolChunkInfo& c = index.chunks.back();
-    c.kinds |= spool_kind_bit(static_cast<std::uint8_t>(item->kind));
-    const auto fold_gc = [&c](GlobalCount lo, GlobalCount hi) {
-      if (!c.has_gc) {
-        c.has_gc = true;
-        c.min_gc = lo;
-        c.max_gc = hi;
-      } else {
-        c.min_gc = std::min(c.min_gc, lo);
-        c.max_gc = std::max(c.max_gc, hi);
-      }
-    };
-    switch (item->kind) {
-      case SpoolItemKind::kSchedule: {
-        auto [thread, list] = decode_schedule_item(item->body);
-        SpoolThreadCounts& tc = threads[thread];
-        tc.thread = thread;
-        tc.intervals += list.size();
-        for (const auto& lsi : list) tc.sched_events += lsi.length();
-        if (!list.empty()) fold_gc(list.front().first, list.back().last);
-        break;
-      }
-      case SpoolItemKind::kNetwork:
-        ++c.network_items;
-        break;
-      case SpoolItemKind::kTrace: {
-        const std::vector<sched::TraceRecord> records =
-            decode_trace_item(item->body);
-        if (!records.empty()) fold_gc(records.front().gc, records.back().gc);
-        break;
-      }
-      case SpoolItemKind::kCausalDelta: {
-        auto [thread, seqs] = decode_causal_delta_item(item->body);
-        SpoolThreadCounts& tc = threads[thread];
-        tc.thread = thread;
-        tc.causal_entries += seqs.size();
-        break;
-      }
-      case SpoolItemKind::kFinish:
-        break;
-      case SpoolItemKind::kAnchor: {
-        // The anchor's gc feeds the chunk range so chunk_covering can land
-        // a seek exactly on the anchor chunk (mirrors the writer-side
-        // ItemMeta the spooler attaches).
-        const SpoolAnchor anchor = decode_anchor_item(item->body);
-        fold_gc(anchor.gc, anchor.gc);
-        break;
-      }
-    }
+    folder.add(static_cast<std::uint8_t>(item->kind),
+               decoded_item_facts(*item));
   }
-  close_chunk();
+  if (opened != 0) close_chunk();
   index.data_end =
       index.chunks.empty()
           ? kSpoolHeaderBytes
@@ -643,15 +625,12 @@ FlightTailInfo assemble_flight_tail(const std::string& spool_path) {
   if (!fs::exists(header_path, ec)) return out;  // sealed normally (or never
                                                  // a flight spool)
 
-  std::uint8_t header[kSpoolHeaderBytes];
-  {
-    std::FILE* hf = std::fopen(header_path.c_str(), "rb");
-    if (hf == nullptr) throw Error("cannot open " + header_path);
-    const bool ok = std::fread(header, 1, sizeof header, hf) == sizeof header;
-    std::fclose(hf);
-    if (!ok) throw LogFormatError("torn flight ring header: " + header_path);
-    parse_spool_header(header, header_path);
+  Bytes header = read_file(header_path);
+  if (header.size() < kSpoolHeaderBytes) {
+    throw LogFormatError("torn flight ring header: " + header_path);
   }
+  header.resize(kSpoolHeaderBytes);
+  parse_spool_header(header.data(), header_path);
 
   std::vector<std::pair<std::uint64_t, std::string>> chunks;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
@@ -666,7 +645,8 @@ FlightTailInfo assemble_flight_tail(const std::string& spool_path) {
   if (outf == nullptr) {
     throw Error("cannot open " + spool_path + " for writing");
   }
-  bool ok = std::fwrite(header, 1, sizeof header, outf) == sizeof header;
+  bool ok = std::fwrite(header.data(), 1, header.size(), outf) ==
+            header.size();
   bool torn = false;
   for (const auto& [seq, path] : chunks) {
     if (!ok) break;
@@ -677,16 +657,13 @@ FlightTailInfo assemble_flight_tail(const std::string& spool_path) {
       out.truncated_bytes += size;
       continue;
     }
-    Bytes buf(static_cast<std::size_t>(size));
-    std::FILE* cf = std::fopen(path.c_str(), "rb");
-    const bool read_ok =
-        cf != nullptr && std::fread(buf.data(), 1, buf.size(), cf) == buf.size();
-    if (cf != nullptr) std::fclose(cf);
-    bool valid = read_ok;
+    Bytes buf;
+    bool valid = false;
     try {
-      valid = valid && check_chunk(buf).has_value();
-    } catch (const LogFormatError&) {
-      valid = false;  // certified but undecodable: no loader would take it
+      buf = read_file(path);
+      valid = check_chunk(buf).has_value();
+    } catch (const Error&) {
+      // Unreadable, or certified but undecodable: no loader would take it.
     }
     if (!valid) {
       // A chunk file mid-fwrite at crash time: recover-to-prefix at chunk

@@ -13,17 +13,6 @@ namespace {
 
 using sched::EventKind;
 
-std::uint64_t encode_addr(net::SocketAddress a) {
-  return (std::uint64_t{a.host} << 16) | a.port;
-}
-
-net::SocketAddress decode_addr(std::uint64_t v) {
-  return {static_cast<net::HostId>(v >> 16),
-          static_cast<net::Port>(v & 0xffff)};
-}
-
-std::uint64_t crc_aux(BytesView data) { return crc32(data); }
-
 }  // namespace
 
 DatagramSocket::DatagramSocket(Vm& vm, net::Port port) : vm_(vm) {
@@ -187,7 +176,7 @@ void DatagramSocket::send(const DatagramPacket& packet) {
             // ("need not be sent again").
             port_->send_to(packet.address, packet.data);
           }
-          return crc_aux(packet.data);
+          return crc32(packet.data);
         },
         0, this);
   };
@@ -305,7 +294,7 @@ DatagramPacket DatagramSocket::receive() {
       record::NetworkLogEntry e;
       e.kind = EventKind::kUdpReceive;
       e.event_num = en;
-      e.value = encode_addr(got.source);
+      e.value = net::pack_address(got.source);
       if (got.tagged) {
         // The RecordedDatagramLog entry <ReceiverGCounter, datagramId>; the
         // gc component is the mark below.
@@ -314,7 +303,7 @@ DatagramPacket DatagramSocket::receive() {
         e.data = got.payload;  // open-world content
       }
       vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kUdpReceive, crc_aux(got.payload), this);
+      vm_.mark_event(EventKind::kUdpReceive, crc32(got.payload), this);
       return {std::move(got.payload), got.source};
     } catch (const net::NetError& err) {
       record::NetworkLogEntry e;
@@ -346,10 +335,10 @@ DatagramPacket DatagramSocket::receive() {
     }
     throw SocketException(entry->error, "udp receive (recorded failure)");
   }
-  net::SocketAddress source = decode_addr(*entry->value);
+  net::SocketAddress source = net::unpack_address(*entry->value);
   if (entry->data) {
     // Open-world source: recorded content, no network.
-    vm_.mark_event(EventKind::kUdpReceive, crc_aux(*entry->data), this);
+    vm_.mark_event(EventKind::kUdpReceive, crc32(*entry->data), this);
     return {*entry->data, source};
   }
   const DgNetworkEventId want = *entry->dg_id;
@@ -369,7 +358,7 @@ DatagramPacket DatagramSocket::receive() {
           std::string("replay udp receive failed: ") + err.what(), this);
     }
   }
-  vm_.replay_turn_end(EventKind::kUdpReceive, crc_aux(payload));
+  vm_.replay_turn_end(EventKind::kUdpReceive, crc32(payload));
   return {std::move(payload), source};
 }
 
@@ -405,14 +394,14 @@ void MulticastSocket::join_group(net::SocketAddress group) {
     // Eager join (before the mark): reliable retransmission starts reaching
     // this socket as soon as membership exists.
     vm_.network().join_group(group, local_address());
-    vm_.mark_event(EventKind::kMcastJoin, encode_addr(group), this);
+    vm_.mark_event(EventKind::kMcastJoin, net::pack_address(group), this);
     return;
   }
   vm_.critical_event(
       EventKind::kMcastJoin,
       [&](GlobalCount) {
         vm_.network().join_group(group, local_address());
-        return encode_addr(group);
+        return net::pack_address(group);
       },
       0, this);
 }
@@ -432,7 +421,7 @@ void MulticastSocket::leave_group(net::SocketAddress group) {
         }
         // Replay: deferred (extra deliveries are ignored; a premature leave
         // could starve the replayer).
-        return encode_addr(group);
+        return net::pack_address(group);
       },
       0, this);
 }

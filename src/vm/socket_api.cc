@@ -30,17 +30,6 @@ ConnectionId decode_meta(BytesView data) {
   return id;
 }
 
-std::uint64_t encode_addr(net::SocketAddress a) {
-  return (std::uint64_t{a.host} << 16) | a.port;
-}
-
-net::SocketAddress decode_addr(std::uint64_t v) {
-  return {static_cast<net::HostId>(v >> 16),
-          static_cast<net::Port>(v & 0xffff)};
-}
-
-std::uint64_t crc_aux(BytesView data) { return crc32(data); }
-
 std::uint64_t conn_id_aux(const ConnectionId& id) {
   return (std::uint64_t{id.djvm_id} << 40) ^ (std::uint64_t{id.thread_num} << 20) ^
          id.event_num;
@@ -255,7 +244,7 @@ std::size_t Socket::do_read(std::uint8_t* out, std::size_t max) {
       e.value = n;
       if (!peer_is_djvm_) e.data = Bytes(out, out + n);  // open-world content
       vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kSockRead, crc_aux({out, n}), this);
+      vm_.mark_event(EventKind::kSockRead, crc32({out, n}), this);
       return n;
     } catch (const net::NetError& err) {
       record::NetworkLogEntry e;
@@ -290,7 +279,7 @@ std::size_t Socket::do_read(std::uint8_t* out, std::size_t max) {
           "recorded read content larger than the replayed buffer", this);
     }
     std::memcpy(out, d.data(), d.size());
-    vm_.mark_event(EventKind::kSockRead, crc_aux(d), this);
+    vm_.mark_event(EventKind::kSockRead, crc32(d), this);
     return d.size();
   }
   const std::size_t m = static_cast<std::size_t>(*entry->value);
@@ -327,7 +316,7 @@ std::size_t Socket::do_read(std::uint8_t* out, std::size_t max) {
       got += r;
     }
   }
-  vm_.replay_turn_end(EventKind::kSockRead, crc_aux({out, m}));
+  vm_.replay_turn_end(EventKind::kSockRead, crc32({out, m}));
   return m;
 }
 
@@ -394,7 +383,7 @@ void Socket::do_write(BytesView data) {
           EventKind::kSockWrite,
           [&](GlobalCount) {
             conn_->write(data);
-            return crc_aux(data);
+            return crc32(data);
           },
           0, this);
     } catch (const net::NetError& err) {
@@ -438,7 +427,7 @@ void Socket::do_write(BytesView data) {
     }
         // Virtual socket: "any message sent to a non-DJVM thread during
         // the record phase need not be sent again during the replay phase."
-        return crc_aux(data);
+        return crc32(data);
       },
       0, this);
 }
@@ -606,7 +595,7 @@ std::unique_ptr<Socket> ServerSocket::accept() {
           client_id = decode_meta({meta, kMetaSize});
           e.conn_id = client_id;  // the ServerSocketEntry <serverId,clientId>
         } else {
-          e.value = encode_addr(conn->remote_address());  // open-world peer
+          e.value = net::pack_address(conn->remote_address());  // open world
         }
         vm_.log_network_entry(st.num, std::move(e));
       }
@@ -640,7 +629,7 @@ std::unique_ptr<Socket> ServerSocket::accept() {
   }
   if (!entry->conn_id) {
     // Open-world peer: virtual socket fed from recorded content.
-    net::SocketAddress remote = decode_addr(*entry->value);
+    net::SocketAddress remote = net::unpack_address(*entry->value);
     vm_.mark_event(EventKind::kSockAccept, 0, this);
     return std::unique_ptr<Socket>(new Socket(vm_, remote, true));
   }

@@ -505,7 +505,7 @@ GlobalCount Vm::replay_turn_wait(sched::ThreadState& state, bool leasable,
       counter_.lease_begin(g, last);
       state.lease_active = true;
       state.lease_end = last;
-      state.lease_next_publish = g + config_.tuning.lease_publish_stride;
+      state.lease_next_publish = g + kLeasePublishStride;
     }
     return g;
   } catch (const sched::ReportedDivergenceError&) {
@@ -540,7 +540,7 @@ void Vm::replay_turn_done(sched::ThreadState& state, GlobalCount g) {
       // seeing a frozen counter across a long interval.  Under-reporting
       // between strides is safe: no waiter's turn lies inside the lease.
       counter_.lease_publish(g + 1);
-      state.lease_next_publish = g + 1 + config_.tuning.lease_publish_stride;
+      state.lease_next_publish = g + 1 + kLeasePublishStride;
     }
     state.cursor.advance();
     return;

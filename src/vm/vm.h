@@ -53,6 +53,12 @@ enum class Mode {
   kReplay,
 };
 
+/// Events between intra-lease counter publications (replay_leasing): a long
+/// interval publishes progress every this-many events so value() observers
+/// (stall detector, checkpoint snapshots, SchedStats) never see a frozen
+/// counter.
+inline constexpr GlobalCount kLeasePublishStride = 1024;
+
 /// Static configuration of one Vm.
 ///
 /// Semantics of the shared tuning knobs (djvu::TuningConfig — the
@@ -72,14 +78,10 @@ enum class Mode {
 ///     executes the interval's events with thread-local counter
 ///     bookkeeping (no atomics, no mutex, no wakeups), and publishes the
 ///     interval with a single counter jump at its end — ~(#intervals +
-///     #events/stride) atomic publications instead of #events.  false =
-///     the paper-faithful per-event await/tick protocol (the ablation
-///     baseline).  The replayed schedule, trace, and divergence detection
-///     are identical in both modes.
-///   * lease_publish_stride — events between intra-lease counter
-///     publications: a long interval publishes progress every this-many
-///     events so value() observers (stall detector, checkpoint snapshots,
-///     SchedStats) never see a frozen counter.
+///     #events/kLeasePublishStride) atomic publications instead of
+///     #events.  false = the paper-faithful per-event await/tick protocol
+///     (the ablation baseline).  The replayed schedule, trace, and
+///     divergence detection are identical in both modes.
 ///   * stall_timeout — replay stall detector window: a turn-wait that sees
 ///     no publication for this long — while every bound thread is itself
 ///     parked on a turn, so progress is impossible — aborts with
@@ -252,11 +254,6 @@ class Vm {
                                       const std::string& what,
                                       ConflictKey conflict =
                                           kThreadLocalConflict);
-
-  /// Record-side network log (append target).  Socket/system APIs must not
-  /// append here directly — they go through log_network_entry() so spooled
-  /// runs stream the entry to disk instead of accumulating it.
-  record::NetworkLog& network_log() { return network_log_; }
 
   /// Records one network event outcome: appended to the in-memory network
   /// log, or streamed to the spool file when spooling.  Record mode only.

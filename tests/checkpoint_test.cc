@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "checkpoint/checkpoint.h"
+#include "common/crc32.h"
+#include "record/log_spool.h"
 #include "record/serializer.h"
 #include "net/network.h"
 #include "vm/thread.h"
@@ -167,6 +170,52 @@ TEST(Checkpoint, FileRoundTrip) {
   checkpoint::save_to_file(rec.cp_log, path);
   EXPECT_EQ(checkpoint::load_from_file(path), rec.cp_log);
   std::remove(path.c_str());
+}
+
+// DJVUCKP bytes of a fixed two-checkpoint log with multi-entry state, as
+// the format has always written them: a change to the checkpoint or anchor
+// encoding that moves a byte fails here.
+TEST(Checkpoint, SerializedBytesAreFrozen) {
+  const CheckpointLog log{
+      3,
+      {{1, 17, 2, 4, {{"a", {1, 2}}, {"counter", {0x2c, 1, 0, 0, 0, 0, 0, 0}}}},
+       {2, 1000, 5, 130, {{"a", {}}, {"b", {0xff}}}}}};
+  const Bytes expected = {
+      0x44, 0x4a, 0x56, 0x55, 0x43, 0x4b, 0x50, 0x31, 0x01, 0x00, 0x03, 0x00,
+      0x00, 0x00, 0x02, 0x01, 0x11, 0x02, 0x04, 0x02, 0x01, 0x61, 0x02, 0x01,
+      0x02, 0x07, 0x63, 0x6f, 0x75, 0x6e, 0x74, 0x65, 0x72, 0x08, 0x2c, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xe8, 0x07, 0x05, 0x82, 0x01,
+      0x02, 0x01, 0x61, 0x00, 0x01, 0x62, 0x01, 0xff, 0xb4, 0xf3, 0x5a, 0xf2};
+  EXPECT_EQ(checkpoint::serialize(log), expected);
+  EXPECT_EQ(checkpoint::deserialize(expected), log);
+
+  // A checkpoint is a spool anchor: its DJVUCKP entry (after the 15-byte
+  // magic, version, vm_id and count) is byte for byte its kAnchor body.
+  const Bytes first = record::encode_anchor_item(log.checkpoints[0]);
+  ASSERT_LE(15 + first.size(), expected.size());
+  EXPECT_EQ(Bytes(expected.begin() + 15, expected.begin() + 15 + first.size()),
+            first);
+}
+
+// A CRC-valid log whose checkpoint count exceeds its bytes is a format
+// error, not an allocation of that many entries.
+TEST(Checkpoint, ImpossibleCountIsAFormatError) {
+  ByteWriter w;
+  w.raw(to_bytes("DJVUCKP1"));
+  w.u16(1);
+  w.u32(3);
+  w.varint(std::uint64_t{1} << 40);
+  w.u32(crc32(w.view()));
+  EXPECT_THROW(checkpoint::deserialize(w.view()), LogFormatError);
+}
+
+// A full disk takes a small write into the stdio buffer and fails only at
+// the flush: the save must still throw.
+TEST(Checkpoint, SaveToFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  RunOutput rec = record_run();
+  ASSERT_LT(checkpoint::serialize(rec.cp_log).size(), 4096u);
+  EXPECT_THROW(checkpoint::save_to_file(rec.cp_log, "/dev/full"), Error);
 }
 
 TEST(Checkpoint, UnknownPhaseThrows) {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "common/blocking_queue.h"
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/errors.h"
+#include "common/file_io.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/strutil.h"
@@ -221,6 +225,44 @@ TEST(StrUtil, HumanBytes) {
 TEST(StrUtil, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
+}
+
+TEST(FileIo, RoundTripReplacesTheFile) {
+  const std::string path = testing::TempDir() + "/djvu_file_io_test.bin";
+  const Bytes data = {0, 1, 2, 0xff};
+  write_file(path, data);
+  EXPECT_EQ(read_file(path), data);
+  write_file(path, Bytes{});
+  EXPECT_TRUE(read_file(path).empty());
+  std::remove(path.c_str());
+}
+
+void expect_error_naming(const std::function<void()>& op,
+                         const std::string& path) {
+  try {
+    op();
+    ADD_FAILURE() << "no error for " << path;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FileIo, ErrorsNameThePath) {
+  const std::string missing = "/nonexistent/dir/x.bin";
+  expect_error_naming([&] { read_file(missing); }, missing);
+  expect_error_naming([&] { write_file(missing, Bytes{1}); }, missing);
+  // A directory opens for reading but every read fails.
+  const std::string dir = testing::TempDir();
+  expect_error_naming([&] { read_file(dir); }, dir);
+}
+
+// Ten bytes fit in the stdio buffer, so fwrite reports them all written and
+// the full disk shows only at the flush.
+TEST(FileIo, FullDiskFailsAtTheFlush) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  expect_error_naming([] { write_file("/dev/full", Bytes(10, 1)); },
+                      "/dev/full");
 }
 
 }  // namespace

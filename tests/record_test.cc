@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -140,6 +141,14 @@ TEST(Serializer, FileRoundTrip) {
   VmLog back = load_from_file(path);
   EXPECT_EQ(serialize(back), serialize(log));
   std::remove(path.c_str());
+}
+
+// A small log fits in the stdio buffer, so a full disk fails only at the
+// flush; the save must still throw.
+TEST(Serializer, SaveToFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ASSERT_LT(serialize(sample_log()).size(), 4096u);
+  EXPECT_THROW(save_to_file(sample_log(), "/dev/full"), Error);
 }
 
 TEST(Serializer, MissingFileThrows) {

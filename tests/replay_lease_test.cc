@@ -88,11 +88,9 @@ void client_main(vm::Vm& v) {
   for (auto& th : threads) th.join();
 }
 
-core::Session make_stress(bool leasing,
-                          std::uint64_t stride = 1024) {
+core::Session make_stress(bool leasing) {
   core::SessionConfig cfg;
   cfg.tuning.replay_leasing = leasing;
-  cfg.tuning.lease_publish_stride = stride;
   core::Session s(cfg);
   s.add_vm("server", 1, true, server_main);
   s.add_vm("client", 2, true, client_main);
@@ -134,21 +132,21 @@ TEST(ReplayLease, LeaseOnOffDigestEquivalence) {
   }
 }
 
-// A long single-thread burst forms one long interval; with a small stride
-// the leaseholder must publish progress mid-lease, and the total number of
+// A long single-thread burst forms one interval several strides long: the
+// leaseholder must publish progress mid-lease, and the total number of
 // publications still stays far below the event count (the acceptance
 // criterion: lease_publish_count < leased_events).
 TEST(ReplayLease, LongIntervalStridePublishes) {
-  constexpr std::uint64_t kStride = 64;
+  constexpr std::uint64_t kStride = vm::kLeasePublishStride;
   auto build = [] {
     core::SessionConfig cfg;
     cfg.tuning.replay_leasing = true;
-    cfg.tuning.lease_publish_stride = kStride;
     core::Session s(cfg);
     s.add_vm("app", 1, true, [](vm::Vm& v) {
       vm::SharedVar<std::uint64_t> x(v, 0);
-      // Main runs alone first: one maximal interval of ~1200 events.
-      for (int i = 0; i < 600; ++i) x.set(x.get() + 1);
+      // Main runs alone first: one maximal interval of ~6000 events, close
+      // to six strides.
+      for (int i = 0; i < 3000; ++i) x.set(x.get() + 1);
       // Then a child whose first event must wait out the tail of main's
       // lease — woken by a stride or lease-end publication, never by a
       // per-event tick.
@@ -167,7 +165,7 @@ TEST(ReplayLease, LongIntervalStridePublishes) {
 
   const auto& sched = rep.vm("app").sched;
   EXPECT_EQ(rec.vm("app").trace_digest, rep.vm("app").trace_digest);
-  EXPECT_GT(sched.leased_events, 1000u);
+  EXPECT_GT(sched.leased_events, 5 * kStride);
   EXPECT_LT(sched.lease_publish_count, sched.leased_events);
   // The long interval really published mid-lease: more publications than
   // intervals (leases), at least ~events/stride of them.
@@ -213,7 +211,7 @@ TEST(ReplayLease, ExtraEventMidLeaseDiverges) {
 // Repeated leased replays of one recording agree bit-for-bit (leasing adds
 // no scheduling freedom: the recorded total order alone decides).
 TEST(ReplayLease, LeasedReplayIsDeterministic) {
-  core::Session s = make_stress(/*leasing=*/true, /*stride=*/32);
+  core::Session s = make_stress(/*leasing=*/true);
   auto rec = s.record(701);
   auto rep1 = s.replay(rec, 702);
   auto rep2 = s.replay(rec, 703);

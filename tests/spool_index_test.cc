@@ -3,7 +3,8 @@
 // Covers:
 //   * crc32_combine: stitching segment CRCs equals hashing the whole;
 //   * footer fidelity: the sealed footer decodes to exactly the index a
-//     sequential rebuild scan produces, plus an authoritative file CRC;
+//     sequential rebuild scan produces, for every item kind, plus an
+//     authoritative file CRC;
 //   * fallbacks: a torn footer and a footerless spool (what a crash or a
 //     pre-index writer leaves) both load cleanly through the sequential
 //     path, and seeking still works via the rebuild scan;
@@ -192,6 +193,97 @@ TEST(SpoolIndex, FooterMatchesRebuiltScan) {
   EXPECT_EQ(totals[0].sched_events, 30u);
   EXPECT_EQ(totals[1].intervals, 2u);
   EXPECT_EQ(totals[1].sched_events, 20u);
+}
+
+/// Writes a spool holding every item kind the writer emits — schedule,
+/// network, trace, causal-delta, anchor and finish — over several chunks
+/// (small chunk_bytes; the anchor and the finish item seal chunks of their
+/// own) and returns the path.
+std::string write_all_kinds_spool(const std::string& dir, bool compress) {
+  const std::string path = dir + "/all.djvuspool";
+  record::LogSpooler::Options opts;
+  opts.path = path;
+  opts.chunk_bytes = 48;
+  opts.compress = compress;
+  record::LogSpooler spooler(9, opts);
+  using sched::EventKind;
+  spooler.schedule_batch(0, {{0, 4}, {9, 12}});
+  spooler.schedule_batch(1, {{5, 8}});
+  record::NetworkLogEntry accept;
+  accept.kind = EventKind::kSockAccept;
+  accept.value = 0x10000beef;
+  spooler.network_entry(1, accept);
+  spooler.trace_batch({{3, 0, EventKind::kSharedRead, 7},
+                       {4, 0, EventKind::kSharedWrite, 8}});
+  spooler.causal_batch(0, {0, 1, 1, 3});
+  spooler.causal_batch(2, {5});
+  record::SpoolAnchor anchor;
+  anchor.phase = 1;
+  anchor.gc = 13;
+  anchor.threads_created = 3;
+  anchor.main_event_num = 1;
+  anchor.state = {{"x", {1, 2, 3}}, {"y", {}}};
+  spooler.anchor(anchor);
+  spooler.schedule_batch(2, {{14, 20}});
+  spooler.trace_batch({{15, 2, EventKind::kSockRead, 0xabcdef}});
+  record::NetworkLogEntry read;
+  read.kind = EventKind::kSockRead;
+  read.event_num = 1;
+  read.value = 3;
+  read.data = Bytes{'a', 'b', 'c'};
+  spooler.network_entry(2, read);
+  spooler.causal_batch(2, {6, 2});
+  record::RecordStats stats;
+  stats.critical_events = 21;
+  stats.network_events = 2;
+  spooler.finish(stats, 3);
+  spooler.close();
+  return path;
+}
+
+// The writer indexes items from its producers' values and the rebuild scan
+// from the decoded bodies; both fold through the same facts, so the footer
+// equals the rebuild entry for entry for every item kind.
+TEST(SpoolIndex, FooterMatchesRebuiltScanForEveryItemKind) {
+  for (const bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "raw");
+    const std::string dir = fresh_dir(compress ? "all_kinds_lz" : "all_kinds");
+    const std::string path = write_all_kinds_spool(dir, compress);
+
+    record::LogSource source(path);
+    const record::SpoolIndex* footer = source.index();
+    ASSERT_NE(footer, nullptr);
+    ASSERT_TRUE(footer->from_footer);
+    const record::SpoolIndex rebuilt = record::build_spool_index(path);
+    EXPECT_EQ(footer->chunks, rebuilt.chunks);
+    EXPECT_EQ(footer->data_end, rebuilt.data_end);
+
+    std::uint8_t kinds = 0;
+    std::uint64_t network_items = 0;
+    for (const record::SpoolChunkInfo& c : footer->chunks) {
+      kinds |= c.kinds;
+      network_items += c.network_items;
+    }
+    for (const record::SpoolItemKind kind :
+         {record::SpoolItemKind::kSchedule, record::SpoolItemKind::kNetwork,
+          record::SpoolItemKind::kTrace, record::SpoolItemKind::kFinish,
+          record::SpoolItemKind::kCausalDelta,
+          record::SpoolItemKind::kAnchor}) {
+      EXPECT_NE(kinds & record::spool_kind_bit(static_cast<std::uint8_t>(kind)),
+                0)
+          << "no chunk holds kind " << static_cast<int>(kind);
+    }
+    EXPECT_EQ(network_items, 2u);
+    EXPECT_GE(footer->chunks.size(), 4u);
+
+    // Thread totals: t0 2 intervals / 9 events / 4 seqs, t1 1 / 4 / 0,
+    // t2 1 / 7 / 3.
+    const auto totals = footer->totals_by_thread();
+    ASSERT_EQ(totals.size(), 3u);
+    EXPECT_EQ(totals[0], (record::SpoolThreadCounts{0, 2, 9, 4}));
+    EXPECT_EQ(totals[1], (record::SpoolThreadCounts{1, 1, 4, 0}));
+    EXPECT_EQ(totals[2], (record::SpoolThreadCounts{2, 1, 7, 3}));
+  }
 }
 
 TEST(SpoolIndex, TornFooterFallsBackToCleanSequentialLoad) {
