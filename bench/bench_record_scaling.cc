@@ -125,13 +125,16 @@ Result best_of(int threads, bool shared_object, bool sharding) {
 
 // --- Spooled vs in-memory record ------------------------------------------
 //
-// Same workload, full record bookkeeping (keep_trace on — the trace is the
-// O(run-length) part the spooler exists to stream out), timed through
+// Same workload, full record bookkeeping (keep_trace on), timed through
 // finish_record() so the spooled arm pays for sealing and fsyncing its file.
 
 // memory = in-memory VmLog (no spooler at all); spool = streamed to one
-// spool file through the spooler's bounded queue and writer thread.
-// flight = spool plus the flight-recorder retention ring: sealed
+// spool file through the spooler's bounded queue and writer thread.  The
+// spool arm also keeps its trace in memory, as every keep_trace spooled
+// run does (the run's trace and digest come from it, never from reading
+// the spool back), so it pays for one copy of each trace batch.
+// flight = spool plus the flight-recorder retention ring, which keeps no
+// in-memory trace (its trace lives only in the bounded tail): sealed
 // chunks land in a bounded on-disk directory (oldest evicted as new ones
 // seal) and the main thread ships periodic checkpoint anchors, so the arm
 // pays for everything always-on recording adds — anchor chunks, per-chunk

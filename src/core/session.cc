@@ -168,11 +168,7 @@ RunResult Session::run_spec(const RunSpec& spec) {
         }
       } else if (spec.recorded != nullptr) {
         for (const auto& info : spec.recorded->vms) {
-          if (info.spooled_log) {
-            // Already folded back from the sealed file at record time:
-            // replay consumes what survived on disk without a re-read.
-            logs.push_back(info.spooled_log);
-          } else if (!info.spool_path.empty()) {
+          if (!info.spool_path.empty()) {
             logs.push_back(std::make_shared<const record::VmLog>(
                 record::load_spooled_log(info.spool_path)));
           } else if (info.log) {
@@ -501,26 +497,13 @@ RunResult Session::run_impl(
     info.network_events = r.machine->network_events();
     info.sched = r.machine->sched_stats();
     info.wall_seconds = r.wall_seconds;
-    if (config_.keep_trace && !r.machine->spooling()) {
-      info.trace = r.machine->trace().sorted();
-    }
     if (r.machine->mode() == vm::Mode::kRecord) {
       record::VmLog log = r.machine->finish_record();
       if (r.machine->spooling()) {
         // The log lives on disk; the in-memory result carries only the
-        // pointer and the spooler's self-measurements.  The trace — never
-        // resident during the run — is read back from the sealed file so
-        // verification works unchanged; the same single load also yields
-        // the replay-relevant log, kept for replay()/export to share.
+        // pointer and the spooler's self-measurements.
         info.spool_path = r.machine->spool_path();
         info.spool = r.machine->spool_stats();
-        if (config_.keep_trace) {
-          record::SpoolContents contents =
-              record::load_spool(info.spool_path);
-          info.trace = std::move(contents.trace.records);
-          info.spooled_log = std::make_shared<const record::VmLog>(
-              std::move(contents.log));
-        }
       } else {
         info.log = std::move(log);
       }
@@ -533,7 +516,13 @@ RunResult Session::run_impl(
         finish_reports.push_back(std::move(rep));
       }
     }
-    if (config_.keep_trace) info.trace_digest = sched::trace_digest(info.trace);
+    if (config_.keep_trace) {
+      // Spooled or not, the trace is the one the run kept in memory (a
+      // flight recorder keeps none); a spool is never read back for it.
+      // finish_record/finish_replay above flushed every thread's buffer.
+      info.trace = r.machine->trace().sorted();
+      info.trace_digest = sched::trace_digest(info.trace);
+    }
     result.vms.push_back(std::move(info));
   }
   if (!finish_reports.empty()) {
@@ -639,8 +628,6 @@ void export_chrome_trace(const RunResult& run, const std::string& path,
     vm.vm_id = info.vm_id;
     if (info.log) {
       vm.log = &*info.log;
-    } else if (info.spooled_log) {
-      vm.log = info.spooled_log.get();  // already loaded at record time
     } else if (!info.spool_path.empty()) {
       loaded.push_back(std::make_unique<record::VmLog>(
           record::load_spooled_log(info.spool_path)));

@@ -46,7 +46,8 @@ struct SessionConfig {
   net::NetworkConfig net{};
 
   /// Keep execution traces for verification (disable for overhead
-  /// benchmarks).
+  /// benchmarks).  A spooled record run keeps its trace in memory too, so
+  /// its memory is bounded only with this off (or as a flight recorder).
   bool keep_trace = true;
 
   /// Shared performance/behaviour knobs — stall detector, record sharding,
@@ -64,11 +65,13 @@ struct VmRunInfo {
   DjvmId vm_id = 0;
   bool djvm = false;
 
-  /// gc-sorted critical-event trace (empty when tracing is off or the VM is
-  /// plain).
+  /// gc-sorted critical-event trace, as the run kept it in memory — a
+  /// spooled record run included, whose spool is never read back for it.
+  /// Empty when tracing is off, the VM is plain, or the VM recorded as a
+  /// flight recorder (its trace lives only in the bounded spool tail).
   std::vector<sched::TraceRecord> trace;
 
-  /// Trace digest (0 when tracing is off).
+  /// Trace digest (0 whenever `trace` is empty).
   std::uint64_t trace_digest = 0;
 
   /// Complete log bundle (record runs of DJVMs only; empty when the run
@@ -76,16 +79,9 @@ struct VmRunInfo {
   std::optional<record::VmLog> log;
 
   /// Spool file this VM recorded into ("" when the run kept its log in
-  /// memory).  Replay of this RunResult streams the file back.
+  /// memory).  Replay and export_chrome_trace() of this RunResult stream
+  /// the file back, once per call.
   std::string spool_path;
-
-  /// Spooled record runs with keep_trace: the replay-relevant log already
-  /// folded back from the sealed spool file.  Shared so replay() and
-  /// export_chrome_trace() reuse this one load instead of re-reading the
-  /// file per consumer; null when the run kept its log in memory (use
-  /// `log`) or never loaded the spool back (keep_trace off — replay then
-  /// streams the file once itself).
-  std::shared_ptr<const record::VmLog> spooled_log;
 
   /// Spooler self-measurements (all zero when not spooled).
   /// spool.queue_high_water_bytes is the bounded-memory witness: it never

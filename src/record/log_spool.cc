@@ -104,11 +104,20 @@ Bytes encode_trace_item(const std::vector<sched::TraceRecord>& records) {
   return out;
 }
 
-std::vector<sched::TraceRecord> decode_trace_item(BytesView body) {
+void decode_trace_item(BytesView body,
+                       std::vector<sched::TraceRecord>& records) {
+  // The smallest record encoding: one-byte gc delta and thread varints, the
+  // kind byte and the 8-byte aux.  A count the body cannot hold reserves no
+  // more than the body could.
+  constexpr std::uint64_t kMinRecordBytes = 1 + 1 + 1 + 8;
   ByteReader r(body);
   const std::uint64_t n = r.varint();
-  std::vector<sched::TraceRecord> records;
-  records.reserve(std::min<std::uint64_t>(n, r.remaining()));
+  const std::size_t want =
+      records.size() + std::min(n, r.remaining() / kMinRecordBytes);
+  if (want > records.capacity()) {
+    // Geometric, so a loader appending item after item stays linear.
+    records.reserve(std::max(want, 2 * records.capacity()));
+  }
   GlobalCount gc = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     sched::TraceRecord rec;
@@ -120,6 +129,11 @@ std::vector<sched::TraceRecord> decode_trace_item(BytesView body) {
     records.push_back(rec);
   }
   if (!r.at_end()) throw LogFormatError("trailing bytes in trace item");
+}
+
+std::vector<sched::TraceRecord> decode_trace_item(BytesView body) {
+  std::vector<sched::TraceRecord> records;
+  decode_trace_item(body, records);
   return records;
 }
 

@@ -147,6 +147,11 @@ Bytes encode_network_item(ThreadNum thread, const NetworkLogEntry& entry);
 std::pair<ThreadNum, NetworkLogEntry> decode_network_item(BytesView body);
 Bytes encode_trace_item(const std::vector<sched::TraceRecord>& records);
 std::vector<sched::TraceRecord> decode_trace_item(BytesView body);
+/// Appends the item's records to `records` (a loader decodes each trace
+/// item straight into the vector it is building).  On a throw `records`
+/// may hold part of the item.
+void decode_trace_item(BytesView body,
+                       std::vector<sched::TraceRecord>& records);
 Bytes encode_finish_item(const SpoolFinish& finish);
 SpoolFinish decode_finish_item(BytesView body);
 Bytes encode_causal_delta_item(ThreadNum thread,

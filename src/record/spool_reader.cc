@@ -341,9 +341,7 @@ void fold_item(SpoolItemKind kind, BytesView body, VmLog& log,
     }
     case SpoolItemKind::kTrace: {
       if (trace == nullptr) break;  // replay path: skip trace bodies
-      std::vector<sched::TraceRecord> records = decode_trace_item(body);
-      trace->records.insert(trace->records.end(), records.begin(),
-                            records.end());
+      decode_trace_item(body, trace->records);
       break;
     }
     case SpoolItemKind::kCausalDelta: {
@@ -428,8 +426,10 @@ void load_chunk(std::FILE* file, const SpoolChunkInfo& info, bool last_chunk,
 /// and the parts are appended in chunk order, each followed by its
 /// deferred items.  Every list and map then grows in the sequential
 /// scan's order and the finish item folds last, so the result is
-/// bit-identical to the sequential load.  nullopt on any anomaly; the
-/// caller falls back to the sequential scan.
+/// bit-identical to the sequential load.  The trace parts are gathered
+/// straight into sort_by_gc's order (sched::gather_by_gc) in chunk order,
+/// which is the order the sequential scan appends them in.  nullopt on any
+/// anomaly; the caller falls back to the sequential scan.
 std::optional<VmLog> load_indexed(const std::string& path,
                                   const LogSource& source,
                                   const SpoolIndex& index, TraceFile* trace) {
@@ -488,13 +488,15 @@ std::optional<VmLog> load_indexed(const std::string& path,
   };
   VmLog log;
   log.vm_id = source.vm_id();
-  std::vector<sched::TraceRecord> records;
+  std::vector<std::vector<sched::TraceRecord>> trace_parts;
+  trace_parts.reserve(trace != nullptr ? n : 0);
   try {
-    for (const ChunkPart& part : parts) {
+    for (ChunkPart& part : parts) {
       append_lists(log.schedule.per_thread, part.log.schedule.per_thread);
       append_lists(log.causal.per_thread, part.log.causal.per_thread);
-      records.insert(records.end(), part.trace.records.begin(),
-                     part.trace.records.end());
+      if (trace != nullptr) {
+        trace_parts.push_back(std::move(part.trace.records));
+      }
       for (const ItemView& item : part.deferred.items) {
         fold_item(item.kind, item.body, log, nullptr);
       }
@@ -502,7 +504,7 @@ std::optional<VmLog> load_indexed(const std::string& path,
   } catch (const Error&) {
     return std::nullopt;  // e.g. a network entry duplicated across chunks
   }
-  if (trace != nullptr) trace->records = std::move(records);
+  if (trace != nullptr) trace->records = sched::gather_by_gc(trace_parts);
   return log;
 }
 
@@ -515,7 +517,6 @@ VmLog stream_spool(const std::string& path, TraceFile* trace, bool* clean_end,
   const SpoolIndex* index = source.index();
   if (index != nullptr && !index->chunks.empty()) {
     if (std::optional<VmLog> log = load_indexed(path, source, *index, trace)) {
-      if (trace != nullptr) sched::sort_by_gc(trace->records);
       if (clean_end != nullptr) *clean_end = true;
       if (truncated_bytes != nullptr) *truncated_bytes = 0;
       return std::move(*log);

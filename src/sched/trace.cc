@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 
 #include "common/crc32.h"
 
@@ -14,17 +15,23 @@ constexpr auto gc_before = [](const TraceRecord& a, const TraceRecord& b) {
   return a.gc < b.gc;
 };
 
-// Stable counting sort on gc - min; `range` = max - min < 2 * size.
-void counting_sort_by_gc(std::vector<TraceRecord>& records, GlobalCount min,
-                         std::uint64_t range) {
+// Stable counting scatter of every part's records on gc - min; `range` =
+// max - min < 2 * n.
+std::vector<TraceRecord> counting_gather(
+    std::span<const std::vector<TraceRecord>> parts, std::size_t n,
+    GlobalCount min, std::uint64_t range) {
   // starts[k + 1] counts gc == min + k; the prefix sum turns starts[k] into
   // the first output slot of that gc.
   std::vector<std::size_t> starts(range + 2, 0);
-  for (const TraceRecord& r : records) ++starts[r.gc - min + 1];
+  for (const auto& part : parts) {
+    for (const TraceRecord& r : part) ++starts[r.gc - min + 1];
+  }
   for (std::size_t k = 1; k < starts.size(); ++k) starts[k] += starts[k - 1];
-  std::vector<TraceRecord> out(records.size());
-  for (const TraceRecord& r : records) out[starts[r.gc - min]++] = r;
-  records.swap(out);
+  std::vector<TraceRecord> out(n);
+  for (const auto& part : parts) {
+    for (const TraceRecord& r : part) out[starts[r.gc - min]++] = r;
+  }
+  return out;
 }
 
 // Bytes one record serializes to in the digest: gc u64, thread u32, kind
@@ -44,19 +51,37 @@ std::uint8_t* put_le(std::uint8_t* p, T v) {
 
 }  // namespace
 
-void sort_by_gc(std::vector<TraceRecord>& records) {
-  const std::size_t n = records.size();
-  if (n < 2) return;
-  const auto [min, max] = std::minmax_element(records.begin(), records.end(),
-                                              gc_before);
-  const std::uint64_t range = max->gc - min->gc;
+std::vector<TraceRecord> gather_by_gc(
+    std::span<const std::vector<TraceRecord>> parts) {
+  std::size_t n = 0;
+  GlobalCount min = UINT64_MAX;
+  GlobalCount max = 0;
+  for (const auto& part : parts) {
+    n += part.size();
+    for (const TraceRecord& r : part) {
+      min = std::min(min, r.gc);
+      max = std::max(max, r.gc);
+    }
+  }
+  if (n == 0) return {};
+  const std::uint64_t range = max - min;
   // A recorded trace has range = n - 1 and takes the linear path; the bound
   // keeps the count array within two entries per record.
   if (range < 2 * std::uint64_t{n}) {
-    counting_sort_by_gc(records, min->gc, range);
-  } else {
-    std::stable_sort(records.begin(), records.end(), gc_before);
+    return counting_gather(parts, n, min, range);
   }
+  std::vector<TraceRecord> out;
+  out.reserve(n);
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  std::stable_sort(out.begin(), out.end(), gc_before);
+  return out;
+}
+
+void sort_by_gc(std::vector<TraceRecord>& records) {
+  if (records.size() < 2) return;
+  records = gather_by_gc({&records, 1});
 }
 
 bool is_sorted_by_gc(const std::vector<TraceRecord>& records) {
@@ -64,18 +89,8 @@ bool is_sorted_by_gc(const std::vector<TraceRecord>& records) {
 }
 
 std::vector<TraceRecord> ExecutionTrace::sorted() const {
-  std::vector<TraceRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto& part : parts_) n += part.size();
-    out.reserve(n);
-    for (const auto& part : parts_) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
-  }
-  sort_by_gc(out);
-  return out;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return gather_by_gc(parts_);
 }
 
 std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -48,6 +49,16 @@ struct TraceRecord {
 /// which every recorded trace meets: its gcs are dense, one counter value
 /// per critical event.  Sparser inputs take a stable comparison sort.
 void sort_by_gc(std::vector<TraceRecord>& records);
+
+/// The records of `parts`, in exactly the order that concatenating the
+/// parts (in span order) and calling sort_by_gc gives — without building
+/// the concatenation.  On the dense path a counting scatter places each
+/// record straight from its part into the one output vector; a range too
+/// sparse for counting falls back to concatenate-then-sort.  This is how
+/// a trace kept as batches (ExecutionTrace, an indexed spool load's
+/// per-chunk parts) becomes one sorted vector.
+std::vector<TraceRecord> gather_by_gc(
+    std::span<const std::vector<TraceRecord>> parts);
 
 /// True when `records` is in sort_by_gc's order.
 bool is_sorted_by_gc(const std::vector<TraceRecord>& records);
@@ -83,8 +94,8 @@ class ExecutionTrace {
     return n;
   }
 
-  /// All records in the trace order (sort_by_gc).  The parts are merged
-  /// under the lock and sorted outside it; every call builds a new vector.
+  /// All records in the trace order (sort_by_gc), gathered from the parts
+  /// under the lock (gather_by_gc); every call builds a new vector.
   std::vector<TraceRecord> sorted() const;
 
  private:

@@ -230,19 +230,26 @@ void Vm::resume_replay(GlobalCount checkpoint_gc,
 
 void Vm::flush_trace(sched::ThreadState& state) {
   if (state.trace_buf.empty()) return;
-  if (spooler_ != nullptr) {
-    // Spooling: the trace streams to disk; trace_ stays empty and the run's
-    // digest is computed from the spool file (load_spool sorts by gc).
-    // Moving the buffer hands serialization to the spooler's writer thread;
-    // re-reserving spares the producer the log-n regrowth next cycle.
-    const std::size_t batch_size = state.trace_buf.size();
-    spooler_->trace_batch(std::move(state.trace_buf));
-    state.trace_buf.clear();
-    state.trace_buf.reserve(batch_size);
-  } else {
+  if (spooler_ == nullptr) {
     trace_.append_batch(std::move(state.trace_buf));
     state.trace_buf.clear();
+    return;
   }
+  // Spooling: the trace streams to disk for the doctor, incident tails and
+  // saved traces.  A full recording also keeps it in trace_, so the run's
+  // trace and digest come from memory, never from reading the spool back;
+  // a flight recorder keeps no copy, so its memory stays bounded however
+  // long the run.  The spooler serializes its batch on the writer thread;
+  // re-reserving spares the producer the log-n regrowth next cycle.
+  const std::size_t batch_size = state.trace_buf.size();
+  if (config_.tuning.flight_recorder) {
+    spooler_->trace_batch(std::move(state.trace_buf));
+  } else {
+    spooler_->trace_batch(state.trace_buf);
+    trace_.append_batch(std::move(state.trace_buf));
+  }
+  state.trace_buf.clear();
+  state.trace_buf.reserve(batch_size);
 }
 
 void Vm::maybe_spool_flush(sched::ThreadState& state) {

@@ -211,10 +211,11 @@ class Vm {
 
   // --- introspection -----------------------------------------------------------
 
-  /// Execution trace (empty when keep_trace is false).  Non-const: records
-  /// are buffered per thread on the hot path, so this first flushes the
-  /// calling thread's buffer (when the caller is bound to this Vm) — other
-  /// threads' buffers merge when those threads finish or detach.
+  /// Execution trace (empty when keep_trace is false, and for a flight
+  /// recorder, whose trace lives only in its bounded spool).  Non-const:
+  /// records are buffered per thread on the hot path, so this first flushes
+  /// the calling thread's buffer (when the caller is bound to this Vm) —
+  /// other threads' buffers merge when those threads finish or detach.
   const sched::ExecutionTrace& trace();
 
   /// Critical events executed so far (the global counter).  When the
@@ -417,8 +418,9 @@ class Vm {
   void after_event(sched::ThreadState& state, sched::EventKind kind,
                    std::uint64_t aux, GlobalCount gc);
 
-  /// Merges one thread's buffered trace records into trace_ — or, when
-  /// spooling, streams the buffer to the spool file as a kTrace item.
+  /// Merges one thread's buffered trace records into trace_ and, when
+  /// spooling, also streams them to the spool file as a kTrace item (a
+  /// flight recorder streams them only).
   /// Called by the owning thread (thread end, detach, trace()) or at end of
   /// phase when all threads have quiesced.
   void flush_trace(sched::ThreadState& state);

@@ -363,6 +363,34 @@ TEST(FlightTailReplay, ByteBoundTailLoadsCleanAndResumes) {
   EXPECT_NO_THROW(resumed.replay_from(dir, 99));
 }
 
+// A flight recorder keeps no in-memory trace, so its memory stays bounded:
+// the RunResult carries none (digest 0, as with keep_trace off), while the
+// sealed tail still holds the trace items the doctor and incident bundles
+// read.
+TEST(FlightRecorder, RunResultCarriesNoTraceButTailDoes) {
+  const std::string dir = fresh_dir("no_trace");
+  core::SessionConfig cfg;
+  cfg.tuning.stall_timeout = std::chrono::seconds(5);
+  cfg.tuning.spool_dir = dir;
+  cfg.tuning.flight_recorder = true;
+  cfg.tuning.retention_chunks = 4;
+  cfg.tuning.spool_chunk_bytes = 1024;
+
+  auto recorder = make_phased(cfg, 0, nullptr);
+  auto rec = recorder.record(43);
+  const core::VmRunInfo& info = rec.vm("app");
+  ASSERT_GE(info.spool.evicted_chunks, 1u) << "retention never bit";
+  EXPECT_TRUE(info.trace.empty());
+  EXPECT_EQ(info.trace_digest, 0u);
+
+  const record::SpoolContents tail = record::load_spool(info.spool_path);
+  EXPECT_TRUE(tail.clean_end);
+  ASSERT_FALSE(tail.trace.records.empty());
+  // Eviction dropped trace items; the newest survive.
+  EXPECT_LT(tail.trace.records.size(), info.critical_events);
+  EXPECT_EQ(tail.trace.records.back().gc + 1, info.critical_events);
+}
+
 TEST(FlightRecorder, CausalModeHasNoAnchorsAndFullTail) {
   // kCausal refuses kGlobalConflict checkpoints, so a causal flight run
   // has no anchors; the correct degraded mode is no eviction and a tail

@@ -330,6 +330,42 @@ TEST(LogSpool, SpooledLogMatchesBundlePath) {
   }
 }
 
+// A spooled record's trace is the one the run kept in memory; the spool is
+// never read back for it.  It must equal what the sealed spool holds,
+// record for record, raw or compressed, in total or causal order.
+TEST(LogSpool, RecordedTraceEqualsSpooledTrace) {
+  struct Arm {
+    const char* tag;
+    bool compress;
+    OrderMode order;
+  };
+  for (const Arm& arm : {Arm{"raw", false, OrderMode::kTotal},
+                         Arm{"lz", true, OrderMode::kTotal},
+                         Arm{"causal", false, OrderMode::kCausal}}) {
+    SCOPED_TRACE(arm.tag);
+    core::SessionConfig cfg;
+    cfg.tuning.spool_dir = fresh_dir(std::string("trace_") + arm.tag);
+    cfg.tuning.spool_chunk_bytes = 512;
+    cfg.tuning.spool_compress = arm.compress;
+    cfg.tuning.order_mode = arm.order;
+    core::Session s = make_stress(cfg);
+    const auto rec = s.record(921);
+    for (const auto& info : rec.vms) {
+      const record::SpoolContents contents =
+          record::load_spool(info.spool_path);
+      EXPECT_TRUE(contents.clean_end) << info.name;
+      const auto& spooled = contents.trace.records;
+      ASSERT_FALSE(info.trace.empty()) << info.name;
+      ASSERT_EQ(info.trace.size(), spooled.size()) << info.name;
+      for (std::size_t i = 0; i < spooled.size(); ++i) {
+        ASSERT_EQ(info.trace[i], spooled[i]) << info.name << " at " << i;
+      }
+      EXPECT_EQ(info.trace_digest, sched::trace_digest(spooled)) << info.name;
+    }
+    core::verify(rec, s.replay(rec, 922));
+  }
+}
+
 // --- torn-tail recovery -----------------------------------------------------
 
 // A single-VM app so the recording is self-contained (no network entries

@@ -889,5 +889,94 @@ TEST(Trace, SortByGcSmallAndSortedInputs) {
   expect_sorts_like_stable_sort(ascending);
 }
 
+// gather_by_gc must give exactly the order of concatenating its parts and
+// stable-sorting by gc.  Each record's payload is its position in that
+// concatenation, so a tie that moves — within a part or across parts —
+// shows.  ExecutionTrace::sorted() gathers the same parts as batches.
+void expect_gathers_like_stable_sort(
+    std::vector<std::vector<TraceRecord>> parts) {
+  std::vector<TraceRecord> expected;
+  for (auto& part : parts) {
+    for (TraceRecord& r : part) {
+      r.aux = expected.size();
+      expected.push_back(r);
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return a.gc < b.gc;
+                   });
+  const std::vector<TraceRecord> gathered = gather_by_gc(parts);
+  ExecutionTrace trace;
+  for (const auto& part : parts) trace.append_batch(part);
+  const std::vector<TraceRecord> sorted = trace.sorted();
+  ASSERT_EQ(gathered.size(), expected.size());
+  ASSERT_EQ(sorted.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(gathered[i], expected[i]) << "at " << i;
+    ASSERT_EQ(sorted[i], expected[i]) << "sorted() at " << i;
+  }
+}
+
+// `count` parts of random sizes up to `max_part` (some empty), gcs drawn
+// from [base, base + span]: duplicates within and across parts when span
+// is below the record count.
+std::vector<std::vector<TraceRecord>> random_parts(std::size_t count,
+                                                   std::size_t max_part,
+                                                   GlobalCount base,
+                                                   std::uint64_t span,
+                                                   std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<TraceRecord>> parts(count);
+  for (auto& part : parts) {
+    const std::size_t n = rng.next_below(max_part + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      part.push_back({base + rng.next_below(span + 1),
+                      static_cast<ThreadNum>(rng.next_below(4)),
+                      EventKind::kSharedWrite, 0});
+    }
+  }
+  return parts;
+}
+
+TEST(Trace, GatherByGcDenseWithTiesMatchesStableSort) {
+  // ~1,600 records over a 400-gc range: every gc repeats, within a part
+  // and across parts.
+  expect_gathers_like_stable_sort(random_parts(16, 200, 0, 400, 21));
+  expect_gathers_like_stable_sort(random_parts(64, 50, 1'000'000, 300, 22));
+  // One record per gc, spread over interleaved batches as a recording
+  // appends them.
+  const std::vector<TraceRecord> dense = interleaved_batches(5'000, 7, 23);
+  std::vector<std::vector<TraceRecord>> batches;
+  for (std::size_t i = 0; i < dense.size(); i += 333) {
+    batches.emplace_back(dense.begin() + i,
+                         dense.begin() + std::min(dense.size(), i + 333));
+  }
+  expect_gathers_like_stable_sort(batches);
+}
+
+TEST(Trace, GatherByGcSparseFallbackMatchesStableSort) {
+  expect_gathers_like_stable_sort(random_parts(8, 100, 0, 1'000'000'000, 24));
+  // The widest range: max - min = UINT64_MAX.
+  expect_gathers_like_stable_sort(
+      {{{UINT64_MAX, 0, EventKind::kSharedRead, 0}},
+       {{0, 0, EventKind::kSharedRead, 0},
+        {UINT64_MAX, 1, EventKind::kSharedRead, 0}},
+       {{0, 1, EventKind::kSharedRead, 0}}});
+}
+
+TEST(Trace, GatherByGcEmptyAndZeroParts) {
+  expect_gathers_like_stable_sort({});
+  expect_gathers_like_stable_sort({{}, {}, {}});
+  expect_gathers_like_stable_sort(
+      {{}, {{5, 0, EventKind::kSharedRead, 0}}, {}});
+  expect_gathers_like_stable_sort({{},
+                                   {{5, 0, EventKind::kSharedRead, 0},
+                                    {3, 0, EventKind::kSharedRead, 0}},
+                                   {},
+                                   {{3, 1, EventKind::kSharedRead, 0}},
+                                   {}});
+}
+
 }  // namespace
 }  // namespace djvu::sched
