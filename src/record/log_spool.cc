@@ -535,10 +535,13 @@ void LogSpooler::write_chunk(BytesView payload) {
       codec = SpoolCodec::kLz;
     }
   }
+  // The stored bytes are hashed once: the frame carries their CRC, and the
+  // whole-file CRC is extended by it rather than by hashing them again.
+  const std::uint32_t out_crc = crc32(out);
   ByteWriter frame;
   frame.u32(static_cast<std::uint32_t>(out.size()));
   frame.u8(static_cast<std::uint8_t>(codec));
-  frame.u32(crc32(out));
+  frame.u32(out_crc);
   const BytesView fv = frame.view();
   // The index entry: the facts folded as items were appended plus the
   // frame facts (the file offset is set where the chunk lands).
@@ -556,7 +559,7 @@ void LogSpooler::write_chunk(BytesView payload) {
     throw Error("spool write failed: " + options_.path);
   }
   file_crc_.update(fv);
-  file_crc_.update(out);
+  file_crc_.append(out_crc, out.size());
   info.offset = file_offset_;
   index_entries_.push_back(std::move(info));
   file_offset_ += fv.size() + out.size();

@@ -81,6 +81,9 @@ struct ItemView {
 /// whose buffer a move of the chunk keeps in place.
 struct CheckedChunk {
   std::uint8_t codec = 0;
+  /// CRC-32 of the stored payload, verified against the frame.  Callers
+  /// extend a whole-file CRC with it instead of hashing the bytes again.
+  std::uint32_t stored_crc = 0;
   Bytes payload;  ///< decoded payload bytes
   std::vector<ItemView> items;
 };
@@ -98,7 +101,8 @@ std::optional<CheckedChunk> check_chunk(BytesView framed) {
   ByteReader frame(framed.subspan(4, kChunkFrameBytes - 4));
   CheckedChunk chunk;
   chunk.codec = frame.u8();
-  if (!len || *len != stored.size() || crc32(stored) != frame.u32()) {
+  chunk.stored_crc = frame.u32();
+  if (!len || *len != stored.size() || crc32(stored) != chunk.stored_crc) {
     return std::nullopt;
   }
   if (chunk.codec == static_cast<std::uint8_t>(SpoolCodec::kLz)) {
@@ -238,13 +242,17 @@ bool LogSource::read_chunk() {
   }
   // Accepted: record the frame facts and feed the whole-file CRC (a seek
   // breaks byte coverage, so the stream CRC is only meaningful unseeked).
+  // The payload enters by the CRC check_chunk verified, not by a rehash.
   chunk_offset_ = start;
   chunk_stored_len_ =
       static_cast<std::uint32_t>(framed.size() - kChunkFrameBytes);
   chunk_codec_ = chunk->codec;
   chunk_raw_len_ = static_cast<std::uint32_t>(chunk->payload.size());
   ++chunks_read_;
-  if (!seeked_) stream_crc_.update(framed);
+  if (!seeked_) {
+    stream_crc_.update(BytesView(framed).first(kChunkFrameBytes));
+    stream_crc_.append(chunk->stored_crc, chunk_stored_len_);
+  }
   items_.clear();
   for (const ItemView& item : chunk->items) {
     items_.push_back({item.kind, Bytes(item.body.begin(), item.body.end())});
@@ -398,7 +406,10 @@ void load_chunk(std::FILE* file, const SpoolChunkInfo& info, bool last_chunk,
       chunk->payload.size() != info.raw_len) {
     throw LogFormatError("chunk disagrees with footer");
   }
-  part.crc = crc32(framed);
+  Crc32 crc;
+  crc.update(BytesView(framed).first(kChunkFrameBytes));
+  crc.append(chunk->stored_crc, info.stored_len);
+  part.crc = crc.value();
   part.len = framed.size();
   std::vector<ItemView> deferred;
   for (std::size_t i = 0; i < chunk->items.size(); ++i) {

@@ -52,11 +52,13 @@ void sort_by_gc(std::vector<TraceRecord>& records);
 
 /// The records of `parts`, in exactly the order that concatenating the
 /// parts (in span order) and calling sort_by_gc gives — without building
-/// the concatenation.  On the dense path a counting scatter places each
-/// record straight from its part into the one output vector; a range too
-/// sparse for counting falls back to concatenate-then-sort.  This is how
-/// a trace kept as batches (ExecutionTrace, an indexed spool load's
-/// per-chunk parts) becomes one sorted vector.
+/// the concatenation.  A recorded trace (one record per gc in [min, max])
+/// has each record placed at gc - min, then checked; a dense range with
+/// ties takes a counting scatter straight from the parts into the one
+/// output vector; a range too sparse for counting falls back to
+/// concatenate-then-sort.  This is how a trace kept as batches
+/// (ExecutionTrace, an indexed spool load's per-chunk parts) becomes one
+/// sorted vector.
 std::vector<TraceRecord> gather_by_gc(
     std::span<const std::vector<TraceRecord>> parts);
 

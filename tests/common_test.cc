@@ -90,6 +90,116 @@ TEST(Crc32, DetectsBitFlip) {
   EXPECT_NE(before, crc32(data));
 }
 
+// The definition of CRC-32, one bit at a time: the reference every faster
+// path must agree with.
+std::uint32_t bitwise_crc32(BytesView data) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Bytes out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+// Every length through several 64-byte folds and the 16-byte tail, at every
+// start offset within a 16-byte line: both sides of the kernel's size
+// threshold and of each unaligned load.
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const Bytes buf = random_bytes(1100 + 16, 1);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const BytesView data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), bitwise_crc32(data))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+// Splitting the input anywhere in the first 64 bytes puts short, kernel and
+// tail pieces on either side of the cut.
+TEST(Crc32, IncrementalSplitsMatchReference) {
+  const Bytes buf = random_bytes(1000, 2);
+  const std::uint32_t expect = bitwise_crc32(buf);
+  for (std::size_t cut = 0; cut < 64; ++cut) {
+    Crc32 inc;
+    inc.update(BytesView(buf).first(cut));
+    inc.update(BytesView(buf).subspan(cut));
+    ASSERT_EQ(inc.value(), expect) << cut;
+  }
+}
+
+TEST(Crc32, DispatchedPathMatchesPortable) {
+  for (std::size_t len : {std::size_t{64 << 10}, std::size_t{(1 << 20) + 13},
+                          std::size_t{4 << 20}}) {
+    const Bytes buf = random_bytes(len + 7, len);
+    for (std::size_t offset : {std::size_t{0}, std::size_t{7}}) {
+      const BytesView data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), detail::crc32_portable(data))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32, CombineAndAppendMatchWholeOnRandomSplits) {
+  Xoshiro256 rng(3);
+  const Bytes buf = random_bytes(5000, 4);
+  for (int i = 0; i < 500; ++i) {
+    const std::size_t len = rng.next_below(buf.size() + 1);
+    const std::size_t cut = rng.next_below(len + 1);
+    const BytesView whole(buf.data(), len);
+    const BytesView a = whole.first(cut);
+    const BytesView b = whole.subspan(cut);
+    const std::uint32_t expect = crc32(whole);
+    ASSERT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), expect)
+        << "len " << len << " cut " << cut;
+    Crc32 inc;
+    inc.update(a);
+    inc.append(crc32(b), b.size());
+    ASSERT_EQ(inc.value(), expect) << "len " << len << " cut " << cut;
+  }
+}
+
+TEST(Crc32, CombineWithEmptySecondRangeIsIdentity) {
+  for (std::uint32_t crc1 : {0u, 1u, 0xcbf43926u, 0xffffffffu}) {
+    EXPECT_EQ(crc32_combine(crc1, crc32({}), 0), crc1);
+  }
+  Crc32 inc;
+  inc.update(to_bytes("123456789"));
+  inc.append(crc32({}), 0);
+  EXPECT_EQ(inc.value(), 0xcbf43926u);
+}
+
+// Ranges of 2^32 bytes and more cannot be hashed here, so the combine is
+// checked against itself: moving a CRC past L1 then L2 zero-CRC bytes must
+// equal moving it past L1 + L2 at once.  Sixteen steps of 2^28 bytes reach
+// 2^32 without the table index wrapping, so the wrap is checked against
+// steps that do not use it.
+TEST(Crc32, CombineIsAssociativeBeyondFourGiB) {
+  const std::uint32_t a = 0x12345678u;
+  std::uint32_t stepped = a;
+  for (int i = 0; i < 16; ++i) stepped = crc32_combine(stepped, 0, 1u << 28);
+  EXPECT_EQ(stepped, crc32_combine(a, 0, std::uint64_t{1} << 32));
+
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t len1 = rng.next() >> 28;  // up to 2^36
+    const std::uint64_t len2 = rng.next() >> 28;
+    const auto b = static_cast<std::uint32_t>(rng.next());
+    const auto c = static_cast<std::uint32_t>(rng.next());
+    // crc(A || B || C) two ways: (A || B) then C, and A then (B || C).
+    ASSERT_EQ(crc32_combine(crc32_combine(a, b, len1), c, len2),
+              crc32_combine(a, crc32_combine(b, c, len2), len1 + len2))
+        << len1 << " " << len2;
+  }
+}
+
 TEST(Rng, DeterministicForSeed) {
   Xoshiro256 a(42), b(42), c(43);
   bool diverged = false;

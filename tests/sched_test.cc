@@ -758,13 +758,15 @@ std::vector<TraceRecord> seeded_trace(std::size_t n) {
 
 // trace_digest's value is part of the record/replay contract: a saved run's
 // digest must still verify after the digest's implementation changes.  The
-// constants were computed by the original ByteWriter-and-CRC32
-// implementation, which serialized the whole trace into one buffer.  The
-// streaming digest encodes 64 records per block and splits the stream at
-// byte total/2, so the sizes below straddle both seams: the half split
-// inside a record (1, 3) and on a record boundary (2), one block minus, at
-// and plus one record (63, 64, 65), and four full blocks with the half
-// split on a block boundary (256).
+// constants for n <= 1000 were computed by the original ByteWriter-and-CRC32
+// implementation, which serialized the whole trace into one buffer, and
+// those for 511, 512, 513 and 1025 by a streaming digest with 64-record
+// blocks.  The streaming digest encodes 512 records per block and splits
+// the stream at byte total/2, so the sizes below straddle its seams: the
+// half split inside a record (1, 3) and on a record boundary (2), one block
+// minus, at and plus one record (511, 512, 513; and 63, 64, 65 for the
+// older block size), two blocks plus one (1025), and the half split on a
+// 64-record block boundary (256).
 TEST(Trace, FrozenDigestValues) {
   EXPECT_EQ(trace_digest(seeded_trace(0)), 0u);
   EXPECT_EQ(trace_digest(seeded_trace(1)), 0x9ec8de11538215d5u);
@@ -776,6 +778,10 @@ TEST(Trace, FrozenDigestValues) {
   EXPECT_EQ(trace_digest(seeded_trace(256)), 0xa40814e1a8bcc5a9u);
   EXPECT_EQ(trace_digest(seeded_trace(257)), 0xf2bd20ce399adb63u);
   EXPECT_EQ(trace_digest(seeded_trace(1000)), 0xac9cb2d3d05d1160u);
+  EXPECT_EQ(trace_digest(seeded_trace(511)), 0x16d2eeb2011dc49au);
+  EXPECT_EQ(trace_digest(seeded_trace(512)), 0x2c86dd4bc8703c34u);
+  EXPECT_EQ(trace_digest(seeded_trace(513)), 0x549dbb3f494123b6u);
+  EXPECT_EQ(trace_digest(seeded_trace(1025)), 0x3eff669128899c60u);
 }
 
 // sort_by_gc must order exactly like a stable comparison sort, on the
@@ -953,6 +959,26 @@ TEST(Trace, GatherByGcDenseWithTiesMatchesStableSort) {
                          dense.begin() + std::min(dense.size(), i + 333));
   }
   expect_gathers_like_stable_sort(batches);
+}
+
+// max - min == n - 1 with a duplicate gc: the direct placement leaves a
+// slot empty (here gc 2's), sees it and falls back to the counting gather,
+// which keeps the tied records in input order.
+TEST(Trace, GatherByGcDenseRangeWithDuplicateFallsBack) {
+  expect_gathers_like_stable_sort({{{1, 0, EventKind::kSharedRead, 0}},
+                                   {{0, 1, EventKind::kSharedRead, 0},
+                                    {3, 1, EventKind::kSharedRead, 0}},
+                                   {{1, 2, EventKind::kSharedRead, 0}}});
+  // The same with gc 0 duplicated, so the empty slot is the last one.
+  expect_gathers_like_stable_sort({{{0, 0, EventKind::kSharedRead, 0},
+                                    {2, 0, EventKind::kSharedRead, 0}},
+                                   {{0, 1, EventKind::kSharedRead, 0}},
+                                   {{1, 2, EventKind::kSharedRead, 0}}});
+  // And over a base far from zero.
+  expect_gathers_like_stable_sort({{{101, 0, EventKind::kSharedRead, 0}},
+                                   {{100, 1, EventKind::kSharedRead, 0},
+                                    {103, 1, EventKind::kSharedRead, 0}},
+                                   {{101, 2, EventKind::kSharedRead, 0}}});
 }
 
 TEST(Trace, GatherByGcSparseFallbackMatchesStableSort) {
