@@ -28,7 +28,7 @@ void BM_GcCriticalSection(benchmark::State& state) {
   sched::GlobalCounter c;
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    c.with_section([&](GlobalCount g) { acc += g; });
+    c.with_section(sched::SectionKey{1}, [&](GlobalCount g) { acc += g; });
   }
   benchmark::DoNotOptimize(acc);
 }

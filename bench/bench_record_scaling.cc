@@ -74,7 +74,7 @@ Result run_config(int threads, bool shared_object, bool sharding) {
   cfg.vm_id = 1;
   cfg.mode = vm::Mode::kRecord;
   cfg.keep_trace = false;
-  cfg.tuning.record_sharding = sharding;
+  if (!sharding) cfg.tuning.record_stripes = 1;  // single section
   vm::Vm v(network, cfg);
   v.attach_main();
 
@@ -172,7 +172,6 @@ SpoolResult run_record_arm(int threads, SpoolMode mode, int iters,
   cfg.vm_id = 1;
   cfg.mode = vm::Mode::kRecord;
   cfg.keep_trace = true;
-  cfg.tuning.record_sharding = true;
   if (mode == SpoolMode::kFlight) {
     cfg.tuning.flight_recorder = true;
     cfg.tuning.retention_chunks = 4;  // small enough that eviction runs

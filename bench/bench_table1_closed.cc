@@ -9,8 +9,8 @@
 // overhead.
 
 // `--no-sharding` records through the paper-faithful single GC-critical
-// section instead of the sharded lock table (the EXPERIMENTS.md ablation
-// rows compare the two).
+// section (`record_stripes = 1`) instead of the 64-stripe lock table (the
+// EXPERIMENTS.md ablation rows compare the two).
 
 #include <cstdio>
 #include <cstring>

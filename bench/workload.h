@@ -145,7 +145,7 @@ inline core::Session make_session(const WorkloadParams& p, bool server_djvm,
                                   bool replay_leasing = true) {
   core::SessionConfig cfg;
   cfg.keep_trace = keep_trace;
-  cfg.tuning.record_sharding = record_sharding;
+  if (!record_sharding) cfg.tuning.record_stripes = 1;  // single section
   cfg.tuning.replay_leasing = replay_leasing;
   // Delays just wide enough to race connections; kept tiny so sleep time
   // does not dilute the CPU overhead the tables measure.

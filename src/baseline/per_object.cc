@@ -1,7 +1,8 @@
 #include "baseline/per_object.h"
 
 #include <algorithm>
-#include <condition_variable>
+#include <limits>
+#include <string>
 
 #include "common/crc32.h"
 
@@ -9,6 +10,27 @@ namespace djvu::baseline {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'J', 'V', 'U', 'L', 'V', 'R', '1'};
+
+/// Counts come from the file: each is bounded by the bytes left before
+/// anything is sized by it, so an impossible count is a format error, not
+/// bad_alloc.  `min_bytes` is the smallest encoding of one item.
+void check_count(std::uint64_t n, std::uint64_t min_bytes, const char* what,
+                 const ByteReader& r) {
+  if (n > r.remaining() / min_bytes) {
+    throw LogFormatError("per-object log claims " + std::to_string(n) + " " +
+                         what + " in " + std::to_string(r.remaining()) +
+                         " bytes");
+  }
+}
+
+std::uint32_t read_u32_varint(ByteReader& r, const char* what) {
+  const std::uint64_t v = r.varint();
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw LogFormatError(std::string("per-object log ") + what + " " +
+                         std::to_string(v) + " does not fit 32 bits");
+  }
+  return static_cast<std::uint32_t>(v);
+}
 
 struct Binding {
   LvHost* host = nullptr;
@@ -47,15 +69,17 @@ PerObjectLog deserialize(BytesView data) {
     throw LogFormatError("bad magic: not a per-object log");
   }
   PerObjectLog log;
-  std::uint64_t objects = r.varint();
+  const std::uint64_t objects = r.varint();
+  check_count(objects, 1, "objects", r);  // each: its run count
   log.objects.resize(objects);
   for (auto& obj : log.objects) {
-    std::uint64_t runs = r.varint();
+    const std::uint64_t runs = r.varint();
+    check_count(runs, 2, "runs", r);  // each: thread and count
     obj.reserve(runs);
     for (std::uint64_t i = 0; i < runs; ++i) {
       AccessRun run;
-      run.thread = static_cast<ThreadNum>(r.varint());
-      run.count = static_cast<std::uint32_t>(r.varint());
+      run.thread = read_u32_varint(r, "thread");
+      run.count = read_u32_varint(r, "count");
       obj.push_back(run);
     }
   }
@@ -65,7 +89,7 @@ PerObjectLog deserialize(BytesView data) {
 
 LvHost::LvHost(Mode mode, const PerObjectLog* replay_log,
                std::chrono::milliseconds stall_timeout)
-    : mode_(mode), replay_log_(replay_log), stall_timeout_(stall_timeout) {
+    : mode_(mode), replay_log_(replay_log), gate_(stall_timeout) {
   if ((mode_ == Mode::kReplay) != (replay_log_ != nullptr)) {
     throw UsageError("per-object replay log required exactly in replay mode");
   }
@@ -105,8 +129,11 @@ void LvHost::spawn(std::function<void()> fn) {
     try {
       fn();
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      errors_[slot] = std::current_exception();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        errors_[slot] = std::current_exception();
+      }
+      gate_.poison();
     }
     t_binding = {};
   });
@@ -141,26 +168,6 @@ PerObjectLog LvHost::finish_record() {
   log.objects.reserve(objects_.size());
   for (LvObject* obj : objects_) log.objects.push_back(obj->take_log());
   return log;
-}
-
-/// One parked thread's slot; lives on the waiting thread's stack.
-struct LvObject::Waiter {
-  ThreadNum thread = 0;
-  std::condition_variable cv;
-  Waiter* next = nullptr;
-};
-
-void LvObject::notify_next_locked() {
-  if (pending_.empty()) return;
-  const ThreadNum next = pending_.front().thread;
-  for (Waiter* w = waiters_; w != nullptr; w = w->next) {
-    if (w->thread == next) {
-      w->cv.notify_one();
-      return;
-    }
-  }
-  // The next accessor is not parked: it will take the fast path when it
-  // arrives.  Nobody else is woken — that is the point.
 }
 
 LvObject::LvObject(LvHost& host) : host_(host) {
@@ -199,50 +206,21 @@ void LvObject::access(const std::function<void()>& body) {
       return;
     }
     case Mode::kReplay: {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (pending_.empty()) {
-        throw ReplayDivergenceError("object accessed more times than recorded");
+      const auto it = cursors_.find(self);
+      if (it == cursors_.end()) {
+        throw ReplayDivergenceError(
+            "thread accessed an object it never accessed in record",
+            DivergenceCause::kBeyondSchedule);
       }
-      if (pending_.front().thread != self) {
-        // Park on our own slot; only the access that makes our run current
-        // wakes us (targeted, no broadcast).
-        Waiter w;
-        w.thread = self;
-        w.next = waiters_;
-        waiters_ = &w;
-        const auto deadline =
-            std::chrono::steady_clock::now() + host_.stall_timeout_;
-        bool ok = true;
-        for (;;) {
-          if (pending_.empty()) {
-            ok = false;
-            break;
-          }
-          if (pending_.front().thread == self) break;
-          if (w.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-              !(!pending_.empty() && pending_.front().thread == self)) {
-            ok = false;
-            break;
-          }
-        }
-        for (Waiter** p = &waiters_; *p != nullptr; p = &(*p)->next) {
-          if (*p == &w) {
-            *p = w.next;
-            break;
-          }
-        }
-        if (!ok) {
-          throw ReplayDivergenceError(
-              pending_.empty()
-                  ? "object accessed more times than recorded"
-                  : "per-object replay stalled (schedule mismatch)");
-        }
-      }
+      sched::IntervalCursor& cursor = it->second;
+      const GlobalCount turn = cursor.peek();
+      // Only the owner of an index publishes past it, so the wait returns
+      // exactly `turn` (or throws: poison, stall).
+      host_.gate_.wait(done_, turn);
       body();
-      if (--pending_.front().count == 0) {
-        pending_.pop_front();
-        notify_next_locked();
-      }
+      cursor.advance();
+      done_.store(turn + 1, std::memory_order_seq_cst);
+      host_.gate_.published(done_, turn + 1);
       return;
     }
   }
@@ -254,9 +232,19 @@ ObjectLog LvObject::take_log() {
   return std::move(log_);
 }
 
-void LvObject::load_log(ObjectLog log) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pending_.assign(log.begin(), log.end());
+void LvObject::load_log(const ObjectLog& log) {
+  // Run r covers the object's accesses [first, first + count - 1]; each
+  // thread's runs, in order, are the access indices it replays.
+  std::map<ThreadNum, sched::IntervalList> owned;
+  GlobalCount first = 0;
+  for (const AccessRun& run : log) {
+    if (run.count == 0) continue;
+    owned[run.thread].push_back({first, first + run.count - 1});
+    first += run.count;
+  }
+  for (auto& [thread, list] : owned) {
+    cursors_.emplace(thread, sched::IntervalCursor(std::move(list)));
+  }
 }
 
 }  // namespace djvu::baseline

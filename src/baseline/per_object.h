@@ -13,8 +13,11 @@
 //     per object, the run-length-encoded sequence of accessing threads
 //     (<thread, run length> pairs — the per-object analogue of a logical
 //     schedule interval);
-//   * replay: every object enforces its own recorded access order with
-//     per-object turn-taking — accesses to different objects proceed
+//   * replay: every object counts its completed accesses, and each thread's
+//     runs load as the access indices it owns (a sched::IntervalList per
+//     thread), so an access waits — through the host's sched::TurnGate, the
+//     same wait DJVM replay uses — until the object's count reaches the
+//     thread's next index.  Accesses to different objects proceed
 //     independently (the scheme's selling point on multiprocessors) but
 //     each object serializes exactly as recorded.
 //
@@ -25,9 +28,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -35,6 +37,8 @@
 #include "common/bytes.h"
 #include "common/errors.h"
 #include "common/ids.h"
+#include "sched/interval.h"
+#include "sched/turn_gate.h"
 
 namespace djvu::baseline {
 
@@ -64,7 +68,8 @@ struct PerObjectLog {
 };
 
 /// Serialized form (varint pairs per object, CRC-checked like the other
-/// log formats).
+/// log formats).  deserialize throws LogFormatError on any malformed input,
+/// including counts the remaining bytes cannot hold.
 Bytes serialize(const PerObjectLog& log);
 PerObjectLog deserialize(BytesView data);
 
@@ -76,8 +81,10 @@ class LvObject;
 /// (creation order) and shared objects, and carries the mode + logs.
 class LvHost {
  public:
-  /// `stall_timeout` bounds replay-time waits (a mismatched log turns
-  /// into ReplayDivergenceError instead of a deadlock).
+  /// `stall_timeout` is the replay turn gate's stall window: a wait that
+  /// sees no access published on any object for that long throws
+  /// ReplayDivergenceError (a mismatched log must not deadlock).  The host
+  /// registers no runners, so one quiet window is a stall (sched::TurnGate).
   explicit LvHost(Mode mode, const PerObjectLog* replay_log = nullptr,
                   std::chrono::milliseconds stall_timeout =
                       std::chrono::milliseconds(10000));
@@ -91,7 +98,9 @@ class LvHost {
   void attach_main();
   void detach_current();
 
-  /// Spawns a worker (creation-order numbering, like VmThread).
+  /// Spawns a worker (creation-order numbering, like VmThread).  A worker
+  /// that fails poisons the turn gate, so its siblings' replay waits unwind
+  /// instead of waiting for accesses that will never come.
   void spawn(std::function<void()> fn);
 
   /// Joins every spawned worker; re-throws the first failure.
@@ -108,11 +117,11 @@ class LvHost {
 
  private:
   friend class LvObject;
-  const PerObjectLog* replay_entry(std::uint32_t object_id) const;
 
   Mode mode_;
   const PerObjectLog* replay_log_;
-  std::chrono::milliseconds stall_timeout_;
+  /// Every replay access waits here, on its object's completed-access count.
+  sched::TurnGate gate_;
   std::mutex mutex_;
   std::vector<LvObject*> objects_;
   std::uint32_t next_thread_ = 0;
@@ -131,37 +140,34 @@ class LvObject {
   /// run-length log (record), waits for this thread's recorded per-object
   /// turn (replay), or just runs it (passthrough).
   ///
-  /// Replay turn-waiting uses the same targeted-wakeup discipline as
-  /// sched::GlobalCounter: each parked thread owns a waiter slot with its
-  /// own condition_variable; finishing a recorded run notifies exactly the
-  /// thread whose run is next (never a broadcast), and waits are
-  /// deadline-bounded by the host's stall timeout.
+  /// A replay access is one wait on the host's turn gate until the
+  /// object's completed-access count reaches the thread's next recorded
+  /// index, the body, then one publication of the count (the gate wakes
+  /// only the thread whose index that is).  A thread with no recorded
+  /// access left throws ReplayDivergenceError (kBeyondSchedule).
   void access(const std::function<void()>& body);
 
   /// Record-side result.
   ObjectLog take_log();
 
-  /// Replay-side setup.
-  void load_log(ObjectLog log);
-
  private:
-  struct Waiter;
-
-  /// Notifies the parked waiter (if any) whose recorded run is now at the
-  /// front.  Caller holds mutex_.
-  void notify_next_locked();
+  /// Replay-side setup: splits the recorded runs into each thread's access
+  /// indices.
+  void load_log(const ObjectLog& log);
 
   LvHost& host_;
   std::uint32_t id_;
+  // Record and passthrough: accesses serialize on mutex_, which also
+  // guards the run-length accumulation.
   std::mutex mutex_;
-  // Record: run-length accumulation.
   ObjectLog log_;
   bool open_ = false;
   ThreadNum last_thread_ = 0;
-  // Replay: cursor over the recorded runs + parked waiters (slots live on
-  // the waiting threads' stacks), both guarded by mutex_.
-  std::deque<AccessRun> pending_;
-  Waiter* waiters_ = nullptr;
+  // Replay: accesses completed so far, and each thread's recorded access
+  // indices.  The map is fixed after load_log; each cursor is advanced only
+  // by its own thread.
+  sched::TurnCell done_{0};
+  std::map<ThreadNum, sched::IntervalCursor> cursors_;
 };
 
 /// A shared variable under the baseline scheme.

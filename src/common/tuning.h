@@ -46,11 +46,9 @@ struct TuningConfig {
   /// Replay stall detector window (vm::VmConfig docs).
   std::chrono::milliseconds stall_timeout{10000};
 
-  /// Record-mode sharded GC-critical sections; off = the paper-faithful
-  /// single section (ablation baseline).
-  bool record_sharding = true;
-
-  /// Stripes in the sharded record lock table (record_sharding only).
+  /// Stripes in the record-mode GC-critical-section lock table, keyed by
+  /// each event's conflict object; 1 = the paper-faithful single section
+  /// (ablation baseline).  0 is a UsageError.
   std::size_t record_stripes = 64;
 
   /// Replay-mode interval leasing; off = the paper-faithful per-event

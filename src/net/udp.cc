@@ -28,7 +28,10 @@ Datagram UdpPort::receive() {
       return dg;
     }
     if (!queue_.empty()) {
-      cv_.wait_until(lock, queue_.begin()->deliver_at);
+      // By value: wait_until reads its deadline again after it wakes, when
+      // close() or another receiver may have freed the queue's node.
+      const TimePoint wake = queue_.begin()->deliver_at;
+      cv_.wait_until(lock, wake);
     } else {
       cv_.wait(lock);
     }

@@ -352,7 +352,8 @@ void LogSpooler::network_entry(ThreadNum thread, const NetworkLogEntry& entry) {
 void LogSpooler::trace_batch(std::vector<sched::TraceRecord> records) {
   if (records.empty()) return;
   // Raw records ride the queue; the writer thread serializes them, so the
-  // recording thread pays only for the vector handoff here.
+  // recording thread pays only for the handoff: the copy it passed in (a
+  // full recording keeps its batch), or a move (a flight recorder).
   Item item{SpoolItemKind::kTrace, {}, std::move(records), /*cost=*/0};
   enqueue(std::move(item));
 }

@@ -17,7 +17,10 @@
 // buffer_bytes blocks until the writer drains it (counted in
 // producer_blocks), which is what bounds record-mode memory.  Trace
 // batches ride the queue as raw records and are serialized on the writer
-// thread, off the recording threads' critical path.  The queue is the only
+// thread, off the recording threads' critical path.  A full recording hands
+// the spooler a copy of each batch and keeps the batch for its in-memory
+// trace; only a flight recorder, which keeps no trace, moves it in.  The
+// queue is the only
 // producer path because it measured faster than per-thread lock-free rings
 // on 4 cores (docs/INTERNALS.md §1c).
 //
@@ -243,9 +246,10 @@ class LogSink {
                              const NetworkLogEntry& entry) = 0;
 
   /// A batch of one thread's buffered trace records, in that thread's
-  /// program (= gc) order.  By value: the producer hands its buffer over
-  /// (move it in) and serialization happens off the producer's critical
-  /// path, on the writer thread.
+  /// program (= gc) order.  By value: a producer that keeps no trace (a
+  /// flight recorder) moves its buffer in, one that keeps its trace passes
+  /// a copy.  Serialization happens off the producer's critical path, on
+  /// the writer thread.
   virtual void trace_batch(std::vector<sched::TraceRecord> records) = 0;
 
   /// A batch of `thread`'s causal per-key seqs in program order (causal
@@ -332,9 +336,10 @@ class LogSpooler : public LogSink {
   struct Item {
     SpoolItemKind kind;
     Bytes body;
-    /// Trace batches ride the queue raw and are encoded by the writer
-    /// thread — serialization overlaps with the recording threads instead
-    /// of taxing their critical events.  Non-empty iff kind == kTrace.
+    /// Trace batches ride the queue raw (the producer's copy, or its moved
+    /// buffer in a flight recorder) and are encoded by the writer thread —
+    /// serialization overlaps with the recording threads instead of
+    /// taxing their critical events.  Non-empty iff kind == kTrace.
     std::vector<sched::TraceRecord> records;
     /// Byte-accounting cost charged against buffer_bytes (set by enqueue).
     std::size_t cost = 0;

@@ -2,11 +2,12 @@
 
 namespace djvu::replay {
 
+DatagramReplayer::DatagramReplayer(
+    std::map<DgNetworkEventId, std::uint32_t> recorded_deliveries)
+    : remaining_(std::move(recorded_deliveries)) {}
+
 Bytes DatagramReplayer::take_locked(
     std::map<DgNetworkEventId, Bytes>::iterator it) {
-  if (!bounded_) {
-    return it->second;  // copy: the entry stays for recorded duplicates
-  }
   auto rem = remaining_.find(it->first);
   if (rem != remaining_.end() && rem->second > 1) {
     --rem->second;
@@ -22,7 +23,6 @@ Bytes DatagramReplayer::take_locked(
 }
 
 bool DatagramReplayer::admit_locked(const DgNetworkEventId& id) {
-  if (!bounded_) return true;
   if (remaining_.count(id) != 0) return true;
   ++dropped_;  // never named by any recorded receive — ignore (§4.2.3)
   return false;
@@ -82,13 +82,6 @@ void DatagramReplayer::put(const DgNetworkEventId& id, Bytes payload) {
 std::size_t DatagramReplayer::buffered() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return buffer_.size();
-}
-
-void DatagramReplayer::set_recorded_deliveries(
-    std::map<DgNetworkEventId, std::uint32_t> counts) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  bounded_ = true;
-  remaining_ = std::move(counts);
 }
 
 std::size_t DatagramReplayer::dropped() const {

@@ -7,17 +7,14 @@
 // duplication is kept in the buffer until it is delivered to the same number
 // of read requests as in the record phase."
 //
-// The replayer buffers every arriving datagram by DGnetworkEventId and hands
-// each receive event exactly the datagram its log entry names.  Delivered
-// payloads are retained only while the recorded log still names further
-// deliveries for that id: when `set_recorded_deliveries` has been called,
-// each delivery decrements the id's remaining count and the buffered entry
-// is pruned the moment its count is exhausted, so the buffer's residency is
-// bounded by the set of ids with outstanding recorded deliveries.  Datagrams
-// never named by any entry are dropped on arrival in bounded mode — the
-// "ignored if not delivered during record" rule — instead of accumulating.
-// Without recorded counts the replayer falls back to the legacy retain-
-// forever behaviour (standalone tests and partial logs).
+// The replayer buffers arriving datagrams by DGnetworkEventId and hands
+// each receive event exactly the datagram its log entry names.  It is built
+// with the recorded delivery count of every id: each delivery decrements the
+// id's remaining count and the buffered entry is pruned the moment its count
+// is exhausted, so the buffer's residency is bounded by the set of ids with
+// outstanding recorded deliveries.  Datagrams never named by any entry are
+// dropped on arrival — the "ignored if not delivered during record" rule —
+// instead of accumulating.
 #pragma once
 
 #include <condition_variable>
@@ -39,6 +36,11 @@ class DatagramReplayer {
   /// tagged datagram.  May throw (socket closed).
   using FetchFn = std::function<std::pair<DgNetworkEventId, Bytes>()>;
 
+  /// `recorded_deliveries` maps each datagram id to the number of receive
+  /// events the recorded log serves from it.
+  explicit DatagramReplayer(
+      std::map<DgNetworkEventId, std::uint32_t> recorded_deliveries);
+
   /// Returns the application payload of the datagram recorded for this
   /// receive event, fetching (one fetcher at a time) until it arrives.
   Bytes await(const DgNetworkEventId& want, const FetchFn& fetch);
@@ -46,29 +48,22 @@ class DatagramReplayer {
   /// Deposits a datagram directly (tests).
   void put(const DgNetworkEventId& id, Bytes payload);
 
-  /// Number of buffered datagrams.  Unbounded (legacy) mode retains
-  /// delivered entries for potential recorded duplicates; bounded mode
-  /// prunes an entry once its recorded delivery count is exhausted.
+  /// Number of buffered datagrams: an entry stays until its recorded
+  /// delivery count is exhausted.
   std::size_t buffered() const;
 
-  /// Enables bounded residency: `counts` maps each datagram id to the
-  /// number of receive events the recorded log serves from it.  Delivering
-  /// the last recorded copy erases the buffered payload; arrivals never
-  /// named by the log are dropped instead of buffered.
-  void set_recorded_deliveries(std::map<DgNetworkEventId, std::uint32_t> counts);
-
-  /// Number of datagrams discarded so far in bounded mode (pruned after
-  /// their final recorded delivery, or never named by the log).
+  /// Number of datagrams discarded so far (pruned after their final
+  /// recorded delivery, or never named by the log).
   std::size_t dropped() const;
 
  private:
-  /// Serves `it` to the caller under `mutex_`: in bounded mode decrements
-  /// the remaining count and prunes the entry on its last recorded
-  /// delivery (moving the payload out); otherwise copies and retains.
+  /// Serves `it` to the caller under `mutex_`: decrements the remaining
+  /// count and prunes the entry on its last recorded delivery (moving the
+  /// payload out).
   Bytes take_locked(std::map<DgNetworkEventId, Bytes>::iterator it);
 
-  /// True when the arriving datagram should be buffered (always in legacy
-  /// mode; only while recorded deliveries remain in bounded mode).
+  /// True when the arriving datagram should be buffered: while recorded
+  /// deliveries of its id remain.
   bool admit_locked(const DgNetworkEventId& id);
 
   mutable std::mutex mutex_;
@@ -77,7 +72,6 @@ class DatagramReplayer {
   bool fetch_in_progress_ = false;
   std::size_t waiters_ = 0;
 
-  bool bounded_ = false;
   std::map<DgNetworkEventId, std::uint32_t> remaining_;
   std::size_t dropped_ = 0;
 };

@@ -10,8 +10,8 @@
 // Record mode: `record_next(key)` assigns the event's per-key sequence
 // number.  It MUST be called inside the GC-critical section for `key` —
 // same-key events serialize on the same stripe, so per-key sequence order
-// equals stripe-acquisition order equals object access order (with sharding
-// off, the single section gives the same guarantee trivially).
+// equals stripe-acquisition order equals object access order (with one
+// stripe, the single section gives the same guarantee trivially).
 //
 // Replay mode: an event recorded with per-key sequence s calls
 // `await(key, s)` — a wait on the key's published count through the VM's

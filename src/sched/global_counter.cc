@@ -11,12 +11,16 @@ GlobalCounter::GlobalCounter(std::chrono::milliseconds stall_timeout,
                              std::size_t record_stripes)
     : gate_(stall_timeout),
       stripe_count_(record_stripes),
-      stripes_(record_stripes ? std::make_unique<Stripe[]>(record_stripes)
-                              : nullptr) {}
+      stripes_(std::make_unique<Stripe[]>(record_stripes)) {
+  if (record_stripes == 0) {
+    throw UsageError(
+        "record_stripes must be at least 1 (1 is the single GC-critical "
+        "section)");
+  }
+}
 
-std::unique_lock<std::mutex> GlobalCounter::acquire_timed(std::mutex& m,
-                                                          Stripe* stripe) {
-  std::unique_lock<std::mutex> lock(m, std::try_to_lock);
+std::unique_lock<std::mutex> GlobalCounter::acquire_timed(Stripe& stripe) {
+  std::unique_lock<std::mutex> lock(stripe.mutex, std::try_to_lock);
   if (lock.owns_lock()) return lock;
   const auto t0 = std::chrono::steady_clock::now();
   lock.lock();
@@ -26,11 +30,7 @@ std::unique_lock<std::mutex> GlobalCounter::acquire_timed(std::mutex& m,
           .count());
   stripe_waits_.fetch_add(1, std::memory_order_relaxed);
   section_wait_micros_.fetch_add(waited, std::memory_order_relaxed);
-  if (stripe != nullptr) {
-    stripe->contended.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    global_contended_.fetch_add(1, std::memory_order_relaxed);
-  }
+  stripe.contended.fetch_add(1, std::memory_order_relaxed);
   return lock;
 }
 
@@ -129,7 +129,7 @@ SchedStats GlobalCounter::stats() const {
   s.leases_taken = leases_.load(std::memory_order_relaxed);
   s.leased_events = leased_events_.load(std::memory_order_relaxed);
   s.lease_publish_count = lease_publishes_.load(std::memory_order_relaxed);
-  std::uint64_t worst = global_contended_.load(std::memory_order_relaxed);
+  std::uint64_t worst = 0;
   for (std::size_t i = 0; i < stripe_count_; ++i) {
     worst = std::max(worst,
                      stripes_[i].contended.load(std::memory_order_relaxed));

@@ -5,24 +5,25 @@
 // counter ticks at each execution of a critical event to uniquely identify
 // each critical event."
 //
-// Record mode: `with_section(f)` performs counter update + event execution
-// as one atomic operation (the paper's application-transparent, light-weight
-// GC-critical section).  Blocking events instead run outside the section and
-// call `tick()` afterwards to mark themselves.
+// Record mode: `with_section(key, f)` performs counter update + event
+// execution as one atomic operation (the paper's application-transparent,
+// light-weight GC-critical section).  Blocking events instead run outside
+// the section and call `tick()` afterwards to mark themselves.
 //
-// Sharded record mode (constructor `record_stripes > 0`): the single section
-// is replaced by a striped lock table keyed by the event's conflict object.
-// `with_section(key, f)` locks only the stripe the key hashes to, assigns
-// the event's number with an atomic fetch_add *while holding the stripe*,
-// and runs the event body under that stripe.  Events on independent objects
-// proceed in parallel; events on the same object stay mutually exclusive
-// with their numbering, so the counter order restricted to any one object
-// equals its lock-acquisition (i.e. access) order.  Replay's total-order
-// enforcement — unchanged — linearizes all per-object orders and therefore
-// reproduces every observed value (docs/INTERNALS.md "Sharded GC-critical
-// sections" gives the full argument).  `with_exclusive_section(f)` locks
-// every stripe for events that must exclude ALL concurrent events
-// (checkpoint snapshots).
+// The section is a striped lock table keyed by the event's conflict object
+// (constructor `record_stripes >= 1`).  `with_section(key, f)` locks only
+// the stripe the key hashes to, assigns the event's number with an atomic
+// fetch_add *while holding the stripe*, and runs the event body under that
+// stripe.  One stripe is the paper's single section: every event takes the
+// same lock.  With more stripes, events on independent objects proceed in
+// parallel; events on the same object stay mutually exclusive with their
+// numbering, so the counter order restricted to any one object equals its
+// lock-acquisition (i.e. access) order.  Replay's total-order enforcement —
+// unchanged — linearizes all per-object orders and therefore reproduces
+// every observed value (docs/INTERNALS.md "Sharded GC-critical sections"
+// gives the full argument).  `with_exclusive_section(f)` locks every stripe
+// for events that must exclude ALL concurrent events (checkpoint
+// snapshots).
 //
 // Replay mode: `await(g)` blocks a thread until the counter reaches its next
 // event's recorded value; `tick()` releases the next event in the total
@@ -45,10 +46,10 @@
 // TurnGate (sched/turn_gate.h), which causal replay shares.  value(), the
 // await fast path and replay-mode tick() with nobody parked never take a
 // mutex.  Concurrency contract: with_section() calls on the same stripe
-// (always, in single-section mode) are mutually exclusive with each other
-// but NOT with tick(); the two are never mixed concurrently —
-// with_section() is the record-mode event path, tick() the replay-mode
-// one, where the turn protocol already serializes tickers.
+// are mutually exclusive with each other but NOT with tick(); the two are
+// never mixed concurrently — with_section() is the record-mode event path,
+// tick() the replay-mode one, where the turn protocol already serializes
+// tickers.
 #pragma once
 
 #include <atomic>
@@ -65,7 +66,7 @@
 
 namespace djvu::sched {
 
-/// Conflict key for the sharded record path: an integer identifying the
+/// Conflict key for the record section: an integer identifying the
 /// object a critical event conflicts on (usually a mixed object address;
 /// thread-local events use an odd key derived from the thread number, which
 /// can never collide with an aligned pointer).
@@ -76,18 +77,18 @@ class GlobalCounter {
  public:
   /// `stall_timeout` is the turn gate's stall window (TurnGate).
   ///
-  /// `record_stripes` selects the record-mode section layout: 0 keeps the
-  /// paper-faithful single GC-critical section; N > 0 builds an N-stripe
-  /// lock table for `with_section(key, f)` (replay mode never passes
-  /// stripes — turn-waiting is layout-independent).
+  /// `record_stripes` is the size of the record-section lock table: 1 is
+  /// the paper-faithful single GC-critical section, N > 1 shards it by
+  /// conflict key (replay never enters a section — turn-waiting is
+  /// layout-independent).  0 is a UsageError.
   explicit GlobalCounter(std::chrono::milliseconds stall_timeout =
                              std::chrono::milliseconds(10000),
-                         std::size_t record_stripes = 0);
+                         std::size_t record_stripes = 1);
   GlobalCounter(const GlobalCounter&) = delete;
   GlobalCounter& operator=(const GlobalCounter&) = delete;
 
-  /// Current value (== number of critical events started so far; with the
-  /// single section "started" and "completed" coincide).  Lock-free.
+  /// Current value (== number of critical events started so far).
+  /// Lock-free.
   /// Acquire, not seq_cst: this is a pure observer — it pairs with the
   /// (release-or-stronger) publications in tick() / with_section() /
   /// publish() to see a fresh value, but it is NOT part of the
@@ -99,40 +100,20 @@ class GlobalCounter {
   /// waiter is parked; then the one waiter whose turn arrived is notified.
   GlobalCount tick();
 
-  /// GC-critical section: runs `f` with the section lock held and the event
-  /// numbered `value()`, then increments — counter update and event
-  /// execution as a single atomic action (record mode, non-blocking events).
-  /// This overload always uses the single global section, regardless of the
-  /// stripe configuration.
-  template <typename F>
-  GlobalCount with_section(F&& f) {
-    check_no_lease();
-    GlobalCount v;
-    {
-      std::unique_lock<std::mutex> lock = acquire_timed(mutex_, nullptr);
-      v = value_.load(std::memory_order_relaxed);
-      std::forward<F>(f)(v);
-      publish(v + 1);
-    }
-    sections_.fetch_add(1, std::memory_order_relaxed);
-    return v;
-  }
-
-  /// Sharded GC-critical section: runs `f` holding only the stripe `key`
-  /// hashes to, with the event's number assigned by an atomic fetch_add
-  /// while the stripe is held.  Falls back to the single section when the
-  /// counter was constructed without stripes.  Events whose keys hash to
-  /// different stripes execute concurrently; same-key events (and hash
-  /// collisions, which only over-serialize) stay atomic with their
-  /// numbering.
+  /// GC-critical section: runs `f` holding only the stripe `key` hashes
+  /// to, with the event's number assigned by an atomic fetch_add while the
+  /// stripe is held — counter update and event execution as a single
+  /// atomic action (record mode, non-blocking events).  Events whose keys
+  /// hash to different stripes execute concurrently; same-key events (and
+  /// hash collisions, which only over-serialize — with one stripe, every
+  /// event collides) stay atomic with their numbering.
   template <typename F>
   GlobalCount with_section(SectionKey key, F&& f) {
-    if (stripe_count_ == 0) return with_section(std::forward<F>(f));
     check_no_lease();
     Stripe& s = stripes_[stripe_index(key)];
     GlobalCount v;
     {
-      std::unique_lock<std::mutex> lock = acquire_timed(s.mutex, &s);
+      std::unique_lock<std::mutex> lock = acquire_timed(s);
       // seq_cst keeps the per-stripe assignment totally ordered with every
       // other stripe's (a plain release RMW would suffice for the per-object
       // argument, but seq_cst keeps value() monotone for cross-stripe
@@ -145,16 +126,14 @@ class GlobalCounter {
   }
 
   /// Fully exclusive GC-critical section: excludes every concurrent
-  /// with_section() on every stripe (and the single section).  Used by
+  /// with_section() on every stripe.  Used by
   /// events whose body snapshots state owned by arbitrary other objects —
   /// checkpoint barriers — where per-object exclusion is not enough.
   template <typename F>
   GlobalCount with_exclusive_section(F&& f) {
-    if (stripe_count_ == 0) return with_section(std::forward<F>(f));
     check_no_lease();
     GlobalCount v;
     {
-      std::unique_lock<std::mutex> global = acquire_timed(mutex_, nullptr);
       for (std::size_t i = 0; i < stripe_count_; ++i) stripes_[i].mutex.lock();
       v = value_.fetch_add(1, std::memory_order_seq_cst);
       std::forward<F>(f)(v);
@@ -229,7 +208,7 @@ class GlobalCounter {
   /// wait fields count every wait through gate(), causal ones included.
   SchedStats stats() const;
 
-  /// Stripes in the record-section lock table (0 = single section).
+  /// Stripes in the record-section lock table (1 = the single section).
   std::size_t record_stripes() const { return stripe_count_; }
 
  private:
@@ -268,12 +247,11 @@ class GlobalCounter {
     }
   }
 
-  /// Locks `m`, counting the acquisition as contended (and timing the wait)
-  /// when the lock was not immediately available.  `stripe` is the stripe
-  /// whose collision counter to bump, nullptr for the global section.  The
-  /// clock is only read on the contended path, so the uncontended hot path
-  /// stays a bare try_lock.
-  std::unique_lock<std::mutex> acquire_timed(std::mutex& m, Stripe* stripe);
+  /// Locks `stripe`, counting the acquisition as contended (and timing the
+  /// wait) when the lock was not immediately available.  The clock is only
+  /// read on the contended path, so the uncontended hot path stays a bare
+  /// try_lock.
+  std::unique_lock<std::mutex> acquire_timed(Stripe& stripe);
 
   /// Stores `v` (seq_cst, the cell side of TurnGate::published()'s
   /// pairing) and releases the waiters whose turn arrived.
@@ -292,8 +270,7 @@ class GlobalCounter {
   alignas(64) TurnCell value_{0};
   TurnGate gate_;
 
-  /// Record-section lock table (empty = single-section mode).  Immutable
-  /// after construction.
+  /// Record-section lock table.  Immutable after construction.
   const std::size_t stripe_count_;
   std::unique_ptr<Stripe[]> stripes_;
   /// True while a replay interval lease is held.  Atomic because guards
@@ -311,12 +288,6 @@ class GlobalCounter {
   std::atomic<std::uint64_t> leased_events_{0};
   std::atomic<std::uint64_t> stripe_waits_{0};
   std::atomic<std::uint64_t> section_wait_micros_{0};
-  /// Contended acquisitions of the single global section (the "stripe 0"
-  /// of the unsharded layout; feeds max_stripe_collisions there).
-  std::atomic<std::uint64_t> global_contended_{0};
-
-  /// The single GC-critical section.
-  std::mutex mutex_;
 };
 
 }  // namespace djvu::sched

@@ -60,11 +60,11 @@ struct SchedStats {
   std::uint64_t max_wait_micros = 0;
 
   /// Record-section layout: stripes in the GC-critical-section lock table
-  /// (0 = the paper's single section).
+  /// (1 = the paper's single section).
   std::uint64_t stripe_count = 0;
 
-  /// Section entries that found their stripe (or the single section)
-  /// already held and had to block.
+  /// Section entries that found their stripe already held and had to
+  /// block.
   std::uint64_t stripe_waits = 0;
 
   /// Total time section entries spent blocked on a held stripe.

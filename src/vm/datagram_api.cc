@@ -20,8 +20,8 @@ DatagramSocket::DatagramSocket(Vm& vm, net::Port port) : vm_(vm) {
     try {
       port_ = vm_.network().udp_bind({vm_.host(), port});
     } catch (const net::NetError& e) {
-      throw SocketException(e.code(),
-                            "udp bind port " + std::to_string(port));
+      throw_socket_exception(e.code(),
+                             "udp bind port " + std::to_string(port));
     }
     local_ = port_->address();
     return;
@@ -47,8 +47,8 @@ DatagramSocket::DatagramSocket(Vm& vm, net::Port port) : vm_(vm) {
       vm_.log_network_entry(st.num, std::move(e));
       vm_.mark_event(EventKind::kUdpCreate,
                      static_cast<std::uint64_t>(err.code()), this);
-      throw SocketException(err.code(),
-                            "udp bind port " + std::to_string(port));
+      throw_socket_exception(err.code(),
+                             "udp bind port " + std::to_string(port));
     }
     return;
   }
@@ -63,7 +63,7 @@ DatagramSocket::DatagramSocket(Vm& vm, net::Port port) : vm_(vm) {
   if (entry->error != NetErrorCode::kNone) {
     vm_.mark_event(EventKind::kUdpCreate,
                    static_cast<std::uint64_t>(entry->error), this);
-    throw SocketException(entry->error, "udp bind (recorded failure)");
+    throw_socket_exception(entry->error, "udp bind (recorded failure)");
   }
   auto recorded_port = static_cast<net::Port>(*entry->value);
   try {
@@ -92,7 +92,8 @@ DatagramSocket::DatagramSocket(Vm& vm, net::Port port) : vm_(vm) {
       }
     }
   }
-  replayer_.set_recorded_deliveries(std::move(deliveries));
+  replayer_ =
+      std::make_unique<replay::DatagramReplayer>(std::move(deliveries));
   vm_.mark_event(EventKind::kUdpCreate, local_.port, this);
 }
 
@@ -132,7 +133,7 @@ void DatagramSocket::send(const DatagramPacket& packet) {
     try {
       port_->send_to(packet.address, packet.data);
     } catch (const net::NetError& e) {
-      throw SocketException(e.code(), "udp send");
+      throw_socket_exception(e.code(), "udp send");
     }
     return;
   }
@@ -190,7 +191,7 @@ void DatagramSocket::send(const DatagramPacket& packet) {
       e.event_num = en;
       e.error = err.code();
       vm_.log_network_entry(st.num, std::move(e));
-      throw SocketException(err.code(), "udp send");
+      throw_socket_exception(err.code(), "udp send");
     }
     return;
   }
@@ -200,7 +201,7 @@ void DatagramSocket::send(const DatagramPacket& packet) {
   if (entry != nullptr && entry->error != NetErrorCode::kNone) {
     vm_.mark_event(EventKind::kUdpSend,
                    static_cast<std::uint64_t>(entry->error), this);
-    throw SocketException(entry->error, "udp send (recorded failure)");
+    throw_socket_exception(entry->error, "udp send (recorded failure)");
   }
   try {
     run();
@@ -278,7 +279,7 @@ DatagramPacket DatagramSocket::receive() {
       net::Datagram raw = port_->receive();
       return {std::move(raw.payload), raw.source};
     } catch (const net::NetError& e) {
-      throw SocketException(e.code(), "udp receive");
+      throw_socket_exception(e.code(), "udp receive");
     }
   }
   sched::ThreadState& st = vm_.current_state();
@@ -313,10 +314,7 @@ DatagramPacket DatagramSocket::receive() {
       vm_.log_network_entry(st.num, std::move(e));
       vm_.mark_event(EventKind::kUdpReceive,
                      static_cast<std::uint64_t>(err.code()), this);
-      if (err.code() == NetErrorCode::kTimedOut) {
-        throw SocketTimeoutException("udp receive");
-      }
-      throw SocketException(err.code(), "udp receive");
+      throw_socket_exception(err.code(), "udp receive");
     }
   }
 
@@ -330,10 +328,7 @@ DatagramPacket DatagramSocket::receive() {
   if (entry->error != NetErrorCode::kNone) {
     vm_.mark_event(EventKind::kUdpReceive,
                    static_cast<std::uint64_t>(entry->error), this);
-    if (entry->error == NetErrorCode::kTimedOut) {
-      throw SocketTimeoutException("udp receive (recorded timeout)");
-    }
-    throw SocketException(entry->error, "udp receive (recorded failure)");
+    throw_socket_exception(entry->error, "udp receive (recorded failure)");
   }
   net::SocketAddress source = net::unpack_address(*entry->value);
   if (entry->data) {
@@ -351,7 +346,7 @@ DatagramPacket DatagramSocket::receive() {
   {
     std::lock_guard<std::mutex> fd(recv_mutex_);
     try {
-      payload = replayer_.await(want, [&] { return fetch_replay(); });
+      payload = replayer_->await(want, [&] { return fetch_replay(); });
     } catch (const net::NetError& err) {
       vm_.replay_divergence(
           EventKind::kUdpReceive,

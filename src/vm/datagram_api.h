@@ -108,7 +108,7 @@ class DatagramSocket {
   ConflictKeyLifetime key_lifetime_{vm_, this};
   std::shared_ptr<net::UdpPort> port_;
   std::unique_ptr<replay::ReliableUdp> rel_;  // replay mode only
-  replay::DatagramReplayer replayer_;
+  std::unique_ptr<replay::DatagramReplayer> replayer_;  // replay mode only
   replay::DatagramAssembler assembler_;  // guarded by recv_mutex_
   std::mutex recv_mutex_;                // FD-critical section, receive side
   net::SocketAddress local_{};

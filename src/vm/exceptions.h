@@ -48,4 +48,21 @@ class SocketTimeoutException : public SocketException {
       : SocketException(NetErrorCode::kTimedOut, what) {}
 };
 
+/// The one NetErrorCode → exception mapping, for live failures in record
+/// and recorded ones in replay alike, so both phases throw the same class:
+/// the java.net subclass where one exists, else SocketException.
+[[noreturn]] inline void throw_socket_exception(NetErrorCode code,
+                                                const std::string& op) {
+  switch (code) {
+    case NetErrorCode::kConnectionRefused:
+      throw ConnectException(op);
+    case NetErrorCode::kAddressInUse:
+      throw BindException(op);
+    case NetErrorCode::kTimedOut:
+      throw SocketTimeoutException(op);
+    default:
+      throw SocketException(code, op);
+  }
+}
+
 }  // namespace djvu::vm

@@ -35,27 +35,6 @@ std::uint64_t conn_id_aux(const ConnectionId& id) {
          id.event_num;
 }
 
-[[noreturn]] void rethrow_as_socket_exception(const net::NetError& e,
-                                              const std::string& op) {
-  if (e.code() == NetErrorCode::kConnectionRefused) {
-    throw ConnectException(op);
-  }
-  if (e.code() == NetErrorCode::kAddressInUse) {
-    throw BindException(op);
-  }
-  if (e.code() == NetErrorCode::kTimedOut) {
-    throw SocketTimeoutException(op);
-  }
-  throw SocketException(e.code(), op);
-}
-
-[[noreturn]] void throw_recorded(NetErrorCode code, const std::string& op) {
-  if (code == NetErrorCode::kConnectionRefused) throw ConnectException(op);
-  if (code == NetErrorCode::kAddressInUse) throw BindException(op);
-  if (code == NetErrorCode::kTimedOut) throw SocketTimeoutException(op);
-  throw SocketException(code, op);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -68,7 +47,7 @@ Socket::Socket(Vm& vm, net::SocketAddress remote) : vm_(vm), remote_(remote) {
     try {
       conn_ = vm_.network().connect(vm_.host(), remote_);
     } catch (const net::NetError& e) {
-      rethrow_as_socket_exception(e, "connect to " + to_string(remote_));
+      throw_socket_exception(e.code(), "connect to " + to_string(remote_));
     }
     return;
   }
@@ -110,7 +89,7 @@ Socket::Socket(Vm& vm, net::SocketAddress remote) : vm_(vm), remote_(remote) {
       vm_.log_network_entry(st.num, std::move(e));
       vm_.mark_event(EventKind::kSockConnect,
                      static_cast<std::uint64_t>(err.code()), this);
-      rethrow_as_socket_exception(err, "connect to " + to_string(remote_));
+      throw_socket_exception(err.code(), "connect to " + to_string(remote_));
     }
     return;
   }
@@ -122,7 +101,7 @@ Socket::Socket(Vm& vm, net::SocketAddress remote) : vm_(vm), remote_(remote) {
     // Re-throw the recorded exception without executing the connect.
     vm_.mark_event(EventKind::kSockConnect,
                    static_cast<std::uint64_t>(entry->error), this);
-    throw_recorded(entry->error, "connect to " + to_string(remote_));
+    throw_socket_exception(entry->error, "connect to " + to_string(remote_));
   }
   if (!peer_is_djvm_) {
     // Open-world: "The actual operating system-level connect call is not
@@ -228,7 +207,7 @@ std::size_t Socket::do_read(std::uint8_t* out, std::size_t max) {
     try {
       return timed_read(out, max);
     } catch (const net::NetError& e) {
-      rethrow_as_socket_exception(e, "read");
+      throw_socket_exception(e.code(), "read");
     }
   }
   sched::ThreadState& st = vm_.current_state();
@@ -254,7 +233,7 @@ std::size_t Socket::do_read(std::uint8_t* out, std::size_t max) {
       vm_.log_network_entry(st.num, std::move(e));
       vm_.mark_event(EventKind::kSockRead,
                      static_cast<std::uint64_t>(err.code()), this);
-      rethrow_as_socket_exception(err, "read");
+      throw_socket_exception(err.code(), "read");
     }
   }
 
@@ -268,7 +247,7 @@ std::size_t Socket::do_read(std::uint8_t* out, std::size_t max) {
   if (entry->error != NetErrorCode::kNone) {
     vm_.mark_event(EventKind::kSockRead,
                    static_cast<std::uint64_t>(entry->error), this);
-    throw_recorded(entry->error, "read");
+    throw_socket_exception(entry->error, "read");
   }
   if (entry->data) {
     // Open-world: serve recorded content, no network.
@@ -366,7 +345,7 @@ void Socket::do_write(BytesView data) {
     try {
       conn_->write(data);
     } catch (const net::NetError& e) {
-      rethrow_as_socket_exception(e, "write");
+      throw_socket_exception(e.code(), "write");
     }
     return;
   }
@@ -394,7 +373,7 @@ void Socket::do_write(BytesView data) {
       e.event_num = en;
       e.error = err.code();
       vm_.log_network_entry(st.num, std::move(e));
-      rethrow_as_socket_exception(err, "write");
+      throw_socket_exception(err.code(), "write");
     }
     return;
   }
@@ -405,7 +384,7 @@ void Socket::do_write(BytesView data) {
   if (entry != nullptr && entry->error != NetErrorCode::kNone) {
     vm_.mark_event(EventKind::kSockWrite,
                    static_cast<std::uint64_t>(entry->error), this);
-    throw_recorded(entry->error, "write");
+    throw_socket_exception(entry->error, "write");
   }
   // Turn-first: the write lock is taken inside the turn.  Taking it before
   // the turn lets a writer whose turn comes later hold it while the writer
@@ -456,7 +435,8 @@ ServerSocket::ServerSocket(Vm& vm, net::Port port) : vm_(vm) {
     try {
       listener_ = vm_.network().listen({vm_.host(), port});
     } catch (const net::NetError& e) {
-      rethrow_as_socket_exception(e, "listen on port " + std::to_string(port));
+      throw_socket_exception(e.code(),
+                             "listen on port " + std::to_string(port));
     }
     port_ = listener_->address().port;
     return;
@@ -485,7 +465,7 @@ ServerSocket::ServerSocket(Vm& vm, net::Port port) : vm_(vm) {
       vm_.log_network_entry(st.num, std::move(e));
       vm_.mark_event(EventKind::kSockBind,
                      static_cast<std::uint64_t>(err.code()), this);
-      rethrow_as_socket_exception(err, "bind port " + std::to_string(port));
+      throw_socket_exception(err.code(), "bind port " + std::to_string(port));
     }
   } else {
     const record::NetworkLogEntry* entry =
@@ -497,7 +477,7 @@ ServerSocket::ServerSocket(Vm& vm, net::Port port) : vm_(vm) {
     if (entry->error != NetErrorCode::kNone) {
       vm_.mark_event(EventKind::kSockBind,
                      static_cast<std::uint64_t>(entry->error), this);
-      throw_recorded(entry->error, "bind port " + std::to_string(port));
+      throw_socket_exception(entry->error, "bind port " + std::to_string(port));
     }
     // "we execute the bind event, passing the recorded local port as
     // argument" — deterministic re-binding.
@@ -569,7 +549,7 @@ std::unique_ptr<Socket> ServerSocket::accept() {
       auto conn = timed_accept();
       return std::unique_ptr<Socket>(new Socket(vm_, std::move(conn), false));
     } catch (const net::NetError& e) {
-      rethrow_as_socket_exception(e, "accept");
+      throw_socket_exception(e.code(), "accept");
     }
   }
   sched::ThreadState& st = vm_.current_state();
@@ -611,7 +591,7 @@ std::unique_ptr<Socket> ServerSocket::accept() {
       vm_.log_network_entry(st.num, std::move(e));
       vm_.mark_event(EventKind::kSockAccept,
                      static_cast<std::uint64_t>(err.code()), this);
-      rethrow_as_socket_exception(err, "accept");
+      throw_socket_exception(err.code(), "accept");
     }
   }
 
@@ -625,7 +605,7 @@ std::unique_ptr<Socket> ServerSocket::accept() {
   if (entry->error != NetErrorCode::kNone) {
     vm_.mark_event(EventKind::kSockAccept,
                    static_cast<std::uint64_t>(entry->error), this);
-    throw_recorded(entry->error, "accept");
+    throw_socket_exception(entry->error, "accept");
   }
   if (!entry->conn_id) {
     // Open-world peer: virtual socket fed from recorded content.

@@ -40,12 +40,10 @@ Vm::Vm(std::shared_ptr<net::Network> network, VmConfig config,
       config_(std::move(config)),
       replay_log_(std::move(replay_log)),
       // Only the record phase ever enters GC-critical sections; replay's
-      // turn-waiting is layout-independent, so it always gets the plain
-      // counter.
+      // turn-waiting is layout-independent, so it gets the one-stripe table.
       counter_(config_.tuning.stall_timeout,
-               config_.mode == Mode::kRecord && config_.tuning.record_sharding
-                   ? config_.tuning.record_stripes
-                   : 0) {
+               config_.mode == Mode::kRecord ? config_.tuning.record_stripes
+                                             : 1) {
   if ((config_.mode == Mode::kReplay) != (replay_log_ != nullptr)) {
     throw UsageError("replay log must be supplied exactly in replay mode");
   }
@@ -602,14 +600,14 @@ GlobalCount Vm::critical_event(sched::EventKind kind, const EventBody& body,
         gc = counter_.with_exclusive_section(section_body);
       } else {
         // Thread-local events key on the thread number, made odd so it can
-        // never collide with an aligned object address.  With sharding off
-        // the key is ignored by the section (single section) — but still
-        // names the causal-mode per-key order.
+        // never collide with an aligned object address.  With one stripe
+        // every key takes the same lock (the single section) — but the key
+        // still names the causal-mode per-key order.
         const sched::SectionKey key =
             conflict_section_key(state.num, conflict);
         if (causal_) {
           // The per-key seq is assigned INSIDE the key's section: same-key
-          // events serialize on the same stripe (or the single section), so
+          // events serialize on the same stripe, so
           // seq order == section-acquisition order == object access order.
           const sched::CausalOrder::Ticket t =
               state.causal_lookup(key, *causal_);

@@ -64,15 +64,14 @@ inline constexpr GlobalCount kLeasePublishStride = 1024;
 /// Semantics of the shared tuning knobs (djvu::TuningConfig — the
 /// authoritative field list lives there; these are the VM-side contracts):
 ///
-///   * record_sharding / record_stripes — record-mode section layout.
-///     true = sharded GC-critical sections: a `record_stripes`-way lock
-///     table keyed by each event's conflict object, with the counter value
-///     assigned by an atomic fetch_add while the object's stripe is held —
-///     events on independent objects record in parallel.  false = the
+///   * record_stripes — record-mode section layout: a `record_stripes`-way
+///     lock table keyed by each event's conflict object, with the counter
+///     value assigned by an atomic fetch_add while the object's stripe is
+///     held — events on independent objects record in parallel.  1 = the
 ///     paper's single global section (the ablation baseline for
-///     EXPERIMENTS.md).  Replay is unaffected either way: the log format
-///     and the replayed total order are identical, so a recording made in
-///     either layout replays under any setting.
+///     EXPERIMENTS.md); 0 is a UsageError.  Replay is unaffected: the log
+///     format and the replayed total order are identical, so a recording
+///     made in any layout replays under any setting.
 ///   * replay_leasing — true = a thread whose next event opens a logical
 ///     schedule interval performs ONE await for the whole interval,
 ///     executes the interval's events with thread-local counter

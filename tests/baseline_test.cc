@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+
 #include "baseline/per_object.h"
+#include "common/crc32.h"
 
 namespace djvu::baseline {
 namespace {
@@ -126,6 +131,93 @@ TEST(PerObjectBaseline, TooManyObjectsDetected) {
   EXPECT_THROW(LvSharedVar<std::uint64_t> b(host, 0),
                ReplayDivergenceError);
   host.detach_current();
+}
+
+// A replay wait that outlasts the stall window is not a stall while the
+// object keeps moving: thread 2's get waits behind thread 1's 500 sets,
+// published ~1 ms apart, for at least ten 50 ms windows.  Every
+// publication restarts the stall clock.
+TEST(PerObjectBaseline, LongWaitBehindProgressIsNotAStall) {
+  constexpr std::uint32_t kAccesses = 500;
+  PerObjectLog log;
+  log.objects.push_back({{/*thread=*/1, kAccesses}, {/*thread=*/2, 2}});
+  constexpr auto kWindow = std::chrono::milliseconds(50);
+  LvHost host(Mode::kReplay, &log, kWindow);
+  host.attach_main();
+  LvSharedVar<std::uint64_t> x(host, 0);
+  host.spawn([&x] {
+    for (std::uint32_t i = 0; i < kAccesses; ++i) {
+      x.set(x.unsafe_peek() + 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  host.spawn([&x] { x.set(x.get() * 2); });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_NO_THROW(host.join_all());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 10 * kWindow);
+  EXPECT_EQ(x.unsafe_peek(), 2u * kAccesses);
+  host.detach_current();
+}
+
+// A worker that fails poisons the gate: a sibling waiting for the failed
+// thread's access unwinds at once instead of waiting out the stall window.
+TEST(PerObjectBaseline, FailingWorkerUnwindsItsSiblings) {
+  PerObjectLog log;
+  log.objects.push_back({{/*thread=*/1, 1}, {/*thread=*/2, 1}});
+  LvHost host(Mode::kReplay, &log, std::chrono::seconds(30));
+  host.attach_main();
+  LvSharedVar<std::uint64_t> x(host, 0);
+  host.spawn([] { throw std::runtime_error("worker failed"); });
+  host.spawn([&x] { x.set(1); });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(host.join_all(), std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  host.detach_current();
+}
+
+Bytes framed(const ByteWriter& body) {
+  ByteWriter w;
+  w.raw(body.view());
+  w.u32(crc32(body.view()));
+  return w.take();
+}
+
+ByteWriter with_magic() {
+  ByteWriter w;
+  const char magic[8] = {'D', 'J', 'V', 'U', 'L', 'V', 'R', '1'};
+  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(magic), 8));
+  return w;
+}
+
+// CRC-valid logs whose counts the bytes cannot hold, or whose thread or
+// count does not fit 32 bits, are format errors — never an allocation
+// sized by the file, never a silent truncation.
+TEST(PerObjectBaseline, HostileCountsAreFormatErrors) {
+  ByteWriter objects = with_magic();
+  objects.varint(std::uint64_t{1} << 40);  // objects
+  EXPECT_THROW(deserialize(framed(objects)), LogFormatError);
+
+  ByteWriter runs = with_magic();
+  runs.varint(1);                       // objects
+  runs.varint(std::uint64_t{1} << 40);  // runs of object 0
+  EXPECT_THROW(deserialize(framed(runs)), LogFormatError);
+
+  ByteWriter thread = with_magic();
+  thread.varint(1).varint(1);
+  thread.varint(std::uint64_t{1} << 32).varint(1);  // thread, count
+  EXPECT_THROW(deserialize(framed(thread)), LogFormatError);
+
+  ByteWriter count = with_magic();
+  count.varint(1).varint(1);
+  count.varint(1).varint(std::uint64_t{1} << 32);
+  EXPECT_THROW(deserialize(framed(count)), LogFormatError);
+
+  // The same shapes with sane values still parse.
+  ByteWriter sane = with_magic();
+  sane.varint(1).varint(1).varint(1).varint(7);
+  const PerObjectLog log = deserialize(framed(sane));
+  ASSERT_EQ(log.objects.size(), 1u);
+  EXPECT_EQ(log.objects[0], (ObjectLog{{1, 7}}));
 }
 
 // Property: across seeds/shapes, the baseline replays its own recordings —

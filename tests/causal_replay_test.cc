@@ -4,7 +4,7 @@
 // sequence number for every critical event captures enough of the order to
 // replay deterministically, while letting events on independent keys replay
 // in parallel.  These tests drive the claim end to end — the digest matrix
-// {order_mode} × {record_sharding} × {replay_leasing}, cross-mode replay of
+// {order_mode} × {record_stripes} × {replay_leasing}, cross-mode replay of
 // the same recording, the spooled path, the refusal cases — plus unit tests
 // for the CausalOrder primitive itself.
 
@@ -287,10 +287,11 @@ void client_main(vm::Vm& v) {
   for (auto& th : threads) th.join();
 }
 
-core::Session make_session(OrderMode mode, bool sharding, bool leasing) {
+core::Session make_session(OrderMode mode, std::size_t stripes,
+                           bool leasing) {
   core::SessionConfig cfg;
   cfg.tuning.order_mode = mode;
-  cfg.tuning.record_sharding = sharding;
+  cfg.tuning.record_stripes = stripes;
   cfg.tuning.replay_leasing = leasing;
   core::Session s(cfg);
   s.add_vm("server", 1, true, server_main);
@@ -310,31 +311,31 @@ void expect_equal_digests(const core::RunResult& rec,
   }
 }
 
-void run_matrix(OrderMode mode, bool sharding, bool leasing,
+void run_matrix(OrderMode mode, std::size_t stripes, bool leasing,
                 std::uint64_t seed) {
-  core::Session s = make_session(mode, sharding, leasing);
+  core::Session s = make_session(mode, stripes, leasing);
   auto rec = s.record(seed);
   auto rep = s.replay(rec, seed + 1);
   expect_equal_digests(rec, rep);
 }
 
 TEST(CausalReplay, DigestEquivalenceCausalSharded) {
-  run_matrix(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true, 11);
+  run_matrix(OrderMode::kCausal, /*stripes=*/64, /*leasing=*/true, 11);
 }
 
 TEST(CausalReplay, DigestEquivalenceCausalSingleSection) {
-  run_matrix(OrderMode::kCausal, /*sharding=*/false, /*leasing=*/true, 22);
+  run_matrix(OrderMode::kCausal, /*stripes=*/1, /*leasing=*/true, 22);
 }
 
 TEST(CausalReplay, DigestEquivalenceCausalLeasingFlagIgnored) {
   // replay_leasing is a total-order knob; causal replay must behave
   // identically with it off.
-  run_matrix(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/false, 33);
+  run_matrix(OrderMode::kCausal, /*stripes=*/64, /*leasing=*/false, 33);
 }
 
 TEST(CausalReplay, DigestEquivalenceTotalBaseline) {
   // The paper-faithful ablation arm of the same matrix.
-  run_matrix(OrderMode::kTotal, /*sharding=*/true, /*leasing=*/true, 44);
+  run_matrix(OrderMode::kTotal, /*stripes=*/64, /*leasing=*/true, 44);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,11 +357,11 @@ TEST(CausalReplay, CausalRecordingReplaysUnderTotalOrder) {
   // intervals are unchanged), so a total-order session replays it to the
   // same digest.
   core::Session rec_s =
-      make_session(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true);
+      make_session(OrderMode::kCausal, /*stripes=*/64, /*leasing=*/true);
   auto rec = rec_s.record(55);
   const auto logs = collect_logs(rec);
   core::Session rep_s =
-      make_session(OrderMode::kTotal, /*sharding=*/true, /*leasing=*/true);
+      make_session(OrderMode::kTotal, /*stripes=*/64, /*leasing=*/true);
   auto rep = rep_s.replay_logs(logs, 56);
   expect_equal_digests(rec, rep);
 }
@@ -369,11 +370,11 @@ TEST(CausalReplay, TotalRecordingRefusedUnderCausalReplay) {
   // A total-order recording has no per-key data; causal replay must refuse
   // up front instead of stalling mid-run.
   core::Session rec_s =
-      make_session(OrderMode::kTotal, /*sharding=*/true, /*leasing=*/true);
+      make_session(OrderMode::kTotal, /*stripes=*/64, /*leasing=*/true);
   auto rec = rec_s.record(66);
   const auto logs = collect_logs(rec);
   core::Session rep_s =
-      make_session(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true);
+      make_session(OrderMode::kCausal, /*stripes=*/64, /*leasing=*/true);
   EXPECT_THROW(rep_s.replay_logs(logs, 67), UsageError);
 }
 
@@ -381,7 +382,7 @@ TEST(CausalReplay, CausalRecordingSerializesRoundTrip) {
   // The v2 bundle (with the causal section) survives serialize/deserialize
   // and still replays causally.
   core::Session rec_s =
-      make_session(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true);
+      make_session(OrderMode::kCausal, /*stripes=*/64, /*leasing=*/true);
   auto rec = rec_s.record(77);
   std::vector<record::VmLog> logs;
   for (const auto& info : rec.vms) {
@@ -391,7 +392,7 @@ TEST(CausalReplay, CausalRecordingSerializesRoundTrip) {
     }
   }
   core::Session rep_s =
-      make_session(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true);
+      make_session(OrderMode::kCausal, /*stripes=*/64, /*leasing=*/true);
   auto rep = rep_s.replay_logs(logs, 78);
   expect_equal_digests(rec, rep);
 }
@@ -509,7 +510,7 @@ TEST(CausalReplay, DeadObjectsOrderDoesNotPassToItsAddress) {
 
 TEST(CausalReplay, RepeatedCausalReplaysAgree) {
   core::Session s =
-      make_session(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true);
+      make_session(OrderMode::kCausal, /*stripes=*/64, /*leasing=*/true);
   auto rec = s.record(99);
   auto rep1 = s.replay(rec, 100);
   auto rep2 = s.replay(rec, 101);

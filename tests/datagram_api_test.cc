@@ -96,6 +96,31 @@ TEST(DatagramApi, OversizePayloadRecordedAndRethrown) {
   core::verify(rec, rep);
 }
 
+// A UDP bind that finds its port taken throws BindException, the
+// SocketException subclass java.net.DatagramSocket throws: natively, in
+// record, and again from the log in replay.
+TEST(DatagramApi, BindToTakenPortThrowsBindException) {
+  Session s(udp_net(9));
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    vm::DatagramSocket first(v, 4500);
+    vm::SharedVar<std::uint64_t> outcome(v, 0);
+    try {
+      vm::DatagramSocket second(v, 4500);
+      outcome.set(1);
+    } catch (const vm::BindException& e) {
+      outcome.set(e.code() == NetErrorCode::kAddressInUse ? 2 : 3);
+    } catch (const vm::SocketException&) {
+      outcome.set(4);
+    }
+    first.close();
+    if (outcome.unsafe_peek() != 2) throw Error("expected BindException");
+  });
+  s.run_native();
+  auto rec = s.record(10);
+  auto rep = s.replay(rec, 11);
+  core::verify(rec, rep);
+}
+
 // A datagram delivered twice during record (network duplication) must be
 // delivered twice during replay — from the replayer's retained buffer,
 // since the reliable layer delivers each send exactly once (§4.2.3).

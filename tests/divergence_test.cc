@@ -276,7 +276,8 @@ GlobalCount total_events(const sched::IntervalList& list) {
 // The forensics acceptance matrix: an injected divergence (a worker's
 // recorded tail truncated by 3 events) must yield a DivergenceReport whose
 // thread, expected interval and counter position match the injection point
-// in every tuning mode — {leasing on/off} x {sharding on/off}.  The blamed
+// in every tuning mode — {leasing on/off} x {1 stripe (the single section),
+// 64 stripes}.  The blamed
 // thread attempts events beyond its (tampered) schedule, which is an
 // affirmative kBeyondSchedule in blame order regardless of which victim
 // thread's stall or poison unwound first.
@@ -284,11 +285,11 @@ TEST(Divergence, ReportMatchesInjectionAcrossTuningModes) {
   constexpr ThreadNum kVictim = 2;
   constexpr GlobalCount kCut = 3;
   for (const bool leasing : {false, true}) {
-    for (const bool sharding : {false, true}) {
+    for (const std::size_t stripes : {std::size_t{1}, std::size_t{64}}) {
       core::SessionConfig cfg;
       cfg.tuning.stall_timeout = std::chrono::milliseconds(400);
       cfg.tuning.replay_leasing = leasing;
-      cfg.tuning.record_sharding = sharding;
+      cfg.tuning.record_stripes = stripes;
       Session s(cfg);
       s.add_vm("app", 1, true, [](vm::Vm& v) {
         vm::SharedVar<std::uint64_t> x(v, 0);
@@ -314,12 +315,12 @@ TEST(Divergence, ReportMatchesInjectionAcrossTuningModes) {
       try {
         s.replay_logs(logs, 22);
         FAIL() << "tampered log replayed cleanly (leasing=" << leasing
-               << " sharding=" << sharding << ")";
+               << " stripes=" << stripes << ")";
       } catch (const sched::ReportedDivergenceError& e) {
         const sched::DivergenceReport& r = e.report();
         // The report names the injection point, in every mode.
         EXPECT_EQ(r.cause, DivergenceCause::kBeyondSchedule)
-            << "leasing=" << leasing << " sharding=" << sharding;
+            << "leasing=" << leasing << " stripes=" << stripes;
         EXPECT_EQ(r.thread, kVictim);
         EXPECT_TRUE(r.affirmative());
         EXPECT_TRUE(r.schedule_exhausted);

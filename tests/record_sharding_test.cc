@@ -6,9 +6,9 @@
 // enforcement linearizes all per-object orders.  These tests exercise the
 // claim end to end — N threads hammering M SharedVars, monitor-protected
 // state, and a live socket pair between two DJVMs — and assert the replayed
-// trace digest is bit-identical to the recorded one, with sharding on and
-// off.  Run under the TSan preset, they also prove the stripe table itself
-// is race-free.
+// trace digest is bit-identical to the recorded one, at 64 stripes and at
+// one stripe (the paper's single section).  Run under the TSan preset, they
+// also prove the stripe table itself is race-free.
 
 #include <gtest/gtest.h>
 
@@ -91,9 +91,9 @@ void client_main(vm::Vm& v) {
   for (auto& th : threads) th.join();
 }
 
-void run_stress(bool sharding, std::uint64_t seed) {
+void run_stress(std::size_t stripes, std::uint64_t seed) {
   core::SessionConfig cfg;
-  cfg.tuning.record_sharding = sharding;
+  cfg.tuning.record_stripes = stripes;
   core::Session s(cfg);
   s.add_vm("server", 1, true, server_main);
   s.add_vm("client", 2, true, client_main);
@@ -109,22 +109,18 @@ void run_stress(bool sharding, std::uint64_t seed) {
     EXPECT_EQ(r.trace_digest, p.trace_digest) << name;
     EXPECT_EQ(r.critical_events, p.critical_events) << name;
     // The stats plumbing reports the layout the record phase actually used.
-    if (sharding) {
-      EXPECT_GT(r.sched.stripe_count, 0u) << name;
-    } else {
-      EXPECT_EQ(r.sched.stripe_count, 0u) << name;
-    }
-    // Replay never shards.
-    EXPECT_EQ(p.sched.stripe_count, 0u) << name;
+    EXPECT_EQ(r.sched.stripe_count, stripes) << name;
+    // Replay never enters a section: its counter has the one-stripe table.
+    EXPECT_EQ(p.sched.stripe_count, 1u) << name;
   }
 }
 
 TEST(RecordSharding, ConcurrentRecordReplayEquivalenceSharded) {
-  run_stress(/*sharding=*/true, 101);
+  run_stress(/*stripes=*/64, 101);
 }
 
 TEST(RecordSharding, ConcurrentRecordReplayEquivalenceSingleSection) {
-  run_stress(/*sharding=*/false, 202);
+  run_stress(/*stripes=*/1, 202);
 }
 
 // A log recorded under sharding carries no layout dependence: the same
@@ -132,7 +128,7 @@ TEST(RecordSharding, ConcurrentRecordReplayEquivalenceSingleSection) {
 // repeated replays agree with each other.
 TEST(RecordSharding, ShardedRecordingReplaysRepeatedly) {
   core::SessionConfig cfg;
-  cfg.tuning.record_sharding = true;
+  cfg.tuning.record_stripes = 64;
   core::Session s(cfg);
   s.add_vm("server", 1, true, server_main);
   s.add_vm("client", 2, true, client_main);
@@ -143,6 +139,15 @@ TEST(RecordSharding, ShardedRecordingReplaysRepeatedly) {
   core::verify(rec, rep2);
   EXPECT_EQ(rep1.vm("server").trace_digest, rep2.vm("server").trace_digest);
   EXPECT_EQ(rep1.vm("client").trace_digest, rep2.vm("client").trace_digest);
+}
+
+// 0 stripes names no section at all: the record refuses to start.
+TEST(RecordSharding, ZeroStripesIsAUsageError) {
+  core::SessionConfig cfg;
+  cfg.tuning.record_stripes = 0;
+  core::Session s(cfg);
+  s.add_vm("client", 2, true, [](vm::Vm&) {});
+  EXPECT_THROW(s.record(404), UsageError);
 }
 
 }  // namespace

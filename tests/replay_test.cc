@@ -223,7 +223,7 @@ TEST(DatagramFrame, RelRoundTrip) {
 }
 
 TEST(DatagramReplayer, ServesBufferedAndRetainsForDuplicates) {
-  DatagramReplayer r;
+  DatagramReplayer r({{DgNetworkEventId{1, 5}, 2}});
   r.put({1, 5}, to_bytes("five"));
   auto nofetch = []() -> std::pair<DgNetworkEventId, Bytes> {
     throw Error("no fetch needed");
@@ -234,7 +234,10 @@ TEST(DatagramReplayer, ServesBufferedAndRetainsForDuplicates) {
 }
 
 TEST(DatagramReplayer, FetchesUntilMatch) {
-  DatagramReplayer r;
+  DatagramReplayer r({{DgNetworkEventId{1, 0}, 1},
+                      {DgNetworkEventId{1, 1}, 1},
+                      {DgNetworkEventId{1, 2}, 1},
+                      {DgNetworkEventId{1, 3}, 1}});
   int next = 0;
   auto fetch = [&]() {
     DgNetworkEventId id{1, static_cast<GlobalCount>(next)};
@@ -244,7 +247,7 @@ TEST(DatagramReplayer, FetchesUntilMatch) {
   };
   Bytes got = r.await({1, 3}, fetch);
   EXPECT_EQ(got[0], 3);
-  EXPECT_EQ(r.buffered(), 4u);  // 0,1,2 buffered + 3 retained
+  EXPECT_EQ(r.buffered(), 3u);  // 0,1,2 buffered; 3 pruned once served
 }
 
 // Mirror of ConnectionPool.FetchExceptionHandsOffToOtherWaiter: when the
@@ -252,7 +255,8 @@ TEST(DatagramReplayer, FetchesUntilMatch) {
 // socket), a parked waiter must take the role over instead of waiting
 // forever, and every recorded receive must still complete.
 TEST(DatagramReplayer, FetchExceptionHandsOffToOtherWaiter) {
-  DatagramReplayer r;
+  DatagramReplayer r({{DgNetworkEventId{1, 0}, 1},
+                      {DgNetworkEventId{1, 1}, 1}});
   std::mutex m;
   int calls = 0;
   auto fetch = [&]() -> std::pair<DgNetworkEventId, Bytes> {
@@ -292,14 +296,13 @@ TEST(DatagramReplayer, FetchExceptionHandsOffToOtherWaiter) {
   EXPECT_EQ(failures.load(), 1);  // only the failing fetcher saw the error
 }
 
-// Bounded residency: with recorded delivery counts configured, an entry is
-// pruned the moment its last recorded delivery is served, and arrivals the
-// log never names are dropped instead of buffered — the buffer holds only
-// ids with outstanding recorded deliveries.
+// Bounded residency: an entry is pruned the moment its last recorded
+// delivery is served, and arrivals the log never names are dropped instead
+// of buffered — the buffer holds only ids with outstanding recorded
+// deliveries.
 TEST(DatagramReplayer, PrunesExhaustedEntries) {
-  DatagramReplayer r;
-  r.set_recorded_deliveries({{DgNetworkEventId{1, 5}, 2},
-                             {DgNetworkEventId{1, 7}, 1}});
+  DatagramReplayer r({{DgNetworkEventId{1, 5}, 2},
+                      {DgNetworkEventId{1, 7}, 1}});
   auto nofetch = []() -> std::pair<DgNetworkEventId, Bytes> {
     throw Error("no fetch needed");
   };

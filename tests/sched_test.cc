@@ -37,25 +37,65 @@ TEST(GlobalCounter, TickAssignsSequentialValues) {
 }
 
 TEST(GlobalCounter, WithSectionIsAtomicAcrossThreads) {
-  GlobalCounter c;
+  GlobalCounter c;  // one stripe: the paper's single section
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
   std::vector<GlobalCount> seen[kThreads];
+  // Each thread uses its own key, and every body bumps one PLAIN int: with
+  // one stripe, different keys must still exclude each other (any overlap
+  // is a lost update, and a TSan report).
+  int plain = 0;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        c.with_section([&](GlobalCount g) { seen[t].push_back(g); });
+        c.with_section(SectionKey(0x100u + t), [&](GlobalCount g) {
+          seen[t].push_back(g);
+          ++plain;
+        });
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(c.value(), GlobalCount{kThreads * kPerThread});
+  EXPECT_EQ(plain, kThreads * kPerThread);
   // All assigned values are unique (no two events shared a counter value).
   std::vector<GlobalCount> all;
   for (auto& v : seen) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
   for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
+}
+
+// The one-stripe table is the paper's single GC-critical section: an event
+// on a different key cannot enter while another event's section is open,
+// and the two get consecutive counter values in section order.
+TEST(GlobalCounter, OneStripeSerializesDifferentKeys) {
+  GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/1);
+  std::atomic<bool> inside{false};
+  bool first_done = false;  // plain: written and read only under sections
+  GlobalCount first = 0;
+  std::thread holder([&] {
+    first = c.with_section(SectionKey{1}, [&](GlobalCount) {
+      inside.store(true, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      first_done = true;
+    });
+  });
+  while (!inside.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  bool saw_first_done = false;
+  const GlobalCount second = c.with_section(
+      SectionKey{2}, [&](GlobalCount) { saw_first_done = first_done; });
+  holder.join();
+  EXPECT_TRUE(saw_first_done) << "a different key entered the open section";
+  EXPECT_EQ(first, 0u);
+  EXPECT_EQ(second, 1u);
+  const SchedStats s = c.stats();
+  EXPECT_EQ(s.stripe_count, 1u);
+  EXPECT_EQ(s.sections, 2u);
+  EXPECT_EQ(s.stripe_waits, 1u);
+  EXPECT_EQ(s.max_stripe_collisions, 1u);
 }
 
 TEST(GlobalCounter, AwaitReleasesInOrder) {
@@ -145,8 +185,8 @@ TEST(GlobalCounter, StatsDistinguishFastAndParkedWaits) {
 
 TEST(GlobalCounter, WithSectionCountsSections) {
   GlobalCounter c;
-  c.with_section([](GlobalCount) {});
-  c.with_section([](GlobalCount) {});
+  c.with_section(SectionKey{1}, [](GlobalCount) {});
+  c.with_section(SectionKey{2}, [](GlobalCount) {});
   const SchedStats s = c.stats();
   EXPECT_EQ(s.sections, 2u);
   EXPECT_EQ(s.ticks, 0u);
@@ -251,15 +291,17 @@ TEST(GlobalCounter, SectionContentionStatsCountBlockedEntries) {
   EXPECT_GE(s.max_stripe_collisions, 1u);
 }
 
-TEST(GlobalCounter, UnshardedCounterReportsZeroStripes) {
+TEST(GlobalCounter, DefaultCounterHasOneStripe) {
   GlobalCounter c;
-  EXPECT_EQ(c.record_stripes(), 0u);
-  // The keyed overload falls back to the single section.
+  EXPECT_EQ(c.record_stripes(), 1u);
   GlobalCount a = c.with_section(SectionKey{1}, [](GlobalCount) {});
   GlobalCount b = c.with_section(SectionKey{2}, [](GlobalCount) {});
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
-  EXPECT_EQ(c.stats().stripe_count, 0u);
+  EXPECT_EQ(c.stats().stripe_count, 1u);
+  // No stripe names no section at all.
+  EXPECT_THROW(GlobalCounter(std::chrono::milliseconds(10000), 0),
+               UsageError);
 }
 
 // A checkpoint-style advance_to jumping past a parked waiter's turn is a
