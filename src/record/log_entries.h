@@ -31,9 +31,12 @@
 
 namespace djvu::record {
 
-/// One recorded network event outcome.
+/// One recorded network event outcome.  Every member has an initializer, so
+/// a designated initializer may name only the fields it sets.
 struct NetworkLogEntry {
-  /// Which native call this entry belongs to (sanity-checked in replay).
+  /// Which native call this entry belongs to.  Checked in replay, by
+  /// vm::NetEvent: a replayed call that finds an entry of another kind
+  /// diverges instead of being served it.
   sched::EventKind kind = sched::EventKind::kSockRead;
 
   /// Per-thread sequence number of the network event (the thread component
@@ -45,22 +48,47 @@ struct NetworkLogEntry {
   NetErrorCode error = NetErrorCode::kNone;
 
   /// accept: the clientId sent by the DJVM-client as connection meta data.
-  std::optional<ConnectionId> conn_id;
+  std::optional<ConnectionId> conn_id{};
 
   /// read: numRecorded; available: byte count; bind: port; sock-create on a
   /// client Socket: recorded local port.
-  std::optional<std::uint64_t> value;
+  std::optional<std::uint64_t> value{};
 
   /// udp receive: id of the datagram that was delivered.
-  std::optional<DgNetworkEventId> dg_id;
+  std::optional<DgNetworkEventId> dg_id{};
 
   /// Open-world content (full bytes of the read / received datagram /
   /// accept meta), §5: "any input messages are fully recorded including
   /// their contents".
-  std::optional<Bytes> data;
+  std::optional<Bytes> data{};
 
   friend bool operator==(const NetworkLogEntry&,
                          const NetworkLogEntry&) = default;
 };
+
+/// The per-kind field rule: names what a successful entry of `e.kind` must
+/// carry and `e` lacks, or returns nullptr when `e` carries it, records an
+/// exception, or is of a kind whose success needs no field.
+/// record::validate and the replay gateway (vm::NetEvent) both apply it.
+inline const char* missing_field(const NetworkLogEntry& e) {
+  if (e.error != NetErrorCode::kNone) return nullptr;
+  switch (e.kind) {
+    case sched::EventKind::kSockRead:
+      return e.value || e.data ? nullptr : "byte count or content";
+    case sched::EventKind::kSockAvailable:
+    case sched::EventKind::kSockBind:
+    case sched::EventKind::kUdpCreate:
+    case sched::EventKind::kTimeRead:
+    case sched::EventKind::kSockConnect:  // open world only
+      return e.value ? nullptr : "value";
+    case sched::EventKind::kSockAccept:
+      return e.conn_id || e.value ? nullptr : "clientId or peer address";
+    case sched::EventKind::kUdpReceive:
+      if (!e.value) return "source address";
+      return e.dg_id || e.data ? nullptr : "datagram id or content";
+    default:
+      return nullptr;
+  }
+}
 
 }  // namespace djvu::record

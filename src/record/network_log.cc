@@ -34,6 +34,20 @@ std::vector<NetworkLogEntry> NetworkLog::thread_entries(
   return out;
 }
 
+std::map<DgNetworkEventId, std::uint32_t> NetworkLog::datagram_deliveries()
+    const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::map<DgNetworkEventId, std::uint32_t> out;
+  for (const auto& [t, entries] : per_thread_) {
+    for (const auto& [num, entry] : entries) {
+      if (entry.kind == sched::EventKind::kUdpReceive && entry.dg_id) {
+        ++out[*entry.dg_id];
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<ThreadNum> NetworkLog::threads() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ThreadNum> out;

@@ -41,6 +41,11 @@ class NetworkLog {
   /// All entries of one thread in event order (text export, tests).
   std::vector<NetworkLogEntry> thread_entries(ThreadNum thread) const;
 
+  /// Replay: how many receive events the log serves from each recorded
+  /// datagram id, over every thread (the log does not say which socket
+  /// served an entry).  Bounds the datagram replayer's residency, §4.2.3.
+  std::map<DgNetworkEventId, std::uint32_t> datagram_deliveries() const;
+
   /// Threads that have at least one entry.
   std::vector<ThreadNum> threads() const;
 

@@ -76,19 +76,11 @@ std::vector<std::string> validate(const VmLog& log) {
             t, static_cast<unsigned long long>(e.event_num),
             sched::event_kind_name(e.kind)));
       }
-      if (e.error == NetErrorCode::kNone && e.kind == sched::EventKind::kSockRead &&
-          !e.value && !e.data) {
+      if (const char* field = missing_field(e)) {
         problems.push_back(str_format(
-            "thread %u event %llu: successful read entry with no byte count "
-            "or content",
-            t, static_cast<unsigned long long>(e.event_num)));
-      }
-      if (e.kind == sched::EventKind::kSockAccept &&
-          e.error == NetErrorCode::kNone && !e.conn_id && !e.value) {
-        problems.push_back(str_format(
-            "thread %u event %llu: successful accept entry without a "
-            "clientId or peer address",
-            t, static_cast<unsigned long long>(e.event_num)));
+            "thread %u event %llu: successful %s entry without its %s", t,
+            static_cast<unsigned long long>(e.event_num),
+            sched::event_kind_name(e.kind), field));
       }
     }
   }

@@ -2,11 +2,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 
 #include "common/crc32.h"
-#include "record/log_entries.h"
-#include "record/network_log.h"
+#include "vm/net_event.h"
 
 namespace djvu::vm {
 namespace {
@@ -16,56 +14,33 @@ using sched::EventKind;
 }  // namespace
 
 DatagramSocket::DatagramSocket(Vm& vm, net::Port port) : vm_(vm) {
+  const auto op = [port] { return "udp bind port " + std::to_string(port); };
   if (!vm_.instrumented()) {
     try {
       port_ = vm_.network().udp_bind({vm_.host(), port});
     } catch (const net::NetError& e) {
-      throw_socket_exception(e.code(),
-                             "udp bind port " + std::to_string(port));
+      throw_socket_exception(e.code(), op());
     }
     local_ = port_->address();
     return;
   }
-  sched::ThreadState& st = vm_.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kUdpCreate, this);
 
   if (vm_.mode() == Mode::kRecord) {
     try {
       port_ = vm_.network().udp_bind({vm_.host(), port});
-      local_ = port_->address();
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kUdpCreate;
-      e.event_num = en;
-      e.value = local_.port;  // recorded port, rebound during replay
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kUdpCreate, local_.port, this);
     } catch (const net::NetError& err) {
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kUdpCreate;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kUdpCreate,
-                     static_cast<std::uint64_t>(err.code()), this);
-      throw_socket_exception(err.code(),
-                             "udp bind port " + std::to_string(port));
+      ev.fail(err.code(), op);
     }
+    local_ = port_->address();
+    ev.log(local_.port);  // recorded port, rebound during replay
+    vm_.mark_event(EventKind::kUdpCreate, local_.port, this);
     return;
   }
 
   // Replay: rebind the recorded port and bring up the reliable layer.
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry == nullptr) {
-    vm_.replay_divergence(EventKind::kUdpCreate,
-                          "udp create has no recorded entry", this);
-  }
-  if (entry->error != NetErrorCode::kNone) {
-    vm_.mark_event(EventKind::kUdpCreate,
-                   static_cast<std::uint64_t>(entry->error), this);
-    throw_socket_exception(entry->error, "udp bind (recorded failure)");
-  }
-  auto recorded_port = static_cast<net::Port>(*entry->value);
+  ev.replay(op);
+  auto recorded_port = static_cast<net::Port>(ev.value());
   try {
     port_ = vm_.network().udp_bind({vm_.host(), recorded_port});
   } catch (const net::NetError& err) {
@@ -76,24 +51,13 @@ DatagramSocket::DatagramSocket(Vm& vm, net::Port port) : vm_(vm) {
   }
   local_ = port_->address();
   rel_ = std::make_unique<replay::ReliableUdp>(port_, &vm_.network());
-  // Bound the replay buffer's residency (§4.2.3): count how many receive
-  // events the recorded log serves from each datagram id, so the replayer
-  // can prune an entry after its last recorded delivery and drop arrivals
-  // the log never names.  The log does not say which socket served an
-  // entry, so the count is VM-wide — an over-approximation only when two
+  // Bound the replay buffer's residency (§4.2.3): the replayer prunes an
+  // entry after its last recorded delivery and drops arrivals the log never
+  // names.  The counts are VM-wide — an over-approximation only when two
   // sockets of this VM received the same multicast datagram, which retains
   // (never starves) and stays bounded by the log.
-  std::map<DgNetworkEventId, std::uint32_t> deliveries;
-  const record::NetworkLog& net_log = vm_.replay_log()->network;
-  for (ThreadNum t : net_log.threads()) {
-    for (const record::NetworkLogEntry& e : net_log.thread_entries(t)) {
-      if (e.kind == EventKind::kUdpReceive && e.dg_id) {
-        ++deliveries[*e.dg_id];
-      }
-    }
-  }
-  replayer_ =
-      std::make_unique<replay::DatagramReplayer>(std::move(deliveries));
+  replayer_ = std::make_unique<replay::DatagramReplayer>(
+      vm_.replay_log()->network.datagram_deliveries());
   vm_.mark_event(EventKind::kUdpCreate, local_.port, this);
 }
 
@@ -137,8 +101,7 @@ void DatagramSocket::send(const DatagramPacket& packet) {
     }
     return;
   }
-  sched::ThreadState& st = vm_.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kUdpSend, this);
 
   // Per-destination scheme choice (§5): tagged toward DJVM hosts and
   // multicast groups (whose members are DJVMs in a closed world), raw
@@ -186,23 +149,13 @@ void DatagramSocket::send(const DatagramPacket& packet) {
     try {
       run();
     } catch (const net::NetError& err) {
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kUdpSend;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      throw_socket_exception(err.code(), "udp send");
+      // The event already ticked inside its section; log the exception.
+      ev.fail_in_section(err.code(), "udp send");
     }
     return;
   }
   // Replay: recorded failures re-throw without executing.
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry != nullptr && entry->error != NetErrorCode::kNone) {
-    vm_.mark_event(EventKind::kUdpSend,
-                   static_cast<std::uint64_t>(entry->error), this);
-    throw_socket_exception(entry->error, "udp send (recorded failure)");
-  }
+  ev.replay("udp send", NetEvent::Logs::kFailuresOnly);
   try {
     run();
   } catch (const net::NetError& err) {
@@ -282,61 +235,37 @@ DatagramPacket DatagramSocket::receive() {
       throw_socket_exception(e.code(), "udp receive");
     }
   }
-  sched::ThreadState& st = vm_.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kUdpReceive, this);
 
   if (vm_.mode() == Mode::kRecord) {
+    FetchResult got;
     try {
-      FetchResult got;
-      {
-        std::lock_guard<std::mutex> fd(recv_mutex_);
-        got = fetch_record();
-      }
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kUdpReceive;
-      e.event_num = en;
-      e.value = net::pack_address(got.source);
-      if (got.tagged) {
-        // The RecordedDatagramLog entry <ReceiverGCounter, datagramId>; the
-        // gc component is the mark below.
-        e.dg_id = got.id;
-      } else {
-        e.data = got.payload;  // open-world content
-      }
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kUdpReceive, crc32(got.payload), this);
-      return {std::move(got.payload), got.source};
+      std::lock_guard<std::mutex> fd(recv_mutex_);
+      got = fetch_record();
     } catch (const net::NetError& err) {
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kUdpReceive;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kUdpReceive,
-                     static_cast<std::uint64_t>(err.code()), this);
-      throw_socket_exception(err.code(), "udp receive");
+      ev.fail(err.code(), "udp receive");
     }
+    const std::uint64_t source = net::pack_address(got.source);
+    if (got.tagged) {
+      // The RecordedDatagramLog entry <ReceiverGCounter, datagramId>; the
+      // gc component is the mark below.
+      ev.log(source, got.id);
+    } else {
+      ev.log(source, got.payload);  // open-world content
+    }
+    vm_.mark_event(EventKind::kUdpReceive, crc32(got.payload), this);
+    return {std::move(got.payload), got.source};
   }
 
   // Replay.
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry == nullptr) {
-    vm_.replay_divergence(EventKind::kUdpReceive,
-                          "udp receive has no recorded entry", this);
-  }
-  if (entry->error != NetErrorCode::kNone) {
-    vm_.mark_event(EventKind::kUdpReceive,
-                   static_cast<std::uint64_t>(entry->error), this);
-    throw_socket_exception(entry->error, "udp receive (recorded failure)");
-  }
-  net::SocketAddress source = net::unpack_address(*entry->value);
-  if (entry->data) {
+  ev.replay("udp receive");
+  const net::SocketAddress source = net::unpack_address(ev.value());
+  if (const Bytes* d = ev.data()) {
     // Open-world source: recorded content, no network.
-    vm_.mark_event(EventKind::kUdpReceive, crc32(*entry->data), this);
-    return {*entry->data, source};
+    vm_.mark_event(EventKind::kUdpReceive, crc32(*d), this);
+    return {*d, source};
   }
-  const DgNetworkEventId want = *entry->dg_id;
+  const DgNetworkEventId want = ev.dg_id();
   // Turn-first; under interval leasing this may be lease-local (no await).
   // Blocking on the reliable layer inside a lease is safe for the same
   // reason as Socket::do_read: the awaited datagram comes from a peer VM,

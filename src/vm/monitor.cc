@@ -69,87 +69,54 @@ void Monitor::exit() {
       0, this);
 }
 
-void Monitor::wait() {
-  ThreadNum self = check_owner("Monitor::wait");
-  int saved_depth = depth_;  // Java wait releases fully even when nested
-
-  if (vm_.mode() == Mode::kReplay) {
-    // Release at the recorded kWaitRelease turn...
-    vm_.critical_event(
-        EventKind::kWaitRelease,
-        [&](GlobalCount) {
-          depth_ = 0;
-          owner_.store(kNoOwner, std::memory_order_relaxed);
-          mutex_.unlock();
-          return std::uint64_t{0};
-        },
-        0, this);
-    // ...and skip the condition variable entirely: the schedule already
-    // places the matching notify before our kWaitReacquire event.
-    vm_.replay_turn_begin(EventKind::kWaitReacquire, this);
-    mutex_.lock();
-    owner_.store(self, std::memory_order_relaxed);
-    depth_ = saved_depth;
-    vm_.replay_turn_end(EventKind::kWaitReacquire, 0);
-    return;
-  }
-
-  // Record / passthrough: tick the release while still physically holding
-  // the mutex (so the release tick precedes any successor's enter tick),
-  // then let cv_.wait perform the atomic unlock+sleep — a notifier must
-  // hold the monitor, so it cannot run before we are inside wait().
-  vm_.critical_event(
-      EventKind::kWaitRelease,
-      [&](GlobalCount) {
-        depth_ = 0;
-        owner_.store(kNoOwner, std::memory_order_relaxed);
-        return std::uint64_t{0};
-      },
-      0, this);
-  std::unique_lock<std::mutex> lk(mutex_, std::adopt_lock);
-  cv_.wait(lk);
-  lk.release();  // keep holding; we own the monitor again
-  owner_.store(self, std::memory_order_relaxed);
-  depth_ = saved_depth;
-  vm_.mark_event(EventKind::kWaitReacquire, 0, this);
-}
+void Monitor::wait() { wait_body("Monitor::wait", std::nullopt); }
 
 void Monitor::wait_for(std::chrono::milliseconds timeout) {
-  ThreadNum self = check_owner("Monitor::wait_for");
-  int saved_depth = depth_;
+  wait_body("Monitor::wait_for", timeout);
+}
 
-  if (vm_.mode() == Mode::kReplay) {
-    vm_.critical_event(
-        EventKind::kWaitRelease,
-        [&](GlobalCount) {
-          depth_ = 0;
-          owner_.store(kNoOwner, std::memory_order_relaxed);
-          mutex_.unlock();
-          return std::uint64_t{0};
-        },
-        0, this);
-    vm_.replay_turn_begin(EventKind::kWaitReacquire, this);
-    mutex_.lock();
-    owner_.store(self, std::memory_order_relaxed);
-    depth_ = saved_depth;
-    vm_.replay_turn_end(EventKind::kWaitReacquire, 0);
-    return;
-  }
+void Monitor::wait_body(const char* op,
+                        std::optional<std::chrono::milliseconds> timeout) {
+  ThreadNum self = check_owner(op);
+  int saved_depth = depth_;  // Java wait releases fully even when nested
+  const bool replay = vm_.mode() == Mode::kReplay;
 
+  // Replay releases at the recorded kWaitRelease turn.  Record /
+  // passthrough tick the release while still physically holding the mutex
+  // (so the release tick precedes any successor's enter tick), then let
+  // cv_.wait perform the atomic unlock+sleep — a notifier must hold the
+  // monitor, so it cannot run before we are inside wait().
   vm_.critical_event(
       EventKind::kWaitRelease,
       [&](GlobalCount) {
         depth_ = 0;
         owner_.store(kNoOwner, std::memory_order_relaxed);
+        if (replay) mutex_.unlock();
         return std::uint64_t{0};
       },
       0, this);
-  std::unique_lock<std::mutex> lk(mutex_, std::adopt_lock);
-  cv_.wait_for(lk, timeout);  // timeout vs notify: both are just a reacquire
-  lk.release();
+  if (replay) {
+    // Skip the condition variable entirely: the schedule already places the
+    // matching notify before our kWaitReacquire event.
+    vm_.replay_turn_begin(EventKind::kWaitReacquire, this);
+    mutex_.lock();
+  } else {
+    std::unique_lock<std::mutex> lk(mutex_, std::adopt_lock);
+    // Timeout vs notify: both are just a reacquire.
+    if (timeout) {
+      cv_.wait_for(lk, *timeout);
+    } else {
+      cv_.wait(lk);
+    }
+    lk.release();  // keep holding; we own the monitor again
+  }
   owner_.store(self, std::memory_order_relaxed);
   depth_ = saved_depth;
-  vm_.mark_event(EventKind::kWaitReacquire, 0, this);
+  if (replay) {
+    vm_.replay_turn_end(EventKind::kWaitReacquire, 0);
+  } else {
+    vm_.mark_event(EventKind::kWaitReacquire, 0, this);
+  }
 }
 
 void Monitor::notify() {

@@ -28,6 +28,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 
 #include "common/errors.h"
 #include "vm/vm.h"
@@ -80,6 +81,11 @@ class Monitor {
 
   /// Throws UsageError unless the calling thread owns the monitor.
   ThreadNum check_owner(const char* op);
+
+  /// wait() and wait_for(): the same events in every mode; only record's
+  /// sleep differs (with a timeout or without).
+  void wait_body(const char* op,
+                 std::optional<std::chrono::milliseconds> timeout);
 
   Vm& vm_;
   ConflictKeyLifetime key_lifetime_{vm_, this};

@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "record/log_entries.h"
+#include "vm/net_event.h"
 
 namespace djvu::vm {
 namespace {
@@ -42,12 +42,13 @@ std::uint64_t conn_id_aux(const ConnectionId& id) {
 // ---------------------------------------------------------------------------
 
 Socket::Socket(Vm& vm, net::SocketAddress remote) : vm_(vm), remote_(remote) {
+  const auto op = [this] { return "connect to " + to_string(remote_); };
   if (!vm_.instrumented()) {
     // Plain JVM: raw connect, no events, no meta data.
     try {
       conn_ = vm_.network().connect(vm_.host(), remote_);
     } catch (const net::NetError& e) {
-      throw_socket_exception(e.code(), "connect to " + to_string(remote_));
+      throw_socket_exception(e.code(), op());
     }
     return;
   }
@@ -59,8 +60,8 @@ Socket::Socket(Vm& vm, net::SocketAddress remote) : vm_(vm), remote_(remote) {
   st.take_network_event_num();
   vm_.mark_event(EventKind::kSockCreate, 0, this);
 
-  const EventNum en = st.take_network_event_num();
-  const ConnectionId my_id{vm_.vm_id(), st.num, en};
+  NetEvent ev(vm_, EventKind::kSockConnect, this);
+  const ConnectionId my_id{vm_.vm_id(), st.num, ev.event_num()};
 
   if (vm_.mode() == Mode::kRecord) {
     try {
@@ -71,45 +72,23 @@ Socket::Socket(Vm& vm, net::SocketAddress remote) : vm_(vm), remote_(remote) {
         // over the established socket as the first data (meta data) ...
         // via a low level (native) socket write" — not itself an event.
         conn_->write(encode_meta(my_id));
-      } else {
-        // Open-world scheme: record that the connect succeeded so replay
-        // can virtualize it.
-        record::NetworkLogEntry e;
-        e.kind = EventKind::kSockConnect;
-        e.event_num = en;
-        e.value = 1;
-        vm_.log_network_entry(st.num, std::move(e));
       }
-      vm_.mark_event(EventKind::kSockConnect, conn_id_aux(my_id), this);
     } catch (const net::NetError& err) {
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kSockConnect;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kSockConnect,
-                     static_cast<std::uint64_t>(err.code()), this);
-      throw_socket_exception(err.code(), "connect to " + to_string(remote_));
+      ev.fail(err.code(), op);
     }
+    // Open-world scheme: record that the connect succeeded so replay can
+    // virtualize it.
+    if (!peer_is_djvm_) ev.log(1);
+    vm_.mark_event(EventKind::kSockConnect, conn_id_aux(my_id), this);
     return;
   }
 
-  // Replay.
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry != nullptr && entry->error != NetErrorCode::kNone) {
-    // Re-throw the recorded exception without executing the connect.
-    vm_.mark_event(EventKind::kSockConnect,
-                   static_cast<std::uint64_t>(entry->error), this);
-    throw_socket_exception(entry->error, "connect to " + to_string(remote_));
-  }
+  // Replay: a recorded exception re-throws without executing the connect.
+  ev.replay(op, peer_is_djvm_ ? NetEvent::Logs::kFailuresOnly
+                              : NetEvent::Logs::kEveryOutcome);
   if (!peer_is_djvm_) {
     // Open-world: "The actual operating system-level connect call is not
     // executed."
-    if (entry == nullptr || !entry->value) {
-      vm_.replay_divergence(EventKind::kSockConnect,
-                            "replay connect without recorded outcome", this);
-    }
     virtual_ = true;
     vm_.mark_event(EventKind::kSockConnect, conn_id_aux(my_id), this);
     return;
@@ -210,62 +189,48 @@ std::size_t Socket::do_read(std::uint8_t* out, std::size_t max) {
       throw_socket_exception(e.code(), "read");
     }
   }
-  sched::ThreadState& st = vm_.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kSockRead, this);
 
   if (vm_.mode() == Mode::kRecord) {
     std::lock_guard<std::mutex> fd(read_mutex_);  // Fig. 3 FD-critical section
+    std::size_t n = 0;
     try {
-      std::size_t n = timed_read(out, max);  // blocking, outside GC section
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kSockRead;
-      e.event_num = en;
-      e.value = n;
-      if (!peer_is_djvm_) e.data = Bytes(out, out + n);  // open-world content
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kSockRead, crc32({out, n}), this);
-      return n;
+      n = timed_read(out, max);  // blocking, outside GC section
     } catch (const net::NetError& err) {
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kSockRead;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kSockRead,
-                     static_cast<std::uint64_t>(err.code()), this);
-      throw_socket_exception(err.code(), "read");
+      ev.fail(err.code(), "read");
     }
+    if (peer_is_djvm_) {
+      ev.log(n);
+    } else {
+      ev.log(n, Bytes(out, out + n));  // open-world content
+    }
+    vm_.mark_event(EventKind::kSockRead, crc32({out, n}), this);
+    return n;
   }
 
   // Replay.
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry == nullptr) {
-    vm_.replay_divergence(EventKind::kSockRead,
-                          "read event has no recorded entry", this);
-  }
-  if (entry->error != NetErrorCode::kNone) {
-    vm_.mark_event(EventKind::kSockRead,
-                   static_cast<std::uint64_t>(entry->error), this);
-    throw_socket_exception(entry->error, "read");
-  }
-  if (entry->data) {
+  ev.replay("read");
+  if (const Bytes* d = ev.data()) {
     // Open-world: serve recorded content, no network.
-    const Bytes& d = *entry->data;
-    if (d.size() > max) {
+    if (d->size() > max) {
       vm_.replay_divergence(
           EventKind::kSockRead,
           "recorded read content larger than the replayed buffer", this);
     }
-    std::memcpy(out, d.data(), d.size());
-    vm_.mark_event(EventKind::kSockRead, crc32(d), this);
-    return d.size();
+    std::memcpy(out, d->data(), d->size());
+    vm_.mark_event(EventKind::kSockRead, crc32(*d), this);
+    return d->size();
   }
-  const std::size_t m = static_cast<std::size_t>(*entry->value);
+  const std::size_t m = static_cast<std::size_t>(ev.value());
   if (m > max) {
     vm_.replay_divergence(
         EventKind::kSockRead,
         "recorded read returned more bytes than the replayed request", this);
+  }
+  if (conn_ == nullptr) {
+    vm_.replay_divergence(EventKind::kSockRead,
+                          "recorded read of a virtual socket has no content",
+                          this);
   }
   // Turn-first (DESIGN.md §5), then read *exactly* numRecorded bytes:
   // "the thread reads only numRecorded bytes even if more bytes are
@@ -303,27 +268,17 @@ std::size_t Socket::do_available() {
   if (!vm_.instrumented()) {
     return conn_ ? conn_->available() : 0;
   }
-  sched::ThreadState& st = vm_.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kSockAvailable, this);
 
   if (vm_.mode() == Mode::kRecord) {
     std::size_t n = conn_->available();  // executed before the GC section
-    record::NetworkLogEntry e;
-    e.kind = EventKind::kSockAvailable;
-    e.event_num = en;
-    e.value = n;
-    vm_.log_network_entry(st.num, std::move(e));
+    ev.log(n);
     vm_.mark_event(EventKind::kSockAvailable, n, this);
     return n;
   }
 
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry == nullptr || !entry->value) {
-    vm_.replay_divergence(EventKind::kSockAvailable,
-                          "available event has no recorded entry", this);
-  }
-  const std::size_t m = static_cast<std::size_t>(*entry->value);
+  ev.replay("available");
+  const std::size_t m = static_cast<std::size_t>(ev.value());
   if (virtual_) {
     vm_.mark_event(EventKind::kSockAvailable, m, this);
     return m;
@@ -349,8 +304,7 @@ void Socket::do_write(BytesView data) {
     }
     return;
   }
-  sched::ThreadState& st = vm_.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kSockWrite, this);
 
   if (vm_.mode() == Mode::kRecord) {
     std::lock_guard<std::mutex> fd(write_mutex_);
@@ -368,24 +322,13 @@ void Socket::do_write(BytesView data) {
     } catch (const net::NetError& err) {
       // The event already ticked (a throwing event still happened); log the
       // exception for replay.
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kSockWrite;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      throw_socket_exception(err.code(), "write");
+      ev.fail_in_section(err.code(), "write");
     }
     return;
   }
 
   // Replay.
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry != nullptr && entry->error != NetErrorCode::kNone) {
-    vm_.mark_event(EventKind::kSockWrite,
-                   static_cast<std::uint64_t>(entry->error), this);
-    throw_socket_exception(entry->error, "write");
-  }
+  ev.replay("write", NetEvent::Logs::kFailuresOnly);
   // Turn-first: the write lock is taken inside the turn.  Taking it before
   // the turn lets a writer whose turn comes later hold it while the writer
   // whose turn is current blocks on it, and the schedule deadlocks.
@@ -394,16 +337,17 @@ void Socket::do_write(BytesView data) {
       [&](GlobalCount) {
         std::lock_guard<std::mutex> fd(write_mutex_);
         if (conn_ != nullptr && !virtual_) {
-      try {
-        conn_->write(data);
-      } catch (const net::NetError& err) {
-        vm_.replay_divergence(
-            EventKind::kSockWrite,
-            std::string("recorded-successful write failed during replay: ") +
-                err.what(),
-            this);
-      }
-    }
+          try {
+            conn_->write(data);
+          } catch (const net::NetError& err) {
+            vm_.replay_divergence(
+                EventKind::kSockWrite,
+                std::string(
+                    "recorded-successful write failed during replay: ") +
+                    err.what(),
+                this);
+          }
+        }
         // Virtual socket: "any message sent to a non-DJVM thread during
         // the record phase need not be sent again during the replay phase."
         return crc32(data);
@@ -446,42 +390,22 @@ ServerSocket::ServerSocket(Vm& vm, net::Port port) : vm_(vm) {
   st.take_network_event_num();
   vm_.mark_event(EventKind::kSockCreate, 0, this);
 
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kSockBind, this);
+  const auto op = [port] { return "bind port " + std::to_string(port); };
   if (vm_.mode() == Mode::kRecord) {
     try {
       listener_ = vm_.network().listen({vm_.host(), port});
-      port_ = listener_->address().port;
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kSockBind;
-      e.event_num = en;
-      e.value = port_;  // "the DJVM records its return value" (the port)
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kSockBind, port_, this);
     } catch (const net::NetError& err) {
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kSockBind;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kSockBind,
-                     static_cast<std::uint64_t>(err.code()), this);
-      throw_socket_exception(err.code(), "bind port " + std::to_string(port));
+      ev.fail(err.code(), op);
     }
+    port_ = listener_->address().port;
+    ev.log(port_);  // "the DJVM records its return value" (the port)
+    vm_.mark_event(EventKind::kSockBind, port_, this);
   } else {
-    const record::NetworkLogEntry* entry =
-        vm_.replay_log()->network.find(st.num, en);
-    if (entry == nullptr) {
-      vm_.replay_divergence(EventKind::kSockBind,
-                            "bind event has no recorded entry", this);
-    }
-    if (entry->error != NetErrorCode::kNone) {
-      vm_.mark_event(EventKind::kSockBind,
-                     static_cast<std::uint64_t>(entry->error), this);
-      throw_socket_exception(entry->error, "bind port " + std::to_string(port));
-    }
+    ev.replay(op);
     // "we execute the bind event, passing the recorded local port as
     // argument" — deterministic re-binding.
-    port_ = static_cast<net::Port>(*entry->value);
+    port_ = static_cast<net::Port>(ev.value());
     try {
       listener_ = vm_.network().listen({vm_.host(), port_});
     } catch (const net::NetError& err) {
@@ -552,68 +476,45 @@ std::unique_ptr<Socket> ServerSocket::accept() {
       throw_socket_exception(e.code(), "accept");
     }
   }
-  sched::ThreadState& st = vm_.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm_, EventKind::kSockAccept, this);
 
   if (vm_.mode() == Mode::kRecord) {
+    std::shared_ptr<net::TcpConnection> conn;
+    bool peer_djvm = false;
+    ConnectionId client_id{};
     try {
-      std::shared_ptr<net::TcpConnection> conn;
-      bool peer_djvm = false;
-      ConnectionId client_id{};
-      {
-        // accept is a synchronized call: net-level accept + meta read are
-        // serialized per listener.
-        std::lock_guard<std::mutex> fd(fd_mutex_);
-        conn = timed_accept();  // blocking, outside the GC section
-        peer_djvm = vm_.is_djvm_host(conn->remote_address().host);
-        record::NetworkLogEntry e;
-        e.kind = EventKind::kSockAccept;
-        e.event_num = en;
-        if (peer_djvm) {
-          std::uint8_t meta[kMetaSize];
-          conn->read_fully(meta, kMetaSize);
-          client_id = decode_meta({meta, kMetaSize});
-          e.conn_id = client_id;  // the ServerSocketEntry <serverId,clientId>
-        } else {
-          e.value = net::pack_address(conn->remote_address());  // open world
-        }
-        vm_.log_network_entry(st.num, std::move(e));
+      // accept is a synchronized call: net-level accept + meta read are
+      // serialized per listener.
+      std::lock_guard<std::mutex> fd(fd_mutex_);
+      conn = timed_accept();  // blocking, outside the GC section
+      peer_djvm = vm_.is_djvm_host(conn->remote_address().host);
+      if (peer_djvm) {
+        std::uint8_t meta[kMetaSize];
+        conn->read_fully(meta, kMetaSize);
+        client_id = decode_meta({meta, kMetaSize});
+        ev.log(client_id);  // the ServerSocketEntry <serverId,clientId>
+      } else {
+        ev.log(net::pack_address(conn->remote_address()));  // open world
       }
-      vm_.mark_event(EventKind::kSockAccept,
-                     peer_djvm ? conn_id_aux(client_id) : 0, this);
-      return std::unique_ptr<Socket>(
-          new Socket(vm_, std::move(conn), peer_djvm));
     } catch (const net::NetError& err) {
-      record::NetworkLogEntry e;
-      e.kind = EventKind::kSockAccept;
-      e.event_num = en;
-      e.error = err.code();
-      vm_.log_network_entry(st.num, std::move(e));
-      vm_.mark_event(EventKind::kSockAccept,
-                     static_cast<std::uint64_t>(err.code()), this);
-      throw_socket_exception(err.code(), "accept");
+      ev.fail(err.code(), "accept");
     }
+    vm_.mark_event(EventKind::kSockAccept,
+                   peer_djvm ? conn_id_aux(client_id) : 0, this);
+    return std::unique_ptr<Socket>(
+        new Socket(vm_, std::move(conn), peer_djvm));
   }
 
   // Replay.
-  const record::NetworkLogEntry* entry =
-      vm_.replay_log()->network.find(st.num, en);
-  if (entry == nullptr) {
-    vm_.replay_divergence(EventKind::kSockAccept,
-                          "accept event has no recorded entry", this);
-  }
-  if (entry->error != NetErrorCode::kNone) {
-    vm_.mark_event(EventKind::kSockAccept,
-                   static_cast<std::uint64_t>(entry->error), this);
-    throw_socket_exception(entry->error, "accept");
-  }
-  if (!entry->conn_id) {
+  ev.replay("accept");
+  const ConnectionId* recorded_id = ev.conn_id();
+  if (recorded_id == nullptr) {
     // Open-world peer: virtual socket fed from recorded content.
-    net::SocketAddress remote = net::unpack_address(*entry->value);
+    net::SocketAddress remote = net::unpack_address(ev.value());
     vm_.mark_event(EventKind::kSockAccept, 0, this);
     return std::unique_ptr<Socket>(new Socket(vm_, remote, true));
   }
-  const ConnectionId want = *entry->conn_id;
+  const ConnectionId want = *recorded_id;
   auto conn = pool_.await(want, [&]() {
     auto c = listener_->accept();
     if (!vm_.is_djvm_host(c->remote_address().host)) {

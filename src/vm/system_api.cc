@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "record/log_entries.h"
+#include "vm/net_event.h"
 
 namespace djvu::vm {
 namespace {
@@ -26,8 +26,7 @@ std::uint64_t real_nanos() {
 /// Shared machinery: record the queried value, replay it back.
 std::uint64_t recorded_query(Vm& vm, std::uint64_t (*query)()) {
   if (!vm.instrumented()) return query();
-  sched::ThreadState& st = vm.current_state();
-  const EventNum en = st.take_network_event_num();
+  NetEvent ev(vm, EventKind::kTimeRead);
 
   if (vm.mode() == Mode::kRecord) {
     std::uint64_t value = 0;
@@ -41,11 +40,7 @@ std::uint64_t recorded_query(Vm& vm, std::uint64_t (*query)()) {
           return value;
         },
         0, kThreadLocalConflict);
-    record::NetworkLogEntry e;
-    e.kind = EventKind::kTimeRead;
-    e.event_num = en;
-    e.value = value;
-    vm.log_network_entry(st.num, std::move(e));
+    ev.log(value);
     return value;
   }
 
@@ -53,13 +48,8 @@ std::uint64_t recorded_query(Vm& vm, std::uint64_t (*query)()) {
   // turn protocol — within an interval lease that is one cursor advance
   // with no atomics, making replayed time reads as cheap as the record
   // side's thread-local-keyed sections.
-  const record::NetworkLogEntry* entry =
-      vm.replay_log()->network.find(st.num, en);
-  if (entry == nullptr || !entry->value) {
-    vm.replay_divergence(EventKind::kTimeRead,
-                         "time query has no recorded entry");
-  }
-  std::uint64_t value = *entry->value;
+  ev.replay("time read");
+  const std::uint64_t value = ev.value();
   vm.mark_event(EventKind::kTimeRead, value);
   return value;
 }

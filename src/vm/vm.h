@@ -255,10 +255,6 @@ class Vm {
                                       ConflictKey conflict =
                                           kThreadLocalConflict);
 
-  /// Records one network event outcome: appended to the in-memory network
-  /// log, or streamed to the spool file when spooling.  Record mode only.
-  void log_network_entry(ThreadNum thread, record::NetworkLogEntry entry);
-
   /// True when this record-mode Vm streams its log to a spool file instead
   /// of accumulating it in memory (VmConfig::spool_path set).
   bool spooling() const { return spooler_ != nullptr; }
@@ -361,7 +357,13 @@ class Vm {
                      EventNum main_event_num);
 
  private:
+  friend class NetEvent;
   friend class VmThread;
+
+  /// Records one network event outcome: appended to the in-memory network
+  /// log, or streamed to the spool file when spooling.  Record mode only;
+  /// the gateways log through NetEvent.
+  void log_network_entry(ThreadNum thread, record::NetworkLogEntry entry);
 
   /// Binds/unbinds the calling OS thread (VmThread internals).
   static void bind_current(Vm* vm, sched::ThreadState* state);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "core/session.h"
@@ -119,6 +121,56 @@ TEST(DatagramApi, BindToTakenPortThrowsBindException) {
   auto rec = s.record(10);
   auto rep = s.replay(rec, 11);
   core::verify(rec, rep);
+}
+
+// Runs `raise` (which must throw a SocketException) in record and replay,
+// folding the exception's what() into shared state: the run replays only
+// when replay re-throws the recorded exception with the text record threw.
+void expect_exception_text_replays(
+    SessionConfig cfg,
+    const std::function<void(vm::Vm&, vm::DatagramSocket&)>& raise) {
+  Session s(cfg);
+  s.add_vm("app", 1, true, [&raise](vm::Vm& v) {
+    vm::DatagramSocket sock(v, 4700);
+    vm::SharedVar<std::uint64_t> text(v, 0);
+    try {
+      raise(v, sock);
+    } catch (const vm::SocketException& e) {
+      text.set(std::hash<std::string>{}(e.what()));
+    }
+    sock.close();
+    if (text.unsafe_peek() == 0) throw Error("expected a SocketException");
+  });
+  auto rec = s.record(20);
+  auto rep = s.replay(rec, 21);
+  core::verify(rec, rep);
+}
+
+TEST(DatagramApi, RecordedBindFailureTextReplays) {
+  expect_exception_text_replays(
+      udp_net(19), [](vm::Vm& v, vm::DatagramSocket& sock) {
+        vm::DatagramSocket taken(v, sock.local_address().port);
+      });
+}
+
+TEST(DatagramApi, RecordedReceiveTimeoutTextReplays) {
+  expect_exception_text_replays(udp_net(20),
+                                [](vm::Vm&, vm::DatagramSocket& sock) {
+                                  sock.set_so_timeout(
+                                      std::chrono::milliseconds(1));
+                                  sock.receive();
+                                });
+}
+
+TEST(DatagramApi, RecordedOversizeSendTextReplays) {
+  SessionConfig cfg = udp_net(21);
+  cfg.net.max_datagram = 100;  // two fragments carry < 200 app bytes
+  expect_exception_text_replays(cfg, [](vm::Vm&, vm::DatagramSocket& sock) {
+    vm::DatagramPacket p;
+    p.address = sock.local_address();  // size check precedes routing
+    p.data.assign(500, 0x00);
+    sock.send(p);
+  });
 }
 
 // A datagram delivered twice during record (network duplication) must be

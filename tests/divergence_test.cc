@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/session.h"
 #include "record/serializer.h"
 #include "tests/test_util.h"
+#include "vm/datagram_api.h"
 #include "vm/shared_var.h"
 #include "vm/socket_api.h"
 #include "vm/thread.h"
@@ -42,6 +45,28 @@ std::vector<record::VmLog> logs_of(const core::RunResult& rec) {
     }
   }
   return logs;
+}
+
+/// Applies `edit` to the first network entry of `kind` in `logs` (a
+/// NetworkLog is append-only, so each log is rebuilt); returns whether one
+/// was found.
+bool edit_first_entry(std::vector<record::VmLog>& logs, sched::EventKind kind,
+                      const std::function<void(record::NetworkLogEntry&)>& edit) {
+  bool found = false;
+  for (auto& log : logs) {
+    record::NetworkLog edited;
+    for (ThreadNum t : log.network.threads()) {
+      for (auto e : log.network.thread_entries(t)) {
+        if (!found && e.kind == kind) {
+          edit(e);
+          found = true;
+        }
+        edited.append(t, std::move(e));
+      }
+    }
+    log.network = std::move(edited);
+  }
+  return found;
 }
 
 TEST(Divergence, TruncatedScheduleDetected) {
@@ -135,24 +160,129 @@ TEST(Divergence, ReadEntryTamperDetected) {
   // Inflate a recorded read count beyond what the stream will ever carry:
   // replay must fail (EOF before the recorded byte count) — not hang,
   // because the writer side half-closes on socket close.
-  record::NetworkLog tampered;
-  bool bumped = false;
-  for (auto& log : logs) {
-    if (log.vm_id != rec.vm("server").vm_id) continue;
-    for (ThreadNum t : log.network.threads()) {
-      for (auto e : log.network.thread_entries(t)) {
-        if (!bumped && e.kind == sched::EventKind::kSockRead && e.value &&
-            *e.value > 0) {
-          e.value = *e.value + 1000;
-          bumped = true;
-        }
-        tampered.append(t, std::move(e));
-      }
-    }
-    log.network = std::move(tampered);
-  }
-  ASSERT_TRUE(bumped);
+  // Only the server reads.
+  ASSERT_TRUE(edit_first_entry(logs, sched::EventKind::kSockRead,
+                               [](record::NetworkLogEntry& e) {
+                                 ASSERT_TRUE(e.value && *e.value > 0);
+                                 e.value = *e.value + 1000;
+                               }));
   EXPECT_THROW(s.replay_logs(logs, 12), ReplayDivergenceError);
+}
+
+/// Replays `logs`, which must raise a network mismatch at an event of
+/// `kind` rather than serve the tampered entry.
+void expect_network_mismatch(Session& s, const std::vector<record::VmLog>& logs,
+                             sched::EventKind kind) {
+  try {
+    s.replay_logs(logs, 50);
+    ADD_FAILURE() << "tampered " << sched::event_kind_name(kind)
+                  << " entry replayed cleanly";
+  } catch (const sched::ReportedDivergenceError& e) {
+    EXPECT_EQ(e.cause(), DivergenceCause::kNetworkMismatch) << e.what();
+    EXPECT_TRUE(e.report().event_known);
+    EXPECT_EQ(e.report().event, kind) << e.what();
+  }
+}
+
+Session udp_create_app() {
+  Session s;
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    vm::DatagramSocket sock(v, 4800);
+    sock.close();
+  });
+  return s;
+}
+
+// A replayed call that finds an entry of another kind diverges: here a UDP
+// create whose entry says time read would otherwise bind the clock value.
+TEST(Divergence, EntryOfAnotherKindIsANetworkMismatch) {
+  Session s = udp_create_app();
+  auto logs = logs_of(s.record(40));
+  ASSERT_TRUE(edit_first_entry(logs, sched::EventKind::kUdpCreate,
+                               [](record::NetworkLogEntry& e) {
+                                 e.kind = sched::EventKind::kTimeRead;
+                                 e.value = 1760000000123;  // a clock reading
+                               }));
+  expect_network_mismatch(s, logs, sched::EventKind::kUdpCreate);
+}
+
+// Success entries stripped of the field their kind needs
+// (record::missing_field) diverge instead of replaying.
+TEST(Divergence, UdpCreateWithoutPortIsANetworkMismatch) {
+  Session s = udp_create_app();
+  auto logs = logs_of(s.record(41));
+  ASSERT_TRUE(edit_first_entry(logs, sched::EventKind::kUdpCreate,
+                               [](record::NetworkLogEntry& e) {
+                                 e.value.reset();
+                               }));
+  expect_network_mismatch(s, logs, sched::EventKind::kUdpCreate);
+}
+
+TEST(Divergence, BindWithoutPortIsANetworkMismatch) {
+  Session s;
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    vm::ServerSocket listener(v, 5100);
+    listener.close();
+  });
+  auto logs = logs_of(s.record(42));
+  ASSERT_TRUE(edit_first_entry(logs, sched::EventKind::kSockBind,
+                               [](record::NetworkLogEntry& e) {
+                                 e.value.reset();
+                               }));
+  expect_network_mismatch(s, logs, sched::EventKind::kSockBind);
+}
+
+/// A DJVM server and a plain (non-DJVM) client: replay runs the server
+/// alone, from its accept and read entries (the open-world scheme, §5).
+Session open_world_server() {
+  Session s;
+  s.add_vm("server", 1, true, [](vm::Vm& v) {
+    vm::ServerSocket listener(v, 5200);
+    auto sock = listener.accept();
+    testutil::read_exactly(*sock, 8);
+    sock->close();
+    listener.close();
+  });
+  s.add_vm("client", 2, /*djvm=*/false, [](vm::Vm& v) {
+    auto sock = testutil::connect_retry(v, {1, 5200});
+    sock->output_stream().write(Bytes(8, 0x66));
+    sock->close();
+  });
+  return s;
+}
+
+TEST(Divergence, AcceptWithoutPeerIsANetworkMismatch) {
+  Session s = open_world_server();
+  auto logs = logs_of(s.record(43));
+  ASSERT_TRUE(edit_first_entry(logs, sched::EventKind::kSockAccept,
+                               [](record::NetworkLogEntry& e) {
+                                 e.value.reset();
+                                 e.conn_id.reset();
+                               }));
+  expect_network_mismatch(s, logs, sched::EventKind::kSockAccept);
+}
+
+TEST(Divergence, ReadWithoutCountOrContentIsANetworkMismatch) {
+  Session s = open_world_server();
+  auto logs = logs_of(s.record(44));
+  ASSERT_TRUE(edit_first_entry(logs, sched::EventKind::kSockRead,
+                               [](record::NetworkLogEntry& e) {
+                                 e.value.reset();
+                                 e.data.reset();
+                               }));
+  expect_network_mismatch(s, logs, sched::EventKind::kSockRead);
+}
+
+// A byte count without content cannot feed a virtual (open-world) socket,
+// which has no connection to read the bytes from.
+TEST(Divergence, VirtualReadWithoutContentIsANetworkMismatch) {
+  Session s = open_world_server();
+  auto logs = logs_of(s.record(45));
+  ASSERT_TRUE(edit_first_entry(logs, sched::EventKind::kSockRead,
+                               [](record::NetworkLogEntry& e) {
+                                 e.data.reset();
+                               }));
+  expect_network_mismatch(s, logs, sched::EventKind::kSockRead);
 }
 
 TEST(Divergence, VerifyCatchesCrossRunMismatch) {

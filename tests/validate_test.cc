@@ -98,6 +98,83 @@ TEST(Validate, DetectsEmptySuccessfulRead) {
   EXPECT_FALSE(record::validate(log).empty());
 }
 
+/// good_log() plus one successful entry of `kind`, filled by `fill`, and
+/// the problems validate() finds in it.
+std::vector<std::string> problems_with(
+    sched::EventKind kind, void (*fill)(record::NetworkLogEntry&) = nullptr) {
+  auto log = good_log();
+  record::NetworkLogEntry e;
+  e.kind = kind;
+  e.event_num = 1;
+  if (fill != nullptr) fill(e);
+  log.network.append(0, std::move(e));
+  log.stats.network_events = 2;
+  return record::validate(log);
+}
+
+/// Expects exactly one problem, naming the entry's kind and missing field.
+void expect_missing(const std::vector<std::string>& problems,
+                    const std::string& what) {
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find(what), std::string::npos) << problems[0];
+}
+
+TEST(Validate, DetectsAvailableWithoutCount) {
+  expect_missing(problems_with(sched::EventKind::kSockAvailable),
+                 "successful sock-available entry without its value");
+}
+
+TEST(Validate, DetectsBindWithoutPort) {
+  expect_missing(problems_with(sched::EventKind::kSockBind),
+                 "successful sock-bind entry without its value");
+}
+
+TEST(Validate, DetectsUdpCreateWithoutPort) {
+  expect_missing(problems_with(sched::EventKind::kUdpCreate),
+                 "successful udp-create entry without its value");
+}
+
+TEST(Validate, DetectsTimeReadWithoutValue) {
+  expect_missing(problems_with(sched::EventKind::kTimeRead),
+                 "successful time-read entry without its value");
+}
+
+TEST(Validate, DetectsOpenWorldConnectWithoutOutcome) {
+  expect_missing(problems_with(sched::EventKind::kSockConnect),
+                 "successful sock-connect entry without its value");
+}
+
+TEST(Validate, DetectsUdpReceiveWithoutSourceOrDatagram) {
+  expect_missing(problems_with(sched::EventKind::kUdpReceive,
+                               [](record::NetworkLogEntry& e) {
+                                 e.dg_id = DgNetworkEventId{2, 7};
+                               }),
+                 "successful udp-receive entry without its source address");
+  expect_missing(problems_with(sched::EventKind::kUdpReceive,
+                               [](record::NetworkLogEntry& e) {
+                                 e.value = 1;
+                               }),
+                 "without its datagram id or content");
+  EXPECT_TRUE(problems_with(sched::EventKind::kUdpReceive,
+                            [](record::NetworkLogEntry& e) {
+                              e.value = 1;
+                              e.data = Bytes{1, 2};
+                            })
+                  .empty());
+}
+
+// The field rule covers successes only: a recorded exception carries none.
+TEST(Validate, AcceptsFailuresWithoutFields) {
+  for (auto kind : {sched::EventKind::kSockRead, sched::EventKind::kSockBind,
+                    sched::EventKind::kSockAccept,
+                    sched::EventKind::kUdpReceive}) {
+    EXPECT_TRUE(problems_with(kind, [](record::NetworkLogEntry& e) {
+                  e.error = NetErrorCode::kTimedOut;
+                }).empty())
+        << sched::event_kind_name(kind);
+  }
+}
+
 TEST(Validate, DetectsNonNetworkKindInNetworkLog) {
   auto log = good_log();
   record::NetworkLogEntry e;
