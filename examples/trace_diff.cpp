@@ -7,6 +7,11 @@
 // their schedules differ), saves both traces, diffs them — showing exactly
 // where the interleavings first diverged — and then diffs a record/replay
 // pair to show the identical-traces case.
+//
+// A file argument may be a saved trace or any recording spool (a
+// multi-threaded one included).  Both files are loaded whole and checked
+// (every chunk CRC and the whole-file CRC; a torn file throws
+// LogFormatError), so memory grows with the traces, not with the context.
 
 #include <cstdio>
 #include <cstdlib>
@@ -50,8 +55,6 @@ void print_diff(const record::TraceDiff& diff) {
 
 int main(int argc, char** argv) {
   if (argc == 3) {
-    // Streaming diff: the files are read in lockstep and abandoned at the
-    // first divergence — big traces that differ early cost almost nothing.
     auto diff = record::diff_trace_files(argv[1], argv[2]);
     print_diff(diff);
     return diff.identical ? 0 : 1;
@@ -75,8 +78,7 @@ int main(int argc, char** argv) {
   const std::string path2 = dir + "/app-202.djvutrace";
   record::save_trace_to_file(trace2, path2);
 
-  // The streaming path: both files read in lockstep, abandoned at the
-  // first divergence.
+  // The file path: both traces loaded from disk, then diffed.
   std::printf("--- recording 101 vs recording 202 ---\n");
   print_diff(record::diff_trace_files(path1, path2));
 

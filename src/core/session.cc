@@ -585,9 +585,9 @@ void verify(const RunResult& recorded, const RunResult& replayed) {
       continue;
     }
     // Locate the first difference for a useful diagnostic.
-    std::size_t n = std::min(rec.trace.size(), rep->trace.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rec.trace[i] == rep->trace[i]) continue;
+    const std::size_t n = std::min(rec.trace.size(), rep->trace.size());
+    if (const std::size_t i = sched::first_difference(rec.trace, rep->trace);
+        i < n) {
       const auto& a = rec.trace[i];
       const auto& b = rep->trace[i];
       d.thread = b.thread;

@@ -11,6 +11,12 @@
 // existing IntervalCursor / network-log machinery without ever
 // materializing the serialized bundle or the trace.
 //
+// Every whole-recording reader goes through the two loaders at the end of
+// this header, load_spool and load_spooled_log: replay, the replay doctor
+// (replay/doctor.h) and trace-file loading and diffing (record/trace_io.h).
+// LogSource's item stream is what those loaders scan when a spool has no
+// footer; the index rebuild, anchor readback and seek_to_gc also use it.
+//
 // One producer path feeds the writer: a mutex/condvar bounded byte queue
 // behind the LogSink interface.  Batches, network entries, anchors and the
 // finish marker all take it; a producer that finds the queue holding
@@ -494,12 +500,8 @@ class LogSource {
   /// byte) and truncated_bytes resets.
   bool seek_to_gc(GlobalCount gc);
 
-  /// Repositions the stream at chunk `i` of the index.  Same semantics and
-  /// preconditions as seek_to_gc.
-  void seek_to_chunk(std::size_t i);
-
   // Frame facts of the chunk currently streaming (valid once next() has
-  // yielded an item; used by index rebuilds and per-chunk consumers).
+  // yielded an item; used by the index rebuild scan).
   /// Chunks consumed so far; the current item's chunk is ordinal() - 1.
   std::size_t chunk_ordinal() const { return chunks_read_; }
   std::uint64_t chunk_offset() const { return chunk_offset_; }
@@ -551,22 +553,6 @@ class LogSource {
   bool tried_footer_ = false;
 };
 
-/// Pull adapter yielding individual trace records from a LogSource
-/// (decoding kTrace items, skipping other kinds).  Used by the streaming
-/// trace diff.
-class TraceRecordStream {
- public:
-  explicit TraceRecordStream(LogSource& source) : source_(source) {}
-
-  /// The next trace record, or nullopt at end of stream.
-  std::optional<sched::TraceRecord> next();
-
- private:
-  LogSource& source_;
-  std::vector<sched::TraceRecord> batch_;
-  std::size_t pos_ = 0;
-};
-
 /// Everything one spool file holds, folded back into in-memory structures
 /// (tests, offline inspection).  trace.records come out gc-sorted.
 ///
@@ -592,8 +578,10 @@ SpoolContents load_spool(const std::string& path);
 /// reconstructed from the schedule: critical_events = the events the
 /// intervals encode (every critical event lands in exactly one interval),
 /// which is precisely what replaying the prefix will execute.  Sets
-/// *clean_end when non-null.
-VmLog load_spooled_log(const std::string& path, bool* clean_end = nullptr);
+/// *clean_end and *truncated_bytes (the torn tail dropped, 0 on a clean
+/// end) when non-null.
+VmLog load_spooled_log(const std::string& path, bool* clean_end = nullptr,
+                       std::uint64_t* truncated_bytes = nullptr);
 
 /// Rebuilds a SpoolIndex by sequentially scanning (and decoding) `path` —
 /// the fallback that keeps seek_to_gc available for footerless spools and

@@ -183,34 +183,23 @@ const SpoolIndex* LogSource::ensure_index() {
 bool LogSource::seek_to_gc(GlobalCount gc) {
   const SpoolIndex* idx = ensure_index();
   const std::optional<std::size_t> chunk = idx->chunk_covering(gc);
+  items_.clear();
+  item_pos_ = 0;
   if (!chunk) {
-    items_.clear();
-    item_pos_ = 0;
     done_ = true;
     return false;
   }
-  seek_to_chunk(*chunk);
-  return true;
-}
-
-void LogSource::seek_to_chunk(std::size_t i) {
-  const SpoolIndex* idx = ensure_index();
-  if (i >= idx->chunks.size()) {
-    throw UsageError("seek_to_chunk: chunk " + std::to_string(i) +
-                     " out of range");
-  }
   std::clearerr(file_);
-  if (std::fseek(file_, static_cast<long>(idx->chunks[i].offset), SEEK_SET) !=
-      0) {
+  if (std::fseek(file_, static_cast<long>(idx->chunks[*chunk].offset),
+                 SEEK_SET) != 0) {
     throw Error("seek failed in " + path_);
   }
-  items_.clear();
-  item_pos_ = 0;
   done_ = false;
   clean_end_ = false;
   truncated_bytes_ = 0;
-  chunks_read_ = i;
+  chunks_read_ = *chunk;
   seeked_ = true;
+  return true;
 }
 
 bool LogSource::read_chunk() {
@@ -290,19 +279,6 @@ std::optional<SpoolItem> LogSource::next() {
     }
   }
   return item;
-}
-
-// --- TraceRecordStream ------------------------------------------------------
-
-std::optional<sched::TraceRecord> TraceRecordStream::next() {
-  while (pos_ >= batch_.size()) {
-    std::optional<SpoolItem> item = source_.next();
-    if (!item) return std::nullopt;
-    if (item->kind != SpoolItemKind::kTrace) continue;
-    batch_ = decode_trace_item(item->body);
-    pos_ = 0;
-  }
-  return batch_[pos_++];
 }
 
 // --- loaders ----------------------------------------------------------------
@@ -560,8 +536,9 @@ SpoolContents load_spool(const std::string& path) {
   return contents;
 }
 
-VmLog load_spooled_log(const std::string& path, bool* clean_end) {
-  return stream_spool(path, nullptr, clean_end, nullptr);
+VmLog load_spooled_log(const std::string& path, bool* clean_end,
+                       std::uint64_t* truncated_bytes) {
+  return stream_spool(path, nullptr, clean_end, truncated_bytes);
 }
 
 namespace {

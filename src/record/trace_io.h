@@ -55,29 +55,17 @@ struct TraceDiff {
 TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
                       std::size_t context_events = 3);
 
-/// Streaming diff of two on-disk traces (trace files, or spool files whose
-/// trace stream is gc-ordered, e.g. single-threaded runs): reads both files
-/// in lockstep through record::LogSource and stops at the first divergence
-/// — resident memory is O(context_events) and a diff that diverges early
-/// never reads the rest of either file.  The early exit is also the
-/// tradeoff: a side abandoned mid-file has had only the chunks it read
-/// CRC-checked, and the length-mismatch description reports where one side
-/// ended, not total counts.  A side read to its end must end cleanly:
-/// a torn tail throws LogFormatError, so a damaged file is never reported
-/// as identical or as a prefix of the other.  Throws UsageError when a
-/// stream yields records out of gc order (a multi-threaded spool — load it
-/// with load_spool and use diff_traces instead).
-///
-/// start_gc > 0 restricts the diff to records at gc >= start_gc: both
-/// inputs seek there through the index (LogSource::seek_to_gc — O(log
-/// chunks) with a footer instead of decoding the prefix).  position is then
-/// relative to the first compared record, and records below start_gc are
-/// assumed equal — use it when an earlier pass already located the
-/// divergence region.
+/// Diff of two on-disk traces: trace files, or the trace of any spool,
+/// a multi-threaded recording's included.  Both sides load in full through
+/// load_trace_from_file, then diff_traces compares them, so the result is
+/// exactly diff_traces on the loaded traces.  Every chunk CRC and the
+/// whole-file CRC of both files are checked, and a torn file throws
+/// LogFormatError, so a damaged file is never reported as identical or as a
+/// prefix of the other.  The trade is memory: both traces are resident,
+/// O(trace) rather than O(context_events).
 TraceDiff diff_trace_files(const std::string& path_a,
                            const std::string& path_b,
-                           std::size_t context_events = 3,
-                           GlobalCount start_gc = 0);
+                           std::size_t context_events = 3);
 
 /// One-line rendering of a trace record.
 std::string to_text(const sched::TraceRecord& r);

@@ -147,102 +147,6 @@ void derive_notes(DoctorReport& rep, GlobalCount recorded_critical_events) {
   }
 }
 
-/// Indexed diagnosis: the validated footer supplies the per-thread totals
-/// and shape statistics exactly, so only the chunks whose gc range can
-/// reach the context window (plus the tiny finish chunk) are decoded — a
-/// multi-gigabyte spool diagnoses in O(log chunks + window) instead of two
-/// full-file passes.  Interval-length extremes and the byte budget need a
-/// full decode and stay zero in rep.stats.
-void diagnose_indexed(DoctorReport& rep, record::LogSource& source,
-                      const record::SpoolIndex& idx) {
-  const sched::DivergenceReport& d = rep.divergence;
-  const GlobalCount pos = d.divergence_gc();
-  const GlobalCount lo = pos > kContextWindow ? pos - kContextWindow : 0;
-  const GlobalCount hi = pos + kContextWindow;
-
-  const std::vector<record::SpoolThreadCounts> totals = idx.totals_by_thread();
-  std::uint64_t encoded_events = 0;
-  for (const record::SpoolThreadCounts& t : totals) {
-    rep.stats.intervals += t.intervals;
-    encoded_events += t.sched_events;
-    if (t.intervals > 0 || t.sched_events > 0) {
-      rep.stats.threads = std::max<std::size_t>(rep.stats.threads,
-                                                std::size_t{t.thread} + 1);
-    }
-    if (t.thread == d.thread) {
-      rep.thread_recorded_intervals = static_cast<std::size_t>(t.intervals);
-      rep.thread_recorded_events = t.sched_events;
-    }
-  }
-  for (const record::SpoolChunkInfo& c : idx.chunks) {
-    rep.stats.network_entries += static_cast<std::size_t>(c.network_items);
-  }
-
-  // Exact critical-event total and thread count from the finish item —
-  // seal_finish flushes it into its own final chunk, so this decodes a
-  // handful of bytes.
-  GlobalCount critical_events = encoded_events;
-  const std::uint8_t finish_bit = record::spool_kind_bit(
-      static_cast<std::uint8_t>(record::SpoolItemKind::kFinish));
-  if (!idx.chunks.empty() && (idx.chunks.back().kinds & finish_bit) != 0) {
-    source.seek_to_chunk(idx.chunks.size() - 1);
-    while (std::optional<record::SpoolItem> item = source.next()) {
-      if (item->kind == record::SpoolItemKind::kFinish) {
-        const record::SpoolFinish fin = record::decode_finish_item(item->body);
-        critical_events = fin.stats.critical_events;
-        rep.stats.threads = fin.thread_count;
-      }
-    }
-  }
-  rep.stats.critical_events = critical_events;
-  if (rep.stats.intervals > 0) {
-    rep.stats.mean_interval_len = static_cast<double>(encoded_events) /
-                                  static_cast<double>(rep.stats.intervals);
-    rep.stats.events_per_interval = static_cast<double>(critical_events) /
-                                    static_cast<double>(rep.stats.intervals);
-  }
-
-  // Owner + context window: decode only chunks whose schedule items can
-  // overlap [lo, hi].  Overlapping chunks need not be contiguous (threads
-  // interleave), so decode the covering ordinal range and filter per
-  // interval.
-  const std::uint8_t sched_bit = record::spool_kind_bit(
-      static_cast<std::uint8_t>(record::SpoolItemKind::kSchedule));
-  std::size_t first = idx.chunks.size();
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < idx.chunks.size(); ++i) {
-    const record::SpoolChunkInfo& c = idx.chunks[i];
-    if ((c.kinds & sched_bit) == 0 || !c.has_gc) continue;
-    if (c.min_gc > hi || c.max_gc < lo) continue;
-    if (first == idx.chunks.size()) first = i;
-    last = i;
-  }
-  if (first < idx.chunks.size()) {
-    source.seek_to_chunk(first);
-    for (;;) {
-      std::optional<record::SpoolItem> item = source.next();
-      // chunk_ordinal() names the chunk being decoded + 1 while mid-chunk.
-      if (!item || source.chunk_ordinal() > last + 1) break;
-      if (item->kind != record::SpoolItemKind::kSchedule) continue;
-      const auto [thread, intervals] =
-          record::decode_schedule_item(item->body);
-      for (const sched::LogicalInterval& iv : intervals) {
-        const bool owns = iv.first <= pos && pos <= iv.last;
-        if (owns) {
-          rep.owner_known = true;
-          rep.recorded_owner_thread = thread;
-          rep.recorded_owner_interval = iv;
-        }
-        if (iv.last >= lo && iv.first <= hi) {
-          rep.context.push_back({thread, iv, owns});
-        }
-      }
-    }
-  }
-  sort_context(rep.context);
-  derive_notes(rep, critical_events);
-}
-
 }  // namespace
 
 void diagnose(DoctorReport& rep, const record::VmLog& log) {
@@ -304,26 +208,21 @@ DoctorReport diagnose_spool(const sched::DivergenceReport& divergence,
   const std::string& file = candidates.front();
   rep.log_found = true;
   rep.log_path = file;
-  record::LogSource source(file);
-  if (const record::SpoolIndex* idx = source.index(); idx != nullptr) {
-    // A validated footer is only ever appended after the finish chunk and
-    // must tile the data region exactly, so the file is sealed and whole —
-    // the crash-consistency verdict is free and the full-file passes are
-    // unnecessary.
-    rep.clean_end = true;
-    rep.truncated_bytes = 0;
-    diagnose_indexed(rep, source, *idx);
+  // One load serves both halves of the diagnosis: the crash-consistency
+  // verdict (a torn tail is diagnostic: the recording may simply be shorter
+  // than the replayed run expected) and the cross-reference.
+  record::VmLog log;
+  try {
+    log = record::load_spooled_log(file, &rep.clean_end, &rep.truncated_bytes);
+  } catch (const Error& e) {
+    // Damage beyond a torn tail (a foreign header, a certified chunk that
+    // does not decode) is a finding about the recording, not a doctor
+    // failure.
+    note(rep, "the spool file could not be loaded (" + std::string(e.what()) +
+                  ") — it is damaged beyond a torn tail; recorded-side "
+                  "context unavailable");
     return rep;
   }
-  // Footerless (pre-index or torn-footer) spool: stream the whole file
-  // once for the crash-consistency verdict (a torn tail is diagnostic:
-  // the recording may simply be shorter than the replayed run expected),
-  // then load it for the full cross-reference.
-  while (source.next()) {
-  }
-  rep.clean_end = source.clean_end();
-  rep.truncated_bytes = source.truncated_bytes();
-  const record::VmLog log = record::load_spooled_log(file);
   diagnose(rep, log);
   return rep;
 }

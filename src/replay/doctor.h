@@ -45,11 +45,7 @@ struct DoctorReport {
   bool clean_end = true;
   std::uint64_t truncated_bytes = 0;
 
-  /// Shape statistics of the recorded log (record/log_stats.h).  When the
-  /// spool carries an index footer these come from the footer sums plus
-  /// the finish item (threads, intervals, critical events, mean interval
-  /// length, network entries — exact); interval-length extremes and the
-  /// byte budget need a full decode and stay zero on that path.
+  /// Shape statistics of the recorded log (record/log_stats.h).
   record::LogStats stats{};
 
   /// The thread + interval that owned the divergence position during
@@ -80,11 +76,14 @@ void diagnose(DoctorReport& report, const record::VmLog& log);
 /// via record::LogSource).  A missing log yields log_found == false with a
 /// note instead of an error.
 ///
-/// Spools with an index footer diagnose without reading the whole file:
-/// the footer proves a clean end, supplies the thread totals and shape
-/// statistics, and seek_to_chunk jumps straight to the chunks around the
-/// divergence for the owner/context decode.  Footerless spools keep the
-/// original two full-file passes.
+/// The located file is loaded once with record::load_spooled_log (the
+/// replay loader: indexed for a footer'd spool, a sequential scan that
+/// recovers a torn tail's prefix otherwise) and cross-referenced with
+/// diagnose(), so a sealed spool and a footerless copy of it produce the
+/// same report.  A file damaged beyond a torn tail (a foreign header, a
+/// CRC-certified chunk that does not decode) yields log_found == true and
+/// a note carrying the load error, not a throw; the recorded-side fields
+/// then keep their defaults, as for a missing log.
 DoctorReport diagnose_spool(const sched::DivergenceReport& divergence,
                             const std::string& path);
 

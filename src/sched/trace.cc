@@ -154,4 +154,11 @@ std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {
   return (std::uint64_t{hi} << 32) | lo;
 }
 
+std::size_t first_difference(std::span<const TraceRecord> a,
+                             std::span<const TraceRecord> b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  return static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.begin() + n, b.begin()).first - a.begin());
+}
+
 }  // namespace djvu::sched

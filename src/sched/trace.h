@@ -72,6 +72,13 @@ bool is_sorted_by_gc(const std::vector<TraceRecord>& records);
 /// pass with no buffer of the whole trace.
 std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records);
 
+/// Index of the first record where `a` and `b` differ, or min(a.size(),
+/// b.size()) when one is a prefix of the other (equal traces included).
+/// The one first-difference search: core::verify, record::diff_traces and
+/// record::diff_trace_files all locate a divergence through it.
+std::size_t first_difference(std::span<const TraceRecord> a,
+                             std::span<const TraceRecord> b);
+
 /// Thread-safe append-only trace, kept as the batches it was handed.
 class ExecutionTrace {
  public:

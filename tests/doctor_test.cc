@@ -132,6 +132,35 @@ TEST(Doctor, MissingLogIsReportedNotThrown) {
   expect_balanced_json(replay::to_json(doc));
 }
 
+// A spool file that exists but is damaged beyond a torn tail (here not a
+// spool at all) is a finding about the recording: the doctor names the
+// file and carries the load error as a note instead of throwing.
+TEST(Doctor, DamagedSpoolIsAFindingNotAThrow) {
+  const std::string dir = temp_dir("garbage");
+  const std::string file = dir + "/app.djvuspool";
+  {
+    std::FILE* f = std::fopen(file.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("this is not a DJVUSPL1 spool file at all", f);
+    std::fclose(f);
+  }
+  sched::DivergenceReport report;
+  report.vm_id = 1;
+  report.vm_name = "app";
+  report.cause = DivergenceCause::kBeyondSchedule;
+  replay::DoctorReport doc;
+  ASSERT_NO_THROW(doc = replay::diagnose_spool(report, dir));
+  EXPECT_TRUE(doc.log_found);
+  EXPECT_EQ(doc.log_path, file);
+  bool carries_error = false;
+  for (const auto& n : doc.notes) {
+    carries_error = carries_error || n.find("bad magic") != std::string::npos;
+  }
+  EXPECT_TRUE(carries_error) << replay::to_text(doc);
+  expect_balanced_json(replay::to_json(doc));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Doctor, LocatesSpoolByVmIdWhenNameUnknown) {
   const std::string dir = temp_dir("byid");
   sched::DivergenceReport report = divergent_report(dir, 10, 1);

@@ -23,8 +23,8 @@
 //     per-chunk CRCs cannot see (the file header), and diff_trace_files
 //     throws on a trace file torn in its last chunks instead of reporting
 //     a prefix match or identity;
-//   * the replay doctor's indexed fast path agrees with the footerless
-//     two-pass diagnosis on owner, context, totals and verdict.
+//   * the replay doctor diagnoses a sealed spool and its footerless copy
+//     identically: owner, context, totals, every statistic, verdict, notes.
 
 #include <gtest/gtest.h>
 
@@ -669,15 +669,25 @@ TEST(TraceFileDiff, TornLastChunksThrowInsteadOfMatching) {
   }
 }
 
-// --- doctor fast path -------------------------------------------------------
+// --- doctor: footer'd and footerless copies ---------------------------------
 
+// The doctor loads a spool through the replay loader, indexed or not, so a
+// sealed spool and the same recording cut back to its data (no footer, the
+// sequential scan) diagnose identically: every statistic, including the
+// interval-length extremes and the byte budget a footer alone cannot give,
+// and every note.
 TEST(DoctorIndex, IndexedAndFallbackDiagnosesAgree) {
   const std::string dir = fresh_dir("doctor");
   const std::string indexed = write_known_spool(dir);
-  // Same recording without its footer: forces the two-pass legacy path.
+  // Same recording without its footer: forces the sequential load.
   const std::string stripped = dir + "/stripped.djvuspool";
   std::filesystem::copy(indexed, stripped);
-  std::filesystem::resize_file(stripped, file_size(stripped) - 1);
+  {
+    record::LogSource source(indexed);
+    ASSERT_NE(source.index(), nullptr);
+    std::filesystem::resize_file(stripped, source.index()->data_end);
+  }
+  ASSERT_EQ(record::LogSource(stripped).index(), nullptr);
 
   sched::DivergenceReport report;
   report.vm_id = 7;
@@ -702,8 +712,14 @@ TEST(DoctorIndex, IndexedAndFallbackDiagnosesAgree) {
     EXPECT_EQ(doc->stats.critical_events, 50u);
     EXPECT_EQ(doc->stats.intervals, 5u);
     EXPECT_EQ(doc->stats.threads, 2u);
+    EXPECT_EQ(doc->stats.min_interval_len, 10u);
+    EXPECT_EQ(doc->stats.max_interval_len, 10u);
+    EXPECT_GT(doc->stats.schedule_bytes, 0u);
+    EXPECT_GT(doc->stats.serialized_bytes, 0u);
     EXPECT_FALSE(doc->notes.empty());
   }
+  EXPECT_EQ(record::to_json(fast.stats), record::to_json(slow.stats));
+  EXPECT_EQ(fast.notes, slow.notes);
   // The context windows agree interval-for-interval.
   ASSERT_EQ(fast.context.size(), slow.context.size());
   for (std::size_t i = 0; i < fast.context.size(); ++i) {
@@ -713,6 +729,9 @@ TEST(DoctorIndex, IndexedAndFallbackDiagnosesAgree) {
               slow.context[i].owns_divergence)
         << i;
   }
+  // Apart from the path, the two reports are the same report.
+  slow.log_path = fast.log_path;
+  EXPECT_EQ(replay::to_json(fast), replay::to_json(slow));
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 
 #include "core/session.h"
 #include "record/log_spool.h"
@@ -193,8 +195,8 @@ TEST(TraceIo, VarintBoundaryValuesRoundTrip) {
   EXPECT_EQ(back.records.back().gc, gc);
 }
 
-// A trace file's records stream in gc order (diff_trace_files relies on
-// it), so saving refuses an unsorted trace instead of writing one.
+// A trace file holds its records in the trace order (sched::sort_by_gc),
+// so saving refuses an unsorted trace instead of writing one.
 TEST(TraceIo, UnsortedTraceRefused) {
   TraceFile t = sample_trace();
   std::swap(t.records[3], t.records[40]);
@@ -284,38 +286,66 @@ TEST(TraceFileDiff, FindsFirstDifferenceWithContext) {
   std::remove(b.c_str());
 }
 
-// start_gc seeks both files past a known early difference: the diff then
-// starts at the first record with gc >= start_gc, reports the later
-// difference relative to it, and a start beyond both recordings compares
-// two empty streams.
-TEST(TraceFileDiff, StartGcSeeksPastEarlierRecords) {
-  const TraceFile t = long_trace(20000);
-  TraceFile u = t;
-  u.records[100].aux ^= 1;    // below start_gc: assumed equal
-  u.records[15000].aux ^= 1;  // the divergence the restricted diff finds
-  const std::string a = temp_path("diff_seek_a");
-  const std::string b = temp_path("diff_seek_b");
-  save_trace_to_file(t, a);
-  save_trace_to_file(u, b);
+/// Records a 3-thread racy counter under chaos into `dir` and returns the
+/// path of its spool.
+std::string record_racy_spool(const std::string& dir, std::uint64_t seed) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  core::SessionConfig cfg;
+  cfg.tuning.chaos_prob = 0.15;  // schedule diversity on a quiet machine
+  core::Session s(cfg);
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    vm::SharedVar<std::uint64_t> x(v, 0);
+    std::vector<vm::VmThread> threads;
+    for (int t = 0; t < 3; ++t) {
+      threads.emplace_back(v, [&x] {
+        for (int i = 0; i < 200; ++i) x.set(x.get() + 1);
+      });
+    }
+    for (auto& t : threads) t.join();
+  });
+  core::RunSpec spec;
+  spec.mode = core::RunSpec::Mode::kRecord;
+  spec.seed = seed;
+  spec.spool_dir = dir;
+  s.run(spec);
+  return dir + "/app.djvuspool";
+}
+
+// A multi-threaded recording's spool holds each thread's trace batches as
+// they were flushed, not in gc order.  diff_trace_files loads both sides
+// into the trace order, so it reports exactly what diff_traces reports on
+// the loaded traces.
+TEST(TraceFileDiff, MultiThreadedSpoolsDiffLikeLoadedTraces) {
+  const std::string a = record_racy_spool(
+      testing::TempDir() + "/djvu_trace_test_mt_a", 11);
+  const std::string b = record_racy_spool(
+      testing::TempDir() + "/djvu_trace_test_mt_b", 22);
+
+  // The premise: the spool's trace stream interleaves per-thread batches.
+  std::vector<sched::TraceRecord> stream;
   {
     LogSource source(a);
-    ASSERT_NE(source.index(), nullptr);
-    ASSERT_GT(source.index()->chunks.size(), 3u);  // the seek skips chunks
+    while (std::optional<SpoolItem> item = source.next()) {
+      if (item->kind == SpoolItemKind::kTrace) {
+        decode_trace_item(item->body, stream);
+      }
+    }
   }
-  EXPECT_EQ(diff_trace_files(a, b).position, 100u);
+  ASSERT_FALSE(sched::is_sorted_by_gc(stream));
 
-  const GlobalCount start_gc = t.records[10000].gc;
-  const TraceDiff diff = diff_trace_files(a, b, 3, start_gc);
-  EXPECT_FALSE(diff.identical);
-  EXPECT_EQ(diff.position, 5000u);
-  EXPECT_NE(diff.description.find(to_text(t.records[15000])),
-            std::string::npos)
-      << diff.description;
-
-  const TraceDiff past = diff_trace_files(a, b, 3, t.records.back().gc + 1);
-  EXPECT_TRUE(past.identical) << past.description;
-  std::remove(a.c_str());
-  std::remove(b.c_str());
+  const TraceDiff loaded =
+      diff_traces(load_spool(a).trace, load_spool(b).trace, 2);
+  EXPECT_FALSE(loaded.identical) << "the two seeds interleaved alike";
+  const TraceDiff files = diff_trace_files(a, b, 2);
+  EXPECT_EQ(files.identical, loaded.identical);
+  EXPECT_EQ(files.position, loaded.position);
+  EXPECT_EQ(files.description, loaded.description);
+  EXPECT_EQ(files.context_a, loaded.context_a);
+  EXPECT_EQ(files.context_b, loaded.context_b);
+  EXPECT_TRUE(diff_trace_files(a, a).identical);
+  std::filesystem::remove_all(std::filesystem::path(a).parent_path());
+  std::filesystem::remove_all(std::filesystem::path(b).parent_path());
 }
 
 TEST(TraceIo, SessionSaveTraces) {
