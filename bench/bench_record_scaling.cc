@@ -26,11 +26,15 @@
 //                unbounded spool arm.
 //   --smoke      small spool grid (implies --spool and --flight); exit
 //                nonzero if a spool arm's producers blocked on the writer
-//                or its queue reached buffer_bytes, or if the flight arm's
+//                or its queue reached buffer_bytes, if the flight arm's
 //                producers blocked a different number of times than the
-//                spool arm's (the regression tripwires: counts, not times,
-//                because the smoke arms last milliseconds; both need >= 2
-//                usable CPUs for overlap to be possible)
+//                spool arm's, or if the 4-thread spool arm recorded fewer
+//                than kMinEventsPerInterval events per logical interval
+//                under the default record quantum (the regression
+//                tripwires: counts, not times, because the smoke arms last
+//                milliseconds; all need >= 2 usable CPUs, for overlap and
+//                for a quantum-0 recording to interleave finely).  Beside
+//                that arm it prints a quantum-0 spool row, the ablation.
 
 #include <algorithm>
 #include <chrono>
@@ -44,9 +48,11 @@
 
 #include "bench/emit_json.h"
 #include "common/cpus.h"
+#include "common/strutil.h"
 #include "common/tuning.h"
 #include "net/network.h"
 #include "record/log_spool.h"
+#include "record/log_stats.h"
 #include "sched/sched_stats.h"
 #include "vm/shared_var.h"
 #include "vm/thread.h"
@@ -57,6 +63,12 @@ namespace {
 
 constexpr int kTotalIters = 30000;  // get+set pairs, split among threads
 constexpr int kReps = 3;
+
+/// Smoke tripwire: events per logical interval the 4-thread spool arm must
+/// reach under the default record quantum in every rep.  On a 4-core host
+/// the per-run minimum read 94-157 in 10 runs, and quantum 0 read 2.7-3.5,
+/// so 20 fires only when the quantum stops coarsening.
+constexpr double kMinEventsPerInterval = 20;
 
 struct Result {
   int threads = 0;
@@ -155,7 +167,11 @@ const char* spool_mode_name(SpoolMode m) {
 struct SpoolResult {
   int threads = 0;
   SpoolMode mode = SpoolMode::kMemory;
+  std::chrono::microseconds quantum{0};
   std::uint64_t events = 0;
+  /// Critical events per recorded logical interval (the recording's
+  /// coarseness; 0 for the flight arm, whose tail is not read back).
+  double events_per_interval = 0;
   double seconds = 0;
   double events_per_sec = 0;
   record::SpoolStats spool{};  // of the fastest rep
@@ -163,15 +179,18 @@ struct SpoolResult {
   // claim, not only the fastest one.
   std::uint64_t producer_blocks_all_reps = 0;  // sum
   std::uint64_t high_water_all_reps = 0;       // max
+  double min_events_per_interval_all_reps = 0;  // min
 };
 
 SpoolResult run_record_arm(int threads, SpoolMode mode, int iters,
-                           const std::string& spool_path) {
+                           const std::string& spool_path,
+                           std::chrono::microseconds quantum) {
   auto network = std::make_shared<net::Network>();
   vm::VmConfig cfg;
   cfg.vm_id = 1;
   cfg.mode = vm::Mode::kRecord;
   cfg.keep_trace = true;
+  cfg.tuning.record_quantum = quantum;
   if (mode == SpoolMode::kFlight) {
     cfg.tuning.flight_recorder = true;
     cfg.tuning.retention_chunks = 4;  // small enough that eviction runs
@@ -213,11 +232,21 @@ SpoolResult run_record_arm(int threads, SpoolMode mode, int iters,
   SpoolResult r;
   r.threads = threads;
   r.mode = mode;
+  r.quantum = quantum;
   r.events = log.stats.critical_events;
   r.seconds = std::chrono::duration<double>(end - start).count();
   r.events_per_sec = static_cast<double>(r.events) / r.seconds;
   r.spool = v.spool_stats();
   v.detach_current();
+  // The schedule's shape, read back outside the timed region: the memory
+  // arm keeps it in the log, the spool arm in its file.
+  if (mode == SpoolMode::kMemory) {
+    r.events_per_interval = record::compute_stats(log).events_per_interval;
+  } else if (mode == SpoolMode::kSpool) {
+    r.events_per_interval =
+        record::compute_stats(record::load_spooled_log(spool_path))
+            .events_per_interval;
+  }
   if (mode != SpoolMode::kMemory) {
     std::filesystem::remove(spool_path);
     std::filesystem::remove_all(record::flight_ring_dir(spool_path));
@@ -226,18 +255,24 @@ SpoolResult run_record_arm(int threads, SpoolMode mode, int iters,
 }
 
 SpoolResult best_record_arm(int threads, SpoolMode mode, int iters,
-                            const std::string& spool_path) {
+                            const std::string& spool_path,
+                            std::chrono::microseconds quantum =
+                                TuningConfig{}.record_quantum) {
   SpoolResult best;
   std::uint64_t blocks = 0;
   std::uint64_t high_water = 0;
+  double min_epi = 0;
   for (int i = 0; i < kReps; ++i) {
-    SpoolResult r = run_record_arm(threads, mode, iters, spool_path);
+    SpoolResult r = run_record_arm(threads, mode, iters, spool_path, quantum);
     blocks += r.spool.producer_blocks;
     high_water = std::max(high_water, r.spool.queue_high_water_bytes);
+    min_epi = i == 0 ? r.events_per_interval
+                     : std::min(min_epi, r.events_per_interval);
     if (i == 0 || r.events_per_sec > best.events_per_sec) best = r;
   }
   best.producer_blocks_all_reps = blocks;
   best.high_water_all_reps = high_water;
+  best.min_events_per_interval_all_reps = min_epi;
   return best;
 }
 
@@ -245,7 +280,12 @@ Json to_json(const SpoolResult& r) {
   return Json::object()
       .field("threads", r.threads)
       .field("mode", spool_mode_name(r.mode))
+      .field("record_quantum_us",
+             static_cast<std::uint64_t>(r.quantum.count()))
       .field("events", r.events)
+      .field("events_per_interval", r.events_per_interval)
+      .field("min_events_per_interval_all_reps",
+             r.min_events_per_interval_all_reps)
       .field("seconds", r.seconds)
       .field("events_per_sec", r.events_per_sec)
       .field("raw_bytes", r.spool.raw_bytes)
@@ -302,10 +342,14 @@ int main(int argc, char** argv) {
   std::vector<Json> spool_records;
   std::printf("Spooled vs in-memory record (shared object, sharding on, "
               "trace kept)%s\n\n", smoke ? " — smoke grid" : "");
-  std::printf("%8s %12s %10s %10s %12s %14s %10s\n", "#threads", "mode",
-              "Mev/s", "slowdown", "written(KB)", "high_water(KB)", "blocks");
-  std::printf("(high_water: max over the %d reps; blocks: sum over them)\n",
-              kReps);
+  std::printf("%8s %12s %10s %10s %12s %14s %10s %10s\n", "#threads",
+              "mode", "Mev/s", "slowdown", "written(KB)", "high_water(KB)",
+              "blocks", "ev/intv");
+  std::printf("(high_water: max over the %d reps; blocks: sum over them; "
+              "ev/intv: events per logical interval, min over them; record "
+              "quantum %lld us unless the mode says q=0)\n",
+              kReps,
+              static_cast<long long>(TuningConfig{}.record_quantum.count()));
   const std::size_t buffer_bytes = TuningConfig{}.spool_buffer_bytes;
   bool tripwire = false;
   const bool multicore = usable_cpus() >= 2;
@@ -319,20 +363,60 @@ int main(int argc, char** argv) {
       fly = best_record_arm(threads, SpoolMode::kFlight, spool_iters,
                             spool_path);
     }
+    // The quantum's ablation beside the arm its tripwire reads.
+    const bool coarse_tripwire = threads == 4;
+    SpoolResult fine;
+    if (coarse_tripwire) {
+      fine = best_record_arm(threads, SpoolMode::kSpool, spool_iters,
+                             spool_path, std::chrono::microseconds(0));
+    }
     spool_records.push_back(to_json(mem));
     spool_records.push_back(to_json(spool));
     if (flight) spool_records.push_back(to_json(fly));
-    std::printf("%8d %12s %10.3f %10s %12s %14s %10s\n", threads, "memory",
-                mem.events_per_sec / 1e6, "-", "-", "-", "-");
+    if (coarse_tripwire) spool_records.push_back(to_json(fine));
+    std::printf("%8d %12s %10.3f %10s %12s %14s %10s %10.1f\n", threads,
+                "memory", mem.events_per_sec / 1e6, "-", "-", "-", "-",
+                mem.min_events_per_interval_all_reps);
     std::vector<const SpoolResult*> arms{&spool};
     if (flight) arms.push_back(&fly);
+    if (coarse_tripwire) arms.push_back(&fine);
     for (const SpoolResult* sp : arms) {
-      std::printf("%8d %12s %10.3f %9.2fx %12.1f %14.1f %10llu\n", threads,
-                  spool_mode_name(sp->mode), sp->events_per_sec / 1e6,
+      const std::string mode =
+          std::string(spool_mode_name(sp->mode)) +
+          (sp->quantum.count() == 0 ? " q=0" : "");
+      const std::string epi =
+          sp == &fly ? "-"
+                     : str_format("%.1f", sp->min_events_per_interval_all_reps);
+      std::printf("%8d %12s %10.3f %9.2fx %12.1f %14.1f %10llu %10s\n",
+                  threads, mode.c_str(), sp->events_per_sec / 1e6,
                   mem.events_per_sec / sp->events_per_sec,
                   static_cast<double>(sp->spool.written_bytes) / 1024.0,
                   static_cast<double>(sp->high_water_all_reps) / 1024.0,
-                  static_cast<unsigned long long>(sp->producer_blocks_all_reps));
+                  static_cast<unsigned long long>(sp->producer_blocks_all_reps),
+                  epi.c_str());
+      if (sp == &fly) {
+        std::printf("%8s %12s chunks=%llu evicted=%llu retained=%llu "
+                    "anchors=%llu\n", "", "(flight)",
+                    static_cast<unsigned long long>(fly.spool.chunks_written),
+                    static_cast<unsigned long long>(fly.spool.evicted_chunks),
+                    static_cast<unsigned long long>(fly.spool.retained_chunks),
+                    static_cast<unsigned long long>(fly.spool.anchor_chunks));
+      }
+    }
+    // "The record quantum coarsens the schedule": every rep of the
+    // 4-thread shared-object spool arm records runs of at least
+    // kMinEventsPerInterval events.  A count, so it holds at smoke size.
+    if (smoke && multicore && coarse_tripwire &&
+        spool.min_events_per_interval_all_reps < kMinEventsPerInterval) {
+      std::fprintf(stderr,
+                   "TRIPWIRE: the spool arm recorded %.1f events per "
+                   "interval (quantum %lld us; quantum 0: %.1f), below %.0f, "
+                   "at %d threads\n",
+                   spool.min_events_per_interval_all_reps,
+                   static_cast<long long>(spool.quantum.count()),
+                   fine.min_events_per_interval_all_reps,
+                   kMinEventsPerInterval, threads);
+      tripwire = true;
     }
     // On one usable CPU (one core, or a taskset -c 0 run) the writer thread
     // timeslices with the recording threads instead of overlapping them, so
@@ -353,14 +437,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(spool.high_water_all_reps),
                    buffer_bytes, threads);
       tripwire = true;
-    }
-    if (flight) {
-      std::printf("%8s %12s chunks=%llu evicted=%llu retained=%llu "
-                  "anchors=%llu\n", "", "(flight)",
-                  static_cast<unsigned long long>(fly.spool.chunks_written),
-                  static_cast<unsigned long long>(fly.spool.evicted_chunks),
-                  static_cast<unsigned long long>(fly.spool.retained_chunks),
-                  static_cast<unsigned long long>(fly.spool.anchor_chunks));
     }
     // Flight mode is meant to be always-on: bounded retention must cost the
     // producers nothing over unbounded spooling, so they block exactly as

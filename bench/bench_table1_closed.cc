@@ -10,7 +10,9 @@
 
 // `--no-sharding` records through the paper-faithful single GC-critical
 // section (`record_stripes = 1`) instead of the 64-stripe lock table (the
-// EXPERIMENTS.md ablation rows compare the two).
+// EXPERIMENTS.md ablation rows compare the two).  `--no-quantum` records
+// with `record_quantum = 0`, the finest interleaving the hardware
+// produces, instead of the default stripe quantum.
 
 #include <cstdio>
 #include <cstring>
@@ -41,20 +43,27 @@ int main(int argc, char** argv) {
   using namespace djvu::bench;
 
   bool sharding = true;
+  std::chrono::microseconds quantum = TuningConfig{}.record_quantum;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no-sharding") == 0) sharding = false;
+    if (std::strcmp(argv[i], "--no-quantum") == 0) {
+      quantum = std::chrono::microseconds(0);
+    }
   }
 
   std::printf("Table 1 reproduction: closed-world results "
-              "(both components on DJVMs, %s record sections)\n\n",
-              sharding ? "sharded" : "single");
+              "(both components on DJVMs, %s record sections, record "
+              "quantum %lld us)\n\n",
+              sharding ? "sharded" : "single",
+              static_cast<long long>(quantum.count()));
 
   std::vector<Row> server_rows, client_rows;
   for (int threads : {2, 4, 8, 16, 32}) {
     WorkloadParams p = params_for(threads);
     core::Session s = make_session(p, /*server_djvm=*/true,
                                    /*client_djvm=*/true,
-                                   /*keep_trace=*/false, sharding);
+                                   /*keep_trace=*/false, sharding,
+                                   /*replay_leasing=*/true, quantum);
     const int reps = threads <= 8 ? 5 : 3;
     // Per-component baselines and record times (the paper reports server
     // and client overheads separately).

@@ -142,11 +142,14 @@ inline void client_main(vm::Vm& v, const WorkloadParams& p,
 inline core::Session make_session(const WorkloadParams& p, bool server_djvm,
                                   bool client_djvm, bool keep_trace = false,
                                   bool record_sharding = true,
-                                  bool replay_leasing = true) {
+                                  bool replay_leasing = true,
+                                  std::chrono::microseconds record_quantum =
+                                      TuningConfig{}.record_quantum) {
   core::SessionConfig cfg;
   cfg.keep_trace = keep_trace;
   if (!record_sharding) cfg.tuning.record_stripes = 1;  // single section
   cfg.tuning.replay_leasing = replay_leasing;
+  cfg.tuning.record_quantum = record_quantum;
   // Delays just wide enough to race connections; kept tiny so sleep time
   // does not dilute the CPU overhead the tables measure.
   cfg.net.connect_delay = {std::chrono::microseconds(0),

@@ -51,6 +51,16 @@ struct TuningConfig {
   /// (ablation baseline).  0 is a UsageError.
   std::size_t record_stripes = 64;
 
+  /// Record-mode owner quantum of each section stripe: the thread holding
+  /// a stripe keeps it for up to this long while contenders wait outside
+  /// the lock, so the recorded schedule comes out in runs of one thread's
+  /// events (fewer, longer logical intervals: cheaper to record and to
+  /// replay).  A contender never waits more than one quantum, and goes
+  /// ahead at once when the holder blocks, ends or goes idle.  0 = no
+  /// quantum, the finest interleaving the hardware produces (ablation
+  /// baseline).  Replay and the log format do not depend on it.
+  std::chrono::microseconds record_quantum{50};
+
   /// Replay-mode interval leasing; off = the paper-faithful per-event
   /// await/tick protocol (ablation baseline).
   bool replay_leasing = true;

@@ -150,6 +150,7 @@ void derive_notes(DoctorReport& rep, GlobalCount recorded_critical_events) {
 }  // namespace
 
 void diagnose(DoctorReport& rep, const record::VmLog& log) {
+  rep.loaded = true;
   rep.stats = record::compute_stats(log);
   const sched::DivergenceReport& d = rep.divergence;
   const GlobalCount pos = d.divergence_gc();
@@ -242,6 +243,8 @@ std::string to_text(const DoctorReport& rep) {
   }
   if (!rep.log_found) {
     out += "recorded log: not found\n";
+  } else if (!rep.loaded) {
+    out += "recorded log: " + rep.log_path + " (not loaded)\n";
   } else {
     out += "recorded log: " + rep.log_path + "\n";
     if (!rep.clean_end) {
@@ -292,10 +295,11 @@ std::string to_json(const DoctorReport& rep) {
   out += "], ";
   out += str_format("\"log_found\": %s, ", rep.log_found ? "true" : "false");
   out += "\"log_path\": \"" + sched::json_escape(rep.log_path) + "\", ";
-  out += str_format("\"clean_end\": %s, ", rep.clean_end ? "true" : "false");
-  out += str_format("\"truncated_bytes\": %llu, ",
-                    static_cast<unsigned long long>(rep.truncated_bytes));
-  if (rep.log_found) {
+  out += str_format("\"loaded\": %s, ", rep.loaded ? "true" : "false");
+  if (rep.loaded) {
+    out += str_format("\"clean_end\": %s, ", rep.clean_end ? "true" : "false");
+    out += str_format("\"truncated_bytes\": %llu, ",
+                      static_cast<unsigned long long>(rep.truncated_bytes));
     out += "\"stats\": " + record::to_json(rep.stats) + ", ";
   }
   out += str_format("\"owner_known\": %s, ",
@@ -308,11 +312,13 @@ std::string to_json(const DoctorReport& rep) {
         static_cast<unsigned long long>(rep.recorded_owner_interval.first),
         static_cast<unsigned long long>(rep.recorded_owner_interval.last));
   }
-  out += str_format("\"thread_recorded_events\": %llu, ",
-                    static_cast<unsigned long long>(
-                        rep.thread_recorded_events));
-  out += str_format("\"thread_recorded_intervals\": %zu, ",
-                    rep.thread_recorded_intervals);
+  if (rep.loaded) {
+    out += str_format("\"thread_recorded_events\": %llu, ",
+                      static_cast<unsigned long long>(
+                          rep.thread_recorded_events));
+    out += str_format("\"thread_recorded_intervals\": %zu, ",
+                      rep.thread_recorded_intervals);
+  }
   out += "\"context\": [";
   for (std::size_t i = 0; i < rep.context.size(); ++i) {
     const auto& c = rep.context[i];

@@ -42,6 +42,13 @@ struct DoctorReport {
   // Recorded-log location (spool diagnosis only).
   bool log_found = false;
   std::string log_path;
+
+  /// True once a recorded log was cross-referenced (diagnose()).  False
+  /// when none was found, or one was found but could not be loaded: every
+  /// recorded-side field below then keeps its default and is not rendered.
+  bool loaded = false;
+  /// Crash-consistency verdict of the loaded spool (meaningful only when
+  /// loaded).
   bool clean_end = true;
   std::uint64_t truncated_bytes = 0;
 
@@ -67,7 +74,7 @@ struct DoctorReport {
 };
 
 /// Cross-references report.divergence against the recorded log, filling
-/// stats, owner, thread totals, context window and notes.
+/// stats, owner, thread totals, context window and notes, and sets loaded.
 void diagnose(DoctorReport& report, const record::VmLog& log);
 
 /// Diagnoses against a spooled recording: `path` is either one .djvuspool
@@ -82,8 +89,8 @@ void diagnose(DoctorReport& report, const record::VmLog& log);
 /// diagnose(), so a sealed spool and a footerless copy of it produce the
 /// same report.  A file damaged beyond a torn tail (a foreign header, a
 /// CRC-certified chunk that does not decode) yields log_found == true and
-/// a note carrying the load error, not a throw; the recorded-side fields
-/// then keep their defaults, as for a missing log.
+/// a note carrying the load error, not a throw; loaded stays false and the
+/// recorded-side fields keep their defaults, as for a missing log.
 DoctorReport diagnose_spool(const sched::DivergenceReport& divergence,
                             const std::string& path);
 

@@ -4,19 +4,119 @@
 #include <string>
 
 #include "common/strutil.h"
+#include "sched/spin_wait.h"
 
 namespace djvu::sched {
 
 GlobalCounter::GlobalCounter(std::chrono::milliseconds stall_timeout,
-                             std::size_t record_stripes)
+                             std::size_t record_stripes,
+                             std::chrono::microseconds record_quantum)
     : gate_(stall_timeout),
       stripe_count_(record_stripes),
-      stripes_(std::make_unique<Stripe[]>(record_stripes)) {
+      stripes_(std::make_unique<Stripe[]>(record_stripes)),
+      quantum_us_(static_cast<std::uint64_t>(
+          std::max<std::int64_t>(record_quantum.count(), 0))),
+      epoch_(std::chrono::steady_clock::now()) {
   if (record_stripes == 0) {
     throw UsageError(
         "record_stripes must be at least 1 (1 is the single GC-critical "
         "section)");
   }
+  if (record_quantum.count() < 0 || record_quantum > kMaxRecordQuantum) {
+    throw UsageError("record_quantum must lie in [0, " +
+                     std::to_string(kMaxRecordQuantum.count()) +
+                     "] microseconds (0 = no quantum), got " +
+                     std::to_string(record_quantum.count()));
+  }
+}
+
+std::uint64_t GlobalCounter::now_us() const {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - epoch_)
+          .count());
+}
+
+bool GlobalCounter::claim(Stripe& s, std::uint64_t expected, SectionKey key,
+                          StripeHold& hold, std::uint64_t now_us) {
+  std::uint64_t token = hold.token & ((std::uint64_t{1} << kTokenBits) - 1);
+  if (token == 0) token = 1;
+  const std::uint64_t word = ((now_us & kTimeMask) << kTokenBits) | token;
+  if (!s.owner.compare_exchange_strong(expected, word,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+    return false;
+  }
+  hold.word = word;
+  hold.key = key;
+  s.owner_key.store(key, std::memory_order_relaxed);
+  return true;
+}
+
+bool GlobalCounter::take_stripe(std::size_t i, SectionKey key,
+                                StripeHold& hold) {
+  // A thread holds at most one stripe: moving on gives the old one up.
+  yield_stripe(hold);
+  Stripe& s = stripes_[i];
+  if (s.owner.load(std::memory_order_relaxed) != 0 ||
+      !claim(s, 0, key, hold, now_us())) {
+    // Held: only a holder on the same key is worth waiting for.
+    if (s.owner_key.load(std::memory_order_relaxed) != key) return false;
+    quantum_wait(s, key, hold);
+  }
+  hold.stripe = i;
+  return true;
+}
+
+void GlobalCounter::quantum_wait(Stripe& s, SectionKey key,
+                                 StripeHold& hold) {
+  // Counted when the wait starts, so a test can see a contender waiting.
+  quantum_waits_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t start = now_us();
+  // The holder word and entry count last seen, and since when.
+  std::uint64_t seen = s.owner.load(std::memory_order_relaxed);
+  std::uint64_t seen_entries = s.entries.load(std::memory_order_relaxed);
+  std::uint64_t seen_since = start;
+  // The SchedStats count of how the wait ended.
+  std::atomic<std::uint64_t>* ended = nullptr;
+  while (ended == nullptr) {
+    // A free stripe is claimed by exactly one contender (the CAS); the
+    // others see the new holder and keep waiting on its quantum.
+    for (int p = 0; p < kSpinPollsPerClockRead; ++p) {
+      if (s.owner.load(std::memory_order_relaxed) == 0 &&
+          claim(s, 0, key, hold, now_us())) {
+        ended = &quantum_yielded_;
+        break;
+      }
+      cpu_relax();
+    }
+    if (ended != nullptr) break;
+    const std::uint64_t now = now_us();
+    const std::uint64_t w = s.owner.load(std::memory_order_relaxed);
+    const std::uint64_t e = s.entries.load(std::memory_order_relaxed);
+    if (w == 0) continue;  // freed since the last poll: claim it above
+    // The holder may have claimed after `now` was read: a take time ahead
+    // of `now` wraps to more than half the time range and means "just
+    // taken", not "long expired".
+    const std::uint64_t held_for = (now - (w >> kTokenBits)) & kTimeMask;
+    if (held_for >= quantum_us_ && held_for <= kTimeMask / 2) {
+      if (claim(s, w, key, hold, now)) ended = &quantum_expired_;
+    } else if (w != seen || e != seen_entries) {
+      seen = w;
+      seen_entries = e;
+      seen_since = now;
+    } else if (now - seen_since >= quantum_us_ / kIdleFraction) {
+      // The same holder entered no section for a fraction of a quantum.
+      if (claim(s, w, key, hold, now)) ended = &quantum_idle_;
+    }
+    if (ended == nullptr && now - start >= quantum_us_ &&
+        claim(s, w, key, hold, now)) {
+      // The stripe changed hands during the wait; bound it regardless.
+      ended = &quantum_expired_;
+    }
+  }
+  quantum_wait_micros_.fetch_add(now_us() - start, std::memory_order_relaxed);
+  ended->fetch_add(1, std::memory_order_relaxed);
 }
 
 std::unique_lock<std::mutex> GlobalCounter::acquire_timed(Stripe& stripe) {
@@ -135,6 +235,11 @@ SchedStats GlobalCounter::stats() const {
                      stripes_[i].contended.load(std::memory_order_relaxed));
   }
   s.max_stripe_collisions = worst;
+  s.quantum_waits = quantum_waits_.load(std::memory_order_relaxed);
+  s.quantum_wait_micros = quantum_wait_micros_.load(std::memory_order_relaxed);
+  s.quantum_idle = quantum_idle_.load(std::memory_order_relaxed);
+  s.quantum_yielded = quantum_yielded_.load(std::memory_order_relaxed);
+  s.quantum_expired = quantum_expired_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -167,6 +272,14 @@ std::string to_text(const SchedStats& s) {
       static_cast<unsigned long long>(s.stripe_waits),
       static_cast<unsigned long long>(s.section_wait_micros),
       static_cast<unsigned long long>(s.max_stripe_collisions));
+  out += str_format(
+      "  record quantum: %llu wait(s), %llu us waited; ended %llu idle, "
+      "%llu yielded, %llu expired\n",
+      static_cast<unsigned long long>(s.quantum_waits),
+      static_cast<unsigned long long>(s.quantum_wait_micros),
+      static_cast<unsigned long long>(s.quantum_idle),
+      static_cast<unsigned long long>(s.quantum_yielded),
+      static_cast<unsigned long long>(s.quantum_expired));
   out += str_format(
       "  leases: %llu taken, %llu leased event(s), %llu publication(s)\n",
       static_cast<unsigned long long>(s.leases_taken),

@@ -25,6 +25,17 @@
 // for events that must exclude ALL concurrent events (checkpoint
 // snapshots).
 //
+// Record quantum (constructor `record_quantum > 0`): `with_section(key,
+// hold, f)` additionally gives each stripe a bounded owner.  The thread
+// that takes a stripe keeps it for up to one quantum; a contender polls
+// the stripe's owner line and goes ahead once the owner's quantum has run
+// out, its own wait has reached the quantum, the owner has gone idle, or
+// the owner has given the stripe up (StripeHold, yield_stripe).  The
+// recorded schedule then holds runs of one thread's events instead of the
+// finest interleaving the hardware happens to produce; mutual exclusion
+// still comes from the stripe mutex alone, so the quantum only ever delays
+// a contender, never for more than one quantum (docs/INTERNALS.md §1a).
+//
 // Replay mode: `await(g)` blocks a thread until the counter reaches its next
 // event's recorded value; `tick()` releases the next event in the total
 // order.
@@ -72,6 +83,26 @@ namespace djvu::sched {
 /// can never collide with an aligned pointer).
 using SectionKey = std::uint64_t;
 
+/// One thread's hold on at most one record-section stripe under the record
+/// quantum.  Each recording thread keeps its own (sched::ThreadState) and
+/// passes it to with_section / yield_stripe; the counter touches it only on
+/// that thread, so it needs no synchronization.
+struct StripeHold {
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  /// Names the holder on the stripe's owner line: nonzero, and distinct
+  /// among the threads of one counter (the thread number + 1).  A
+  /// collision only costs a contender an unneeded wait.
+  std::uint32_t token = 1;
+  /// Index of the held stripe, or kNone.
+  std::size_t stripe = kNone;
+  /// The owner word this thread wrote when it took the stripe (token and
+  /// take time); the stripe is still held while its owner line equals it.
+  std::uint64_t word = 0;
+  /// The key this thread last published as the holder's key.
+  SectionKey key = 0;
+};
+
 /// Thread-safe global counter; replay turn-waiting goes through its gate.
 class GlobalCounter {
  public:
@@ -81,9 +112,15 @@ class GlobalCounter {
   /// the paper-faithful single GC-critical section, N > 1 shards it by
   /// conflict key (replay never enters a section — turn-waiting is
   /// layout-independent).  0 is a UsageError.
+  ///
+  /// `record_quantum` is each stripe's owner quantum for the holding
+  /// with_section overload: 0 leaves that overload the plain section;
+  /// negative, or beyond kMaxRecordQuantum, is a UsageError.
   explicit GlobalCounter(std::chrono::milliseconds stall_timeout =
                              std::chrono::milliseconds(10000),
-                         std::size_t record_stripes = 1);
+                         std::size_t record_stripes = 1,
+                         std::chrono::microseconds record_quantum =
+                             std::chrono::microseconds(0));
   GlobalCounter(const GlobalCounter&) = delete;
   GlobalCounter& operator=(const GlobalCounter&) = delete;
 
@@ -109,20 +146,49 @@ class GlobalCounter {
   /// event collides) stay atomic with their numbering.
   template <typename F>
   GlobalCount with_section(SectionKey key, F&& f) {
-    check_no_lease();
-    Stripe& s = stripes_[stripe_index(key)];
-    GlobalCount v;
-    {
-      std::unique_lock<std::mutex> lock = acquire_timed(s);
-      // seq_cst keeps the per-stripe assignment totally ordered with every
-      // other stripe's (a plain release RMW would suffice for the per-object
-      // argument, but seq_cst keeps value() monotone for cross-stripe
-      // observers and costs the same on x86/ARM RMW).
-      v = value_.fetch_add(1, std::memory_order_seq_cst);
-      std::forward<F>(f)(v);
+    return run_section(stripes_[stripe_index(key)], std::forward<F>(f));
+  }
+
+  /// The same section under the record quantum: the calling thread first
+  /// holds `key`'s stripe — at once when it already does or the stripe is
+  /// free, else after a bounded quantum wait — giving up the stripe it held
+  /// before.  Only a holder on the same key is waited for: a contender
+  /// whose key merely collides with the holder's enters the section
+  /// without holding the stripe.  The holder pays one owner-line load and
+  /// one relaxed store per event, and reads the clock only when it takes a
+  /// stripe.  With record_quantum 0 this is with_section(key, f).
+  template <typename F>
+  GlobalCount with_section(SectionKey key, StripeHold& hold, F&& f) {
+    const std::size_t i = stripe_index(key);
+    Stripe& s = stripes_[i];
+    if (quantum_us_ != 0 &&
+        ((hold.stripe == i &&
+          s.owner.load(std::memory_order_relaxed) == hold.word) ||
+         take_stripe(i, key, hold))) {
+      if (hold.key != key) {
+        // A second key on the held stripe (a hash collision): contenders
+        // compare against the key the holder is using now.
+        hold.key = key;
+        s.owner_key.store(key, std::memory_order_relaxed);
+      }
+      // The liveness beat contenders read to tell a busy holder from an
+      // idle one; only the holder writes it, so load + store suffices.
+      s.entries.store(s.entries.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
     }
-    sections_.fetch_add(1, std::memory_order_relaxed);
-    return v;
+    return run_section(s, std::forward<F>(f));
+  }
+
+  /// Gives up the stripe `hold` names, if the caller still holds it, so a
+  /// contender goes ahead at once.  Record threads call it before they
+  /// block (a native monitor lock, a condvar wait, a network call, a join)
+  /// and when they end.  A no-op with record_quantum 0 or no stripe held.
+  void yield_stripe(StripeHold& hold) {
+    if (hold.stripe == StripeHold::kNone) return;
+    std::uint64_t expected = hold.word;
+    stripes_[hold.stripe].owner.compare_exchange_strong(
+        expected, 0, std::memory_order_release, std::memory_order_relaxed);
+    hold.stripe = StripeHold::kNone;
   }
 
   /// Fully exclusive GC-critical section: excludes every concurrent
@@ -211,6 +277,12 @@ class GlobalCounter {
   /// Stripes in the record-section lock table (1 = the single section).
   std::size_t record_stripes() const { return stripe_count_; }
 
+  /// Largest accepted record quantum: the owner line keeps the take time
+  /// in kTimeBits of microseconds, and elapsed times are taken modulo
+  /// 2^kTimeBits, so a quantum must stay below half that range.
+  static constexpr std::chrono::microseconds kMaxRecordQuantum{
+      std::int64_t{1} << 38};
+
  private:
 
   /// One lock-table stripe.  Cache-line sized so neighbouring stripes do
@@ -220,7 +292,31 @@ class GlobalCounter {
     /// Contended acquisitions of this stripe (relaxed; feeds the
     /// max_stripe_collisions high-water mark).
     std::atomic<std::uint64_t> contended{0};
+    /// Record quantum: the holder's owner word (token in the low
+    /// kTokenBits, take time in microseconds since the counter's epoch
+    /// above them; 0 = free) and the key it holds the stripe for, on a
+    /// line contenders poll and only a claim, a yield or a colliding key
+    /// writes.
+    alignas(64) std::atomic<std::uint64_t> owner{0};
+    std::atomic<SectionKey> owner_key{0};
+    /// The holder's section entries (the liveness beat), on a line of its
+    /// own: the holder writes it per event, and contenders read it only
+    /// once per clock read, so their polling never steals the holder's
+    /// line on every event.
+    alignas(64) std::atomic<std::uint64_t> entries{0};
   };
+
+  /// Owner-word layout: the token's low bits and the take time.
+  static constexpr int kTokenBits = 24;
+  static constexpr int kTimeBits = 64 - kTokenBits;
+  static constexpr std::uint64_t kTimeMask = (std::uint64_t{1} << kTimeBits) - 1;
+
+  /// A holder counts as idle once it has entered no section for
+  /// 1/kIdleFraction of a quantum (6.25 us at the 50 us default; checked
+  /// once per round of polls, so never sooner than one round).  Measured
+  /// in time, not polls, so a build whose events run slower (a sanitizer)
+  /// does not mistake a busy holder for an idle one.
+  static constexpr std::uint64_t kIdleFraction = 8;
 
   std::size_t stripe_index(SectionKey key) const {
     // splitmix64 finalizer: cheap, and scrambles the low bits pointers
@@ -246,6 +342,46 @@ class GlobalCounter {
           "record sections and replay leases must never coexist");
     }
   }
+
+  /// The section body shared by both with_section overloads.
+  template <typename F>
+  GlobalCount run_section(Stripe& s, F&& f) {
+    check_no_lease();
+    GlobalCount v;
+    {
+      std::unique_lock<std::mutex> lock = acquire_timed(s);
+      // seq_cst keeps the per-stripe assignment totally ordered with every
+      // other stripe's (a plain release RMW would suffice for the per-object
+      // argument, but seq_cst keeps value() monotone for cross-stripe
+      // observers and costs the same on x86/ARM RMW).
+      v = value_.fetch_add(1, std::memory_order_seq_cst);
+      std::forward<F>(f)(v);
+    }
+    sections_.fetch_add(1, std::memory_order_relaxed);
+    return v;
+  }
+
+  /// Record quantum slow path: gives up `hold`'s old stripe and holds
+  /// stripe `i` for `key` — claiming it at once when free, else after
+  /// quantum_wait — and returns true.  Returns false, holding nothing,
+  /// when the stripe's holder uses another key: a collision is no reason
+  /// to wait.
+  bool take_stripe(std::size_t i, SectionKey key, StripeHold& hold);
+
+  /// Polls stripe `s`'s owner line until the stripe is free, its holder's
+  /// quantum has run out, the holder is idle (no section entry for
+  /// 1/kIdleFraction of a quantum), or this wait has lasted one quantum —
+  /// then claims it for `hold`.  Counts the wait and how it ended.
+  void quantum_wait(Stripe& s, SectionKey key, StripeHold& hold);
+
+  /// CASes `s`'s owner line from `expected` to `hold`'s word stamped
+  /// `now_us`; on success records the word in `hold` and publishes `key`
+  /// as the holder's key.
+  bool claim(Stripe& s, std::uint64_t expected, SectionKey key,
+             StripeHold& hold, std::uint64_t now_us);
+
+  /// Microseconds since the counter's epoch (the owner-word time base).
+  std::uint64_t now_us() const;
 
   /// Locks `stripe`, counting the acquisition as contended (and timing the
   /// wait) when the lock was not immediately available.  The clock is only
@@ -273,6 +409,9 @@ class GlobalCounter {
   /// Record-section lock table.  Immutable after construction.
   const std::size_t stripe_count_;
   std::unique_ptr<Stripe[]> stripes_;
+  /// Record quantum in microseconds (0 = none) and the owner-word epoch.
+  const std::uint64_t quantum_us_;
+  const std::chrono::steady_clock::time_point epoch_;
   /// True while a replay interval lease is held.  Atomic because guards
   /// (advance_to, with_section, a second lease_begin) read it from other
   /// threads; lease_first_ is written at lease_begin and read at
@@ -288,6 +427,11 @@ class GlobalCounter {
   std::atomic<std::uint64_t> leased_events_{0};
   std::atomic<std::uint64_t> stripe_waits_{0};
   std::atomic<std::uint64_t> section_wait_micros_{0};
+  std::atomic<std::uint64_t> quantum_waits_{0};
+  std::atomic<std::uint64_t> quantum_wait_micros_{0};
+  std::atomic<std::uint64_t> quantum_idle_{0};
+  std::atomic<std::uint64_t> quantum_yielded_{0};
+  std::atomic<std::uint64_t> quantum_expired_{0};
 };
 
 }  // namespace djvu::sched

@@ -76,6 +76,22 @@ struct SchedStats {
   /// dissolving.
   std::uint64_t max_stripe_collisions = 0;
 
+  /// Record quantum (TuningConfig::record_quantum): section entries that
+  /// found their stripe held by another thread's quantum and waited for it
+  /// outside the stripe mutex (stripe_waits stays the mutex's own count).
+  std::uint64_t quantum_waits = 0;
+
+  /// Total time those waits took.
+  std::uint64_t quantum_wait_micros = 0;
+
+  /// How each quantum wait ended: the holder entered no section for 1/8
+  /// of a quantum (idle), gave the stripe up before blocking or moving on
+  /// (yielded), or the holder's quantum or the wait itself reached one
+  /// quantum (expired).  They sum to quantum_waits once every wait ended.
+  std::uint64_t quantum_idle = 0;
+  std::uint64_t quantum_yielded = 0;
+  std::uint64_t quantum_expired = 0;
+
   /// Replay interval leases taken (one per logical schedule interval when
   /// leasing is on; 0 under the paper-faithful per-event protocol).
   std::uint64_t leases_taken = 0;

@@ -17,6 +17,7 @@
 #include "common/errors.h"
 #include "common/ids.h"
 #include "sched/causal_order.h"
+#include "sched/global_counter.h"
 #include "sched/interval.h"
 #include "sched/trace.h"
 
@@ -29,6 +30,10 @@ struct ThreadState {
 
   /// Record mode: on-the-fly logical-interval detection.
   IntervalRecorder recorder;
+
+  /// Record mode: the section stripe this thread holds under the record
+  /// quantum (GlobalCounter::with_section / yield_stripe).
+  StripeHold stripe_hold;
 
   /// Replay mode: cursor over this thread's recorded intervals.
   IntervalCursor cursor;
@@ -135,6 +140,7 @@ class ThreadRegistry {
     std::lock_guard<std::mutex> lock(mutex_);
     auto& state = threads_.emplace_back(std::make_unique<ThreadState>());
     state->num = static_cast<ThreadNum>(threads_.size() - 1);
+    state->stripe_hold.token = state->num + 1;
     return *state;
   }
 

@@ -14,7 +14,8 @@ ThreadNum Monitor::check_owner(const char* op) {
 }
 
 void Monitor::enter() {
-  ThreadNum self = vm_.current_state().num;
+  sched::ThreadState& state = vm_.current_state();
+  const ThreadNum self = state.num;
   if (owner_.load(std::memory_order_relaxed) == std::int64_t{self}) {
     // Reentrant acquisition: non-blocking, still a critical event.
     ++depth_;
@@ -36,7 +37,10 @@ void Monitor::enter() {
     vm_.replay_turn_end(EventKind::kMonitorEnter, 1);
   } else {
     // Record (and passthrough): blocking acquisition outside the
-    // GC-critical section, marked afterwards.
+    // GC-critical section, marked afterwards.  The record stripe is given
+    // up first: a holder blocked here would make its contenders wait out
+    // the quantum.
+    vm_.yield_stripe(state);
     mutex_.lock();
     owner_.store(self, std::memory_order_relaxed);
     depth_ = 1;
@@ -102,6 +106,7 @@ void Monitor::wait_body(const char* op,
     mutex_.lock();
   } else {
     std::unique_lock<std::mutex> lk(mutex_, std::adopt_lock);
+    vm_.yield_stripe(vm_.current_state());
     // Timeout vs notify: both are just a reacquire.
     if (timeout) {
       cv_.wait_for(lk, *timeout);

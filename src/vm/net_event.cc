@@ -5,6 +5,9 @@ namespace djvu::vm {
 NetEvent::NetEvent(Vm& vm, sched::EventKind kind, ConflictKey conflict)
     : vm_(vm), kind_(kind), conflict_(conflict) {
   sched::ThreadState& st = vm_.current_state();
+  // A network or time gateway may block (and a record-mode one logs its
+  // outcome outside any section): hand the record stripe on first.
+  vm_.yield_stripe(st);
   thread_ = st.num;
   event_num_ = st.take_network_event_num();
 }

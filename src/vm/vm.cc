@@ -40,10 +40,14 @@ Vm::Vm(std::shared_ptr<net::Network> network, VmConfig config,
       config_(std::move(config)),
       replay_log_(std::move(replay_log)),
       // Only the record phase ever enters GC-critical sections; replay's
-      // turn-waiting is layout-independent, so it gets the one-stripe table.
+      // turn-waiting is layout-independent, so it gets the one-stripe table
+      // and no quantum.
       counter_(config_.tuning.stall_timeout,
                config_.mode == Mode::kRecord ? config_.tuning.record_stripes
-                                             : 1) {
+                                             : 1,
+               config_.mode == Mode::kRecord
+                   ? config_.tuning.record_quantum
+                   : std::chrono::microseconds(0)) {
   if ((config_.mode == Mode::kReplay) != (replay_log_ != nullptr)) {
     throw UsageError("replay log must be supplied exactly in replay mode");
   }
@@ -145,8 +149,15 @@ void Vm::detach_current() {
     throw UsageError("detach_current: thread not bound to this Vm");
   }
   if (t_binding.state != nullptr) flush_trace(*t_binding.state);
-  t_binding = {};
   runner_ended();
+  t_binding = {};
+}
+
+void Vm::runner_ended() {
+  if (t_binding.vm == this && t_binding.state != nullptr) {
+    yield_stripe(*t_binding.state);
+  }
+  counter_.runner_ended();
 }
 
 GlobalCount Vm::critical_events() const {
@@ -611,12 +622,14 @@ GlobalCount Vm::critical_event(sched::EventKind kind, const EventBody& body,
           // seq order == section-acquisition order == object access order.
           const sched::CausalOrder::Ticket t =
               state.causal_lookup(key, *causal_);
-          gc = counter_.with_section(key, [&](GlobalCount g) {
-            section_body(g);
-            state.causal_buf.push_back(causal_->record_next(t));
-          });
+          gc = counter_.with_section(key, state.stripe_hold,
+                                     [&](GlobalCount g) {
+                                       section_body(g);
+                                       state.causal_buf.push_back(
+                                           causal_->record_next(t));
+                                     });
         } else {
-          gc = counter_.with_section(key, section_body);
+          gc = counter_.with_section(key, state.stripe_hold, section_body);
         }
       }
       after_event(state, kind, aux, gc);

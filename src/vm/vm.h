@@ -72,6 +72,14 @@ inline constexpr GlobalCount kLeasePublishStride = 1024;
 ///     EXPERIMENTS.md); 0 is a UsageError.  Replay is unaffected: the log
 ///     format and the replayed total order are identical, so a recording
 ///     made in any layout replays under any setting.
+///   * record_quantum — record-mode owner quantum of each section stripe
+///     (sched::GlobalCounter::with_section with the thread's StripeHold):
+///     a thread keeps the stripe it took for up to one quantum while
+///     contenders wait outside the lock, so the recorded schedule holds
+///     runs of one thread's events.  A thread gives its stripe up before it
+///     blocks (yield_stripe: monitor enter and wait, every network and time
+///     gateway, join, thread end).  0 = no quantum (the ablation baseline).
+///     Replay ignores it: any recorded interleaving replays.
 ///   * replay_leasing — true = a thread whose next event opens a logical
 ///     schedule interval performs ONE await for the whole interval,
 ///     executes the interval's events with thread-local counter
@@ -335,6 +343,15 @@ class Vm {
   /// ticks the counter, advances the thread's cursor, traces.
   void replay_turn_end(sched::EventKind kind, std::uint64_t aux);
 
+  /// Record quantum: gives up the section stripe `state`'s thread holds, so
+  /// a contender goes ahead at once instead of waiting out the quantum.
+  /// Gateways call it on the calling thread before they block outside the
+  /// scheduler (a native monitor lock, a condvar wait, a network call).  A
+  /// no-op when the thread holds no stripe (replay, passthrough, quantum 0).
+  void yield_stripe(sched::ThreadState& state) {
+    counter_.yield_stripe(state.stripe_hold);
+  }
+
   /// Spawns an application thread.  The spawn is a kThreadStart critical
   /// event of the *parent*, which makes threadNum assignment part of the
   /// enforced schedule ("threads are created in the same order in the
@@ -371,9 +388,11 @@ class Vm {
   /// Stall-detector runner registry (sched::GlobalCounter::runner_*):
   /// attach/bind marks a thread as a runner; a thread blocked outside the
   /// scheduler (VmThread::join) deregisters for the duration so the
-  /// detector knows whether counter progress is still possible.
+  /// detector knows whether counter progress is still possible.  Ending
+  /// also gives up the calling thread's section stripe (yield_stripe):
+  /// the thread is about to block in a join or to finish.
   void runner_began() { counter_.runner_began(); }
-  void runner_ended() { counter_.runner_ended(); }
+  void runner_ended();
 
   /// Record-mode chaos: maybe yield/sleep before an event (see
   /// VmConfig::chaos_prob).

@@ -161,6 +161,48 @@ TEST(Doctor, DamagedSpoolIsAFindingNotAThrow) {
   std::filesystem::remove_all(dir);
 }
 
+// Found but not loaded is its own state: the damaged spool's report says
+// so, and renders none of the recorded-side fields it never filled (no
+// zero per-thread totals, no all-zero log shape, no clean-end verdict).
+TEST(Doctor, DamagedSpoolRendersNoRecordedSide) {
+  const std::string dir = temp_dir("unloaded");
+  const std::string file = dir + "/app.djvuspool";
+  {
+    std::FILE* f = std::fopen(file.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("garbage, not a spool", f);
+    std::fclose(f);
+  }
+  sched::DivergenceReport report;
+  report.vm_id = 1;
+  report.vm_name = "app";
+  report.cause = DivergenceCause::kBeyondSchedule;
+  const replay::DoctorReport doc = replay::diagnose_spool(report, dir);
+  EXPECT_TRUE(doc.log_found);
+  EXPECT_FALSE(doc.loaded);
+
+  const std::string text = replay::to_text(doc);
+  EXPECT_NE(text.find("not loaded"), std::string::npos) << text;
+  EXPECT_EQ(text.find(" recorded: "), std::string::npos) << text;
+  EXPECT_EQ(text.find("log shape"), std::string::npos) << text;
+
+  const std::string json = replay::to_json(doc);
+  expect_balanced_json(json);
+  EXPECT_NE(json.find("\"loaded\": false"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"clean_end\": true"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"stats\""), std::string::npos) << json;
+
+  // A spool that loads is marked loaded and keeps its verdict.
+  const std::string good = temp_dir("loaded");
+  const replay::DoctorReport ok =
+      replay::diagnose_spool(divergent_report(good, 5, 1), good);
+  EXPECT_TRUE(ok.loaded);
+  EXPECT_NE(replay::to_json(ok).find("\"clean_end\": true"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(good);
+}
+
 TEST(Doctor, LocatesSpoolByVmIdWhenNameUnknown) {
   const std::string dir = temp_dir("byid");
   sched::DivergenceReport report = divergent_report(dir, 10, 1);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+
 #include "core/session.h"
 #include "tests/test_util.h"
 #include "vm/monitor.h"
@@ -175,6 +178,59 @@ TEST(MonitorDeep, ThreadPoolServerReplays) {
   auto rec = s.record(7);
   auto rep = s.replay(rec, 8);
   core::verify(rec, rep);
+}
+
+// The record quantum's blocking rule: a thread that blocks in Monitor::wait
+// gives its section stripe up first, so a contender waiting on that stripe
+// goes ahead at once and its wait counts as yielded — not as expired (the
+// quantum is 10 s) and not as idle (which is how the contender would find
+// a holder that blocked without yielding).  The holder keeps entering
+// sections until the contender is known to wait; an attempt that still
+// ends idle (an OS preemption between the holder's last section and its
+// yield) is retried.  Record only: the holder's loop count depends on the
+// contender's timing, which no replay can reproduce.
+TEST(MonitorDeep, WaitYieldsTheRecordStripe) {
+  SessionConfig cfg;
+  cfg.tuning.record_stripes = 1;  // the var and the monitor share a stripe
+  cfg.tuning.record_quantum = std::chrono::seconds(10);
+  bool yielded = false;
+  for (int attempt = 0; attempt < 10 && !yielded; ++attempt) {
+    sched::SchedStats before;
+    sched::SchedStats after;
+    Session s(cfg);
+    s.add_vm("app", 1, true, [&](vm::Vm& v) {
+      vm::Monitor m(v);
+      vm::SharedVar<std::uint64_t> x(v, 0);
+      vm::SharedVar<int> notified(v, 0);
+      std::atomic<bool> contender_done{false};
+      vm::VmThread holder(v, [&] {
+        vm::Monitor::Synchronized sync(m);
+        x.set(1);
+        const std::uint64_t waits = v.sched_stats().quantum_waits;
+        vm::VmThread contender(v, [&] {
+          before = v.sched_stats();
+          x.get();  // waits on the holder's stripe
+          after = v.sched_stats();
+          contender_done.store(true);
+          vm::Monitor::Synchronized inner(m);
+          notified.set(1);
+          m.notify();
+        });
+        while (v.sched_stats().quantum_waits == waits &&
+               !contender_done.load()) {
+          x.set(x.get() + 1);
+        }
+        while (notified.get() == 0) m.wait();
+        contender.join();
+      });
+      holder.join();
+    });
+    auto rec = s.record(static_cast<std::uint64_t>(attempt) + 5);
+    EXPECT_EQ(rec.vm("app").sched.quantum_expired, 0u);
+    yielded = after.quantum_waits - before.quantum_waits == 1 &&
+              after.quantum_yielded - before.quantum_yielded == 1;
+  }
+  EXPECT_TRUE(yielded);
 }
 
 class MonitorContention : public ::testing::TestWithParam<int> {};

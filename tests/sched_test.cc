@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -17,6 +18,8 @@
 
 #include "common/cpus.h"
 #include "common/rng.h"
+#include "core/session.h"
+#include "record/log_stats.h"
 #include "sched/causal_order.h"
 #include "sched/global_counter.h"
 #include "sched/interval.h"
@@ -24,6 +27,8 @@
 #include "sched/trace.h"
 #include "sched/turn_gate.h"
 #include "tests/test_util.h"
+#include "vm/shared_var.h"
+#include "vm/thread.h"
 
 namespace djvu::sched {
 namespace {
@@ -301,6 +306,181 @@ TEST(GlobalCounter, DefaultCounterHasOneStripe) {
   EXPECT_EQ(c.stats().stripe_count, 1u);
   // No stripe names no section at all.
   EXPECT_THROW(GlobalCounter(std::chrono::milliseconds(10000), 0),
+               UsageError);
+}
+
+// --- Record quantum ---------------------------------------------------------
+
+/// Long enough that no quantum wait in these tests can end by expiry unless
+/// the mechanism is broken, and that a busy holder never looks idle (its
+/// idle window is 1/8 of it), even under a sanitizer.
+constexpr std::chrono::microseconds kLongQuantum = std::chrono::seconds(10);
+
+StripeHold hold_for(std::uint32_t token) {
+  StripeHold h;
+  h.token = token;
+  return h;
+}
+
+// A contender on the stripe of a holder that enters no more sections goes
+// ahead after the idle window (1/8 of the quantum) instead of waiting out
+// the quantum.
+TEST(RecordQuantum, IdleHolderIsPassed) {
+  GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/1,
+                  std::chrono::milliseconds(80));
+  StripeHold holder = hold_for(1);
+  StripeHold contender = hold_for(2);
+  c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+  std::thread([&] {
+    c.with_section(SectionKey{1}, contender, [](GlobalCount) {});
+  }).join();
+  const SchedStats s = c.stats();
+  EXPECT_EQ(s.quantum_waits, 1u);
+  EXPECT_EQ(s.quantum_idle, 1u);
+  EXPECT_EQ(s.quantum_yielded, 0u);
+  EXPECT_EQ(s.quantum_expired, 0u);
+  EXPECT_EQ(s.stripe_waits, 0u);  // the mutex itself was never contended
+}
+
+// A busy holder that gives its stripe up releases the waiting contender at
+// once, and the wait is counted as yielded.  The holder stays busy until
+// the contender is known to wait, so an idle end needs the holder to stall
+// for the idle window (1.25 s here) between its last section and the
+// yield; such an attempt is retried.
+TEST(RecordQuantum, YieldEndsTheWaitAsYielded) {
+  GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/1,
+                  kLongQuantum);
+  bool yielded = false;
+  for (int attempt = 0; attempt < 20 && !yielded; ++attempt) {
+    StripeHold holder = hold_for(1);
+    StripeHold contender = hold_for(2);
+    const SchedStats before = c.stats();
+    c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+    std::thread t([&] {
+      c.with_section(SectionKey{1}, contender, [](GlobalCount) {});
+      c.yield_stripe(contender);
+    });
+    while (c.stats().quantum_waits == before.quantum_waits) {
+      c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+    }
+    c.yield_stripe(holder);
+    t.join();
+    const SchedStats after = c.stats();
+    ASSERT_EQ(after.quantum_waits - before.quantum_waits, 1u);
+    ASSERT_EQ(after.quantum_expired, 0u);
+    yielded = after.quantum_yielded - before.quantum_yielded == 1;
+  }
+  EXPECT_TRUE(yielded);
+}
+
+// A holder that keeps entering sections keeps its stripe for one quantum;
+// then the contender goes ahead and the wait is counted as expired.
+TEST(RecordQuantum, BusyHolderKeepsTheStripeForOneQuantum) {
+  constexpr std::chrono::microseconds kQuantum{2000};
+  GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/1,
+                  kQuantum);
+  bool expired = false;
+  for (int attempt = 0; attempt < 20 && !expired; ++attempt) {
+    StripeHold holder = hold_for(1);
+    StripeHold contender = hold_for(2);
+    const SchedStats before = c.stats();
+    c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+    std::atomic<bool> done{false};
+    std::thread t([&] {
+      c.with_section(SectionKey{1}, contender, [](GlobalCount) {});
+      c.yield_stripe(contender);
+      done.store(true, std::memory_order_release);
+    });
+    while (!done.load(std::memory_order_acquire)) {
+      c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+    }
+    t.join();
+    c.yield_stripe(holder);
+    const SchedStats after = c.stats();
+    // The holder may wait once too, behind the contender's brief hold.
+    ASSERT_GE(after.quantum_waits - before.quantum_waits, 1u);
+    ASSERT_LE(after.quantum_waits - before.quantum_waits, 2u);
+    expired = after.quantum_expired == before.quantum_expired + 1;
+  }
+  EXPECT_TRUE(expired);
+}
+
+/// A recording of 4 threads doing get+set on one SharedVar.
+struct HotVarRecording {
+  double events_per_interval = 0;
+  SchedStats sched;
+};
+
+/// Records the hot var under `quantum`, replays it, and checks the replay
+/// reproduces the recording's digest.  The threads start together (a spin
+/// barrier outside the VM), so their events overlap even when spawning
+/// one takes longer than running another to completion.
+HotVarRecording record_hot_var(std::chrono::microseconds quantum) {
+  core::SessionConfig cfg;
+  cfg.tuning.record_quantum = quantum;
+  core::Session s(cfg);
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    constexpr int kThreads = 4;
+    vm::SharedVar<std::uint64_t> x(v, 0);
+    std::atomic<int> arrived{0};
+    std::vector<vm::VmThread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back(v, [&x, &arrived] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        for (int i = 0; i < 10000; ++i) x.set(x.get() + 1);
+      });
+    }
+    for (auto& t : threads) t.join();
+  });
+  const core::RunResult rec = s.record(11);
+  const core::RunResult rep = s.replay(rec, 12);
+  core::verify(rec, rep);
+  const core::VmRunInfo& r = rec.vm("app");
+  EXPECT_EQ(r.trace_digest, rep.vm("app").trace_digest);
+  EXPECT_EQ(r.critical_events, rep.vm("app").critical_events);
+  return {record::compute_stats(*r.log).events_per_interval, r.sched};
+}
+
+// The point of the quantum: the same program records far fewer, longer
+// intervals, and the recording replays to the same digest.  The quantum is
+// 2 ms rather than the default so that its idle window (250 us) outlasts
+// an event even under ThreadSanitizer, which slows each one past the
+// default's 6 us; bench_record_scaling --smoke holds the default to its
+// count.  The comparison needs a quantum-0 recording that really
+// interleaved: on one usable CPU, or on a host so loaded that the OS
+// timeslices the four threads, quantum 0 records coarse runs too, and the
+// two counts say nothing about the quantum.
+TEST(RecordQuantum, HotVarRecordsCoarserAndReplays) {
+  constexpr std::chrono::microseconds kQuantum{2000};
+  const HotVarRecording fine = record_hot_var(std::chrono::microseconds(0));
+  const HotVarRecording coarse = record_hot_var(kQuantum);
+  std::printf("events per interval: quantum 0 %.1f, quantum %lld us %.1f\n",
+              fine.events_per_interval,
+              static_cast<long long>(kQuantum.count()),
+              coarse.events_per_interval);
+  if (usable_cpus() >= 2 && fine.events_per_interval < 20) {
+    EXPECT_GT(coarse.events_per_interval, 4 * fine.events_per_interval);
+  }
+}
+
+// Quantum 0 is the section path without a quantum: no wait is ever counted.
+TEST(RecordQuantum, ZeroQuantumRecordsNoQuantumWait) {
+  const HotVarRecording fine = record_hot_var(std::chrono::microseconds(0));
+  EXPECT_EQ(fine.sched.quantum_waits, 0u);
+  EXPECT_EQ(fine.sched.quantum_wait_micros, 0u);
+  EXPECT_EQ(fine.sched.quantum_idle + fine.sched.quantum_yielded +
+                fine.sched.quantum_expired,
+            0u);
+}
+
+TEST(RecordQuantum, OutOfRangeQuantumIsAUsageError) {
+  EXPECT_THROW(GlobalCounter(std::chrono::milliseconds(10000), 1,
+                             std::chrono::microseconds(-1)),
+               UsageError);
+  EXPECT_THROW(GlobalCounter(std::chrono::milliseconds(10000), 1,
+                             GlobalCounter::kMaxRecordQuantum +
+                                 std::chrono::microseconds(1)),
                UsageError);
 }
 
