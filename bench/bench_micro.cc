@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "record/serializer.h"
 #include "sched/global_counter.h"
 #include "sched/interval.h"
+#include "sched/spin_wait.h"
 #include "vm/shared_var.h"
 #include "vm/vm.h"
 
@@ -20,15 +23,17 @@ namespace {
 
 void BM_GlobalCounterTick(benchmark::State& state) {
   sched::GlobalCounter c;
-  for (auto _ : state) benchmark::DoNotOptimize(c.tick());
+  sched::TurnTally& me = c.tally();
+  for (auto _ : state) benchmark::DoNotOptimize(c.tick(me));
 }
 BENCHMARK(BM_GlobalCounterTick);
 
 void BM_GcCriticalSection(benchmark::State& state) {
   sched::GlobalCounter c;
+  sched::TurnTally& me = c.tally();
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    c.with_section(sched::SectionKey{1}, [&](GlobalCount g) { acc += g; });
+    c.with_section(sched::SectionKey{1}, me, [&](GlobalCount g) { acc += g; });
   }
   benchmark::DoNotOptimize(acc);
 }
@@ -48,9 +53,10 @@ void BM_ReplayTurnRoundRobin(benchmark::State& state) {
     threads.reserve(static_cast<std::size_t>(kThreads));
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&c, t, kThreads] {
+        sched::TurnTally& mine = c.tally();
         for (int r = 0; r < kRounds; ++r) {
-          c.await(static_cast<GlobalCount>(r * kThreads + t));
-          c.tick();
+          c.await(static_cast<GlobalCount>(r * kThreads + t), mine);
+          c.tick(mine);
         }
       });
     }
@@ -70,6 +76,102 @@ void BM_ReplayTurnRoundRobin(benchmark::State& state) {
   state.counters["max_parked"] = static_cast<double>(parked);
 }
 BENCHMARK(BM_ReplayTurnRoundRobin)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+// Steady-state turn handoff: BM_ReplayTurnRoundRobin spawns its threads for
+// 200 rounds, so thread creation dominates it.  Here `threads` threads are
+// started once, meet at a start line, and then hand the turn round-robin
+// for kHandoffRounds rounds each; only the rounds are timed.  `turn(t, r)`
+// is thread t's round r, run on that thread.  Returns the seconds the
+// rounds took.
+constexpr int kHandoffRounds = 100000;
+
+template <typename Turn>
+double time_round_robin(int threads, Turn turn) {
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int r = 0; r < kHandoffRounds; ++r) turn(t, r);
+    });
+  }
+  while (ready.load() != threads) std::this_thread::yield();
+  const auto start = std::chrono::steady_clock::now();
+  go.store(true, std::memory_order_release);
+  for (auto& th : pool) th.join();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+void report_handoffs(benchmark::State& state, int threads, double seconds) {
+  const double handoffs = static_cast<double>(threads) * kHandoffRounds;
+  state.SetIterationTime(seconds);
+  state.SetItemsProcessed(static_cast<std::int64_t>(handoffs));
+  state.counters["ns_per_handoff"] = seconds * 1e9 / handoffs;
+}
+
+// The replay turn itself: GlobalCounter::await + tick with each thread's
+// own tally — the per-event protocol a one-event interval runs.
+void BM_ReplayTurnHandoff(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sched::GlobalCounter c;
+    std::vector<sched::TurnTally*> tallies;
+    for (int t = 0; t < threads; ++t) tallies.push_back(&c.tally());
+    const double seconds = time_round_robin(threads, [&c, &tallies, threads](
+                                                         int t, int r) {
+      c.await(static_cast<GlobalCount>(r) * threads + t, *tallies[t]);
+      c.tick(*tallies[t]);
+    });
+    benchmark::DoNotOptimize(c.value());
+    report_handoffs(state, threads, seconds);
+    const sched::SchedStats s = c.stats();
+    state.counters["parked"] = static_cast<double>(s.waits_parked);
+  }
+}
+BENCHMARK(BM_ReplayTurnHandoff)
+    ->Arg(4)
+    ->Iterations(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The floor under BM_ReplayTurnHandoff: the same round-robin through one
+// bare atomic on a cache line of its own, polled and stored, with nothing
+// else written.  The gap between the two arms is what the turn protocol
+// adds to the cache-line transfer every handoff needs.
+void BM_RawAtomicHandoff(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  // A type, not just an aligned variable: nothing else may share the line.
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> turn{0};
+  };
+  for (auto _ : state) {
+    Line cell;
+    const double seconds = time_round_robin(threads, [&cell, threads](int t,
+                                                                      int r) {
+      const std::uint64_t mine = static_cast<std::uint64_t>(r) * threads + t;
+      // Yield now and then, so an oversubscribed host still gets the
+      // turn-holder scheduled.
+      for (int polls = 1; cell.turn.load(std::memory_order_acquire) != mine;
+           ++polls) {
+        sched::cpu_relax();
+        if (polls % 4096 == 0) std::this_thread::yield();
+      }
+      cell.turn.store(mine + 1, std::memory_order_release);
+    });
+    benchmark::DoNotOptimize(cell.turn.load());
+    report_handoffs(state, threads, seconds);
+  }
+}
+BENCHMARK(BM_RawAtomicHandoff)
+    ->Arg(4)
+    ->Iterations(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IntervalRecorderEvent(benchmark::State& state) {
   sched::IntervalRecorder r;

@@ -23,9 +23,11 @@
 //   --no-causal  skip the causal section;
 //   --smoke      small grid, and exit nonzero if leased replay is >10%
 //                slower than non-leased, if leased replay parks on more
-//                than 25% of its leases while the process may use two or
-//                more CPUs (the turn wait's spin should catch almost every
-//                handoff; a count, so free of timing noise), or if causal
+//                than 25% of its turn waits (one per lease, plus one per
+//                one-event interval, which ticks without a lease) while the
+//                process may use two or more CPUs (the turn wait's spin
+//                should catch almost every handoff; a count, so free of
+//                timing noise), or if causal
 //                replay of the key-independent workload is >10% slower
 //                than leased total-order replay while the process may use
 //                two or more CPUs — the CI regression tripwires.
@@ -151,7 +153,8 @@ int main(int argc, char** argv) {
   const std::vector<int> grid = smoke ? std::vector<int>{2, 4}
                                       : std::vector<int>{2, 4, 8, 16};
   const int reps = smoke ? 3 : 2;
-  // Parked waits per lease above this mean the spin missed the handoffs.
+  // Parked waits per turn wait above this mean the spin missed the
+  // handoffs.  (Named when every turn wait of the leased run took a lease.)
   constexpr double kMaxParkedPerLease = 0.25;
   const bool spin_gate = usable_cpus() >= 2;
   bool tripwire = false;
@@ -204,16 +207,21 @@ int main(int argc, char** argv) {
                   leased.seconds, plain.seconds, threads);
       tripwire = true;
     }
-    const double parked_per_lease =
-        leasing && leased.sum.leases_taken > 0
+    // The leased run's turn waits: one per lease, and one per event it ran
+    // without a lease (a one-event interval, or an exact event) — each of
+    // those ticks once.
+    const std::uint64_t turn_waits =
+        leased.sum.leases_taken + leased.sum.ticks;
+    const double parked_per_turn =
+        leasing && turn_waits > 0
             ? static_cast<double>(leased.sum.waits_parked) /
-                  static_cast<double>(leased.sum.leases_taken)
+                  static_cast<double>(turn_waits)
             : 0.0;
     if (leasing && smoke && spin_gate &&
-        parked_per_lease > kMaxParkedPerLease) {
-      std::printf("  TRIPWIRE: leased replay parked on %.3f of its leases "
-                  "(>%.2f) at %d threads\n",
-                  parked_per_lease, kMaxParkedPerLease, threads);
+        parked_per_turn > kMaxParkedPerLease) {
+      std::printf("  TRIPWIRE: leased replay parked on %.3f of its turn "
+                  "waits (>%.2f) at %d threads\n",
+                  parked_per_turn, kMaxParkedPerLease, threads);
       tripwire = true;
     }
 
@@ -236,7 +244,7 @@ int main(int argc, char** argv) {
           .field("lease_ticks", leased.sum.ticks)
           .field("lease_waits_parked", leased.sum.waits_parked)
           .field("waits_spun", leased.sum.waits_spun)
-          .field("parked_per_lease", parked_per_lease);
+          .field("parked_per_turn", parked_per_turn);
     }
     records.push_back(row);
   }

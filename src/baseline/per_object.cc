@@ -35,6 +35,8 @@ std::uint32_t read_u32_varint(ByteReader& r, const char* what) {
 struct Binding {
   LvHost* host = nullptr;
   ThreadNum thread = 0;
+  /// The thread's tally from the host's turn gate (TurnGate::tally).
+  sched::TurnTally* tally = nullptr;
 };
 thread_local Binding t_binding;
 
@@ -103,7 +105,7 @@ LvHost::~LvHost() {
 
 void LvHost::attach_main() {
   std::lock_guard<std::mutex> lock(mutex_);
-  t_binding = {this, next_thread_++};
+  t_binding = {this, next_thread_++, &gate_.tally()};
 }
 
 void LvHost::detach_current() { t_binding = {}; }
@@ -125,7 +127,7 @@ void LvHost::spawn(std::function<void()> fn) {
     errors_.push_back(nullptr);
   }
   workers_.emplace_back([this, num, slot, fn = std::move(fn)] {
-    t_binding = {this, num};
+    t_binding = {this, num, &gate_.tally()};
     try {
       fn();
     } catch (...) {
@@ -216,7 +218,7 @@ void LvObject::access(const std::function<void()>& body) {
       const GlobalCount turn = cursor.peek();
       // Only the owner of an index publishes past it, so the wait returns
       // exactly `turn` (or throws: poison, stall).
-      host_.gate_.wait(done_, turn);
+      host_.gate_.wait(done_, turn, *t_binding.tally);
       body();
       cursor.advance();
       done_.store(turn + 1, std::memory_order_seq_cst);

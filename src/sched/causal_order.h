@@ -79,13 +79,14 @@ class CausalOrder {
   /// have published (`key` appears only in error text).  Throws
   /// ReplayDivergenceError when the key's published count is already past
   /// `seq` (kCounterPassed — the per-key order and the execution
-  /// disagree), or as TurnGate::wait does (kPoisoned, kStall).
-  void await(Ticket t, SectionKey key, std::uint64_t seq) {
-    const std::uint64_t count = gate_.wait(*t.cell_, seq);
+  /// disagree), or as TurnGate::wait does (kPoisoned, kStall).  The wait
+  /// counts in the caller's `tally` (TurnGate::tally).
+  void await(Ticket t, SectionKey key, std::uint64_t seq, TurnTally& tally) {
+    const std::uint64_t count = gate_.wait(*t.cell_, seq, tally);
     if (count != seq) throw_passed(key, seq, count);
   }
-  void await(SectionKey key, std::uint64_t seq) {
-    await(resolve(key), key, seq);
+  void await(SectionKey key, std::uint64_t seq, TurnTally& tally) {
+    await(resolve(key), key, seq, tally);
   }
 
   /// Replay mode: publishes completion of the current event on the

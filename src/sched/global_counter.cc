@@ -41,7 +41,13 @@ bool GlobalCounter::claim(Stripe& s, std::uint64_t expected, SectionKey key,
                           StripeHold& hold, std::uint64_t now_us) {
   std::uint64_t token = hold.token & ((std::uint64_t{1} << kTokenBits) - 1);
   if (token == 0) token = 1;
-  const std::uint64_t word = ((now_us & kTimeMask) << kTokenBits) | token;
+  return claim_word(s, expected, ((now_us & kTimeMask) << kTokenBits) | token,
+                    key, hold);
+}
+
+bool GlobalCounter::claim_word(Stripe& s, std::uint64_t expected,
+                               std::uint64_t word, SectionKey key,
+                               StripeHold& hold) {
   if (!s.owner.compare_exchange_strong(expected, word,
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
@@ -49,6 +55,7 @@ bool GlobalCounter::claim(Stripe& s, std::uint64_t expected, SectionKey key,
   }
   hold.word = word;
   hold.key = key;
+  hold.yielded = StripeHold::kNone;
   s.owner_key.store(key, std::memory_order_relaxed);
   return true;
 }
@@ -58,6 +65,15 @@ bool GlobalCounter::take_stripe(std::size_t i, SectionKey key,
   // A thread holds at most one stripe: moving on gives the old one up.
   yield_stripe(hold);
   Stripe& s = stripes_[i];
+  // Re-taking the stripe this thread gave up before it blocked (a network
+  // event, a monitor): when it is still free, the old owner word goes back
+  // without a clock read.  The quantum then counts on from the original
+  // take, so a contender's bound can only shrink.
+  if (hold.yielded == i && s.owner.load(std::memory_order_relaxed) == 0 &&
+      claim_word(s, 0, hold.word, key, hold)) {
+    hold.stripe = i;
+    return true;
+  }
   if (s.owner.load(std::memory_order_relaxed) != 0 ||
       !claim(s, 0, key, hold, now_us())) {
     // Held: only a holder on the same key is worth waiting for.
@@ -141,14 +157,15 @@ void GlobalCounter::throw_passed(GlobalCount target, GlobalCount v) {
                               DivergenceCause::kCounterPassed);
 }
 
-GlobalCount GlobalCounter::tick() {
+GlobalCount GlobalCounter::tick(TurnTally& tally) {
   const GlobalCount v = value_.fetch_add(1, std::memory_order_seq_cst);
-  ticks_.fetch_add(1, std::memory_order_relaxed);
+  tally.ticks.add();
   gate_.published(value_, v + 1);
   return v;
 }
 
-void GlobalCounter::lease_begin(GlobalCount first, GlobalCount last) {
+void GlobalCounter::lease_begin(GlobalCount first, GlobalCount last,
+                                TurnTally& tally) {
   if (last < first) {
     throw UsageError("lease_begin: interval [" + std::to_string(first) +
                      ", " + std::to_string(last) + "] is empty");
@@ -165,34 +182,35 @@ void GlobalCounter::lease_begin(GlobalCount first, GlobalCount last) {
         "admits exactly one leaseholder");
   }
   lease_first_ = first;
-  leases_.fetch_add(1, std::memory_order_relaxed);
+  tally.leases_taken.add();
 }
 
-void GlobalCounter::lease_publish(GlobalCount next) {
+void GlobalCounter::lease_publish(GlobalCount next, TurnTally& tally) {
   // The leaseholder is the unique counter mutator while the lease is held
   // (every other replaying thread is parked or pre-await), so a plain
   // store publishes correctly.
-  lease_publishes_.fetch_add(1, std::memory_order_relaxed);
+  tally.lease_publish_count.add();
   publish(next);
 }
 
-void GlobalCounter::lease_complete(GlobalCount last) {
-  leased_events_.fetch_add(last + 1 - lease_first_,
-                           std::memory_order_relaxed);
+void GlobalCounter::lease_complete(GlobalCount last, TurnTally& tally) {
+  tally.leased_events.add(last + 1 - lease_first_);
   // Release the lease BEFORE publishing: the thread whose turn last + 1 is
   // may return from await and lease_begin its own interval the instant the
   // new value is visible.
   lease_active_.store(false, std::memory_order_seq_cst);
-  lease_publish(last + 1);
+  lease_publish(last + 1, tally);
 }
 
-void GlobalCounter::lease_release(GlobalCount next) {
-  leased_events_.fetch_add(next - lease_first_, std::memory_order_relaxed);
+void GlobalCounter::lease_release(GlobalCount next, TurnTally& tally) {
+  tally.leased_events.add(next - lease_first_);
   lease_active_.store(false, std::memory_order_seq_cst);
   // Publish only if the leaseholder completed events since the last
   // publication (a release right after begin or a stride boundary is a
   // no-op for observers).
-  if (value_.load(std::memory_order_seq_cst) != next) lease_publish(next);
+  if (value_.load(std::memory_order_seq_cst) != next) {
+    lease_publish(next, tally);
+  }
 }
 
 void GlobalCounter::advance_to(GlobalCount target) {
@@ -221,14 +239,9 @@ void GlobalCounter::advance_to(GlobalCount target) {
 
 SchedStats GlobalCounter::stats() const {
   SchedStats s = gate_.stats();
-  s.ticks = ticks_.load(std::memory_order_relaxed);
-  s.sections = sections_.load(std::memory_order_relaxed);
   s.stripe_count = stripe_count_;
   s.stripe_waits = stripe_waits_.load(std::memory_order_relaxed);
   s.section_wait_micros = section_wait_micros_.load(std::memory_order_relaxed);
-  s.leases_taken = leases_.load(std::memory_order_relaxed);
-  s.leased_events = leased_events_.load(std::memory_order_relaxed);
-  s.lease_publish_count = lease_publishes_.load(std::memory_order_relaxed);
   std::uint64_t worst = 0;
   for (std::size_t i = 0; i < stripe_count_; ++i) {
     worst = std::max(worst,

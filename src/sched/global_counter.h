@@ -38,26 +38,32 @@
 //
 // Replay mode: `await(g)` blocks a thread until the counter reaches its next
 // event's recorded value; `tick()` releases the next event in the total
-// order.
+// order.  A one-event interval takes exactly that pair; only an interval of
+// two or more events is leased (below).
 //
 // Interval-leased replay (`lease_begin`/`lease_publish`/`lease_complete`):
 // a thread whose next event opens a logical schedule interval [first, last]
-// performs ONE await(first), leases the whole range, executes the
-// interval's events with thread-local bookkeeping (no atomics, no mutex,
-// no wakeup scans — by the interval definition no other thread has a
-// recorded event inside the range), and publishes the entire interval with
-// a single lease_complete.  Long intervals publish partial progress every
-// stride events via lease_publish so `value()` observers (the stall
-// detector, checkpoint snapshots, SchedStats) never see a frozen counter;
-// published values only ever under-report executed progress, never
-// over-report (docs/INTERNALS.md §1b).  Replay's turn protocol guarantees
+// with last > first performs ONE await(first), leases the whole range,
+// executes the interval's events with thread-local bookkeeping (no
+// atomics, no mutex, no wakeup scans — by the interval definition no other
+// thread has a recorded event inside the range), and publishes the entire
+// interval with a single lease_complete.  Long intervals publish partial
+// progress every stride events via lease_publish so `value()` observers
+// (the stall detector, checkpoint snapshots, SchedStats) never see a
+// frozen counter; published values only ever under-report executed
+// progress, never over-report (docs/INTERNALS.md §1b).  Replay's turn protocol guarantees
 // at most one lease exists at a time.
 //
 // Replay turn waits, poison and the stall detector live in the counter's
 // TurnGate (sched/turn_gate.h), which causal replay shares.  value(), the
 // await fast path and replay-mode tick() with nobody parked never take a
-// mutex.  Concurrency contract: with_section() calls on the same stripe
-// are mutually exclusive with each other but NOT with tick(); the two are
+// mutex, and they write no shared cache line but value_ itself: every
+// per-event and per-interval count (ticks, sections, leases, fast waits)
+// goes to the calling thread's TurnTally (sched/turn_tally.h), a slot
+// tally() hands each thread, and stats() sums the slots.
+//
+// Concurrency contract: with_section() calls on the same stripe are
+// mutually exclusive with each other but NOT with tick(); the two are
 // never mixed concurrently — with_section() is the record-mode event path,
 // tick() the replay-mode one, where the turn protocol already serializes
 // tickers.
@@ -101,6 +107,10 @@ struct StripeHold {
   std::uint64_t word = 0;
   /// The key this thread last published as the holder's key.
   SectionKey key = 0;
+  /// The stripe this thread last gave up while its owner line still held
+  /// `word`, or kNone.  Re-taking it while it is still free restores
+  /// `word` without a clock read (GlobalCounter::take_stripe).
+  std::size_t yielded = kNone;
 };
 
 /// Thread-safe global counter; replay turn-waiting goes through its gate.
@@ -132,10 +142,15 @@ class GlobalCounter {
   /// register-vs-publish pairing (see TurnGate::published()).
   GlobalCount value() const { return value_.load(std::memory_order_acquire); }
 
+  /// Hands the calling thread its tally (TurnGate::tally): every counter
+  /// operation below counts in the tally its caller passes, and stats()
+  /// sums them all.  A thread claims one and passes it to every call.
+  TurnTally& tally() { return gate_.tally(); }
+
   /// Marks one critical event: atomically assigns the current value to the
   /// event and increments.  Returns the assigned value.  Lock-free unless a
   /// waiter is parked; then the one waiter whose turn arrived is notified.
-  GlobalCount tick();
+  GlobalCount tick(TurnTally& tally);
 
   /// GC-critical section: runs `f` holding only the stripe `key` hashes
   /// to, with the event's number assigned by an atomic fetch_add while the
@@ -145,8 +160,9 @@ class GlobalCounter {
   /// hash collisions, which only over-serialize — with one stripe, every
   /// event collides) stay atomic with their numbering.
   template <typename F>
-  GlobalCount with_section(SectionKey key, F&& f) {
-    return run_section(stripes_[stripe_index(key)], std::forward<F>(f));
+  GlobalCount with_section(SectionKey key, TurnTally& tally, F&& f) {
+    return run_section(stripes_[stripe_index(key)], tally,
+                       std::forward<F>(f));
   }
 
   /// The same section under the record quantum: the calling thread first
@@ -156,9 +172,10 @@ class GlobalCounter {
   /// whose key merely collides with the holder's enters the section
   /// without holding the stripe.  The holder pays one owner-line load and
   /// one relaxed store per event, and reads the clock only when it takes a
-  /// stripe.  With record_quantum 0 this is with_section(key, f).
+  /// stripe.  With record_quantum 0 this is with_section(key, tally, f).
   template <typename F>
-  GlobalCount with_section(SectionKey key, StripeHold& hold, F&& f) {
+  GlobalCount with_section(SectionKey key, StripeHold& hold, TurnTally& tally,
+                           F&& f) {
     const std::size_t i = stripe_index(key);
     Stripe& s = stripes_[i];
     if (quantum_us_ != 0 &&
@@ -176,7 +193,7 @@ class GlobalCounter {
       s.entries.store(s.entries.load(std::memory_order_relaxed) + 1,
                       std::memory_order_relaxed);
     }
-    return run_section(s, std::forward<F>(f));
+    return run_section(s, tally, std::forward<F>(f));
   }
 
   /// Gives up the stripe `hold` names, if the caller still holds it, so a
@@ -186,8 +203,11 @@ class GlobalCounter {
   void yield_stripe(StripeHold& hold) {
     if (hold.stripe == StripeHold::kNone) return;
     std::uint64_t expected = hold.word;
-    stripes_[hold.stripe].owner.compare_exchange_strong(
-        expected, 0, std::memory_order_release, std::memory_order_relaxed);
+    hold.yielded = stripes_[hold.stripe].owner.compare_exchange_strong(
+                       expected, 0, std::memory_order_release,
+                       std::memory_order_relaxed)
+                       ? hold.stripe
+                       : StripeHold::kNone;
     hold.stripe = StripeHold::kNone;
   }
 
@@ -196,7 +216,7 @@ class GlobalCounter {
   /// events whose body snapshots state owned by arbitrary other objects —
   /// checkpoint barriers — where per-object exclusion is not enough.
   template <typename F>
-  GlobalCount with_exclusive_section(F&& f) {
+  GlobalCount with_exclusive_section(TurnTally& tally, F&& f) {
     check_no_lease();
     GlobalCount v;
     {
@@ -207,7 +227,7 @@ class GlobalCounter {
         stripes_[i - 1].mutex.unlock();
       }
     }
-    sections_.fetch_add(1, std::memory_order_relaxed);
+    tally.sections.add();
     return v;
   }
 
@@ -231,8 +251,9 @@ class GlobalCounter {
   /// interval's events locally.  Throws UsageError when the counter is not
   /// at `first` or another lease is already active — replay's turn
   /// protocol admits exactly one owner, so either means a protocol bug at
-  /// the call site, not a schedule divergence.
-  void lease_begin(GlobalCount first, GlobalCount last);
+  /// the call site, not a schedule divergence.  The lease calls count in
+  /// the leaseholder's `tally`.
+  void lease_begin(GlobalCount first, GlobalCount last, TurnTally& tally);
 
   /// Publishes partial progress inside the active lease: the counter jumps
   /// to `next`, the leaseholder's next unexecuted value (first < next <=
@@ -240,25 +261,25 @@ class GlobalCounter {
   /// `next - value()` individual ticks.  Stride publication only ever
   /// under-reports executed progress — `next` counts completed events — so
   /// value() observers see a correct lower bound.
-  void lease_publish(GlobalCount next);
+  void lease_publish(GlobalCount next, TurnTally& tally);
 
   /// Completes the lease at interval end: publishes `last + 1` (the whole
   /// interval becomes visible in one publication) and releases ownership,
   /// waking the thread whose turn `last + 1` is.
-  void lease_complete(GlobalCount last);
+  void lease_complete(GlobalCount last, TurnTally& tally);
 
   /// Releases the lease early at `next`, the leaseholder's next unexecuted
   /// value (quiescing for an event that needs the counter exact, e.g. a
   /// checkpoint barrier): publishes any locally completed events and drops
   /// ownership without reaching interval end.
-  void lease_release(GlobalCount next);
+  void lease_release(GlobalCount next, TurnTally& tally);
 
   /// Blocks until the counter equals `target` (replay turn-waiting, see
   /// TurnGate::wait).  Throws ReplayDivergenceError if the counter is
   /// already past `target` (an earlier event over-ticked — the log and the
   /// execution disagree), when poisoned, or when the stall detector fires.
-  void await(GlobalCount target) {
-    const GlobalCount v = gate_.wait(value_, target);
+  void await(GlobalCount target, TurnTally& tally) {
+    const GlobalCount v = gate_.wait(value_, target, tally);
     if (v != target) throw_passed(target, v);
   }
 
@@ -270,8 +291,10 @@ class GlobalCounter {
   void runner_ended() { gate_.runner_ended(); }
   bool spins() const { return gate_.spins(); }
 
-  /// Self-measurement snapshot (lock-free, monotone between calls); the
-  /// wait fields count every wait through gate(), causal ones included.
+  /// Self-measurement snapshot (monotone between calls; it locks only the
+  /// tally list, never the turn path).  The per-event counts are the sums
+  /// of every thread's tally; the wait fields count every wait through
+  /// gate(), causal ones included.
   SchedStats stats() const;
 
   /// Stripes in the record-section lock table (1 = the single section).
@@ -345,7 +368,7 @@ class GlobalCounter {
 
   /// The section body shared by both with_section overloads.
   template <typename F>
-  GlobalCount run_section(Stripe& s, F&& f) {
+  GlobalCount run_section(Stripe& s, TurnTally& tally, F&& f) {
     check_no_lease();
     GlobalCount v;
     {
@@ -357,12 +380,13 @@ class GlobalCounter {
       v = value_.fetch_add(1, std::memory_order_seq_cst);
       std::forward<F>(f)(v);
     }
-    sections_.fetch_add(1, std::memory_order_relaxed);
+    tally.sections.add();
     return v;
   }
 
   /// Record quantum slow path: gives up `hold`'s old stripe and holds
-  /// stripe `i` for `key` — claiming it at once when free, else after
+  /// stripe `i` for `key` — claiming it at once when free (with the old
+  /// owner word when `i` is the stripe `hold` just yielded), else after
   /// quantum_wait — and returns true.  Returns false, holding nothing,
   /// when the stripe's holder uses another key: a collision is no reason
   /// to wait.
@@ -379,6 +403,11 @@ class GlobalCounter {
   /// as the holder's key.
   bool claim(Stripe& s, std::uint64_t expected, SectionKey key,
              StripeHold& hold, std::uint64_t now_us);
+
+  /// claim() with the owner word given: CASes `s`'s owner line from
+  /// `expected` to `word`.
+  bool claim_word(Stripe& s, std::uint64_t expected, std::uint64_t word,
+                  SectionKey key, StripeHold& hold);
 
   /// Microseconds since the counter's epoch (the owner-word time base).
   std::uint64_t now_us() const;
@@ -400,9 +429,9 @@ class GlobalCounter {
 
   /// A spinning waiter polls value_ and the gate's poison flag, so both
   /// sit on cache lines that nothing else writes per turn: a lease's own
-  /// bookkeeping (lease_active_, the stats) would otherwise invalidate
-  /// every spinner's copy several times per handoff.  Likewise the stats,
-  /// written per event, stay off the lines every record section reads.
+  /// bookkeeping (lease_active_) would otherwise invalidate every
+  /// spinner's copy several times per handoff.  The per-turn counts live
+  /// in the threads' tallies, off every shared line.
   alignas(64) TurnCell value_{0};
   TurnGate gate_;
 
@@ -419,13 +448,9 @@ class GlobalCounter {
   std::atomic<bool> lease_active_{false};
   GlobalCount lease_first_ = 0;
 
-  // Stats (relaxed; exactness across threads is not required).
-  alignas(64) std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<std::uint64_t> sections_{0};
-  std::atomic<std::uint64_t> lease_publishes_{0};
-  std::atomic<std::uint64_t> leases_{0};
-  std::atomic<std::uint64_t> leased_events_{0};
-  std::atomic<std::uint64_t> stripe_waits_{0};
+  // Rare-path stats (relaxed; exactness across threads is not required):
+  // contended stripes and quantum waits only.
+  alignas(64) std::atomic<std::uint64_t> stripe_waits_{0};
   std::atomic<std::uint64_t> section_wait_micros_{0};
   std::atomic<std::uint64_t> quantum_waits_{0};
   std::atomic<std::uint64_t> quantum_wait_micros_{0};

@@ -20,7 +20,8 @@ namespace djvu::sched {
 /// A point-in-time snapshot of one GlobalCounter's self-measurements.
 /// Plain values — taking a snapshot never blocks the scheduler.
 struct SchedStats {
-  /// Counter increments via tick() (replay-mode event completions).
+  /// Counter increments via tick() (replay-mode event completions outside
+  /// a lease: every event per-event, one-event intervals when leasing).
   std::uint64_t ticks = 0;
 
   /// GC-critical sections executed via with_section() (record-mode events).
@@ -92,8 +93,9 @@ struct SchedStats {
   std::uint64_t quantum_yielded = 0;
   std::uint64_t quantum_expired = 0;
 
-  /// Replay interval leases taken (one per logical schedule interval when
-  /// leasing is on; 0 under the paper-faithful per-event protocol).
+  /// Replay interval leases taken (one per logical schedule interval of
+  /// two or more events when leasing is on — a one-event interval ticks;
+  /// 0 under the paper-faithful per-event protocol).
   std::uint64_t leases_taken = 0;
 
   /// Critical events executed under a lease with thread-local bookkeeping

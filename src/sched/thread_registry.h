@@ -35,6 +35,11 @@ struct ThreadState {
   /// quantum (GlobalCounter::with_section / yield_stripe).
   StripeHold stripe_hold;
 
+  /// This thread's scheduler tally (sched/turn_tally.h): a slot the VM's
+  /// counter handed it at registration, passed to every counter, gate and
+  /// causal-order call the thread makes.  Never null once registered.
+  TurnTally* tally = nullptr;
+
   /// Replay mode: cursor over this thread's recorded intervals.
   IntervalCursor cursor;
 
@@ -133,14 +138,16 @@ class ThreadRegistry {
   ThreadRegistry(const ThreadRegistry&) = delete;
   ThreadRegistry& operator=(const ThreadRegistry&) = delete;
 
-  /// Creates the state for the next thread (creation order).  Thread-safety
-  /// note: in record/replay modes callers must invoke this from inside the
-  /// spawn critical event so that numbering is part of the schedule.
-  ThreadState& register_thread() {
+  /// Creates the state for the next thread (creation order), counting in
+  /// `tally` (GlobalCounter::tally).  Thread-safety note: in record/replay
+  /// modes callers must invoke this from inside the spawn critical event so
+  /// that numbering is part of the schedule.
+  ThreadState& register_thread(TurnTally& tally) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto& state = threads_.emplace_back(std::make_unique<ThreadState>());
     state->num = static_cast<ThreadNum>(threads_.size() - 1);
     state->stripe_hold.token = state->num + 1;
+    state->tally = &tally;
     return *state;
   }
 

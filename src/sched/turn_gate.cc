@@ -57,7 +57,8 @@ void TurnGate::release_reached(const TurnCell& cell, std::uint64_t v) {
   }
 }
 
-std::uint64_t TurnGate::wait_slow(const TurnCell& cell, std::uint64_t target) {
+std::uint64_t TurnGate::wait_slow(const TurnCell& cell, std::uint64_t target,
+                                  TurnTally& tally) {
   // Spin phase: poll without registering, so publishers keep their
   // lock-free path.  A cell published past the target, like a budget that
   // ran out, falls through to the park path, whose re-check reports it.
@@ -68,8 +69,8 @@ std::uint64_t TurnGate::wait_slow(const TurnCell& cell, std::uint64_t target) {
     if (poisoned_.load(std::memory_order_acquire)) throw_poisoned();
     const std::uint64_t v = cell.load(std::memory_order_seq_cst);
     if (v == target) {
-      waits_fast_.fetch_add(1, std::memory_order_relaxed);
-      waits_spun_.fetch_add(1, std::memory_order_relaxed);
+      tally.waits_fast.add();
+      tally.waits_spun.add();
       return v;
     }
   }
@@ -174,9 +175,8 @@ void TurnGate::poison() {
 
 SchedStats TurnGate::stats() const {
   SchedStats s;
-  s.waits_fast = waits_fast_.load(std::memory_order_relaxed);
+  tallies_.add_to(s);
   s.waits_parked = waits_parked_.load(std::memory_order_relaxed);
-  s.waits_spun = waits_spun_.load(std::memory_order_relaxed);
   s.wakeups_delivered = wakeups_delivered_.load(std::memory_order_relaxed);
   s.wakeups_spurious = wakeups_spurious_.load(std::memory_order_relaxed);
   s.stall_detections = stall_detections_.load(std::memory_order_relaxed);

@@ -27,6 +27,7 @@
 #include <optional>
 
 #include "sched/sched_stats.h"
+#include "sched/turn_tally.h"
 
 namespace djvu::sched {
 
@@ -45,19 +46,26 @@ class TurnGate {
   /// just not as eagerly as a certain deadlock).
   static constexpr int kStallGraceFactor = 8;
 
+  /// Hands the calling thread a tally of its own (TurnTally): every wait
+  /// and counter operation of that thread counts there, and stats() sums
+  /// them.  Threads claim one when they register and keep it.
+  TurnTally& tally() { return tallies_.claim(); }
+
   /// Blocks until `cell` reaches `target` and returns the value it then
   /// observed: `target` on the turn, more when the cell was already or has
   /// since been published past it (the caller reports that divergence).
-  /// Throws ReplayDivergenceError when poisoned (kPoisoned) or when the
-  /// stall detector fires (kStall).
-  std::uint64_t wait(const TurnCell& cell, std::uint64_t target) {
+  /// A wait that never parked counts in the caller's `tally`.  Throws
+  /// ReplayDivergenceError when poisoned (kPoisoned) or when the stall
+  /// detector fires (kStall).
+  std::uint64_t wait(const TurnCell& cell, std::uint64_t target,
+                     TurnTally& tally) {
     if (poisoned_.load(std::memory_order_acquire)) throw_poisoned();
     const std::uint64_t v = cell.load(std::memory_order_seq_cst);
     if (v == target) {
-      waits_fast_.fetch_add(1, std::memory_order_relaxed);
+      tally.waits_fast.add();
       return v;
     }
-    return v > target ? v : wait_slow(cell, target);
+    return v > target ? v : wait_slow(cell, target, tally);
   }
 
   /// Tells the gate `cell` now holds `v`.  Call after every store to a
@@ -91,13 +99,15 @@ class TurnGate {
   bool spins() const { return spins_; }
 
   /// The wait-side SchedStats fields (waits, wakeups, stall detections,
-  /// parked high water, parked time); every other field is 0.
+  /// parked high water, parked time) plus the sums of every tally this
+  /// gate handed out; every other field is 0.
   SchedStats stats() const;
 
  private:
   struct Waiter;
 
-  std::uint64_t wait_slow(const TurnCell& cell, std::uint64_t target);
+  std::uint64_t wait_slow(const TurnCell& cell, std::uint64_t target,
+                          TurnTally& tally);
   void release_reached(const TurnCell& cell, std::uint64_t v);
   [[noreturn]] static void throw_poisoned();
 
@@ -111,11 +121,12 @@ class TurnGate {
   const std::chrono::milliseconds stall_timeout_;
   const bool spins_;
 
-  // Stats (relaxed; exactness across threads is not required), on their
-  // own lines: every wait writes one.
-  alignas(64) std::atomic<std::uint64_t> waits_fast_{0};
-  std::atomic<std::uint64_t> waits_parked_{0};
-  std::atomic<std::uint64_t> waits_spun_{0};
+  /// Every per-wait and per-turn count, one tally per thread.
+  TallyBoard tallies_;
+
+  // Rare-path stats (relaxed; exactness across threads is not required),
+  // on their own lines: only a parking or parked wait writes them.
+  alignas(64) std::atomic<std::uint64_t> waits_parked_{0};
   std::atomic<std::uint64_t> wakeups_delivered_{0};
   std::atomic<std::uint64_t> wakeups_spurious_{0};
   std::atomic<std::uint64_t> stall_detections_{0};

@@ -130,7 +130,7 @@ void Vm::attach_main() {
   if (registry_.size() != 0) {
     throw UsageError("attach_main after threads were already registered");
   }
-  sched::ThreadState& state = registry_.register_thread();
+  sched::ThreadState& state = registry_.register_thread(counter_.tally());
   if (config_.mode == Mode::kReplay) {
     const auto& per_thread = replay_log_->schedule.per_thread;
     if (!per_thread.empty()) {
@@ -181,7 +181,7 @@ sched::ThreadState& Vm::current_state() {
 }
 
 sched::ThreadState& Vm::register_child_thread() {
-  sched::ThreadState& state = registry_.register_thread();
+  sched::ThreadState& state = registry_.register_thread(counter_.tally());
   if (config_.mode == Mode::kReplay) {
     const auto& per_thread = replay_log_->schedule.per_thread;
     if (state.num < per_thread.size()) {
@@ -498,13 +498,13 @@ GlobalCount Vm::replay_turn_wait(sched::ThreadState& state, bool leasable,
       const sched::SectionKey key =
           conflict_section_key(state.num, conflict);
       const sched::CausalOrder::Ticket t = state.causal_lookup(key, *causal_);
-      causal_->await(t, key, seq);
+      causal_->await(t, key, seq, *state.tally);
       state.causal_ticket = t;
       state.causal_pending = true;
       return g;
     }
     if (!config_.tuning.replay_leasing) {
-      counter_.await(g);
+      counter_.await(g, *state.tally);
       return g;
     }
     if (state.lease_active) {
@@ -515,10 +515,13 @@ GlobalCount Vm::replay_turn_wait(sched::ThreadState& state, bool leasable,
       // progress until the next stride publication.
       return g;
     }
-    counter_.await(g);
-    if (leasable) {
-      const GlobalCount last = state.cursor.interval_last();
-      counter_.lease_begin(g, last);
+    counter_.await(g, *state.tally);
+    // A one-event interval takes no lease: the plain tick after the event
+    // publishes it, and a lease would only add writes to the shared
+    // lease flag on the turn's critical path (docs/INTERNALS.md §1b).
+    const GlobalCount last = state.cursor.interval_last();
+    if (leasable && last > g) {
+      counter_.lease_begin(g, last, *state.tally);
       state.lease_active = true;
       state.lease_end = last;
       state.lease_next_publish = g + kLeasePublishStride;
@@ -539,7 +542,7 @@ void Vm::replay_turn_done(sched::ThreadState& state, GlobalCount g) {
     // The tick keeps value() (finish_replay's count check, stats, stall
     // observers) moving; ticks from different threads may interleave here,
     // which is safe — no thread ever awaits the counter in causal replay.
-    counter_.tick();
+    counter_.tick(*state.tally);
     state.cursor.advance();
     if (state.causal_pending) {
       state.causal_pending = false;
@@ -549,25 +552,25 @@ void Vm::replay_turn_done(sched::ThreadState& state, GlobalCount g) {
   }
   if (state.lease_active) {
     if (g == state.lease_end) {
-      counter_.lease_complete(g);
+      counter_.lease_complete(g, *state.tally);
       state.lease_active = false;
     } else if (g + 1 == state.lease_next_publish) {
       // Keep value() observers (stall detector, checkpoints, stats) from
       // seeing a frozen counter across a long interval.  Under-reporting
       // between strides is safe: no waiter's turn lies inside the lease.
-      counter_.lease_publish(g + 1);
+      counter_.lease_publish(g + 1, *state.tally);
       state.lease_next_publish = g + 1 + kLeasePublishStride;
     }
     state.cursor.advance();
     return;
   }
-  counter_.tick();
+  counter_.tick(*state.tally);
   state.cursor.advance();
 }
 
 void Vm::lease_quiesce(sched::ThreadState& state) {
   if (!state.lease_active) return;
-  counter_.lease_release(state.cursor.peek());
+  counter_.lease_release(state.cursor.peek(), *state.tally);
   state.lease_active = false;
 }
 
@@ -608,7 +611,7 @@ GlobalCount Vm::critical_event(sched::EventKind kind, const EventBody& body,
               "order_mode=total: they exclude every key at once, which a "
               "per-key partial order cannot express");
         }
-        gc = counter_.with_exclusive_section(section_body);
+        gc = counter_.with_exclusive_section(*state.tally, section_body);
       } else {
         // Thread-local events key on the thread number, made odd so it can
         // never collide with an aligned object address.  With one stripe
@@ -622,14 +625,15 @@ GlobalCount Vm::critical_event(sched::EventKind kind, const EventBody& body,
           // seq order == section-acquisition order == object access order.
           const sched::CausalOrder::Ticket t =
               state.causal_lookup(key, *causal_);
-          gc = counter_.with_section(key, state.stripe_hold,
+          gc = counter_.with_section(key, state.stripe_hold, *state.tally,
                                      [&](GlobalCount g) {
                                        section_body(g);
                                        state.causal_buf.push_back(
                                            causal_->record_next(t));
                                      });
         } else {
-          gc = counter_.with_section(key, state.stripe_hold, section_body);
+          gc = counter_.with_section(key, state.stripe_hold, *state.tally,
+                                     section_body);
         }
       }
       after_event(state, kind, aux, gc);

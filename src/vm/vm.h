@@ -232,9 +232,10 @@ class Vm {
   GlobalCount critical_events() const;
 
   /// Scheduler self-measurements (ticks, waits, targeted wakeups, stall
-  /// detections — see sched/sched_stats.h).  Snapshot; never blocks.  The
-  /// wait fields count causal per-key waits too: they share the counter's
-  /// turn gate.
+  /// detections — see sched/sched_stats.h).  Snapshot; it never blocks
+  /// the scheduler (it sums the threads' tallies under the lock only
+  /// thread registration takes).  The wait fields count causal per-key
+  /// waits too: they share the counter's turn gate.
   sched::SchedStats sched_stats() const { return counter_.stats(); }
 
   /// Network critical events executed so far ("#nw events").

@@ -38,13 +38,15 @@ using sched::CausalOrder;
 using sched::TurnGate;
 
 /// A stand-alone order over its own gate, as a Vm builds one over its
-/// counter's gate.
+/// counter's gate.  `me` is the test thread's tally; other threads claim
+/// their own.
 struct GatedOrder {
   explicit GatedOrder(std::chrono::milliseconds stall_timeout =
                           std::chrono::milliseconds(10000))
-      : gate(stall_timeout), order(gate) {}
+      : gate(stall_timeout), order(gate), me(gate.tally()) {}
   TurnGate gate;
   CausalOrder order;
+  sched::TurnTally& me;
 };
 
 // ---------------------------------------------------------------------------
@@ -63,9 +65,9 @@ TEST(CausalOrderUnit, PerKeySequencesAreIndependent) {
 TEST(CausalOrderUnit, AwaitSeqZeroNeverBlocks) {
   GatedOrder g;
   CausalOrder& o = g.order;
-  o.await(7, 0);  // no predecessor — returns immediately
+  o.await(7, 0, g.me);  // no predecessor — returns immediately
   o.publish(7);
-  o.await(7, 1);  // the publication reached the key's cell
+  o.await(7, 1, g.me);  // the publication reached the key's cell
   EXPECT_EQ(g.gate.stats().waits_fast, 2u);
   EXPECT_EQ(g.gate.stats().waits_parked, 0u);
 }
@@ -77,17 +79,17 @@ TEST(CausalOrderUnit, AwaitBlocksUntilPredecessorPublishes) {
   std::atomic<bool> passed{false};
   std::thread waiter([&] {
     g.gate.runner_began();
-    o.await(7, 2);  // needs two same-key publications first
+    o.await(7, 2, g.gate.tally());  // needs two same-key publications first
     passed.store(true);
     g.gate.runner_ended();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(passed.load());
-  o.await(7, 0);
+  o.await(7, 0, g.me);
   o.publish(7);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(passed.load());  // one publication is not enough
-  o.await(7, 1);
+  o.await(7, 1, g.me);
   o.publish(7);
   waiter.join();
   EXPECT_TRUE(passed.load());
@@ -98,9 +100,9 @@ TEST(CausalOrderUnit, IndependentKeysDoNotWaitOnEachOther) {
   GatedOrder g;
   CausalOrder& o = g.order;
   // Key 9's first event proceeds regardless of key 7's pending history.
-  o.await(9, 0);
+  o.await(9, 0, g.me);
   o.publish(9);
-  o.await(9, 1);
+  o.await(9, 1, g.me);
   EXPECT_EQ(g.gate.stats().waits_fast, 2u);
 }
 
@@ -121,7 +123,7 @@ TEST(CausalOrderUnit, AwaitPastSequenceThrows) {
   CausalOrder& o = g.order;
   o.publish(7);
   o.publish(7);
-  EXPECT_THROW(o.await(7, 1), ReplayDivergenceError);  // count already 2
+  EXPECT_THROW(o.await(7, 1, g.me), ReplayDivergenceError);  // count is 2
 }
 
 TEST(CausalOrderUnit, PoisonUnblocksParkedWaiter) {
@@ -130,7 +132,7 @@ TEST(CausalOrderUnit, PoisonUnblocksParkedWaiter) {
   g.gate.runner_began();
   std::thread waiter([&] {
     g.gate.runner_began();
-    EXPECT_THROW(o.await(7, 5), ReplayDivergenceError);
+    EXPECT_THROW(o.await(7, 5, g.gate.tally()), ReplayDivergenceError);
     g.gate.runner_ended();
   });
   while (g.gate.stats().waits_parked == 0) {
@@ -138,7 +140,7 @@ TEST(CausalOrderUnit, PoisonUnblocksParkedWaiter) {
   }
   g.gate.poison();
   waiter.join();
-  EXPECT_THROW(o.await(8, 0), ReplayDivergenceError);  // future awaits too
+  EXPECT_THROW(o.await(8, 0, g.me), ReplayDivergenceError);  // future ones too
   g.gate.runner_ended();
 }
 
@@ -161,7 +163,7 @@ TEST(CausalOrderUnit, PoisonWhileSpinningThrowsPoisoned) {
     testutil::race_spinner(
         [&] {
           try {
-            o.await(t, 7, 5);
+            o.await(t, 7, 5, g.gate.tally());
           } catch (const ReplayDivergenceError& e) {
             cause = e.cause();
           }
@@ -183,7 +185,7 @@ TEST(CausalOrderUnit, CertainStallWhenEveryRunnerIsParked) {
   CausalOrder& o = g.order;
   g.gate.runner_began();
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(o.await(7, 1), ReplayDivergenceError);
+  EXPECT_THROW(o.await(7, 1, g.me), ReplayDivergenceError);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(50) *
                          TurnGate::kStallGraceFactor);

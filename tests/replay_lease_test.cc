@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/session.h"
@@ -206,6 +209,85 @@ TEST(ReplayLease, ExtraEventMidLeaseDiverges) {
               std::string::npos)
         << e.what();
   }
+}
+
+// A one-event interval ticks without a lease (docs/INTERNALS.md §1b).  The
+// recording has known interval shapes: main and a child alternate strictly,
+// one event each — an atomic outside the VM forces the turns in record, so
+// replay's order is the same — and then main runs one long burst, several
+// lease strides long.  Replay takes one lease per interval of two or more
+// events and none for the rest, each turn is one wait, and the replayed
+// trace is the recorded one under either protocol.
+TEST(ReplayLease, OnlyMultiEventIntervalsTakeALease) {
+  constexpr int kAlternations = 200;
+  constexpr int kBurst = 3000;
+  auto build = [](bool leasing) {
+    core::SessionConfig cfg;
+    cfg.tuning.replay_leasing = leasing;
+    core::Session s(cfg);
+    s.add_vm("app", 1, true, [](vm::Vm& v) {
+      vm::SharedVar<std::uint64_t> a(v, 0);
+      vm::SharedVar<std::uint64_t> b(v, 0);
+      std::atomic<int> whose{0};  // 0: main's turn, 1: the child's
+      auto await_turn = [&whose](int me) {
+        while (whose.load(std::memory_order_acquire) != me) {
+          std::this_thread::yield();
+        }
+      };
+      vm::VmThread child(v, [&] {
+        for (int i = 0; i < kAlternations; ++i) {
+          await_turn(1);
+          b.set(static_cast<std::uint64_t>(i));
+          whose.store(0, std::memory_order_release);
+        }
+      });
+      for (int i = 0; i < kAlternations; ++i) {
+        await_turn(0);
+        a.set(static_cast<std::uint64_t>(i));
+        whose.store(1, std::memory_order_release);
+      }
+      await_turn(0);
+      for (int i = 0; i < kBurst; ++i) a.set(a.get() + 1);
+      child.join();
+    });
+    return s;
+  };
+
+  core::Session leased = build(/*leasing=*/true);
+  auto rec = leased.record(801);
+  ASSERT_TRUE(rec.vm("app").log.has_value());
+  std::uint64_t single = 0, multi = 0, multi_events = 0, longest = 0;
+  for (const auto& thread : rec.vm("app").log->schedule.per_thread) {
+    for (const sched::LogicalInterval& iv : thread) {
+      const std::uint64_t len = iv.last - iv.first + 1;
+      longest = std::max(longest, len);
+      if (len == 1) {
+        ++single;
+      } else {
+        ++multi;
+        multi_events += len;
+      }
+    }
+  }
+  // The shapes the app forced: ~2 one-event intervals per alternation, and
+  // one burst of at least kBurst events.
+  EXPECT_GE(single, 2u * kAlternations - 4);
+  EXPECT_GE(longest, static_cast<std::uint64_t>(2 * kBurst));
+  EXPECT_LE(multi, 8u);
+
+  auto rep = leased.replay(rec, 802);
+  core::verify(rec, rep);
+  const sched::SchedStats& rs = rep.vm("app").sched;
+  EXPECT_EQ(rs.leases_taken, multi);
+  EXPECT_EQ(rs.leased_events, multi_events);
+  EXPECT_EQ(rs.ticks, single);
+  EXPECT_EQ(rs.waits_fast + rs.waits_parked, rs.ticks + rs.leases_taken);
+  EXPECT_EQ(rec.vm("app").trace_digest, rep.vm("app").trace_digest);
+
+  auto plain = build(/*leasing=*/false).replay(rec, 803);
+  core::verify(rec, plain);
+  EXPECT_EQ(plain.vm("app").sched.leases_taken, 0u);
+  EXPECT_EQ(rec.vm("app").trace_digest, plain.vm("app").trace_digest);
 }
 
 // Repeated leased replays of one recording agree bit-for-bit (leasing adds

@@ -35,9 +35,10 @@ namespace {
 
 TEST(GlobalCounter, TickAssignsSequentialValues) {
   GlobalCounter c;
+  TurnTally& me = c.tally();
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(c.tick(), 0u);
-  EXPECT_EQ(c.tick(), 1u);
+  EXPECT_EQ(c.tick(me), 0u);
+  EXPECT_EQ(c.tick(me), 1u);
   EXPECT_EQ(c.value(), 2u);
 }
 
@@ -53,8 +54,9 @@ TEST(GlobalCounter, WithSectionIsAtomicAcrossThreads) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      TurnTally& mine = c.tally();
       for (int i = 0; i < kPerThread; ++i) {
-        c.with_section(SectionKey(0x100u + t), [&](GlobalCount g) {
+        c.with_section(SectionKey(0x100u + t), mine, [&](GlobalCount g) {
           seen[t].push_back(g);
           ++plain;
         });
@@ -80,7 +82,7 @@ TEST(GlobalCounter, OneStripeSerializesDifferentKeys) {
   bool first_done = false;  // plain: written and read only under sections
   GlobalCount first = 0;
   std::thread holder([&] {
-    first = c.with_section(SectionKey{1}, [&](GlobalCount) {
+    first = c.with_section(SectionKey{1}, c.tally(), [&](GlobalCount) {
       inside.store(true, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       first_done = true;
@@ -90,8 +92,9 @@ TEST(GlobalCounter, OneStripeSerializesDifferentKeys) {
     std::this_thread::yield();
   }
   bool saw_first_done = false;
-  const GlobalCount second = c.with_section(
-      SectionKey{2}, [&](GlobalCount) { saw_first_done = first_done; });
+  const GlobalCount second =
+      c.with_section(SectionKey{2}, c.tally(),
+                     [&](GlobalCount) { saw_first_done = first_done; });
   holder.join();
   EXPECT_TRUE(saw_first_done) << "a different key entered the open section";
   EXPECT_EQ(first, 0u);
@@ -111,12 +114,13 @@ TEST(GlobalCounter, AwaitReleasesInOrder) {
   // Three threads wait for turns 2, 1, 0; ticking releases them in order.
   for (int turn = 0; turn < 3; ++turn) {
     threads.emplace_back([&, turn] {
-      c.await(static_cast<GlobalCount>(turn));
+      TurnTally& mine = c.tally();
+      c.await(static_cast<GlobalCount>(turn), mine);
       {
         std::lock_guard<std::mutex> lock(m);
         order.push_back(turn);
       }
-      c.tick();
+      c.tick(mine);
     });
   }
   for (auto& th : threads) th.join();
@@ -125,9 +129,10 @@ TEST(GlobalCounter, AwaitReleasesInOrder) {
 
 TEST(GlobalCounter, AwaitPastValueThrows) {
   GlobalCounter c;
-  c.tick();
-  c.tick();
-  EXPECT_THROW(c.await(0), ReplayDivergenceError);
+  TurnTally& me = c.tally();
+  c.tick(me);
+  c.tick(me);
+  EXPECT_THROW(c.await(0, me), ReplayDivergenceError);
 }
 
 // The thundering-herd regression test: with many threads round-robinning
@@ -140,9 +145,10 @@ TEST(GlobalCounter, RoundRobinWakesOnlyTurnHolder) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      TurnTally& mine = c.tally();
       for (int r = 0; r < kRounds; ++r) {
-        c.await(static_cast<GlobalCount>(r * kThreads + t));
-        c.tick();
+        c.await(static_cast<GlobalCount>(r * kThreads + t), mine);
+        c.tick(mine);
       }
     });
   }
@@ -171,13 +177,15 @@ TEST(GlobalCounter, RoundRobinWakesOnlyTurnHolder) {
 
 TEST(GlobalCounter, StatsDistinguishFastAndParkedWaits) {
   GlobalCounter c;
-  c.await(0);  // turn already arrived: lock-free fast path
+  TurnTally& me = c.tally();
+  c.await(0, me);  // turn already arrived: lock-free fast path
   EXPECT_EQ(c.stats().waits_fast, 1u);
   EXPECT_EQ(c.stats().waits_parked, 0u);
 
-  std::thread waiter([&] { c.await(1); });  // value is 0: must park
+  // Value is 0: must park.
+  std::thread waiter([&] { c.await(1, c.tally()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  c.tick();
+  c.tick(me);
   waiter.join();
 
   const SchedStats s = c.stats();
@@ -190,11 +198,58 @@ TEST(GlobalCounter, StatsDistinguishFastAndParkedWaits) {
 
 TEST(GlobalCounter, WithSectionCountsSections) {
   GlobalCounter c;
-  c.with_section(SectionKey{1}, [](GlobalCount) {});
-  c.with_section(SectionKey{2}, [](GlobalCount) {});
+  TurnTally& me = c.tally();
+  c.with_section(SectionKey{1}, me, [](GlobalCount) {});
+  c.with_section(SectionKey{2}, me, [](GlobalCount) {});
   const SchedStats s = c.stats();
   EXPECT_EQ(s.sections, 2u);
   EXPECT_EQ(s.ticks, 0u);
+}
+
+// Every per-event count lives in the tally of the thread that did the
+// work, and stats() sums them exactly — read while the writers run, and
+// again once they are done.
+TEST(GlobalCounter, PerThreadTalliesSumExactly) {
+  GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/8);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      TurnTally& mine = c.tally();
+      for (int i = 0; i < kPerThread; ++i) {
+        c.with_section(SectionKey(0x100u + t), mine, [](GlobalCount) {});
+        // The replay-side counts, bumped straight: no turn order needed.
+        mine.waits_fast.add();
+        mine.leases_taken.add();
+        mine.leased_events.add(static_cast<std::uint64_t>(t) + 1);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // A concurrent reader sees every count only grow.
+  SchedStats last;
+  while (running.load() != 0) {
+    const SchedStats now = c.stats();
+    EXPECT_GE(now.sections, last.sections);
+    EXPECT_GE(now.waits_fast, last.waits_fast);
+    EXPECT_GE(now.leased_events, last.leased_events);
+    last = now;
+  }
+  for (auto& th : threads) th.join();
+  const SchedStats s = c.stats();
+  const std::uint64_t total = std::uint64_t{kThreads} * kPerThread;
+  EXPECT_EQ(s.sections, total);
+  EXPECT_EQ(s.waits_fast, total);
+  EXPECT_EQ(s.leases_taken, total);
+  // Thread t adds t + 1 per round: kPerThread * (1 + 2 + ... + kThreads).
+  EXPECT_EQ(s.leased_events,
+            std::uint64_t{kPerThread} * kThreads * (kThreads + 1) / 2);
+  EXPECT_EQ(s.ticks, 0u);
+  EXPECT_EQ(s.waits_spun, 0u);
+  EXPECT_EQ(s.lease_publish_count, 0u);
+  EXPECT_EQ(c.value(), total);
 }
 
 TEST(GlobalCounter, ShardedSectionsAssignUniqueValues) {
@@ -206,11 +261,13 @@ TEST(GlobalCounter, ShardedSectionsAssignUniqueValues) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      TurnTally& mine = c.tally();
       for (int i = 0; i < kPerThread; ++i) {
         // Alternate between a per-thread key and one shared hot key, so
         // both the independent and the colliding paths are exercised.
         const SectionKey key = (i % 3 == 0) ? 0xdead : (0x1000u + t);
-        c.with_section(key, [&](GlobalCount g) { seen[t].push_back(g); });
+        c.with_section(key, mine,
+                       [&](GlobalCount g) { seen[t].push_back(g); });
       }
     });
   }
@@ -235,8 +292,9 @@ TEST(GlobalCounter, ShardedSameKeySectionsAreMutuallyExclusive) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
+      TurnTally& mine = c.tally();
       for (int i = 0; i < kPerThread; ++i) {
-        c.with_section(SectionKey{42}, [&](GlobalCount) { ++plain; });
+        c.with_section(SectionKey{42}, mine, [&](GlobalCount) { ++plain; });
       }
     });
   }
@@ -254,8 +312,9 @@ TEST(GlobalCounter, ExclusiveSectionExcludesEveryStripe) {
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&, t] {
+      TurnTally& mine = c.tally();
       while (!stop.load(std::memory_order_relaxed)) {
-        c.with_section(SectionKey(0x100u + t), [&](GlobalCount) {
+        c.with_section(SectionKey(0x100u + t), mine, [&](GlobalCount) {
           // Torn on purpose: anyone overlapping this section sees odd sums.
           ++slots[t];
           ++slots[t];
@@ -263,8 +322,9 @@ TEST(GlobalCounter, ExclusiveSectionExcludesEveryStripe) {
       }
     });
   }
+  TurnTally& me = c.tally();
   for (int i = 0; i < 200; ++i) {
-    c.with_exclusive_section([&](GlobalCount) {
+    c.with_exclusive_section(me, [&](GlobalCount) {
       const int sum = slots[0] + slots[1] + slots[2] + slots[3];
       EXPECT_EQ(sum % 2, 0) << "exclusive section overlapped a writer";
     });
@@ -277,7 +337,7 @@ TEST(GlobalCounter, SectionContentionStatsCountBlockedEntries) {
   GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/8);
   std::atomic<bool> inside{false};
   std::thread holder([&] {
-    c.with_section(SectionKey{7}, [&](GlobalCount) {
+    c.with_section(SectionKey{7}, c.tally(), [&](GlobalCount) {
       inside.store(true, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     });
@@ -287,7 +347,7 @@ TEST(GlobalCounter, SectionContentionStatsCountBlockedEntries) {
   }
   // Same key while the holder sleeps inside: the try_lock must fail and the
   // blocked entry must be counted and timed.
-  c.with_section(SectionKey{7}, [](GlobalCount) {});
+  c.with_section(SectionKey{7}, c.tally(), [](GlobalCount) {});
   holder.join();
   const SchedStats s = c.stats();
   EXPECT_EQ(s.stripe_count, 8u);
@@ -299,8 +359,9 @@ TEST(GlobalCounter, SectionContentionStatsCountBlockedEntries) {
 TEST(GlobalCounter, DefaultCounterHasOneStripe) {
   GlobalCounter c;
   EXPECT_EQ(c.record_stripes(), 1u);
-  GlobalCount a = c.with_section(SectionKey{1}, [](GlobalCount) {});
-  GlobalCount b = c.with_section(SectionKey{2}, [](GlobalCount) {});
+  TurnTally& me = c.tally();
+  GlobalCount a = c.with_section(SectionKey{1}, me, [](GlobalCount) {});
+  GlobalCount b = c.with_section(SectionKey{2}, me, [](GlobalCount) {});
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(c.stats().stripe_count, 1u);
@@ -330,9 +391,9 @@ TEST(RecordQuantum, IdleHolderIsPassed) {
                   std::chrono::milliseconds(80));
   StripeHold holder = hold_for(1);
   StripeHold contender = hold_for(2);
-  c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+  c.with_section(SectionKey{1}, holder, c.tally(), [](GlobalCount) {});
   std::thread([&] {
-    c.with_section(SectionKey{1}, contender, [](GlobalCount) {});
+    c.with_section(SectionKey{1}, contender, c.tally(), [](GlobalCount) {});
   }).join();
   const SchedStats s = c.stats();
   EXPECT_EQ(s.quantum_waits, 1u);
@@ -351,17 +412,18 @@ TEST(RecordQuantum, YieldEndsTheWaitAsYielded) {
   GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/1,
                   kLongQuantum);
   bool yielded = false;
+  TurnTally& me = c.tally();
   for (int attempt = 0; attempt < 20 && !yielded; ++attempt) {
     StripeHold holder = hold_for(1);
     StripeHold contender = hold_for(2);
     const SchedStats before = c.stats();
-    c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+    c.with_section(SectionKey{1}, holder, me, [](GlobalCount) {});
     std::thread t([&] {
-      c.with_section(SectionKey{1}, contender, [](GlobalCount) {});
+      c.with_section(SectionKey{1}, contender, c.tally(), [](GlobalCount) {});
       c.yield_stripe(contender);
     });
     while (c.stats().quantum_waits == before.quantum_waits) {
-      c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+      c.with_section(SectionKey{1}, holder, me, [](GlobalCount) {});
     }
     c.yield_stripe(holder);
     t.join();
@@ -380,19 +442,20 @@ TEST(RecordQuantum, BusyHolderKeepsTheStripeForOneQuantum) {
   GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/1,
                   kQuantum);
   bool expired = false;
+  TurnTally& me = c.tally();
   for (int attempt = 0; attempt < 20 && !expired; ++attempt) {
     StripeHold holder = hold_for(1);
     StripeHold contender = hold_for(2);
     const SchedStats before = c.stats();
-    c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+    c.with_section(SectionKey{1}, holder, me, [](GlobalCount) {});
     std::atomic<bool> done{false};
     std::thread t([&] {
-      c.with_section(SectionKey{1}, contender, [](GlobalCount) {});
+      c.with_section(SectionKey{1}, contender, c.tally(), [](GlobalCount) {});
       c.yield_stripe(contender);
       done.store(true, std::memory_order_release);
     });
     while (!done.load(std::memory_order_acquire)) {
-      c.with_section(SectionKey{1}, holder, [](GlobalCount) {});
+      c.with_section(SectionKey{1}, holder, me, [](GlobalCount) {});
     }
     t.join();
     c.yield_stripe(holder);
@@ -403,6 +466,54 @@ TEST(RecordQuantum, BusyHolderKeepsTheStripeForOneQuantum) {
     expired = after.quantum_expired == before.quantum_expired + 1;
   }
   EXPECT_TRUE(expired);
+}
+
+// A thread that gave its stripe up before it blocked (a network event)
+// and re-takes it while it is still free restores its old owner word: no
+// clock read, and the quantum counts on from the original take.  Taking
+// any other stripe in between gives it a fresh word.
+TEST(RecordQuantum, RetakingTheYieldedStripeKeepsItsTakeTime) {
+  // Two stripes; keys are probed for one on each.
+  GlobalCounter c(std::chrono::milliseconds(10000), /*record_stripes=*/2,
+                  kLongQuantum);
+  TurnTally& me = c.tally();
+  StripeHold h = hold_for(1);
+  const auto noop = [](GlobalCount) {};
+  c.with_section(SectionKey{1}, h, me, noop);
+  const std::size_t first_stripe = h.stripe;
+  SectionKey other = 2;
+  for (;; ++other) {
+    StripeHold probe = hold_for(2);
+    c.with_section(other, probe, me, noop);
+    const std::size_t got = probe.stripe;  // kNone: it collided with h's
+    c.yield_stripe(probe);
+    if (got != StripeHold::kNone && got != first_stripe) break;
+  }
+  const std::uint64_t word = h.word;
+
+  c.yield_stripe(h);
+  EXPECT_EQ(h.stripe, StripeHold::kNone);
+  EXPECT_EQ(h.yielded, first_stripe);
+  // Long enough that a fresh take would stamp another microsecond.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  c.with_section(SectionKey{1}, h, me, noop);
+  EXPECT_EQ(h.stripe, first_stripe);
+  EXPECT_EQ(h.word, word) << "the re-take stamped a new take time";
+  EXPECT_EQ(h.yielded, StripeHold::kNone);
+
+  // Yield, move to the other stripe, come back: both takes are fresh.
+  c.yield_stripe(h);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  c.with_section(other, h, me, noop);
+  EXPECT_NE(h.stripe, first_stripe);
+  const std::uint64_t other_word = h.word;
+  EXPECT_NE(other_word, word);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  c.with_section(SectionKey{1}, h, me, noop);
+  EXPECT_EQ(h.stripe, first_stripe);
+  EXPECT_NE(h.word, word);
+  EXPECT_NE(h.word, other_word);
+  EXPECT_EQ(c.stats().quantum_waits, 0u);
 }
 
 /// A recording of 4 threads doing get+set on one SharedVar.
@@ -489,7 +600,7 @@ TEST(RecordQuantum, OutOfRangeQuantumIsAUsageError) {
 // for the innocent waiter.
 TEST(GlobalCounter, AdvanceToSkippingParkedWaiterThrowsUsageError) {
   GlobalCounter c;
-  std::thread waiter([&] { c.await(5); });
+  std::thread waiter([&] { c.await(5, c.tally()); });
   while (c.stats().waits_parked == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -519,10 +630,10 @@ TEST(GlobalCounter, StallHeldOffWhileAnotherRunnerIsActive) {
   GlobalCounter c(std::chrono::milliseconds(100));
   c.runner_began();  // the (slow, never-parked) ticker
   c.runner_began();  // the waiter below
-  std::thread waiter([&] { c.await(1); });
+  std::thread waiter([&] { c.await(1, c.tally()); });
   // Well past one stall window — a parked-only detector would fire here.
   std::this_thread::sleep_for(std::chrono::milliseconds(350));
-  c.tick();
+  c.tick(c.tally());
   waiter.join();
   EXPECT_EQ(c.stats().stall_detections, 0u);
   c.runner_ended();
@@ -535,7 +646,7 @@ TEST(GlobalCounter, StallFiresQuicklyWhenAllRunnersParked) {
   GlobalCounter c(std::chrono::milliseconds(100));
   c.runner_began();
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(c.await(1), ReplayDivergenceError);
+  EXPECT_THROW(c.await(1, c.tally()), ReplayDivergenceError);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(100) * 5);
   EXPECT_EQ(c.stats().stall_detections, 1u);
@@ -581,9 +692,11 @@ void trickle_past_grace(TurnGate& gate, std::chrono::milliseconds window,
 TEST(GlobalCounter, PublicationsRestartTheStallGrace) {
   constexpr std::chrono::milliseconds kWindow(20);
   GlobalCounter c(kWindow);
+  TurnTally& me = c.tally();
   trickle_past_grace(
-      c.gate(), kWindow, [&] { c.await(kTricklePublications); },
-      [&] { c.tick(); });
+      c.gate(), kWindow,
+      [&] { c.await(kTricklePublications, c.tally()); },
+      [&] { c.tick(me); });
 }
 
 TEST(CausalOrder, PublicationsRestartTheStallGrace) {
@@ -591,21 +704,22 @@ TEST(CausalOrder, PublicationsRestartTheStallGrace) {
   TurnGate gate(kWindow);
   CausalOrder o(gate);
   trickle_past_grace(
-      gate, kWindow, [&] { o.await(7, kTricklePublications); },
+      gate, kWindow,
+      [&] { o.await(7, kTricklePublications, gate.tally()); },
       [&] { o.publish(7); });
 }
 
 TEST(GlobalCounter, PoisonReleasesParkedWaiter) {
   GlobalCounter c;
   std::thread waiter([&] {
-    EXPECT_THROW(c.await(3), ReplayDivergenceError);
+    EXPECT_THROW(c.await(3, c.tally()), ReplayDivergenceError);
   });
   while (c.stats().waits_parked == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   c.poison();
   waiter.join();
-  EXPECT_THROW(c.await(99), ReplayDivergenceError);
+  EXPECT_THROW(c.await(99, c.tally()), ReplayDivergenceError);
 }
 
 // --- spin-then-park ---------------------------------------------------------
@@ -618,7 +732,8 @@ TEST(GlobalCounter, TurnArrivingInsideSpinBudgetNeverParks) {
   if (!GlobalCounter().spins()) GTEST_SKIP() << "spinning needs two CPUs";
   for (int i = 0; i < kSpinAttempts; ++i) {
     GlobalCounter c;
-    race_spinner([&] { c.await(1); }, [&] { c.tick(); });
+    race_spinner([&] { c.await(1, c.tally()); },
+                 [&] { c.tick(c.tally()); });
     const SchedStats s = c.stats();
     ASSERT_EQ(s.waits_fast + s.waits_parked, 1u);
     ASSERT_LE(s.waits_spun, s.waits_fast);
@@ -641,7 +756,7 @@ TEST(GlobalCounter, PoisonWhileSpinningThrowsPoisoned) {
     race_spinner(
         [&] {
           try {
-            c.await(3);
+            c.await(3, c.tally());
           } catch (const ReplayDivergenceError& e) {
             cause = e.cause();
           }
@@ -665,7 +780,7 @@ TEST(GlobalCounter, AdvancePastTargetWhileSpinningThrowsCounterPassed) {
     race_spinner(
         [&] {
           try {
-            c.await(1);
+            c.await(1, c.tally());
           } catch (const ReplayDivergenceError& e) {
             cause = e.cause();
           }
@@ -712,7 +827,8 @@ TEST(GlobalCounter, CounterBuiltOnOneCpuNeverSpins) {
   EXPECT_FALSE(c->spins());
 
   for (GlobalCount turn = 1; turn <= 20; ++turn) {
-    race_spinner([&] { c->await(turn); }, [&] { c->tick(); });
+    race_spinner([&] { c->await(turn, c->tally()); },
+                 [&] { c->tick(c->tally()); });
   }
   const SchedStats s = c->stats();
   EXPECT_EQ(s.waits_spun, 0u);
@@ -872,9 +988,10 @@ TEST(Intervals, RecordThenCursorRoundTrip) {
 
 TEST(ThreadRegistry, CreationOrderNumbers) {
   ThreadRegistry reg;
-  EXPECT_EQ(reg.register_thread().num, 0u);
-  EXPECT_EQ(reg.register_thread().num, 1u);
-  EXPECT_EQ(reg.register_thread().num, 2u);
+  GlobalCounter c;
+  EXPECT_EQ(reg.register_thread(c.tally()).num, 0u);
+  EXPECT_EQ(reg.register_thread(c.tally()).num, 1u);
+  EXPECT_EQ(reg.register_thread(c.tally()).num, 2u);
   EXPECT_EQ(reg.size(), 3u);
   EXPECT_NE(reg.find(1), nullptr);
   EXPECT_EQ(reg.find(9), nullptr);
@@ -882,8 +999,9 @@ TEST(ThreadRegistry, CreationOrderNumbers) {
 
 TEST(ThreadRegistry, EventNumPerThread) {
   ThreadRegistry reg;
-  auto& a = reg.register_thread();
-  auto& b = reg.register_thread();
+  GlobalCounter c;
+  auto& a = reg.register_thread(c.tally());
+  auto& b = reg.register_thread(c.tally());
   EXPECT_EQ(a.take_network_event_num(), 0u);
   EXPECT_EQ(a.take_network_event_num(), 1u);
   EXPECT_EQ(b.take_network_event_num(), 0u);
