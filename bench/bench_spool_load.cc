@@ -20,6 +20,9 @@
 //             regression tripwire.  (On a single core the parallel path
 //             degenerates to sequential-with-threads and is exempt.)
 //
+// Exits nonzero if a spool it wrote has no readable index footer: without
+// one both arms would time the sequential scan.
+//
 // Emits BENCH_spool_load.json.
 
 #include <algorithm>
@@ -157,7 +160,15 @@ int main(int argc, char** argv) {
         dir + (compress ? "/lz.djvuspool" : "/raw.djvuspool");
     const SynthSpool spool = synth_spool(path, compress, target);
     const double mb = static_cast<double>(spool.bytes) / (1 << 20);
-    const record::SpoolIndex index = record::build_spool_index(path);
+    record::SpoolIndex index;
+    {
+      record::LogSource source(path);
+      if (source.index() == nullptr) {
+        std::printf("ERROR: %s has no readable index footer\n", path.c_str());
+        return 1;
+      }
+      index = *source.index();
+    }
     const std::size_t chunks = index.chunks.size();
     // The footer selects the indexed load, so the sequential arm loads a
     // copy cut where the footer begins.

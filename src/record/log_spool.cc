@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/file_io.h"
@@ -230,55 +231,6 @@ SpoolAnchor decode_anchor_item(BytesView body) {
   return anchor;
 }
 
-// --- item index facts -------------------------------------------------------
-
-namespace {
-
-SpoolItemFacts gc_facts(GlobalCount min_gc, GlobalCount max_gc) {
-  SpoolItemFacts facts;
-  facts.has_gc = true;
-  facts.min_gc = min_gc;
-  facts.max_gc = max_gc;
-  return facts;
-}
-
-}  // namespace
-
-SpoolItemFacts schedule_item_facts(ThreadNum thread,
-                                   const sched::IntervalList& intervals) {
-  SpoolItemFacts facts =
-      intervals.empty()
-          ? SpoolItemFacts{}
-          : gc_facts(intervals.front().first, intervals.back().last);
-  facts.thread = SpoolThreadCounts{thread, intervals.size(), 0, 0};
-  for (const auto& lsi : intervals) facts.thread->sched_events += lsi.length();
-  return facts;
-}
-
-SpoolItemFacts network_item_facts() {
-  SpoolItemFacts facts;
-  facts.network_items = 1;
-  return facts;
-}
-
-SpoolItemFacts trace_item_facts(
-    const std::vector<sched::TraceRecord>& records) {
-  return records.empty()
-             ? SpoolItemFacts{}
-             : gc_facts(records.front().gc, records.back().gc);
-}
-
-SpoolItemFacts causal_item_facts(ThreadNum thread,
-                                 const std::vector<std::uint64_t>& seqs) {
-  SpoolItemFacts facts;
-  facts.thread = SpoolThreadCounts{thread, 0, 0, seqs.size()};
-  return facts;
-}
-
-SpoolItemFacts anchor_item_facts(const SpoolAnchor& anchor) {
-  return gc_facts(anchor.gc, anchor.gc);
-}
-
 // --- LogSpooler -------------------------------------------------------------
 
 LogSpooler::LogSpooler(DjvmId vm_id, Options options)
@@ -341,12 +293,12 @@ void LogSpooler::schedule_batch(ThreadNum thread,
   if (intervals.empty()) return;
   enqueue({SpoolItemKind::kSchedule, encode_schedule_item(thread, intervals),
            /*records=*/{}, /*cost=*/0,
-           schedule_item_facts(thread, intervals)});
+           GcRange{intervals.front().first, intervals.back().last}});
 }
 
 void LogSpooler::network_entry(ThreadNum thread, const NetworkLogEntry& entry) {
   enqueue({SpoolItemKind::kNetwork, encode_network_item(thread, entry),
-           /*records=*/{}, /*cost=*/0, network_item_facts()});
+           /*records=*/{}, /*cost=*/0});
 }
 
 void LogSpooler::trace_batch(std::vector<sched::TraceRecord> records) {
@@ -362,7 +314,7 @@ void LogSpooler::causal_batch(ThreadNum thread,
                               const std::vector<std::uint64_t>& seqs) {
   if (seqs.empty()) return;
   enqueue({SpoolItemKind::kCausalDelta, encode_causal_delta_item(thread, seqs),
-           /*records=*/{}, /*cost=*/0, causal_item_facts(thread, seqs)});
+           /*records=*/{}, /*cost=*/0});
 }
 
 void LogSpooler::finish(const RecordStats& stats, std::uint32_t thread_count) {
@@ -389,8 +341,10 @@ void LogSpooler::finish(const RecordStats& stats, std::uint32_t thread_count) {
 }
 
 void LogSpooler::anchor(const SpoolAnchor& anchor) {
+  // The anchor's gc is its chunk's whole range, so chunk_covering lands a
+  // seek exactly on the anchor chunk.
   enqueue({SpoolItemKind::kAnchor, encode_anchor_item(anchor),
-           /*records=*/{}, /*cost=*/0, anchor_item_facts(anchor)});
+           /*records=*/{}, /*cost=*/0, GcRange{anchor.gc, anchor.gc}});
 }
 
 void LogSpooler::enqueue(Item item) {
@@ -425,10 +379,9 @@ void LogSpooler::enqueue(Item item) {
 // --- writer thread ----------------------------------------------------------
 
 void LogSpooler::append_item(SpoolItemKind kind, BytesView body,
-                             const SpoolItemFacts& facts) {
-  const auto k = static_cast<std::uint8_t>(kind);
-  chunk_.u8(k).varint(body.size()).raw(body);
-  chunk_facts_.add(k, facts);
+                             std::optional<GcRange> gc) {
+  chunk_.u8(static_cast<std::uint8_t>(kind)).varint(body.size()).raw(body);
+  if (gc) chunk_entry_.cover(gc->min, gc->max);
   if (chunk_.size() >= options_.chunk_bytes) flush_chunk();
 }
 
@@ -460,18 +413,18 @@ bool LogSpooler::drain_queue() {
       // new eviction horizon (a no-op outside flight mode).
       flush_chunk();
       pending_anchor_chunk_ = true;
-      append_item(item.kind, item.body, item.facts);
+      append_item(item.kind, item.body, item.gc);
       flush_chunk();
       continue;
     }
     if (!item.records.empty()) {
       // Deferred serialization: trace batches are encoded here, off the
-      // producers' critical path.
+      // producers' critical path.  One thread's batch is gc ascending.
       item.body = encode_trace_item(item.records);
-      item.facts = trace_item_facts(item.records);
+      item.gc = GcRange{item.records.front().gc, item.records.back().gc};
       item.records.clear();
     }
-    append_item(item.kind, item.body, item.facts);
+    append_item(item.kind, item.body, item.gc);
   }
   return true;
 }
@@ -481,7 +434,7 @@ void LogSpooler::seal_finish() {
   // Flight mode: assemble the retained tail into the final file first, so
   // the finish chunk and footer below append to it through the normal path.
   if (options_.flight_recorder) begin_flight_seal();
-  append_item(SpoolItemKind::kFinish, finish_body_, SpoolItemFacts{});
+  append_item(SpoolItemKind::kFinish, finish_body_);
   flush_chunk();
   finish_pending_ = false;
   // The footer rides only behind a finish chunk: an abnormal close leaves a
@@ -544,12 +497,12 @@ void LogSpooler::write_chunk(BytesView payload) {
   frame.u8(static_cast<std::uint8_t>(codec));
   frame.u32(out_crc);
   const BytesView fv = frame.view();
-  // The index entry: the facts folded as items were appended plus the
+  // The index entry: the gc range folded as items were appended plus the
   // frame facts (the file offset is set where the chunk lands).
-  SpoolChunkInfo info = chunk_facts_.take(
-      static_cast<std::uint32_t>(out.size()),
-      static_cast<std::uint32_t>(payload.size()),
-      static_cast<std::uint8_t>(codec));
+  SpoolChunkInfo info = std::exchange(chunk_entry_, {});
+  info.stored_len = static_cast<std::uint32_t>(out.size());
+  info.raw_len = static_cast<std::uint32_t>(payload.size());
+  info.codec = static_cast<std::uint8_t>(codec);
   if (options_.flight_recorder && !sealing_) {
     write_ring_chunk(fv, out, std::move(info));
     return;

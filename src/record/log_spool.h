@@ -15,7 +15,7 @@
 // this header, load_spool and load_spooled_log: replay, the replay doctor
 // (replay/doctor.h) and trace-file loading and diffing (record/trace_io.h).
 // LogSource's item stream is what those loaders scan when a spool has no
-// footer; the index rebuild, anchor readback and seek_to_gc also use it.
+// footer; anchor readback and seek_to_gc also use it.
 //
 // One producer path feeds the writer: a mutex/condvar bounded byte queue
 // behind the LogSink interface.  Batches, network entries, anchors and the
@@ -169,20 +169,6 @@ std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_delta_item(
     BytesView body);
 Bytes encode_anchor_item(const SpoolAnchor& anchor);
 SpoolAnchor decode_anchor_item(BytesView body);
-
-// Index facts per item kind (record/spool_index.h), from the values an item
-// encodes: the writer passes what its producers hold, build_spool_index
-// what it decoded.  Finish items carry none (SpoolItemFacts{}).
-SpoolItemFacts schedule_item_facts(ThreadNum thread,
-                                   const sched::IntervalList& intervals);
-SpoolItemFacts network_item_facts();
-/// `records` is one thread's batch, gc ascending.
-SpoolItemFacts trace_item_facts(const std::vector<sched::TraceRecord>& records);
-SpoolItemFacts causal_item_facts(ThreadNum thread,
-                                 const std::vector<std::uint64_t>& seqs);
-/// The anchor's gc feeds the chunk range, so chunk_covering lands a seek
-/// exactly on the anchor chunk.
-SpoolItemFacts anchor_item_facts(const SpoolAnchor& anchor);
 
 /// Self-measurements of one spooler run.
 ///
@@ -339,6 +325,12 @@ class LogSpooler : public LogSink {
   const std::string& path() const { return options_.path; }
 
  private:
+  /// A closed gc range [min, max].
+  struct GcRange {
+    GlobalCount min = 0;
+    GlobalCount max = 0;
+  };
+
   struct Item {
     SpoolItemKind kind;
     Bytes body;
@@ -349,10 +341,11 @@ class LogSpooler : public LogSink {
     std::vector<sched::TraceRecord> records;
     /// Byte-accounting cost charged against buffer_bytes (set by enqueue).
     std::size_t cost = 0;
-    /// Index facts, computed where the item is produced (the producers
-    /// already hold the decoded values, so the writer never re-decodes
-    /// bodies to index them).  Trace facts are filled in by the writer.
-    SpoolItemFacts facts{};
+    /// The gc range a schedule or anchor item adds to its chunk's index
+    /// entry, taken from the values the producer holds (the writer never
+    /// re-decodes a body to index it).  The writer takes a trace batch's
+    /// range from its raw records.
+    std::optional<GcRange> gc{};
   };
 
   void enqueue(Item item);
@@ -360,7 +353,7 @@ class LogSpooler : public LogSink {
 
   // Writer-side helpers.
   void append_item(SpoolItemKind kind, BytesView body,
-                   const SpoolItemFacts& facts);
+                   std::optional<GcRange> gc = std::nullopt);
   void flush_chunk();
   bool drain_queue();
   void seal_finish();
@@ -422,11 +415,11 @@ class LogSpooler : public LogSink {
   bool finish_pending_ = false;
 
   // Writer-private index state: the entry table built as chunks seal, the
-  // facts folded for the chunk currently assembling, the running file
-  // offset, and the whole-file CRC (all bytes written so far).  The
-  // constructor seeds offset/CRC with the header before the writer starts.
+  // gc range of the chunk currently assembling, the running file offset,
+  // and the whole-file CRC (all bytes written so far).  The constructor
+  // seeds offset/CRC with the header before the writer starts.
   std::vector<SpoolChunkInfo> index_entries_;
-  SpoolChunkFolder chunk_facts_;
+  SpoolChunkInfo chunk_entry_;
   std::uint64_t file_offset_ = 0;
   Crc32 file_crc_;
 
@@ -485,29 +478,23 @@ class LogSource {
   std::uint64_t truncated_bytes() const { return truncated_bytes_; }
 
   /// The spool's index footer, lazily read from the end of the file:
-  /// nullptr for footerless (crashed) spools and torn footers (callers
-  /// then fall back to sequential scans, or to build_spool_index when they
-  /// genuinely need an index).  Restores the stream position, so it is
-  /// safe to call mid-stream.
+  /// nullptr for footerless (crashed) spools, torn footers and footers of
+  /// another version (callers then fall back to sequential scans).
+  /// Restores the stream position, so it is safe to call mid-stream.
   const SpoolIndex* index();
 
   /// Repositions the stream at the chunk covering `gc` — the first chunk
   /// whose prefix-max gc reaches it — so decoding forward sees every
-  /// schedule/trace item at or beyond that position: O(log chunks) with a
-  /// footer, one sequential index-rebuilding scan without.  Returns false
-  /// (stream at end) when gc lies beyond the recording.  After a seek the
-  /// whole-file CRC check is disabled (the stream no longer covers every
-  /// byte) and truncated_bytes resets.
+  /// schedule/trace item at or beyond that position, in O(log chunks).
+  /// Returns false (stream at end) when gc lies beyond the recording or
+  /// the spool has no index.  After a seek the whole-file CRC check is
+  /// disabled (the stream no longer covers every byte) and
+  /// truncated_bytes resets.
   bool seek_to_gc(GlobalCount gc);
 
-  // Frame facts of the chunk currently streaming (valid once next() has
-  // yielded an item; used by the index rebuild scan).
-  /// Chunks consumed so far; the current item's chunk is ordinal() - 1.
+  /// Chunks consumed so far (valid once next() has yielded an item): the
+  /// current item's chunk is chunk_ordinal() - 1.
   std::size_t chunk_ordinal() const { return chunks_read_; }
-  std::uint64_t chunk_offset() const { return chunk_offset_; }
-  std::uint32_t chunk_stored_len() const { return chunk_stored_len_; }
-  std::uint8_t chunk_codec() const { return chunk_codec_; }
-  std::uint32_t chunk_raw_len() const { return chunk_raw_len_; }
 
   /// CRC-32 of the spool file header: the seed of the whole-file CRC, onto
   /// which the indexed loader combines its per-chunk CRCs.
@@ -517,10 +504,6 @@ class LogSource {
   /// Reads and checks the next chunk into items_/item_pos_; false at end
   /// of file, torn tail (sets truncated_bytes_), or index footer.
   bool read_chunk();
-  /// Ensures index_ holds something: the footer if present, else a
-  /// sequential index-rebuilding scan of the file (seek support for
-  /// footerless and torn-footer spools).
-  const SpoolIndex* ensure_index();
 
   std::FILE* file_ = nullptr;
   std::string path_;
@@ -534,21 +517,16 @@ class LogSource {
   std::vector<SpoolItem> items_;
   std::size_t item_pos_ = 0;
 
-  // Current chunk frame facts + running stream state for the whole-file
-  // CRC (fed the header and every accepted chunk's frame + stored payload;
-  // checked against the footer at a clean, unseeked end).
+  // Running stream state for the whole-file CRC (fed the header and every
+  // accepted chunk's frame + stored payload; checked against the footer at
+  // a clean, unseeked end).
   std::size_t chunks_read_ = 0;
-  std::uint64_t chunk_offset_ = 0;
-  std::uint32_t chunk_stored_len_ = 0;
-  std::uint8_t chunk_codec_ = 0;
-  std::uint32_t chunk_raw_len_ = 0;
   std::uint32_t header_crc_ = 0;
   Crc32 stream_crc_;
   bool seeked_ = false;
   bool footer_seen_ = false;  ///< read_chunk met the footer magic
 
-  // Lazily loaded index (footer or rebuilt scan); tried_footer_ gates the
-  // one-time footer pread.
+  // Lazily read footer; tried_footer_ gates the one-time footer pread.
   std::optional<SpoolIndex> index_;
   bool tried_footer_ = false;
 };
@@ -582,12 +560,6 @@ SpoolContents load_spool(const std::string& path);
 /// end) when non-null.
 VmLog load_spooled_log(const std::string& path, bool* clean_end = nullptr,
                        std::uint64_t* truncated_bytes = nullptr);
-
-/// Rebuilds a SpoolIndex by sequentially scanning (and decoding) `path` —
-/// the fallback that keeps seek_to_gc available for footerless spools and
-/// torn footers.  Covers exactly the recoverable prefix; from_footer is
-/// false and file_crc is 0 (unchecked).
-SpoolIndex build_spool_index(const std::string& path);
 
 // --- flight-recorder retention ring ------------------------------------------
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "common/crc32.h"
 #include "common/errors.h"
@@ -12,53 +11,15 @@ namespace {
 
 constexpr std::uint8_t kFlagHasGc = 1;
 
-/// Adds `t` to its thread's entry in the thread-ascending `acc`.
-void add_counts(std::vector<SpoolThreadCounts>& acc,
-                const SpoolThreadCounts& t) {
-  auto it = std::lower_bound(
-      acc.begin(), acc.end(), t.thread,
-      [](const SpoolThreadCounts& c, ThreadNum n) { return c.thread < n; });
-  if (it == acc.end() || it->thread != t.thread) {
-    it = acc.insert(it, SpoolThreadCounts{t.thread, 0, 0, 0});
-  }
-  it->intervals += t.intervals;
-  it->sched_events += t.sched_events;
-  it->causal_entries += t.causal_entries;
-}
+/// The fewest bytes an entry takes: stored_len, raw_len, codec and flags.
+constexpr std::uint64_t kMinEntryBytes = 4;
 
 }  // namespace
 
-void SpoolChunkFolder::add(std::uint8_t kind, const SpoolItemFacts& item) {
-  info_.kinds |= spool_kind_bit(kind);
-  info_.network_items += item.network_items;
-  if (item.has_gc) {
-    info_.min_gc = info_.has_gc ? std::min(info_.min_gc, item.min_gc)
-                                : item.min_gc;
-    info_.max_gc = info_.has_gc ? std::max(info_.max_gc, item.max_gc)
-                                : item.max_gc;
-    info_.has_gc = true;
-  }
-  if (item.thread) add_counts(info_.threads, *item.thread);
-}
-
-SpoolChunkInfo SpoolChunkFolder::take(std::uint32_t stored_len,
-                                      std::uint32_t raw_len,
-                                      std::uint8_t codec) {
-  SpoolChunkInfo info = std::exchange(info_, {});
-  info.stored_len = stored_len;
-  info.raw_len = raw_len;
-  info.codec = codec;
-  return info;
-}
-
-void SpoolIndex::finalize() {
-  prefix_max_gc.clear();
-  prefix_max_gc.reserve(chunks.size());
-  GlobalCount running = 0;
-  for (const SpoolChunkInfo& c : chunks) {
-    if (c.has_gc) running = std::max(running, c.max_gc);
-    prefix_max_gc.push_back(running);
-  }
+void SpoolChunkInfo::cover(GlobalCount lo, GlobalCount hi) {
+  min_gc = has_gc ? std::min(min_gc, lo) : lo;
+  max_gc = has_gc ? std::max(max_gc, hi) : hi;
+  has_gc = true;
 }
 
 std::optional<std::size_t> SpoolIndex::chunk_covering(GlobalCount gc) const {
@@ -72,14 +33,6 @@ std::optional<std::size_t> SpoolIndex::chunk_covering(GlobalCount gc) const {
   return static_cast<std::size_t>(it - prefix_max_gc.begin());
 }
 
-std::vector<SpoolThreadCounts> SpoolIndex::totals_by_thread() const {
-  std::vector<SpoolThreadCounts> acc;
-  for (const SpoolChunkInfo& c : chunks) {
-    for (const SpoolThreadCounts& t : c.threads) add_counts(acc, t);
-  }
-  return acc;
-}
-
 Bytes encode_spool_footer(const SpoolIndex& index) {
   ByteWriter w;
   w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(kSpoolIndexMagic), 8));
@@ -91,19 +44,10 @@ Bytes encode_spool_footer(const SpoolIndex& index) {
     w.varint(c.stored_len);
     w.varint(c.raw_len);
     w.u8(c.codec);
-    w.u8(c.kinds);
     w.u8(c.has_gc ? kFlagHasGc : 0);
     if (c.has_gc) {
       w.varint(c.min_gc);
       w.varint(c.max_gc - c.min_gc);
-    }
-    w.varint(c.network_items);
-    w.varint(c.threads.size());
-    for (const SpoolThreadCounts& t : c.threads) {
-      w.varint(t.thread);
-      w.varint(t.intervals);
-      w.varint(t.sched_events);
-      w.varint(t.causal_entries);
     }
   }
   const std::uint32_t footer_len = static_cast<std::uint32_t>(w.size());
@@ -160,42 +104,35 @@ std::optional<SpoolIndex> read_spool_footer(std::FILE* file,
     ByteReader r(BytesView(footer).subspan(8));
     if (r.u16() != kSpoolIndexVersion) return std::nullopt;
     SpoolIndex index;
-    index.from_footer = true;
     index.data_end = r.varint();
     index.file_crc = r.u32();
-    // Every entry and thread record takes at least one byte, so a count
-    // beyond the bytes left is corrupt; it must not become a reserve().
+    // A count beyond what the bytes left can hold is corrupt; it must not
+    // become a reserve().
     const std::uint64_t n = r.varint();
-    if (n > r.remaining()) return std::nullopt;
+    if (n > r.remaining() / kMinEntryBytes) return std::nullopt;
     index.chunks.reserve(n);
+    index.prefix_max_gc.reserve(n);
     std::uint64_t offset = kSpoolHeaderBytes;
+    GlobalCount max_gc = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
       SpoolChunkInfo c;
       c.offset = offset;
       c.stored_len = static_cast<std::uint32_t>(r.varint());
       c.raw_len = static_cast<std::uint32_t>(r.varint());
       c.codec = r.u8();
-      c.kinds = r.u8();
       const std::uint8_t flags = r.u8();
-      c.has_gc = (flags & kFlagHasGc) != 0;
+      if ((flags & ~kFlagHasGc) != 0) return std::nullopt;
+      c.has_gc = flags == kFlagHasGc;
       if (c.has_gc) {
         c.min_gc = r.varint();
-        c.max_gc = c.min_gc + r.varint();
-      }
-      c.network_items = r.varint();
-      const std::uint64_t threads = r.varint();
-      if (threads > r.remaining()) return std::nullopt;
-      c.threads.reserve(threads);
-      for (std::uint64_t t = 0; t < threads; ++t) {
-        SpoolThreadCounts counts;
-        counts.thread = static_cast<ThreadNum>(r.varint());
-        counts.intervals = r.varint();
-        counts.sched_events = r.varint();
-        counts.causal_entries = r.varint();
-        c.threads.push_back(counts);
+        const GlobalCount span = r.varint();
+        if (span > ~GlobalCount{0} - c.min_gc) return std::nullopt;
+        c.max_gc = c.min_gc + span;
       }
       offset += kChunkFrameBytes + c.stored_len;
-      index.chunks.push_back(std::move(c));
+      if (c.has_gc) max_gc = std::max(max_gc, c.max_gc);
+      index.chunks.push_back(c);
+      index.prefix_max_gc.push_back(max_gc);
     }
     if (!r.at_end()) return std::nullopt;
     // The entries must tile [header, data_end) exactly and the footer must
@@ -205,7 +142,6 @@ std::optional<SpoolIndex> read_spool_footer(std::FILE* file,
         index.data_end + total != file_size) {
       return std::nullopt;
     }
-    index.finalize();
     return index;
   } catch (const LogFormatError&) {
     return std::nullopt;

@@ -8,14 +8,14 @@
 //            | file_crc u32         -- CRC-32 of bytes [0, data_end)
 //            | chunk_count varint
 //            | entry*
-//   entry   := stored_len varint | raw_len varint | codec u8 | kinds u8
+//   entry   := stored_len varint | raw_len varint | codec u8
 //            | flags u8 (bit0: has_gc)
 //            | [min_gc varint | (max_gc - min_gc) varint]   when has_gc
-//            | thread_count varint
-//            | { thread varint | intervals varint | sched_events varint
-//              | causal_entries varint }*
 //   trailer := footer_len u32 (magic..body) | footer_crc u32
 //            | magic "DJVUSIDX" (8)
+//
+// An entry holds what its readers read: the frame facts the parallel
+// loader checks each chunk against, and the gc range seek_to_gc searches.
 //
 // Chunk file offsets are not stored: chunks are contiguous from the 15-byte
 // file header, so offsets are reconstructed as a running sum of frame +
@@ -29,8 +29,10 @@
 // finish marker included.  New readers recognize the magic, report a clean
 // end with zero truncated bytes, and locate the footer in O(1) from the
 // fixed-size trailer at EOF.  A missing or torn footer (CRC/structure
-// mismatch) simply yields "no index": every loader falls back to the
-// sequential scan.
+// mismatch), or one of another version, simply yields "no index": every
+// loader falls back to the sequential scan.  (Version 1 entries also
+// carried per-chunk item-kind bits, network counts and per-thread totals
+// that no reader used; such spools load through that scan.)
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,7 @@ namespace djvu::record {
 /// bytes double as the backward-compat sentinel (see file comment).
 inline constexpr char kSpoolIndexMagic[8] = {'D', 'J', 'V', 'U',
                                              'S', 'I', 'D', 'X'};
-inline constexpr std::uint16_t kSpoolIndexVersion = 1;
+inline constexpr std::uint16_t kSpoolIndexVersion = 2;
 
 /// Fixed-size trailer at EOF: footer_len u32 + footer_crc u32 + magic 8.
 inline constexpr std::size_t kSpoolIndexTrailerBytes = 4 + 4 + 8;
@@ -61,110 +63,47 @@ inline constexpr std::uint16_t kSpoolVersion = 1;
 inline constexpr std::size_t kSpoolHeaderBytes = 8 + 2 + 4 + 1;
 inline constexpr std::size_t kChunkFrameBytes = 4 + 1 + 4;
 
-/// Bit for one item kind in a chunk's kind bitmap (kind is the DJVUSPL1
-/// SpoolItemKind value, 1-based).
-inline constexpr std::uint8_t spool_kind_bit(std::uint8_t kind) {
-  return static_cast<std::uint8_t>(1u << (kind - 1));
-}
-
-/// Per-thread item totals within one chunk.
-struct SpoolThreadCounts {
-  ThreadNum thread = 0;
-  std::uint64_t intervals = 0;       ///< schedule intervals
-  std::uint64_t sched_events = 0;    ///< critical events those intervals span
-  std::uint64_t causal_entries = 0;  ///< causal per-key seqs
-
-  friend bool operator==(const SpoolThreadCounts&,
-                         const SpoolThreadCounts&) = default;
-};
-
 /// Everything the index records about one chunk.
 struct SpoolChunkInfo {
   std::uint64_t offset = 0;     ///< file offset of the chunk frame
   std::uint32_t stored_len = 0; ///< on-disk payload bytes (post-compression)
   std::uint32_t raw_len = 0;    ///< decoded payload bytes
   std::uint8_t codec = 0;       ///< record::SpoolCodec value
-  std::uint8_t kinds = 0;       ///< OR of spool_kind_bit per item kind seen
 
-  /// gc range covered by the chunk's schedule/trace items (absent for
-  /// chunks holding only network/causal/finish items).
+  /// gc range covered by the chunk's schedule, trace and anchor items
+  /// (absent for chunks holding only network/causal/finish items).
   bool has_gc = false;
   GlobalCount min_gc = 0;
   GlobalCount max_gc = 0;
 
-  /// Non-schedule-relevant items (network entries) in this chunk.
-  std::uint64_t network_items = 0;
-
-  /// Per-thread totals, thread-ascending.
-  std::vector<SpoolThreadCounts> threads;
+  /// Widens the gc range to cover [lo, hi].
+  void cover(GlobalCount lo, GlobalCount hi);
 
   friend bool operator==(const SpoolChunkInfo&,
                          const SpoolChunkInfo&) = default;
 };
 
-/// What one spool item adds to its chunk's index entry.  The facts helpers
-/// beside the item codecs (record/log_spool.h) build it: the spool writer
-/// from the values its producers already hold, build_spool_index from the
-/// decoded body.
-struct SpoolItemFacts {
-  /// Per-thread counts of schedule and causal items (their owning thread).
-  std::optional<SpoolThreadCounts> thread;
-  std::uint64_t network_items = 0;
-  /// gc range of schedule, trace and anchor items.
-  bool has_gc = false;
-  GlobalCount min_gc = 0;
-  GlobalCount max_gc = 0;
-};
-
-/// Folds item facts into one chunk's SpoolChunkInfo: the one derivation of
-/// an index entry, shared by the spool writer and build_spool_index.
-class SpoolChunkFolder {
- public:
-  /// Adds one item of DJVUSPL1 kind `kind`.
-  void add(std::uint8_t kind, const SpoolItemFacts& item);
-
-  /// The entry folded so far, with the chunk's frame facts (offset left 0:
-  /// the caller knows where the chunk lands).  Resets the folder.
-  SpoolChunkInfo take(std::uint32_t stored_len, std::uint32_t raw_len,
-                      std::uint8_t codec);
-
- private:
-  SpoolChunkInfo info_;  ///< threads kept ascending as items fold in
-};
-
-/// The decoded index: one entry per chunk plus whole-file integrity data.
-/// Obtained from the footer (from_footer) or rebuilt by a sequential scan
-/// (record::build_spool_index) when the footer is missing or torn.
+/// The decoded footer: one entry per chunk plus whole-file integrity data.
 struct SpoolIndex {
   std::vector<SpoolChunkInfo> chunks;
 
   /// File offset where the footer begins == end of the last chunk.
   std::uint64_t data_end = 0;
 
-  /// CRC-32 of bytes [0, data_end).  0 (unchecked) for rebuilt indexes.
+  /// CRC-32 of bytes [0, data_end).
   std::uint32_t file_crc = 0;
 
-  /// True when decoded from an on-disk footer (file_crc is then
-  /// authoritative); false for indexes rebuilt by scanning.
-  bool from_footer = false;
-
-  /// finalize() precomputes this: prefix_max_gc[i] = max over chunks
-  /// [0, i] of max_gc.  Per-chunk gc ranges are not monotone (threads
+  /// prefix_max_gc[i] = max over chunks [0, i] of max_gc, computed when
+  /// the footer is read.  Per-chunk gc ranges are not monotone (threads
   /// interleave across chunks), but this prefix maximum is — it is what
   /// chunk_covering binary-searches.
   std::vector<GlobalCount> prefix_max_gc;
-
-  /// Recomputes prefix_max_gc; call after mutating chunks.
-  void finalize();
 
   /// The first chunk whose prefix-max gc reaches `gc`: every item covering
   /// a position >= gc lives in this chunk or later, so decoding forward
   /// from it sees the covering interval.  nullopt when gc lies beyond the
   /// whole recording.  O(log chunks).
   std::optional<std::size_t> chunk_covering(GlobalCount gc) const;
-
-  /// Aggregates per-thread totals across all chunks (thread-ascending).
-  std::vector<SpoolThreadCounts> totals_by_thread() const;
 };
 
 /// Encodes the complete footer region (magic, version, body, trailer),
@@ -174,7 +113,8 @@ Bytes encode_spool_footer(const SpoolIndex& index);
 /// Attempts to read a footer from an open spool file.  Preads the trailer
 /// at EOF, validates magics, lengths and the footer CRC, decodes the body,
 /// and cross-checks that the entries tile [header, data_end) exactly.  Any
-/// mismatch — including plain absence — returns nullopt (the caller falls
+/// mismatch — plain absence, another version, a flag bit other than
+/// has_gc, a gc range past GlobalCount — returns nullopt (the caller falls
 /// back to a sequential scan); nothing throws for a torn footer.  Restores
 /// the file position before returning.
 std::optional<SpoolIndex> read_spool_footer(std::FILE* file,

@@ -1,6 +1,6 @@
-// The read side of DJVUSPL1 spools: LogSource, the loaders, the index
-// rebuild scan, anchor readback and post-mortem flight-tail assembly (the
-// writer and the item codecs live in log_spool.cc).
+// The read side of DJVUSPL1 spools: LogSource, the loaders, anchor
+// readback and post-mortem flight-tail assembly (the writer and the item
+// codecs live in log_spool.cc).
 
 #include <algorithm>
 #include <atomic>
@@ -167,22 +167,17 @@ LogSource::~LogSource() {
 }
 
 const SpoolIndex* LogSource::index() {
-  if (!tried_footer_ && !index_) {
+  if (!tried_footer_) {
     tried_footer_ = true;
     index_ = read_spool_footer(file_, file_size_);
   }
-  return (index_ && index_->from_footer) ? &*index_ : nullptr;
-}
-
-const SpoolIndex* LogSource::ensure_index() {
-  if (const SpoolIndex* idx = index()) return idx;
-  if (!index_) index_ = build_spool_index(path_);
-  return &*index_;
+  return index_ ? &*index_ : nullptr;
 }
 
 bool LogSource::seek_to_gc(GlobalCount gc) {
-  const SpoolIndex* idx = ensure_index();
-  const std::optional<std::size_t> chunk = idx->chunk_covering(gc);
+  const SpoolIndex* idx = index();
+  const std::optional<std::size_t> chunk =
+      idx != nullptr ? idx->chunk_covering(gc) : std::nullopt;
   items_.clear();
   item_pos_ = 0;
   if (!chunk) {
@@ -229,18 +224,13 @@ bool LogSource::read_chunk() {
     truncated_bytes_ = file_size_ - start;
     return false;
   }
-  // Accepted: record the frame facts and feed the whole-file CRC (a seek
-  // breaks byte coverage, so the stream CRC is only meaningful unseeked).
-  // The payload enters by the CRC check_chunk verified, not by a rehash.
-  chunk_offset_ = start;
-  chunk_stored_len_ =
-      static_cast<std::uint32_t>(framed.size() - kChunkFrameBytes);
-  chunk_codec_ = chunk->codec;
-  chunk_raw_len_ = static_cast<std::uint32_t>(chunk->payload.size());
+  // Accepted: feed the whole-file CRC (a seek breaks byte coverage, so
+  // the stream CRC is only meaningful unseeked).  The payload enters by the
+  // CRC check_chunk verified, not by a rehash.
   ++chunks_read_;
   if (!seeked_) {
     stream_crc_.update(BytesView(framed).first(kChunkFrameBytes));
-    stream_crc_.append(chunk->stored_crc, chunk_stored_len_);
+    stream_crc_.append(chunk->stored_crc, framed.size() - kChunkFrameBytes);
   }
   items_.clear();
   for (const ItemView& item : chunk->items) {
@@ -539,68 +529,6 @@ SpoolContents load_spool(const std::string& path) {
 VmLog load_spooled_log(const std::string& path, bool* clean_end,
                        std::uint64_t* truncated_bytes) {
   return stream_spool(path, nullptr, clean_end, truncated_bytes);
-}
-
-namespace {
-
-/// Decodes `item` and returns its index facts: the rebuild scan's side of
-/// the facts the writer derives from its producers' values.
-SpoolItemFacts decoded_item_facts(const SpoolItem& item) {
-  switch (item.kind) {
-    case SpoolItemKind::kSchedule: {
-      const auto [thread, list] = decode_schedule_item(item.body);
-      return schedule_item_facts(thread, list);
-    }
-    case SpoolItemKind::kNetwork:
-      return network_item_facts();
-    case SpoolItemKind::kTrace:
-      return trace_item_facts(decode_trace_item(item.body));
-    case SpoolItemKind::kCausalDelta: {
-      const auto [thread, seqs] = decode_causal_delta_item(item.body);
-      return causal_item_facts(thread, seqs);
-    }
-    case SpoolItemKind::kAnchor:
-      return anchor_item_facts(decode_anchor_item(item.body));
-    case SpoolItemKind::kFinish:
-      break;
-  }
-  return {};
-}
-
-}  // namespace
-
-SpoolIndex build_spool_index(const std::string& path) {
-  LogSource source(path);
-  SpoolIndex index;
-  SpoolChunkFolder folder;
-  SpoolChunkInfo frame;  // frame facts of the chunk being folded
-  std::size_t opened = 0;
-  const auto close_chunk = [&] {
-    SpoolChunkInfo c = folder.take(frame.stored_len, frame.raw_len,
-                                   frame.codec);
-    c.offset = frame.offset;
-    index.chunks.push_back(std::move(c));
-  };
-  while (std::optional<SpoolItem> item = source.next()) {
-    if (source.chunk_ordinal() != opened) {
-      if (opened != 0) close_chunk();
-      opened = source.chunk_ordinal();
-      frame.offset = source.chunk_offset();
-      frame.stored_len = source.chunk_stored_len();
-      frame.raw_len = source.chunk_raw_len();
-      frame.codec = source.chunk_codec();
-    }
-    folder.add(static_cast<std::uint8_t>(item->kind),
-               decoded_item_facts(*item));
-  }
-  if (opened != 0) close_chunk();
-  index.data_end =
-      index.chunks.empty()
-          ? kSpoolHeaderBytes
-          : index.chunks.back().offset + kChunkFrameBytes +
-                index.chunks.back().stored_len;
-  index.finalize();
-  return index;
 }
 
 // --- flight-recorder retention ring (offline side) --------------------------

@@ -5,8 +5,8 @@
 // Covers:
 //   * anchor item codec roundtrip;
 //   * eviction order and retention bounds on the on-disk ring, and that
-//     the sealed tail's index footer agrees with a full-scan rebuild
-//     (index consistency after eviction);
+//     the sealed tail's index footer reads and its indexed load equals the
+//     sequential load (index consistency after eviction);
 //   * the byte bound (retention_bytes alone): retained bytes stay within
 //     it once an anchor exists, except for anchor-protected chunks, and
 //     the tail keeps everything from its first anchor on, loads clean and
@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "core/session.h"
 #include "record/log_spool.h"
 #include "record/run_manifest.h"
+#include "record/serializer.h"
 #include "record/spool_index.h"
 #include "replay/doctor.h"
 #include "vm/shared_var.h"
@@ -136,16 +138,23 @@ TEST(FlightRecorder, EvictionKeepsNewestAndIndexStaysConsistent) {
     EXPECT_EQ(anchors[i].phase, anchors[i - 1].phase + 1);
   }
 
-  // Index consistency after eviction: the sealed footer must agree with a
-  // full-scan rebuild of the assembled file, entry for entry.
-  const record::SpoolIndex rebuilt = record::build_spool_index(path);
+  // Index consistency after eviction: the sealed footer reads (its entries
+  // tile the assembled file and its CRC holds), and the indexed load equals
+  // the sequential load of a copy cut where the footer begins.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   auto footer = record::read_spool_footer(
       f, static_cast<std::uint64_t>(fs::file_size(path)));
   std::fclose(f);
   ASSERT_TRUE(footer.has_value());
-  EXPECT_EQ(footer->chunks, rebuilt.chunks);
+  const std::string sequential = path + ".seq";
+  fs::copy_file(path, sequential, fs::copy_options::overwrite_existing);
+  fs::resize_file(sequential, footer->data_end);
+  ASSERT_EQ(record::LogSource(sequential).index(), nullptr);
+  const record::SpoolContents expect = record::load_spool(sequential);
+  EXPECT_TRUE(expect.clean_end);
+  EXPECT_EQ(record::serialize(contents.log), record::serialize(expect.log));
+  EXPECT_EQ(contents.trace.records, expect.trace.records);
 }
 
 TEST(FlightRecorder, NoAnchorMeansNoEviction) {
@@ -178,15 +187,19 @@ TEST(FlightRecorder, NoAnchorMeansNoEviction) {
 /// final finish chunk) fit `bound`, unless every one of them sits at or
 /// after the newest anchor, which eviction may never cross.
 void expect_byte_bound(const std::string& path, std::uint64_t bound) {
-  const record::SpoolIndex index = record::build_spool_index(path);
-  ASSERT_GE(index.chunks.size(), 2u);
-  const std::uint8_t anchor_bit = record::spool_kind_bit(
-      static_cast<std::uint8_t>(record::SpoolItemKind::kAnchor));
-  std::uint64_t bytes = 0;
+  record::LogSource source(path);
   std::size_t newest_anchor = 0;
-  for (std::size_t i = 0; i + 1 < index.chunks.size(); ++i) {
-    bytes += record::kChunkFrameBytes + index.chunks[i].stored_len;
-    if ((index.chunks[i].kinds & anchor_bit) != 0) newest_anchor = i;
+  while (std::optional<record::SpoolItem> item = source.next()) {
+    if (item->kind == record::SpoolItemKind::kAnchor) {
+      newest_anchor = source.chunk_ordinal() - 1;
+    }
+  }
+  ASSERT_NE(source.index(), nullptr);
+  const std::vector<record::SpoolChunkInfo>& chunks = source.index()->chunks;
+  ASSERT_GE(chunks.size(), 2u);
+  std::uint64_t bytes = 0;
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    bytes += record::kChunkFrameBytes + chunks[i].stored_len;
   }
   if (bytes > bound) {
     EXPECT_EQ(newest_anchor, 0u) << bytes << " retained bytes > " << bound
@@ -485,7 +498,9 @@ TEST(FlightRecorder, CrashLeftoverRingAssemblesWithTruncatedBytes) {
     spooler.finish(stats, 3);
     spooler.close();
   }
-  const record::SpoolIndex donor_index = record::build_spool_index(donor);
+  record::LogSource donor_source(donor);
+  ASSERT_NE(donor_source.index(), nullptr);
+  const record::SpoolIndex donor_index = *donor_source.index();
   ASSERT_GE(donor_index.chunks.size(), 3u);
 
   const std::string victim = dir + "/vm.djvuspool";

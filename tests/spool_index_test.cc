@@ -2,12 +2,12 @@
 //
 // Covers:
 //   * crc32_combine: stitching segment CRCs equals hashing the whole;
-//   * footer fidelity: the sealed footer decodes to exactly the index a
-//     sequential rebuild scan produces, for every item kind, plus an
-//     authoritative file CRC;
-//   * fallbacks: a torn footer and a footerless spool (what a crash or a
-//     pre-index writer leaves) both load cleanly through the sequential
-//     path, and seeking still works via the rebuild scan;
+//   * footer fidelity: the sealed footer decodes to pinned entries
+//     (stored/raw length, codec, gc range) for every item kind, plus an
+//     authoritative file CRC, and the known spool's bytes are pinned;
+//   * fallbacks: a torn footer, a footerless spool (what a crash or a
+//     pre-index writer leaves) and a version-1 footer all load cleanly
+//     through the sequential path; seek_to_gc needs the index;
 //   * seek_to_gc: lands on the covering chunk at and across chunk
 //     boundaries (per-chunk gc ranges overlap and are non-monotone), and
 //     reports positions beyond the recording;
@@ -16,8 +16,9 @@
 //     against the sequential scan of a footer-stripped copy;
 //   * load fallbacks through load_spool: a corrupt middle chunk recovers
 //     the same prefix as the sequential scan, a corrupt header throws;
-//   * hostile fields: thread 0xFFFFFFFF and footers claiming 2^62 chunks
-//     or thread records end in LogFormatError or a clean sequential load;
+//   * hostile fields: thread 0xFFFFFFFF ends in LogFormatError; footers
+//     claiming 2^62 chunks, an unknown flag bit or a gc range past
+//     GlobalCount read as "no index" and load sequentially;
 //   * determinism pins: equal-gc trace records keep file order under both
 //     loaders (stable sort), the whole-file CRC catches corruption the
 //     per-chunk CRCs cannot see (the file header), and diff_trace_files
@@ -34,11 +35,13 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "core/session.h"
 #include "record/log_spool.h"
 #include "record/serializer.h"
@@ -76,20 +79,75 @@ void flip_byte(const std::string& path, std::uint64_t offset) {
   f.write(&c, 1);
 }
 
+/// The footer of the sealed spool `path` (empty, with a test failure, when
+/// it has none).
+record::SpoolIndex sealed_index(const std::string& path) {
+  record::LogSource source(path);
+  if (source.index() == nullptr) {
+    ADD_FAILURE() << "no index footer in " << path;
+    return {};
+  }
+  return *source.index();
+}
+
 /// A copy of the footer'd spool `path` cut at its footer's data_end: the
 /// same chunks without an index, so every loader takes the sequential scan.
 std::string footerless_copy(const std::string& path) {
-  record::LogSource source(path);
-  const record::SpoolIndex* index = source.index();
-  if (index == nullptr) {
-    ADD_FAILURE() << "no index footer in " << path;
-    return path;
-  }
   const std::string copy = path + ".seq";
   std::filesystem::copy_file(path, copy,
                              std::filesystem::copy_options::overwrite_existing);
-  std::filesystem::resize_file(copy, index->data_end);
+  std::filesystem::resize_file(copy, sealed_index(path).data_end);
   return copy;
+}
+
+/// Writes `path`: the sealed spool `pristine` cut at its data_end, then a
+/// CRC-valid footer of `version` whose body (the bytes after the version
+/// field) is `body`.
+void write_with_footer(const std::string& pristine, const std::string& path,
+                       std::uint16_t version, BytesView body) {
+  std::filesystem::copy_file(pristine, path,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(path, sealed_index(pristine).data_end);
+  const BytesView magic(
+      reinterpret_cast<const std::uint8_t*>(record::kSpoolIndexMagic), 8);
+  ByteWriter w;
+  w.raw(magic).u16(version).raw(body);
+  const auto footer_len = static_cast<std::uint32_t>(w.size());
+  const std::uint32_t footer_crc = crc32(w.view());
+  w.u32(footer_len).u32(footer_crc).raw(magic);
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(w.view().data()),
+            static_cast<std::streamsize>(w.size()));
+}
+
+/// The fields of one footer entry a test pins (the offset follows from
+/// them).
+struct PinnedEntry {
+  std::uint32_t stored_len = 0;
+  std::uint32_t raw_len = 0;
+  std::uint8_t codec = 0;
+  bool has_gc = false;
+  GlobalCount min_gc = 0;
+  GlobalCount max_gc = 0;
+};
+
+void expect_entries(const record::SpoolIndex& index,
+                    const std::vector<PinnedEntry>& expect) {
+  ASSERT_EQ(index.chunks.size(), expect.size());
+  std::uint64_t offset = record::kSpoolHeaderBytes;
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    const record::SpoolChunkInfo& c = index.chunks[i];
+    const PinnedEntry& e = expect[i];
+    EXPECT_EQ(c.offset, offset) << "chunk " << i;
+    EXPECT_EQ(c.stored_len, e.stored_len) << "chunk " << i;
+    EXPECT_EQ(c.raw_len, e.raw_len) << "chunk " << i;
+    EXPECT_EQ(c.codec, e.codec) << "chunk " << i;
+    EXPECT_EQ(c.has_gc, e.has_gc) << "chunk " << i;
+    EXPECT_EQ(c.min_gc, e.min_gc) << "chunk " << i;
+    EXPECT_EQ(c.max_gc, e.max_gc) << "chunk " << i;
+    offset += record::kChunkFrameBytes + c.stored_len;
+  }
+  EXPECT_EQ(index.data_end, offset);
 }
 
 /// Writes a small spool with a known five-interval schedule across two
@@ -157,12 +215,12 @@ TEST(Crc32Combine, SplitEqualsWhole) {
 
 // --- footer fidelity and fallbacks ------------------------------------------
 
-TEST(SpoolIndex, FooterMatchesRebuiltScan) {
+// The entries below were read from the version-1 footer of the same
+// spool, where the footer was checked against an independent decode scan;
+// version 2 keeps exactly these fields.
+TEST(SpoolIndex, FooterEntriesMatchPinnedValues) {
   const std::string dir = fresh_dir("fidelity");
   const std::string path = write_known_spool(dir);
-
-  record::SpoolIndex rebuilt = record::build_spool_index(path);
-  EXPECT_FALSE(rebuilt.from_footer);
 
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "rb"), &std::fclose);
@@ -170,29 +228,22 @@ TEST(SpoolIndex, FooterMatchesRebuiltScan) {
   std::optional<record::SpoolIndex> footer =
       record::read_spool_footer(f.get(), file_size(path));
   ASSERT_TRUE(footer.has_value());
-  EXPECT_TRUE(footer->from_footer);
   EXPECT_NE(footer->file_crc, 0u);
 
-  // The footer records exactly what an independent decode scan sees.
-  EXPECT_EQ(footer->chunks, rebuilt.chunks);
-  EXPECT_EQ(footer->data_end, rebuilt.data_end);
-  EXPECT_EQ(footer->prefix_max_gc, rebuilt.prefix_max_gc);
-  ASSERT_EQ(footer->chunks.size(), 4u);  // 3 schedule chunks + finish chunk
-  EXPECT_EQ(footer->chunks[0].min_gc, 0u);
-  EXPECT_EQ(footer->chunks[0].max_gc, 29u);
-  EXPECT_EQ(footer->chunks[1].min_gc, 10u);
-  EXPECT_EQ(footer->chunks[1].max_gc, 39u);
-  EXPECT_EQ(footer->chunks[2].min_gc, 40u);
-  EXPECT_EQ(footer->chunks[2].max_gc, 49u);
-  EXPECT_FALSE(footer->chunks[3].has_gc);  // finish carries no schedule
+  // 3 schedule chunks, then the finish chunk, which carries no gc range.
+  expect_entries(*footer, {{8, 8, 0, true, 0, 29},
+                           {8, 8, 0, true, 10, 39},
+                           {6, 6, 0, true, 40, 49},
+                           {5, 5, 0, false, 0, 0}});
+  EXPECT_EQ(footer->prefix_max_gc, (std::vector<GlobalCount>{29, 39, 49, 49}));
+}
 
-  // Per-thread totals: t0 has 3 intervals / 30 events, t1 has 2 / 20.
-  const auto totals = footer->totals_by_thread();
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[0].intervals, 3u);
-  EXPECT_EQ(totals[0].sched_events, 30u);
-  EXPECT_EQ(totals[1].intervals, 2u);
-  EXPECT_EQ(totals[1].sched_events, 20u);
+// Any change to the spool or footer format must change this pin.
+TEST(SpoolIndex, KnownSpoolBytesArePinned) {
+  const std::string dir = fresh_dir("pin");
+  const Bytes bytes = read_file(write_known_spool(dir));
+  EXPECT_EQ(bytes.size(), 132u);
+  EXPECT_EQ(crc32(bytes), 0xa4905552u);
 }
 
 /// Writes a spool holding every item kind the writer emits — schedule,
@@ -241,48 +292,34 @@ std::string write_all_kinds_spool(const std::string& dir, bool compress) {
   return path;
 }
 
-// The writer indexes items from its producers' values and the rebuild scan
-// from the decoded bodies; both fold through the same facts, so the footer
-// equals the rebuild entry for entry for every item kind.
-TEST(SpoolIndex, FooterMatchesRebuiltScanForEveryItemKind) {
+// The writer folds each schedule, trace and anchor item's gc range into
+// its chunk's entry; the anchor seals a chunk of its own whose range is the
+// anchor's gc alone.
+TEST(SpoolIndex, FooterEntriesMatchPinnedValuesForEveryItemKind) {
   for (const bool compress : {false, true}) {
     SCOPED_TRACE(compress ? "compressed" : "raw");
     const std::string dir = fresh_dir(compress ? "all_kinds_lz" : "all_kinds");
     const std::string path = write_all_kinds_spool(dir, compress);
 
+    std::set<record::SpoolItemKind> kinds;
     record::LogSource source(path);
+    while (std::optional<record::SpoolItem> item = source.next()) {
+      kinds.insert(item->kind);
+    }
+    EXPECT_EQ(kinds.size(), 6u);  // schedule, network, trace, finish,
+                                  // causal-delta and anchor
+
     const record::SpoolIndex* footer = source.index();
     ASSERT_NE(footer, nullptr);
-    ASSERT_TRUE(footer->from_footer);
-    const record::SpoolIndex rebuilt = record::build_spool_index(path);
-    EXPECT_EQ(footer->chunks, rebuilt.chunks);
-    EXPECT_EQ(footer->data_end, rebuilt.data_end);
-
-    std::uint8_t kinds = 0;
-    std::uint64_t network_items = 0;
-    for (const record::SpoolChunkInfo& c : footer->chunks) {
-      kinds |= c.kinds;
-      network_items += c.network_items;
-    }
-    for (const record::SpoolItemKind kind :
-         {record::SpoolItemKind::kSchedule, record::SpoolItemKind::kNetwork,
-          record::SpoolItemKind::kTrace, record::SpoolItemKind::kFinish,
-          record::SpoolItemKind::kCausalDelta,
-          record::SpoolItemKind::kAnchor}) {
-      EXPECT_NE(kinds & record::spool_kind_bit(static_cast<std::uint8_t>(kind)),
-                0)
-          << "no chunk holds kind " << static_cast<int>(kind);
-    }
-    EXPECT_EQ(network_items, 2u);
-    EXPECT_GE(footer->chunks.size(), 4u);
-
-    // Thread totals: t0 2 intervals / 9 events / 4 seqs, t1 1 / 4 / 0,
-    // t2 1 / 7 / 3.
-    const auto totals = footer->totals_by_thread();
-    ASSERT_EQ(totals.size(), 3u);
-    EXPECT_EQ(totals[0], (record::SpoolThreadCounts{0, 2, 9, 4}));
-    EXPECT_EQ(totals[1], (record::SpoolThreadCounts{1, 1, 4, 0}));
-    EXPECT_EQ(totals[2], (record::SpoolThreadCounts{2, 1, 7, 3}));
+    // Only the first chunk compresses: the lz run shortens its stored
+    // bytes, and the other chunks stay raw (codec 0).
+    expect_entries(*footer, {{compress ? 46u : 50u, 50,
+                              static_cast<std::uint8_t>(compress), true, 0,
+                              12},
+                             {13, 13, 0, false, 0, 0},
+                             {16, 16, 0, true, 13, 13},
+                             {37, 37, 0, true, 14, 20},
+                             {5, 5, 0, false, 0, 0}});
   }
 }
 
@@ -304,15 +341,13 @@ TEST(SpoolIndex, TornFooterFallsBackToCleanSequentialLoad) {
   EXPECT_TRUE(clean);
   EXPECT_EQ(record::serialize(log), baseline);
 
-  // Seeking still works through the rebuild-scan fallback.
+  // Seeking needs the index: without it the stream ends at once.
   record::LogSource seeker(path);
-  ASSERT_TRUE(seeker.seek_to_gc(35));
-  const auto owner = find_owner(seeker, 35);
-  ASSERT_TRUE(owner.has_value());
-  EXPECT_EQ(*owner, (sched::LogicalInterval{30, 39}));
+  EXPECT_FALSE(seeker.seek_to_gc(35));
+  EXPECT_FALSE(seeker.next().has_value());
 }
 
-TEST(SpoolIndex, FooterlessSpoolLoadsAndSeeks) {
+TEST(SpoolIndex, FooterlessSpoolLoadsButDoesNotSeek) {
   const std::string dir = fresh_dir("footerless");
   const std::string path = footerless_copy(write_known_spool(dir));
 
@@ -325,10 +360,62 @@ TEST(SpoolIndex, FooterlessSpoolLoadsAndSeeks) {
   EXPECT_EQ(log.stats.critical_events, 50u);
 
   record::LogSource seeker(path);
-  ASSERT_TRUE(seeker.seek_to_gc(42));
-  const auto owner = find_owner(seeker, 42);
-  ASSERT_TRUE(owner.has_value());
-  EXPECT_EQ(*owner, (sched::LogicalInterval{40, 49}));
+  EXPECT_FALSE(seeker.seek_to_gc(42));
+  EXPECT_FALSE(seeker.next().has_value());
+}
+
+// A spool sealed with a version-1 footer: the same chunks, and a footer
+// whose entries also carried item-kind bits, a network count and
+// per-thread totals.  It reads as "no index" and loads through the
+// sequential scan to exactly what the version-2 spool loads to.
+TEST(SpoolIndex, VersionOneFooterLoadsSequentially) {
+  const std::string dir = fresh_dir("v1");
+  const std::string sealed = write_known_spool(dir);
+  const record::SpoolIndex index = sealed_index(sealed);
+  ASSERT_EQ(index.chunks.size(), 4u);
+
+  // Version 1: kinds u8 after the codec, then network_items and
+  // thread_count { thread | intervals | sched_events | causal_entries }
+  // after the gc range.  Chunks 0-2 hold one schedule batch each (kind
+  // bit 1), chunk 3 the finish item (kind bit 8).
+  struct ThreadTotals {
+    std::uint64_t thread, intervals, sched_events;
+  };
+  const ThreadTotals totals[] = {{0, 2, 20}, {1, 2, 20}, {0, 1, 10}};
+  ByteWriter body;
+  body.varint(index.data_end).u32(index.file_crc).varint(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const record::SpoolChunkInfo& c = index.chunks[i];
+    const bool schedule = i < 3;
+    body.varint(c.stored_len).varint(c.raw_len).u8(c.codec);
+    body.u8(schedule ? 1 : 8).u8(schedule ? 1 : 0);
+    if (schedule) body.varint(c.min_gc).varint(c.max_gc - c.min_gc);
+    body.varint(0).varint(schedule ? 1 : 0);
+    if (schedule) {
+      body.varint(totals[i].thread).varint(totals[i].intervals);
+      body.varint(totals[i].sched_events).varint(0);
+    }
+  }
+  const std::string v1 = dir + "/v1.djvuspool";
+  write_with_footer(sealed, v1, 1, body.view());
+  // Byte for byte the file the version-1 writer sealed for this spool.
+  const Bytes bytes = read_file(v1);
+  EXPECT_EQ(bytes.size(), 156u);
+  EXPECT_EQ(crc32(bytes), 0x924d4163u);
+
+  EXPECT_EQ(record::LogSource(v1).index(), nullptr);
+  const record::SpoolContents got = record::load_spool(v1);
+  const record::SpoolContents want = record::load_spool(sealed);
+  EXPECT_TRUE(got.clean_end);
+  EXPECT_EQ(got.truncated_bytes, 0u);
+  EXPECT_EQ(record::serialize(got.log), record::serialize(want.log));
+  EXPECT_EQ(got.trace.records, want.trace.records);
+  EXPECT_EQ(sched::trace_digest(got.trace.records),
+            sched::trace_digest(want.trace.records));
+  bool clean = false;
+  EXPECT_EQ(record::serialize(record::load_spooled_log(v1, &clean)),
+            record::serialize(want.log));
+  EXPECT_TRUE(clean);
 }
 
 // --- seek_to_gc -------------------------------------------------------------
@@ -531,7 +618,7 @@ std::string write_multi_chunk_spool(const std::string& dir) {
 TEST(SpoolLoad, CorruptMiddleChunkFallsBackToSequentialPrefix) {
   const std::string dir = fresh_dir("midchunk");
   const std::string path = write_multi_chunk_spool(dir);
-  const record::SpoolIndex index = record::build_spool_index(path);
+  const record::SpoolIndex index = sealed_index(path);
   ASSERT_GE(index.chunks.size(), 6u);
   const record::SpoolChunkInfo& middle = index.chunks[index.chunks.size() / 2];
   // A payload byte: the chunk CRC fails, so the indexed load must give up
@@ -587,51 +674,73 @@ TEST(SpoolLoad, HugeThreadNumberIsAFormatError) {
   }
 }
 
-TEST(SpoolIndex, FooterWithImpossibleCountsReadsAsNoIndex) {
-  const std::string dir = fresh_dir("hostile_footer");
+/// One field of a CRC-valid version-2 footer that a hostile writer set.
+enum class HostileField { kNone, kChunkCount, kFlagBits, kGcWrap };
+
+/// The version-2 footer body of `index`, with `field` made hostile in
+/// chunk 0 (or in the chunk count).
+Bytes footer_body(const record::SpoolIndex& index, HostileField field) {
+  ByteWriter w;
+  w.varint(index.data_end).u32(index.file_crc);
+  if (field == HostileField::kChunkCount) {
+    w.varint(1ull << 62);
+    return w.take();
+  }
+  w.varint(index.chunks.size());
+  for (std::size_t i = 0; i < index.chunks.size(); ++i) {
+    const record::SpoolChunkInfo& c = index.chunks[i];
+    w.varint(c.stored_len).varint(c.raw_len).u8(c.codec);
+    const bool hostile = i == 0 && field != HostileField::kNone;
+    w.u8((c.has_gc ? 1 : 0) |
+         (hostile && field == HostileField::kFlagBits ? 2 : 0));
+    if (hostile && field == HostileField::kGcWrap) {
+      // max_gc = min_gc + span wraps past 2^64 to a value below min_gc.
+      w.varint(~GlobalCount{0} - 5).varint(10);
+    } else if (c.has_gc) {
+      w.varint(c.min_gc).varint(c.max_gc - c.min_gc);
+    }
+  }
+  return w.take();
+}
+
+/// A copy of the known spool whose footer has `field` hostile must read as
+/// "no index" and still load cleanly through the sequential scan, while the
+/// same footer without the hostile field reads as the sealed index.
+void expect_hostile_footer_ignored(const std::string& tag,
+                                   HostileField field) {
+  const std::string dir = fresh_dir(tag);
   const std::string pristine = write_known_spool(dir);
   const Bytes baseline = record::serialize(record::load_spooled_log(pristine));
-  std::optional<record::SpoolIndex> index;
-  {
-    record::LogSource source(pristine);
-    ASSERT_NE(source.index(), nullptr);
-    index = *source.index();
-  }
-  const BytesView magic(
-      reinterpret_cast<const std::uint8_t*>(record::kSpoolIndexMagic), 8);
-  // Two CRC-valid footers: one claims 2^62 chunks, one a single chunk
-  // with 2^62 thread records.  Both must read as "no index".
-  for (bool huge_threads : {false, true}) {
-    const std::string path =
-        dir + (huge_threads ? "/threads.djvuspool" : "/chunks.djvuspool");
-    std::filesystem::copy_file(
-        pristine, path, std::filesystem::copy_options::overwrite_existing);
-    std::filesystem::resize_file(path, index->data_end);
-    ByteWriter w;
-    w.raw(magic).u16(record::kSpoolIndexVersion).varint(index->data_end);
-    w.u32(index->file_crc);
-    if (huge_threads) {
-      const record::SpoolChunkInfo& c = index->chunks[0];
-      w.varint(1).varint(c.stored_len).varint(c.raw_len);
-      w.u8(c.codec).u8(c.kinds).u8(0).varint(0).varint(1ull << 62);
-    } else {
-      w.varint(1ull << 62);
-    }
-    const auto footer_len = static_cast<std::uint32_t>(w.size());
-    const std::uint32_t footer_crc = crc32(w.view());
-    w.u32(footer_len).u32(footer_crc).raw(magic);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::app);
-      out.write(reinterpret_cast<const char*>(w.view().data()),
-                static_cast<std::streamsize>(w.size()));
-    }
+  const record::SpoolIndex index = sealed_index(pristine);
 
-    EXPECT_EQ(record::LogSource(path).index(), nullptr) << path;
-    record::SpoolContents contents;
-    ASSERT_NO_THROW(contents = record::load_spool(path)) << path;
-    EXPECT_TRUE(contents.clean_end) << path;
-    EXPECT_EQ(record::serialize(contents.log), baseline) << path;
-  }
+  const std::string control = dir + "/control.djvuspool";
+  write_with_footer(pristine, control, record::kSpoolIndexVersion,
+                    footer_body(index, HostileField::kNone));
+  record::LogSource control_source(control);
+  ASSERT_NE(control_source.index(), nullptr);
+  EXPECT_EQ(control_source.index()->chunks, index.chunks);
+
+  const std::string path = dir + "/hostile.djvuspool";
+  write_with_footer(pristine, path, record::kSpoolIndexVersion,
+                    footer_body(index, field));
+  EXPECT_EQ(record::LogSource(path).index(), nullptr);
+  EXPECT_FALSE(record::LogSource(path).seek_to_gc(0));
+  record::SpoolContents contents;
+  ASSERT_NO_THROW(contents = record::load_spool(path));
+  EXPECT_TRUE(contents.clean_end);
+  EXPECT_EQ(record::serialize(contents.log), baseline);
+}
+
+TEST(SpoolIndex, FooterWithImpossibleCountsReadsAsNoIndex) {
+  expect_hostile_footer_ignored("hostile_count", HostileField::kChunkCount);
+}
+
+TEST(SpoolIndex, FooterWithUnknownFlagBitsReadsAsNoIndex) {
+  expect_hostile_footer_ignored("hostile_flags", HostileField::kFlagBits);
+}
+
+TEST(SpoolIndex, FooterWithWrappingGcRangeReadsAsNoIndex) {
+  expect_hostile_footer_ignored("hostile_wrap", HostileField::kGcWrap);
 }
 
 // A trace file torn in its last data chunk, or in its finish chunk, must
