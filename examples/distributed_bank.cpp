@@ -109,8 +109,8 @@ int main() {
 
   // Replay the buggy execution: the bug reproduces every single time.
   for (int i = 0; i < 3; ++i) {
-    auto s = make_bank();
-    auto rep = s.replay(buggy, /*seed=*/777 + static_cast<std::uint64_t>(i));
+    auto bank = make_bank();
+    auto rep = bank.replay(buggy, /*seed=*/777 + static_cast<std::uint64_t>(i));
     core::verify(buggy, rep);
     std::printf("replay %d: final balance %llu — bug reproduced, traces "
                 "identical\n",

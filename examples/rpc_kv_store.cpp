@@ -138,11 +138,16 @@ void client_main(vm::Vm& v, int id) {
   std::uint64_t last_version = 0;
   for (int op = 0; op < kOpsPerClient; ++op) {
     ByteWriter body;
-    std::string key = "k" + std::to_string(op % 4);
+    std::string key = "k";
+    key += std::to_string(op % 4);
     if (op % 3 == 0) {
       body.u8(static_cast<std::uint8_t>(Op::kPut));
       body.str(key);
-      body.str("v" + std::to_string(id) + "." + std::to_string(op));
+      std::string value = "v";
+      value += std::to_string(id);
+      value += '.';
+      value += std::to_string(op);
+      body.str(value);
     } else if (op % 3 == 1) {
       body.u8(static_cast<std::uint8_t>(Op::kGet));
       body.str(key);

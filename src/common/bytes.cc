@@ -103,7 +103,7 @@ std::uint64_t ByteReader::varint() {
   for (int i = 0; i < 10; ++i) {
     need(1);
     std::uint8_t b = data_[pos_++];
-    v |= std::uint64_t{b & 0x7f} << shift;
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
     if (!(b & 0x80)) return v;
     shift += 7;
   }

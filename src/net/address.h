@@ -42,7 +42,11 @@ inline constexpr SocketAddress unpack_address(std::uint64_t v) {
 
 /// "h<host>:<port>" rendering for diagnostics.
 inline std::string to_string(const SocketAddress& a) {
-  return "h" + std::to_string(a.host) + ":" + std::to_string(a.port);
+  std::string out = "h";
+  out += std::to_string(a.host);
+  out += ':';
+  out += std::to_string(a.port);
+  return out;
 }
 
 }  // namespace djvu::net

@@ -286,7 +286,7 @@ LogSpooler::~LogSpooler() {
   }
 }
 
-// --- producers (LogSink) ----------------------------------------------------
+// --- producers -------------------------------------------------------------
 
 void LogSpooler::schedule_batch(ThreadNum thread,
                                 const sched::IntervalList& intervals) {

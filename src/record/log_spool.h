@@ -18,8 +18,8 @@
 // footer; anchor readback and seek_to_gc also use it.
 //
 // One producer path feeds the writer: a mutex/condvar bounded byte queue
-// behind the LogSink interface.  Batches, network entries, anchors and the
-// finish marker all take it; a producer that finds the queue holding
+// behind LogSpooler's producer calls.  Batches, network entries, anchors
+// and the finish marker all take it; a producer that finds the queue holding
 // buffer_bytes blocks until the writer drains it (counted in
 // producer_blocks), which is what bounds record-mode memory.  Trace
 // batches ride the queue as raw records and are serialized on the writer
@@ -220,42 +220,10 @@ struct SpoolStats {
   std::uint64_t anchor_chunks = 0;
 };
 
-/// Record-side sink for log data.  vm::Vm feeds one of these when spooling
-/// is configured; LogSpooler is the production implementation, tests may
-/// substitute their own.
-class LogSink {
- public:
-  virtual ~LogSink() = default;
-
-  /// A batch of `thread`'s closed logical intervals, in schedule order.
-  /// Called only by the owning thread (periodic flush, thread end/detach)
-  /// or by the finishing thread after all workers quiesced.
-  virtual void schedule_batch(ThreadNum thread,
-                              const sched::IntervalList& intervals) = 0;
-
-  /// One recorded network event outcome (any thread, its own events).
-  virtual void network_entry(ThreadNum thread,
-                             const NetworkLogEntry& entry) = 0;
-
-  /// A batch of one thread's buffered trace records, in that thread's
-  /// program (= gc) order.  By value: a producer that keeps no trace (a
-  /// flight recorder) moves its buffer in, one that keeps its trace passes
-  /// a copy.  Serialization happens off the producer's critical path, on
-  /// the writer thread.
-  virtual void trace_batch(std::vector<sched::TraceRecord> records) = 0;
-
-  /// A batch of `thread`'s causal per-key seqs in program order (causal
-  /// order mode only; same caller discipline as schedule_batch).
-  virtual void causal_batch(ThreadNum thread,
-                            const std::vector<std::uint64_t>& seqs) = 0;
-
-  /// End of recording: final stats and the number of threads created.
-  virtual void finish(const RecordStats& stats, std::uint32_t thread_count) = 0;
-};
-
-/// The streaming spooler: a LogSink backed by a bounded queue and a
+/// The streaming spooler: the record-side sink for log data (vm::Vm feeds
+/// one when spooling is configured), backed by a bounded queue and a
 /// background writer thread appending DJVUSPL1 chunks to one file.
-class LogSpooler : public LogSink {
+class LogSpooler {
  public:
   struct Options {
     std::string path;
@@ -290,22 +258,37 @@ class LogSpooler : public LogSink {
 
   /// Closes implicitly (without rethrowing writer errors — call close()
   /// first to surface them).
-  ~LogSpooler() override;
+  ~LogSpooler();
 
   LogSpooler(const LogSpooler&) = delete;
   LogSpooler& operator=(const LogSpooler&) = delete;
 
-  // LogSink.  All producer calls apply backpressure: they block while the
-  // queue holds buffer_bytes, which is what bounds record-mode memory.  A writer I/O failure is rethrown to the next
-  // producer call (and to close()), so a full disk surfaces in the
-  // recording run.
-  void schedule_batch(ThreadNum thread,
-                      const sched::IntervalList& intervals) override;
-  void network_entry(ThreadNum thread, const NetworkLogEntry& entry) override;
-  void trace_batch(std::vector<sched::TraceRecord> records) override;
-  void causal_batch(ThreadNum thread,
-                    const std::vector<std::uint64_t>& seqs) override;
-  void finish(const RecordStats& stats, std::uint32_t thread_count) override;
+  // Producer calls.  All of them apply backpressure: they block while the
+  // queue holds buffer_bytes, which is what bounds record-mode memory.  A
+  // writer I/O failure is rethrown to the next producer call (and to
+  // close()), so a full disk surfaces in the recording run.
+
+  /// A batch of `thread`'s closed logical intervals, in schedule order.
+  /// Called only by the owning thread (periodic flush, thread end/detach)
+  /// or by the finishing thread after all workers quiesced.
+  void schedule_batch(ThreadNum thread, const sched::IntervalList& intervals);
+
+  /// One recorded network event outcome (any thread, its own events).
+  void network_entry(ThreadNum thread, const NetworkLogEntry& entry);
+
+  /// A batch of one thread's buffered trace records, in that thread's
+  /// program (= gc) order.  By value: a producer that keeps no trace (a
+  /// flight recorder) moves its buffer in, one that keeps its trace passes
+  /// a copy.  Serialization happens off the producer's critical path, on
+  /// the writer thread.
+  void trace_batch(std::vector<sched::TraceRecord> records);
+
+  /// A batch of `thread`'s causal per-key seqs in program order (causal
+  /// order mode only; same caller discipline as schedule_batch).
+  void causal_batch(ThreadNum thread, const std::vector<std::uint64_t>& seqs);
+
+  /// End of recording: final stats and the number of threads created.
+  void finish(const RecordStats& stats, std::uint32_t thread_count);
 
   /// Ships a checkpoint anchor (flight-recorder mode).  The writer seals
   /// the chunk currently assembling, then seals the anchor into its own
@@ -447,6 +430,11 @@ class LogSpooler : public LogSink {
 
   std::thread writer_;
 };
+
+/// The spooler's old interface name, now LogSpooler itself: the
+/// benchmark's writer arm (perfbench/perfbench.cc) still binds a spooler
+/// through it.  Delete it with that binding.
+using LogSink = LogSpooler;
 
 /// Streaming reader over a DJVUSPL1 spool file — a recording's spool or a
 /// trace file (record/trace_io.h).  Items stream chunk by chunk, at most

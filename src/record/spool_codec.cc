@@ -77,7 +77,7 @@ Bytes spool_decompress(BytesView compressed) {
       Bytes lit = r.raw(run);
       out.insert(out.end(), lit.begin(), lit.end());
     } else {
-      const std::size_t len = std::size_t{c & 0x7f} + kMinMatch;
+      const std::size_t len = static_cast<std::size_t>(c & 0x7f) + kMinMatch;
       const std::uint64_t dist = r.varint();
       if (dist == 0 || dist > out.size()) {
         throw LogFormatError("spool codec: back-reference outside output");

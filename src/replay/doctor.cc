@@ -334,7 +334,9 @@ std::string to_json(const DoctorReport& rep) {
   out += "\"notes\": [";
   for (std::size_t i = 0; i < rep.notes.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "\"" + sched::json_escape(rep.notes[i]) + "\"";
+    out += '"';
+    out += sched::json_escape(rep.notes[i]);
+    out += '"';
   }
   out += "]}";
   return out;

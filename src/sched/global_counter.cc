@@ -158,10 +158,8 @@ void GlobalCounter::throw_passed(GlobalCount target, GlobalCount v) {
 }
 
 GlobalCount GlobalCounter::tick(TurnTally& tally) {
-  const GlobalCount v = value_.fetch_add(1, std::memory_order_seq_cst);
   tally.ticks.add();
-  gate_.published(value_, v + 1);
-  return v;
+  return gate_.advance(value_) - 1;
 }
 
 void GlobalCounter::lease_begin(GlobalCount first, GlobalCount last,

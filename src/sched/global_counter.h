@@ -55,12 +55,13 @@
 // at most one lease exists at a time.
 //
 // Replay turn waits, poison and the stall detector live in the counter's
-// TurnGate (sched/turn_gate.h), which causal replay shares.  value(), the
-// await fast path and replay-mode tick() with nobody parked never take a
-// mutex, and they write no shared cache line but value_ itself: every
-// per-event and per-interval count (ticks, sections, leases, fast waits)
-// goes to the calling thread's TurnTally (sched/turn_tally.h), a slot
-// tally() hands each thread, and stats() sums the slots.
+// TurnGate (sched/turn_gate.h), which causal replay's waits on object
+// order cells share.  value(), the await fast path and replay-mode tick()
+// with nobody parked never take a mutex, and they write no shared cache
+// line but value_ itself: every per-event and per-interval count (ticks,
+// sections, leases, fast waits) goes to the calling thread's TurnTally
+// (sched/turn_tally.h), a slot tally() hands each thread, and stats() sums
+// the slots.
 //
 // Concurrency contract: with_section() calls on the same stripe are
 // mutually exclusive with each other but NOT with tick(); the two are
@@ -283,7 +284,8 @@ class GlobalCounter {
     if (v != target) throw_passed(target, v);
   }
 
-  /// The gate every replay wait of this VM goes through (CausalOrder too).
+  /// The gate every replay wait of this VM goes through, causal waits on
+  /// object order cells (vm::Conflict) too.
   /// Poison, the runner registry and the stall window live there.
   TurnGate& gate() { return gate_; }
   void poison() { gate_.poison(); }

@@ -16,7 +16,6 @@
 
 #include "common/errors.h"
 #include "common/ids.h"
-#include "sched/causal_order.h"
 #include "sched/global_counter.h"
 #include "sched/interval.h"
 #include "sched/trace.h"
@@ -36,8 +35,8 @@ struct ThreadState {
   StripeHold stripe_hold;
 
   /// This thread's scheduler tally (sched/turn_tally.h): a slot the VM's
-  /// counter handed it at registration, passed to every counter, gate and
-  /// causal-order call the thread makes.  Never null once registered.
+  /// counter handed it at registration, passed to every counter and gate
+  /// call the thread makes.  Never null once registered.
   TurnTally* tally = nullptr;
 
   /// Replay mode: cursor over this thread's recorded intervals.
@@ -63,33 +62,15 @@ struct ThreadState {
   /// and the causal list advance in lock step, one entry per event.
   const std::vector<std::uint64_t>* causal_seqs = nullptr;
 
-  /// Causal order mode, replay side: the resolved ticket of the event
-  /// between await (replay_turn_wait) and publish (replay_turn_done).
-  /// Only ever touched by the owning thread.
-  CausalOrder::Ticket causal_ticket;
-  bool causal_pending = false;
+  /// Causal order mode, both sides: the order of this thread's
+  /// thread-local events (vm::kThreadLocalConflict), which conflict with
+  /// nothing but the thread itself.
+  TurnCell local_order{0};
 
-  /// Causal order mode, both sides: this thread's key → ticket cache, so
-  /// the hot path (a thread revisiting the same few objects) skips the
-  /// shard-locked resolve.  Linear scan with move-to-front; bounded —
-  /// past the cap, uncached keys resolve every time.
-  static constexpr std::size_t kCausalCacheCap = 64;
-  std::vector<std::pair<std::uint64_t, CausalOrder::Ticket>> causal_cache;
-
-  CausalOrder::Ticket causal_lookup(std::uint64_t key, CausalOrder& order) {
-    for (std::size_t i = 0; i < causal_cache.size(); ++i) {
-      if (causal_cache[i].first == key) {
-        if (i != 0) std::swap(causal_cache[0], causal_cache[i]);
-        return causal_cache[0].second;
-      }
-    }
-    CausalOrder::Ticket t = order.resolve(key);
-    if (causal_cache.size() < kCausalCacheCap) {
-      causal_cache.emplace_back(key, t);
-      std::swap(causal_cache.front(), causal_cache.back());
-    }
-    return t;
-  }
+  /// Causal order mode, replay side: the cell of the event between its
+  /// wait (replay_turn_wait) and its publication (replay_turn_done), null
+  /// otherwise.  Only ever touched by the owning thread.
+  TurnCell* causal_turn = nullptr;
 
   /// Per-thread network event numbering ("eventNum is used to order network
   /// events within a specific thread").  Advances identically in record and

@@ -2,8 +2,9 @@
 //
 // Replay has a single primitive: a thread waits until a counter reaches its
 // next event's recorded value.  Total-order replay waits on the global
-// counter, causal replay (§1d) on one conflict key's published count; both
-// are a wait on an atomic cell, so both go through one TurnGate per VM.
+// counter, causal replay (§1d) on the order cell of the object the event
+// conflicts on (vm::Conflict); both are a wait on an atomic cell, so both
+// go through one TurnGate per VM.
 //
 // A wait spins for kSpinBudget (sched/spin_wait.h; only with two or more
 // usable CPUs), then parks on a targeted waiter slot: its own condition
@@ -75,6 +76,14 @@ class TurnGate {
   /// at least one side sees the other.
   void published(const TurnCell& cell, std::uint64_t v) {
     if (parked_.load(std::memory_order_seq_cst) != 0) release_reached(cell, v);
+  }
+
+  /// Adds one to `cell`, publishes it, and returns the new value: a
+  /// replay tick on the global counter or on a causal order cell.
+  std::uint64_t advance(TurnCell& cell) {
+    const std::uint64_t v = cell.fetch_add(1, std::memory_order_seq_cst) + 1;
+    published(cell, v);
+    return v;
   }
 
   /// The lowest target a thread is parked on `cell` for below `bound`, if

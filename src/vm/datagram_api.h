@@ -45,7 +45,7 @@ struct DatagramPacket {
 };
 
 /// Analogue of java.net.DatagramSocket.
-class DatagramSocket {
+class DatagramSocket : public Conflict {
  public:
   /// Creates and binds (kUdpCreate; the bound port is recorded).  `port` 0
   /// picks an ephemeral port during record; replay rebinds the recorded
@@ -105,7 +105,6 @@ class DatagramSocket {
   std::pair<DgNetworkEventId, Bytes> fetch_replay();
 
   Vm& vm_;
-  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::shared_ptr<net::UdpPort> port_;
   std::unique_ptr<replay::ReliableUdp> rel_;  // replay mode only
   std::unique_ptr<replay::DatagramReplayer> replayer_;  // replay mode only

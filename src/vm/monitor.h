@@ -36,7 +36,7 @@
 namespace djvu::vm {
 
 /// A reentrant monitor bound to one Vm.
-class Monitor {
+class Monitor : public Conflict {
  public:
   explicit Monitor(Vm& vm) : vm_(vm) {}
   Monitor(const Monitor&) = delete;
@@ -88,7 +88,6 @@ class Monitor {
                  std::optional<std::chrono::milliseconds> timeout);
 
   Vm& vm_;
-  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::mutex mutex_;
   std::condition_variable cv_;
   /// Owning thread (kNoOwner when free).  Atomic so a thread can check "am

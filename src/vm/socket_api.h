@@ -71,7 +71,7 @@ class OutputStream {
 };
 
 /// Analogue of java.net.Socket.
-class Socket {
+class Socket : public Conflict {
  public:
   /// Client constructor: create + connect (blocks until established).
   /// Throws ConnectException / SocketException on failure (re-thrown from
@@ -125,7 +125,6 @@ class Socket {
   void do_write(BytesView data);
 
   Vm& vm_;
-  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::shared_ptr<net::TcpConnection> conn_;  // null for virtual sockets
   net::SocketAddress remote_{};
   bool peer_is_djvm_ = false;
@@ -139,7 +138,7 @@ class Socket {
 };
 
 /// Analogue of java.net.ServerSocket.
-class ServerSocket {
+class ServerSocket : public Conflict {
  public:
   /// Creates, binds and listens (three critical events).  `port` 0 picks an
   /// ephemeral port during record; replay rebinds the recorded port.
@@ -170,7 +169,6 @@ class ServerSocket {
 
  private:
   Vm& vm_;
-  ConflictKeyLifetime key_lifetime_{vm_, this};
   std::shared_ptr<net::TcpListener> listener_;
   replay::ConnectionPool pool_;
   std::mutex fd_mutex_;  // serializes net-level accepts (synchronized call)

@@ -6,7 +6,7 @@ VmThread::VmThread(Vm& vm, std::function<void()> fn)
     : vm_(&vm), error_(std::make_shared<std::exception_ptr>()) {
   // The spawn is a critical event of the *parent*; registration happens
   // inside the event body so creation order is part of the schedule.  All
-  // spawns share one conflict key (the registry): concurrent spawns on
+  // spawns share one conflict key (Vm::spawns_): concurrent spawns on
   // different stripes could otherwise draw thread numbers inconsistent
   // with their counter order, breaking replay's threadNum determinism.
   // A spawn may execute inside the parent's interval lease: the child's
@@ -21,7 +21,7 @@ VmThread::VmThread(Vm& vm, std::function<void()> fn)
         child_state = &vm.register_child_thread();
         return std::uint64_t{child_state->num};
       },
-      0, &vm.registry_);
+      0, &vm.spawns_);
   num_ = child_state->num;
 
   auto error = error_;

@@ -20,11 +20,9 @@ struct ThreadBinding {
 
 thread_local ThreadBinding t_binding;
 
-/// The SectionKey a conflict key maps to: the object address, or — for
-/// thread-local events — an odd key derived from the thread number (never
-/// collides with an aligned object address).  One mapping shared by the
-/// record sections, the causal record side, and the causal replay side, so
-/// all three agree on which order a key owns.
+/// The record-section stripe key a conflict key maps to: the object
+/// address, or — for thread-local events — an odd key derived from the
+/// thread number (never collides with an aligned object address).
 sched::SectionKey conflict_section_key(ThreadNum num, ConflictKey conflict) {
   return conflict == kThreadLocalConflict
              ? (std::uint64_t{num} << 1) | 1
@@ -47,7 +45,9 @@ Vm::Vm(std::shared_ptr<net::Network> network, VmConfig config,
                                              : 1,
                config_.mode == Mode::kRecord
                    ? config_.tuning.record_quantum
-                   : std::chrono::microseconds(0)) {
+                   : std::chrono::microseconds(0)),
+      causal_(instrumented() &&
+              config_.tuning.order_mode == OrderMode::kCausal) {
   if ((config_.mode == Mode::kReplay) != (replay_log_ != nullptr)) {
     throw UsageError("replay log must be supplied exactly in replay mode");
   }
@@ -56,9 +56,6 @@ Vm::Vm(std::shared_ptr<net::Network> network, VmConfig config,
     throw UsageError("replay log belongs to vm " +
                      std::to_string(replay_log_->vm_id) + ", not vm " +
                      std::to_string(config_.vm_id));
-  }
-  if (instrumented() && config_.tuning.order_mode == OrderMode::kCausal) {
-    causal_ = std::make_unique<sched::CausalOrder>(counter_.gate());
   }
   if (causal_ && config_.mode == Mode::kReplay) {
     // Causal replay needs one per-key seq per recorded event, thread by
@@ -201,10 +198,6 @@ void Vm::bind_current(Vm* vm, sched::ThreadState* state) {
 void Vm::poison() {
   counter_.poison();
   network_->shutdown();
-}
-
-void Vm::retire_conflict(ConflictKey conflict) {
-  if (causal_) causal_->retire(conflict_section_key(0, conflict));
 }
 
 void Vm::resume_replay(GlobalCount checkpoint_gc,
@@ -495,12 +488,18 @@ GlobalCount Vm::replay_turn_wait(sched::ThreadState& state, bool leasable,
       // eliminates the cross-thread serialization leases amortize.
       const std::uint64_t seq =
           (*state.causal_seqs)[state.cursor.consumed()];
-      const sched::SectionKey key =
-          conflict_section_key(state.num, conflict);
-      const sched::CausalOrder::Ticket t = state.causal_lookup(key, *causal_);
-      causal_->await(t, key, seq, *state.tally);
-      state.causal_ticket = t;
-      state.causal_pending = true;
+      sched::TurnCell& cell = order_cell(state, conflict);
+      const std::uint64_t count =
+          counter_.gate().wait(cell, seq, *state.tally);
+      if (count != seq) {
+        throw ReplayDivergenceError(
+            "causal replay passed its turn: recorded per-key seq " +
+                std::to_string(seq) + " but " + std::to_string(count) +
+                " same-key events already published — the per-key order "
+                "and the execution disagree",
+            DivergenceCause::kCounterPassed);
+      }
+      state.causal_turn = &cell;
       return g;
     }
     if (!config_.tuning.replay_leasing) {
@@ -544,9 +543,10 @@ void Vm::replay_turn_done(sched::ThreadState& state, GlobalCount g) {
     // which is safe — no thread ever awaits the counter in causal replay.
     counter_.tick(*state.tally);
     state.cursor.advance();
-    if (state.causal_pending) {
-      state.causal_pending = false;
-      causal_->publish(state.causal_ticket);
+    // The cell is still alive: the object the event conflicts on lives
+    // across the gateway call that waited and now publishes.
+    if (state.causal_turn != nullptr) {
+      counter_.gate().advance(*std::exchange(state.causal_turn, nullptr));
     }
     return;
   }
@@ -615,22 +615,19 @@ GlobalCount Vm::critical_event(sched::EventKind kind, const EventBody& body,
       } else {
         // Thread-local events key on the thread number, made odd so it can
         // never collide with an aligned object address.  With one stripe
-        // every key takes the same lock (the single section) — but the key
-        // still names the causal-mode per-key order.
+        // every key takes the same lock (the single section).
         const sched::SectionKey key =
             conflict_section_key(state.num, conflict);
         if (causal_) {
           // The per-key seq is assigned INSIDE the key's section: same-key
           // events serialize on the same stripe, so
           // seq order == section-acquisition order == object access order.
-          const sched::CausalOrder::Ticket t =
-              state.causal_lookup(key, *causal_);
-          gc = counter_.with_section(key, state.stripe_hold, *state.tally,
-                                     [&](GlobalCount g) {
-                                       section_body(g);
-                                       state.causal_buf.push_back(
-                                           causal_->record_next(t));
-                                     });
+          sched::TurnCell& cell = order_cell(state, conflict);
+          gc = counter_.with_section(
+              key, state.stripe_hold, *state.tally, [&](GlobalCount g) {
+                section_body(g);
+                state.causal_buf.push_back(cell.fetch_add(1));
+              });
         } else {
           gc = counter_.with_section(key, state.stripe_hold, *state.tally,
                                      section_body);

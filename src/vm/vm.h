@@ -38,7 +38,6 @@
 #include "net/network.h"
 #include "record/log_spool.h"
 #include "record/vm_log.h"
-#include "sched/causal_order.h"
 #include "sched/divergence.h"
 #include "sched/global_counter.h"
 #include "sched/thread_registry.h"
@@ -108,7 +107,7 @@ inline constexpr GlobalCount kLeasePublishStride = 1024;
 ///   * order_mode — kTotal is the paper's scheme: replay enforces the one
 ///     recorded total order.  kCausal additionally records each event's
 ///     per-conflict-key sequence number and replays by waiting only for the
-///     event's per-key predecessor (sched::CausalOrder), so events on
+///     event's per-key predecessor (the key's Conflict cell), so events on
 ///     independent keys replay in parallel (docs/INTERNALS.md §1d).  A
 ///     causal recording carries both orders and replays under either mode
 ///     with identical traces; a total-order recording replays only under
@@ -149,24 +148,41 @@ struct VmConfig {
   std::uint64_t chaos_seed = 1;
 };
 
-/// Conflict key of a critical event under record sharding: identifies the
-/// object the event conflicts on.  Events with different keys may execute
-/// their GC-critical sections concurrently; same-key events stay mutually
-/// exclusive with their counter numbering.
-///   - an object address (SharedVar, Monitor, socket wrapper): conflicting
-///     accesses to that object serialize on its stripe;
+/// An object critical events conflict on, and its causal order: the base
+/// of SharedVar, Monitor, Socket, ServerSocket and DatagramSocket, whose
+/// gateways key their events on `this`.  Its one member counts the object's
+/// events for order_mode = kCausal (docs/INTERNALS.md §1d): record hands
+/// each event the cell's next value inside the object's GC-critical
+/// section, and replay waits until the cell reaches the event's recorded
+/// value, runs the event, then advances the cell.  The count lives and dies
+/// with the object, so an object built in a dead one's storage starts at 0
+/// in record and replay alike.  Total order never touches it.
+class Conflict {
+  friend class Vm;
+  mutable sched::TurnCell order_{0};
+};
+
+/// Conflict key of a critical event: names the object the event conflicts
+/// on.  Events with different keys may execute their GC-critical sections
+/// concurrently; same-key events stay mutually exclusive with their counter
+/// numbering, and in causal mode they share the object's order.
+///   - a Conflict (SharedVar, Monitor, socket wrapper, the VM's spawn key):
+///     conflicting accesses to that object serialize on its stripe;
 ///   - kThreadLocalConflict: the event touches no shared object — it is
-///     keyed per-thread (an odd key derived from the thread number, which
-///     can never collide with an aligned object address);
+///     keyed per-thread (the record stripe of an odd key derived from the
+///     thread number, which can never collide with an aligned object
+///     address; the causal order of ThreadState::local_order);
 ///   - kGlobalConflict: the event's body snapshots state owned by arbitrary
 ///     other objects (checkpoint barriers) and must exclude every
-///     concurrent event — it takes the whole stripe table.
-using ConflictKey = const void*;
+///     concurrent event — it takes the whole stripe table.  Causal mode
+///     refuses it, so its order is never used.
+using ConflictKey = const Conflict*;
 inline constexpr ConflictKey kThreadLocalConflict = nullptr;
 namespace internal {
-inline constexpr char kGlobalConflictTag = 0;
+inline Conflict kGlobalConflictObject;
 }  // namespace internal
-inline constexpr ConflictKey kGlobalConflict = &internal::kGlobalConflictTag;
+inline constexpr ConflictKey kGlobalConflict =
+    &internal::kGlobalConflictObject;
 
 /// One virtual machine.
 class Vm {
@@ -317,14 +333,6 @@ class Vm {
                              std::uint64_t fixed_aux = 0,
                              ConflictKey conflict = kThreadLocalConflict);
 
-  /// Causal order mode: restarts `conflict`'s per-key order at 0 when the
-  /// object it names dies (ConflictKeyLifetime calls this).  Keys are
-  /// addresses, and the allocator reuses them in different patterns in
-  /// record and replay: without the restart, an object born at a dead
-  /// object's address continues that order in one phase and starts afresh
-  /// in the other.  No-op in total order.
-  void retire_conflict(ConflictKey conflict);
-
   /// Marks an already-executed blocking event (the paper's marking
   /// strategy): equivalent to critical_event with an empty body.
   GlobalCount mark_event(sched::EventKind kind, std::uint64_t aux,
@@ -431,6 +439,14 @@ class Vm {
   /// completion; otherwise one tick.  Advances the cursor either way.
   void replay_turn_done(sched::ThreadState& state, GlobalCount g);
 
+  /// Causal order mode: the cell that orders `conflict`'s events — the
+  /// object's own, or `state`'s thread's for thread-local events.
+  static sched::TurnCell& order_cell(sched::ThreadState& state,
+                                     ConflictKey conflict) {
+    return conflict == kThreadLocalConflict ? state.local_order
+                                            : conflict->order_;
+  }
+
   /// Replay: publishes and releases the calling thread's active lease (if
   /// any) so the counter is exact — used before kGlobalConflict events
   /// (checkpoint barriers snapshot arbitrary state against value()).
@@ -461,11 +477,15 @@ class Vm {
 
   sched::GlobalCounter counter_;
 
-  /// Per-key causal order (order_mode = kCausal; null in total-order mode
-  /// and in passthrough).  Record: assigns per-key seqs inside GC-critical
-  /// sections.  Replay: the turn protocol waits on it instead of the
-  /// counter (which still ticks, for value() observers and finish checks).
-  std::unique_ptr<sched::CausalOrder> causal_;
+  /// True under order_mode = kCausal in record or replay.  Record: each
+  /// event takes its key's next seq inside its GC-critical section.  Replay: the turn protocol waits on the key's cell instead of
+  /// the counter (which still ticks, for value() observers and finish
+  /// checks).
+  const bool causal_;
+
+  /// The conflict key every spawn shares (VmThread): thread numbering is
+  /// global to the VM, so spawns must serialize with their counter order.
+  Conflict spawns_;
 
   /// Structured reports of every divergence any of this VM's threads hit
   /// (replay).  Threads append at throw time — before unwinding can race
@@ -486,21 +506,6 @@ class Vm {
   /// Events between per-thread spool flushes (derived from
   /// tuning.spool_chunk_bytes so one flush roughly fills a chunk).
   GlobalCount spool_flush_events_ = 0;
-};
-
-/// A member of every object whose address is its events' conflict key:
-/// retires the key when the object dies, also when its constructor throws
-/// after events were already marked (a refused connect, a failed bind).
-class ConflictKeyLifetime {
- public:
-  ConflictKeyLifetime(Vm& vm, ConflictKey key) : vm_(vm), key_(key) {}
-  ~ConflictKeyLifetime() { vm_.retire_conflict(key_); }
-  ConflictKeyLifetime(const ConflictKeyLifetime&) = delete;
-  ConflictKeyLifetime& operator=(const ConflictKeyLifetime&) = delete;
-
- private:
-  Vm& vm_;
-  ConflictKey key_;
 };
 
 }  // namespace djvu::vm

@@ -6,10 +6,11 @@
 // in parallel.  These tests drive the claim end to end — the digest matrix
 // {order_mode} × {record_stripes} × {replay_leasing}, cross-mode replay of
 // the same recording, the spooled path, the refusal cases — plus unit tests
-// for the CausalOrder primitive itself.
+// for the per-object order cells (vm::Conflict) and their waits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -23,7 +24,6 @@
 #include "core/session.h"
 #include "net/network.h"
 #include "record/serializer.h"
-#include "sched/causal_order.h"
 #include "tests/test_util.h"
 #include "vm/monitor.h"
 #include "vm/shared_var.h"
@@ -34,105 +34,137 @@
 namespace djvu {
 namespace {
 
-using sched::CausalOrder;
+using sched::TurnCell;
 using sched::TurnGate;
 
-/// A stand-alone order over its own gate, as a Vm builds one over its
-/// counter's gate.  `me` is the test thread's tally; other threads claim
-/// their own.
-struct GatedOrder {
-  explicit GatedOrder(std::chrono::milliseconds stall_timeout =
-                          std::chrono::milliseconds(10000))
-      : gate(stall_timeout), order(gate), me(gate.tally()) {}
+/// A stand-alone gate, as a Vm's counter owns one.  `me` is the test
+/// thread's tally; other threads claim their own.
+struct Gate {
+  explicit Gate(std::chrono::milliseconds stall_timeout =
+                    std::chrono::milliseconds(10000))
+      : gate(stall_timeout), me(gate.tally()) {}
   TurnGate gate;
-  CausalOrder order;
   sched::TurnTally& me;
 };
 
-// ---------------------------------------------------------------------------
-// CausalOrder unit tests.
-
-TEST(CausalOrderUnit, PerKeySequencesAreIndependent) {
-  GatedOrder g;
-  CausalOrder& o = g.order;
-  EXPECT_EQ(o.record_next(1), 0u);
-  EXPECT_EQ(o.record_next(1), 1u);
-  EXPECT_EQ(o.record_next(2), 0u);
-  EXPECT_EQ(o.record_next(1), 2u);
-  EXPECT_EQ(o.record_next(2), 1u);
+/// The configuration of a stand-alone causal-order Vm in `mode`.
+vm::VmConfig causal_config(vm::Mode mode) {
+  vm::VmConfig cfg;
+  cfg.vm_id = 1;
+  cfg.host = 1;
+  cfg.mode = mode;
+  cfg.tuning.order_mode = OrderMode::kCausal;
+  return cfg;
 }
 
-TEST(CausalOrderUnit, AwaitSeqZeroNeverBlocks) {
-  GatedOrder g;
-  CausalOrder& o = g.order;
-  o.await(7, 0, g.me);  // no predecessor — returns immediately
-  o.publish(7);
-  o.await(7, 1, g.me);  // the publication reached the key's cell
+// ---------------------------------------------------------------------------
+// Order cell unit tests.
+
+// Record numbers each object's events from 0 in its own cell, and the
+// thread's own events in the thread's cell.  An object built in a dead
+// one's storage starts afresh.
+TEST(CausalCell, ObjectsNumberTheirOwnEvents) {
+  using Var = vm::SharedVar<std::uint64_t>;
+  vm::Vm v(std::make_shared<net::Network>(),
+           causal_config(vm::Mode::kRecord));
+  v.attach_main();
+  {
+    Var a(v, 0);
+    Var b(v, 0);
+    a.set(1);                                          // a: 0
+    a.get();                                           // a: 1
+    b.set(2);                                          // b: 0
+    v.mark_event(sched::EventKind::kSharedWrite, 0);   // thread: 0
+    a.set(3);                                          // a: 2
+    b.get();                                           // b: 1
+    v.mark_event(sched::EventKind::kSharedWrite, 0);   // thread: 1
+  }
+  alignas(Var) unsigned char storage[sizeof(Var)];
+  Var* c = new (storage) Var(v, 0);
+  c->set(4);  // 0 — no order inherited from the storage's last tenant
+  c->~Var();
+  v.detach_current();
+  const record::VmLog log = v.finish_record();
+  ASSERT_EQ(log.causal.per_thread.size(), 1u);
+  EXPECT_EQ(log.causal.per_thread[0],
+            (std::vector<std::uint64_t>{0, 1, 0, 0, 2, 1, 1, 0}));
+}
+
+TEST(CausalCell, AwaitSeqZeroNeverBlocks) {
+  Gate g;
+  TurnCell cell{0};
+  EXPECT_EQ(g.gate.wait(cell, 0, g.me), 0u);  // no predecessor
+  g.gate.advance(cell);
+  EXPECT_EQ(g.gate.wait(cell, 1, g.me), 1u);  // the publication arrived
   EXPECT_EQ(g.gate.stats().waits_fast, 2u);
   EXPECT_EQ(g.gate.stats().waits_parked, 0u);
 }
 
-TEST(CausalOrderUnit, AwaitBlocksUntilPredecessorPublishes) {
-  GatedOrder g;
-  CausalOrder& o = g.order;
+TEST(CausalCell, AwaitBlocksUntilPredecessorPublishes) {
+  Gate g;
+  TurnCell cell{0};
   g.gate.runner_began();
   std::atomic<bool> passed{false};
   std::thread waiter([&] {
     g.gate.runner_began();
-    o.await(7, 2, g.gate.tally());  // needs two same-key publications first
+    // Needs two same-cell publications first.
+    EXPECT_EQ(g.gate.wait(cell, 2, g.gate.tally()), 2u);
     passed.store(true);
     g.gate.runner_ended();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(passed.load());
-  o.await(7, 0, g.me);
-  o.publish(7);
+  g.gate.advance(cell);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(passed.load());  // one publication is not enough
-  o.await(7, 1, g.me);
-  o.publish(7);
+  g.gate.advance(cell);
   waiter.join();
   EXPECT_TRUE(passed.load());
   g.gate.runner_ended();
 }
 
-TEST(CausalOrderUnit, IndependentKeysDoNotWaitOnEachOther) {
-  GatedOrder g;
-  CausalOrder& o = g.order;
-  // Key 9's first event proceeds regardless of key 7's pending history.
-  o.await(9, 0, g.me);
-  o.publish(9);
-  o.await(9, 1, g.me);
+TEST(CausalCell, IndependentCellsDoNotWaitOnEachOther) {
+  Gate g;
+  TurnCell busy{0};
+  TurnCell other{0};
+  // `other`'s first event proceeds regardless of `busy`'s pending history.
+  g.gate.advance(busy);
+  EXPECT_EQ(g.gate.wait(other, 0, g.me), 0u);
+  g.gate.advance(other);
+  EXPECT_EQ(g.gate.wait(other, 1, g.me), 1u);
   EXPECT_EQ(g.gate.stats().waits_fast, 2u);
 }
 
-TEST(CausalOrderUnit, RetireRestartsTheKeysOrder) {
-  GatedOrder g;
-  CausalOrder& o = g.order;
-  const CausalOrder::Ticket t = o.resolve(7);
-  o.record_next(t);
-  o.record_next(t);
-  o.record_next(8);
-  o.retire(7);
-  EXPECT_EQ(o.record_next(t), 0u);  // a cached ticket sees the restart
-  EXPECT_EQ(o.record_next(8), 1u);  // other keys keep their order
+// A cell already past the event's recorded seq means the per-key order and
+// the execution disagree: the Vm reports kCounterPassed.  Here the log
+// gives the thread's second thread-local event seq 0 again.
+TEST(CausalCell, PassedSeqIsCounterPassed) {
+  auto log = std::make_shared<record::VmLog>();
+  log->vm_id = 1;
+  log->schedule.per_thread = {{sched::LogicalInterval{0, 1}}};
+  log->causal.per_thread = {{0, 0}};
+  log->stats.critical_events = 2;
+  vm::Vm v(std::make_shared<net::Network>(),
+           causal_config(vm::Mode::kReplay), log);
+  v.attach_main();
+  v.mark_event(sched::EventKind::kSharedWrite, 0);
+  std::optional<DivergenceCause> cause;
+  try {
+    v.mark_event(sched::EventKind::kSharedWrite, 0);
+  } catch (const ReplayDivergenceError& e) {
+    cause = e.cause();
+  }
+  v.detach_current();
+  EXPECT_EQ(cause, DivergenceCause::kCounterPassed);
 }
 
-TEST(CausalOrderUnit, AwaitPastSequenceThrows) {
-  GatedOrder g;
-  CausalOrder& o = g.order;
-  o.publish(7);
-  o.publish(7);
-  EXPECT_THROW(o.await(7, 1, g.me), ReplayDivergenceError);  // count is 2
-}
-
-TEST(CausalOrderUnit, PoisonUnblocksParkedWaiter) {
-  GatedOrder g;
-  CausalOrder& o = g.order;
+TEST(CausalCell, PoisonUnblocksParkedWaiter) {
+  Gate g;
+  TurnCell cell{0};
   g.gate.runner_began();
   std::thread waiter([&] {
     g.gate.runner_began();
-    EXPECT_THROW(o.await(7, 5, g.gate.tally()), ReplayDivergenceError);
+    EXPECT_THROW(g.gate.wait(cell, 5, g.gate.tally()), ReplayDivergenceError);
     g.gate.runner_ended();
   });
   while (g.gate.stats().waits_parked == 0) {
@@ -140,30 +172,28 @@ TEST(CausalOrderUnit, PoisonUnblocksParkedWaiter) {
   }
   g.gate.poison();
   waiter.join();
-  EXPECT_THROW(o.await(8, 0, g.me), ReplayDivergenceError);  // future ones too
+  TurnCell fresh{0};
+  // Future waits throw too, even ones whose turn has come.
+  EXPECT_THROW(g.gate.wait(fresh, 0, g.me), ReplayDivergenceError);
   g.gate.runner_ended();
 }
 
-// The causal await spins before it parks, like GlobalCounter::await; a
-// poison that lands during the spin must unwind it as kPoisoned without it
-// ever parking.  Retried because a preempted waiter may park first.
-TEST(CausalOrderUnit, PoisonWhileSpinningThrowsPoisoned) {
+// A cell wait spins before it parks, like GlobalCounter::await; a poison
+// that lands during the spin must unwind it as kPoisoned without it ever
+// parking.  Retried because a preempted waiter may park first.
+TEST(CausalCell, PoisonWhileSpinningThrowsPoisoned) {
   if (!TurnGate(std::chrono::milliseconds(10000)).spins()) {
     GTEST_SKIP() << "spinning needs two CPUs";
   }
   constexpr int kAttempts = 200;
   for (int i = 0; i < kAttempts; ++i) {
-    GatedOrder g;
-    CausalOrder& o = g.order;
-    // Resolved up front: resolve() allocates, which on a fresh thread can
-    // outlast the 10 us delay and let the poison land before the await
-    // even starts.
-    const CausalOrder::Ticket t = o.resolve(7);
+    Gate g;
+    TurnCell cell{0};
     std::optional<DivergenceCause> cause;
     testutil::race_spinner(
         [&] {
           try {
-            o.await(t, 7, 5, g.gate.tally());
+            g.gate.wait(cell, 5, g.gate.tally());
           } catch (const ReplayDivergenceError& e) {
             cause = e.cause();
           }
@@ -178,14 +208,14 @@ TEST(CausalOrderUnit, PoisonWhileSpinningThrowsPoisoned) {
   FAIL() << "the waiter parked before the poison in every attempt";
 }
 
-TEST(CausalOrderUnit, CertainStallWhenEveryRunnerIsParked) {
+TEST(CausalCell, CertainStallWhenEveryRunnerIsParked) {
   // One registered runner, and it parks: nobody can ever publish, so the
   // detector fires after a single quiet window instead of the grace factor.
-  GatedOrder g(std::chrono::milliseconds(50));
-  CausalOrder& o = g.order;
+  Gate g(std::chrono::milliseconds(50));
+  TurnCell cell{0};
   g.gate.runner_began();
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(o.await(7, 1, g.me), ReplayDivergenceError);
+  EXPECT_THROW(g.gate.wait(cell, 1, g.me), ReplayDivergenceError);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(50) *
                          TurnGate::kStallGraceFactor);
@@ -194,17 +224,13 @@ TEST(CausalOrderUnit, CertainStallWhenEveryRunnerIsParked) {
 
 // A causal stall is a turn-gate stall like any other: the Vm's SchedStats
 // count it, and the parked wait behind it, with no causal special case.
-TEST(CausalOrderUnit, CausalStallCountsInVmSchedStats) {
+TEST(CausalCell, CausalStallCountsInVmSchedStats) {
   auto log = std::make_shared<record::VmLog>();
   log->vm_id = 1;
   log->schedule.per_thread = {{sched::LogicalInterval{0, 0}}};
   log->causal.per_thread = {{5}};  // five same-key predecessors never come
   log->stats.critical_events = 1;
-  vm::VmConfig cfg;
-  cfg.vm_id = 1;
-  cfg.host = 1;
-  cfg.mode = vm::Mode::kReplay;
-  cfg.tuning.order_mode = OrderMode::kCausal;
+  vm::VmConfig cfg = causal_config(vm::Mode::kReplay);
   cfg.tuning.stall_timeout = std::chrono::milliseconds(50);
   vm::Vm v(std::make_shared<net::Network>(), cfg, log);
   v.attach_main();
@@ -484,10 +510,10 @@ TEST(CausalReplay, SpooledCausalRecordingReplaysFromDisk) {
   std::filesystem::remove_all(dir);
 }
 
-// Keys are addresses, and the allocator reuses them in different patterns
-// in record and replay.  Here record builds the second variable where the
-// first one died and replay builds it elsewhere: the dead variable's order
-// must not leak into its successor's.
+// The allocator reuses storage in different patterns in record and replay.
+// Here record builds the second variable where the first one died and
+// replay builds it elsewhere: the dead variable's order must not leak into
+// its successor's.
 TEST(CausalReplay, DeadObjectsOrderDoesNotPassToItsAddress) {
   core::SessionConfig cfg;
   cfg.tuning.order_mode = OrderMode::kCausal;
@@ -507,6 +533,37 @@ TEST(CausalReplay, DeadObjectsOrderDoesNotPassToItsAddress) {
   });
   auto rec = s.record(5);
   auto rep = s.replay(rec, 6);
+  core::verify(rec, rep);
+}
+
+// The same for an object whose constructor throws after marking events:
+// a refused connect marks its create and its failure on the socket, then
+// throws out of the constructor.  Record builds the next object in the
+// failed socket's storage, replay builds it elsewhere.
+TEST(CausalReplay, RefusedConnectsOrderDoesNotPassToItsStorage) {
+  core::SessionConfig cfg;
+  cfg.tuning.order_mode = OrderMode::kCausal;
+  cfg.tuning.stall_timeout = std::chrono::milliseconds(200);
+  core::Session s(cfg);
+  s.add_vm("solo", 1, true, [](vm::Vm& v) {
+    using Var = vm::SharedVar<std::uint64_t>;
+    constexpr std::size_t kSize = std::max(sizeof(vm::Socket), sizeof(Var));
+    alignas(vm::Socket) alignas(Var) unsigned char first[kSize];
+    alignas(vm::Socket) alignas(Var) unsigned char elsewhere[kSize];
+    bool refused = false;
+    try {
+      new (first) vm::Socket(v, {1, 4999});  // nothing listens there
+    } catch (const vm::SocketException&) {
+      refused = true;
+    }
+    if (!refused) throw Error("connect to a closed port succeeded");
+    Var* b = new (v.mode() == vm::Mode::kRecord ? first : elsewhere) Var(v, 0);
+    b->set(3);
+    b->get();
+    b->~Var();
+  });
+  auto rec = s.record(7);
+  auto rep = s.replay(rec, 8);
   core::verify(rec, rep);
 }
 

@@ -162,7 +162,9 @@ TEST_P(SpoolFileRoundtrip, WritesAndReadsBack) {
     EXPECT_EQ(s.items_enqueued, 6u);
     EXPECT_GT(s.chunks_written, 1u);  // trace alone overflows one 256B chunk
     EXPECT_GT(s.raw_bytes, 0u);
-    if (compress) EXPECT_LT(s.written_bytes, s.raw_bytes);
+    if (compress) {
+      EXPECT_LT(s.written_bytes, s.raw_bytes);
+    }
   }
 
   record::SpoolContents contents = record::load_spool(path);
@@ -240,7 +242,10 @@ void client_main(vm::Vm& v) {
   }
   auto sock = testutil::connect_retry(v, {1, 4700});
   for (int m = 0; m < kMessages; ++m) {
-    Bytes msg = to_bytes("m" + std::to_string(m) + "x");
+    std::string text = "m";
+    text += std::to_string(m);
+    text += 'x';
+    Bytes msg = to_bytes(text);
     msg.resize(4, '!');
     sock->output_stream().write(msg);
     Bytes echo = testutil::read_exactly(*sock, 4);
@@ -561,7 +566,6 @@ TEST(LogSpool, OversizedNetworkEntryPassesAloneInOrder) {
   opts.path = path;
   opts.buffer_bytes = kBuffer;
   record::LogSpooler spooler(7, opts);
-  record::LogSink& sink = spooler;
 
   auto make_entry = [](std::uint64_t num, std::size_t data_bytes) {
     record::NetworkLogEntry e;
@@ -575,12 +579,12 @@ TEST(LogSpool, OversizedNetworkEntryPassesAloneInOrder) {
   const record::NetworkLogEntry huge = make_entry(2, 64 << 10);  // 16x buffer
   const record::NetworkLogEntry small_after = make_entry(3, 16);
 
-  sink.network_entry(0, small_before);
-  sink.network_entry(0, huge);
-  sink.network_entry(0, small_after);
+  spooler.network_entry(0, small_before);
+  spooler.network_entry(0, huge);
+  spooler.network_entry(0, small_after);
   record::RecordStats stats;
   stats.network_events = 3;
-  sink.finish(stats, 1);
+  spooler.finish(stats, 1);
   spooler.close();
 
   record::SpoolContents contents = record::load_spool(path);

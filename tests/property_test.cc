@@ -35,7 +35,9 @@ void check_schedule_invariants(const record::VmLog& log) {
     bool first = true;
     for (const auto& lsi : list) {
       ASSERT_LE(lsi.first, lsi.last);
-      if (!first) ASSERT_GT(lsi.first, prev_end);
+      if (!first) {
+        ASSERT_GT(lsi.first, prev_end);
+      }
       prev_end = lsi.last;
       first = false;
       all.emplace_back(lsi.first, lsi.last);

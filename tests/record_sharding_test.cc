@@ -81,7 +81,10 @@ void client_main(vm::Vm& v) {
   }
   auto sock = testutil::connect_retry(v, {1, 4500});
   for (int m = 0; m < kMessages; ++m) {
-    Bytes msg = to_bytes("m" + std::to_string(m) + "x");
+    std::string text = "m";
+    text += std::to_string(m);
+    text += 'x';
+    Bytes msg = to_bytes(text);
     msg.resize(4, '!');
     sock->output_stream().write(msg);
     Bytes echo = testutil::read_exactly(*sock, 4);

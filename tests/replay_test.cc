@@ -28,7 +28,7 @@ TEST(ConnectionPool, DirectPutThenAwait) {
   ConnectionPool pool;
   ConnectionId id{1, 2, 3};
   pool.put(id, dummy_conn(net, 0));
-  auto conn = pool.await(id, [] -> std::pair<ConnectionId, ConnectionPool::Conn> {
+  auto conn = pool.await(id, []() -> std::pair<ConnectionId, ConnectionPool::Conn> {
     throw Error("fetch should not be called");
   });
   EXPECT_NE(conn, nullptr);

@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "core/session.h"
 #include "record/log_stats.h"
-#include "sched/causal_order.h"
 #include "sched/global_counter.h"
 #include "sched/interval.h"
 #include "sched/thread_registry.h"
@@ -699,14 +698,19 @@ TEST(GlobalCounter, PublicationsRestartTheStallGrace) {
       [&] { c.tick(me); });
 }
 
-TEST(CausalOrder, PublicationsRestartTheStallGrace) {
+// The same rule on a causal order cell (vm::Conflict): any cell's
+// publication restarts the grace.
+TEST(CausalCell, PublicationsRestartTheStallGrace) {
   constexpr std::chrono::milliseconds kWindow(20);
   TurnGate gate(kWindow);
-  CausalOrder o(gate);
+  TurnCell cell{0};
   trickle_past_grace(
       gate, kWindow,
-      [&] { o.await(7, kTricklePublications, gate.tally()); },
-      [&] { o.publish(7); });
+      [&] {
+        EXPECT_EQ(gate.wait(cell, kTricklePublications, gate.tally()),
+                  std::uint64_t{kTricklePublications});
+      },
+      [&] { gate.advance(cell); });
 }
 
 TEST(GlobalCounter, PoisonReleasesParkedWaiter) {

@@ -480,7 +480,10 @@ void echo_client_main(vm::Vm& v) {
   });
   auto sock = testutil::connect_retry(v, {1, 4801});
   for (int m = 0; m < kMsgs; ++m) {
-    Bytes msg = to_bytes("p" + std::to_string(m) + "qq");
+    std::string text = "p";
+    text += std::to_string(m);
+    text += "qq";
+    Bytes msg = to_bytes(text);
     msg.resize(4, '!');
     sock->output_stream().write(msg);
     testutil::read_exactly(*sock, 4);
