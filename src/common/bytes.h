@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/errors.h"
@@ -55,6 +56,10 @@ inline std::int64_t zigzag_decode(std::uint64_t v) {
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  /// Appends after `buf`'s contents, keeping its capacity (take() hands the
+  /// buffer back).
+  explicit ByteWriter(Bytes buf) : buf_(std::move(buf)) {}
 
   /// Fixed-width little-endian writes.
   ByteWriter& u8(std::uint8_t v);

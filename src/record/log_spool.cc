@@ -60,11 +60,19 @@ std::pair<ThreadNum, sched::IntervalList> decode_schedule_item(BytesView body) {
   return {thread, std::move(list)};
 }
 
-Bytes encode_network_item(ThreadNum thread, const NetworkLogEntry& entry) {
-  ByteWriter w;
+void append_network_item(Bytes& out, ThreadNum thread,
+                         const NetworkLogEntry& entry) {
+  ByteWriter w(std::move(out));
+  w.u8(static_cast<std::uint8_t>(SpoolItemKind::kNetwork));
+  const std::size_t body_at = w.size();
   w.varint(thread);
   write_network_entry(w, entry);
-  return w.take();
+  out = w.take();
+  // The body's length is known only now: slot its varint in ahead of it.
+  ByteWriter len;
+  len.varint(out.size() - body_at);
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(body_at),
+             len.view().begin(), len.view().end());
 }
 
 std::pair<ThreadNum, NetworkLogEntry> decode_network_item(BytesView body) {
@@ -296,9 +304,19 @@ void LogSpooler::schedule_batch(ThreadNum thread,
            GcRange{intervals.front().first, intervals.back().last}});
 }
 
-void LogSpooler::network_entry(ThreadNum thread, const NetworkLogEntry& entry) {
-  enqueue({SpoolItemKind::kNetwork, encode_network_item(thread, entry),
+void LogSpooler::network_batch(BytesView items) {
+  if (items.empty()) return;
+  enqueue({SpoolItemKind::kNetwork, Bytes(items.begin(), items.end()),
            /*records=*/{}, /*cost=*/0});
+}
+
+void LogSpooler::network_entry(ThreadNum thread, const NetworkLogEntry& entry) {
+  // One allocation: a typical entry's framing and fields fit in 32 bytes.
+  Bytes item;
+  item.reserve(32 + (entry.data ? entry.data->size() : 0));
+  append_network_item(item, thread, entry);
+  enqueue({SpoolItemKind::kNetwork, std::move(item), /*records=*/{},
+           /*cost=*/0});
 }
 
 void LogSpooler::trace_batch(std::vector<sched::TraceRecord> records) {
@@ -385,6 +403,19 @@ void LogSpooler::append_item(SpoolItemKind kind, BytesView body,
   if (chunk_.size() >= options_.chunk_bytes) flush_chunk();
 }
 
+void LogSpooler::splice_items(BytesView items) {
+  std::size_t pos = 0;
+  while (pos < items.size()) {
+    ByteReader r(items.subspan(pos));
+    r.u8();
+    const std::uint64_t body_len = r.varint();
+    const std::size_t end = pos + r.position() + body_len;
+    chunk_.raw(items.subspan(pos, end - pos));
+    pos = end;
+    if (chunk_.size() >= options_.chunk_bytes) flush_chunk();
+  }
+}
+
 void LogSpooler::flush_chunk() {
   if (chunk_.size() == 0) return;
   write_chunk(chunk_.view());
@@ -415,6 +446,10 @@ bool LogSpooler::drain_queue() {
       pending_anchor_chunk_ = true;
       append_item(item.kind, item.body, item.gc);
       flush_chunk();
+      continue;
+    }
+    if (item.kind == SpoolItemKind::kNetwork) {
+      splice_items(item.body);
       continue;
     }
     if (!item.records.empty()) {

@@ -18,8 +18,10 @@
 // footer; anchor readback and seek_to_gc also use it.
 //
 // One producer path feeds the writer: a mutex/condvar bounded byte queue
-// behind LogSpooler's producer calls.  Batches, network entries, anchors
-// and the finish marker all take it; a producer that finds the queue holding
+// behind LogSpooler's producer calls.  Batches, anchors and the finish
+// marker all take it, network entries included: a recording thread stages
+// its entries as framed items (append_network_item) and ships them as one
+// batch per flush; a producer that finds the queue holding
 // buffer_bytes blocks until the writer drains it (counted in
 // producer_blocks), which is what bounds record-mode memory.  Trace
 // batches ride the queue as raw records and are serialized on the writer
@@ -152,7 +154,12 @@ SpoolAnchor read_anchor(ByteReader& r);
 Bytes encode_schedule_item(ThreadNum thread,
                            const sched::IntervalList& intervals);
 std::pair<ThreadNum, sched::IntervalList> decode_schedule_item(BytesView body);
-Bytes encode_network_item(ThreadNum thread, const NetworkLogEntry& entry);
+/// Appends one whole kNetwork item, framed as on disk (kind u8 | body_len
+/// varint | body, the body being thread varint and the serializer's network
+/// entry), to `out`.  A recording thread stages its entries this way and
+/// ships them with LogSpooler::network_batch.
+void append_network_item(Bytes& out, ThreadNum thread,
+                         const NetworkLogEntry& entry);
 std::pair<ThreadNum, NetworkLogEntry> decode_network_item(BytesView body);
 Bytes encode_trace_item(const std::vector<sched::TraceRecord>& records);
 std::vector<sched::TraceRecord> decode_trace_item(BytesView body);
@@ -273,7 +280,18 @@ class LogSpooler {
   /// or by the finishing thread after all workers quiesced.
   void schedule_batch(ThreadNum thread, const sched::IntervalList& intervals);
 
-  /// One recorded network event outcome (any thread, its own events).
+  /// One thread's staged network-log entries: framed kNetwork items
+  /// (append_network_item) in that thread's event order.  The bytes are
+  /// copied into one queue item, so the caller clears its buffer and keeps
+  /// the capacity.  The writer splices the items one at a time, so a chunk
+  /// still seals at an item boundary once it reaches chunk_bytes; on disk
+  /// each entry stays its own kNetwork item.  vm::Vm ships a thread's batch
+  /// ahead of that thread's schedule batch, so a torn spool never holds an
+  /// interval without the entries of the events it covers.
+  void network_batch(BytesView items);
+
+  /// One recorded network event outcome (any thread, its own events): a
+  /// one-entry network_batch.
   void network_entry(ThreadNum thread, const NetworkLogEntry& entry);
 
   /// A batch of one thread's buffered trace records, in that thread's
@@ -316,6 +334,7 @@ class LogSpooler {
 
   struct Item {
     SpoolItemKind kind;
+    /// The item body; for kNetwork, a run of whole framed items.
     Bytes body;
     /// Trace batches ride the queue raw (the producer's copy, or its moved
     /// buffer in a flight recorder) and are encoded by the writer thread —
@@ -337,6 +356,8 @@ class LogSpooler {
   // Writer-side helpers.
   void append_item(SpoolItemKind kind, BytesView body,
                    std::optional<GcRange> gc = std::nullopt);
+  /// Appends a run of framed items (a network batch) item by item.
+  void splice_items(BytesView items);
   void flush_chunk();
   bool drain_queue();
   void seal_finish();

@@ -3,14 +3,21 @@
 namespace djvu::record {
 
 void NetworkLog::append(ThreadNum thread, NetworkLogEntry entry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& entries = per_thread_[thread];
-  auto [it, inserted] = entries.emplace(entry.event_num, std::move(entry));
-  if (!inserted) {
-    throw UsageError("duplicate network log entry for thread " +
-                     std::to_string(thread) + " event " +
-                     std::to_string(it->first));
+  const EventNum event_num = entry.event_num;
+  if (!insert(thread, std::move(entry))) {
+    throw UsageError(duplicate_entry_message(thread, event_num));
   }
+}
+
+bool NetworkLog::insert(ThreadNum thread, NetworkLogEntry entry) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const EventNum event_num = entry.event_num;
+  return per_thread_[thread].emplace(event_num, std::move(entry)).second;
+}
+
+std::string duplicate_entry_message(ThreadNum thread, EventNum event_num) {
+  return "duplicate network log entry for thread " + std::to_string(thread) +
+         " event " + std::to_string(event_num);
 }
 
 const NetworkLogEntry* NetworkLog::find(ThreadNum thread,

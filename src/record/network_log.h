@@ -9,6 +9,7 @@
 
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/errors.h"
@@ -31,8 +32,13 @@ class NetworkLog {
   }
 
   /// Record mode: appends the outcome of network event
-  /// <thread, entry.event_num>.
+  /// <thread, entry.event_num>; a second entry for one event is misuse
+  /// (UsageError).
   void append(ThreadNum thread, NetworkLogEntry entry);
+
+  /// As append, but returns false instead of throwing when the event
+  /// already has an entry: a file reader reports that as a format error.
+  bool insert(ThreadNum thread, NetworkLogEntry entry);
 
   /// Replay mode: finds the entry for <thread, event_num>, or nullptr when
   /// the event recorded no entry (deterministic outcome, no exception).
@@ -66,5 +72,8 @@ class NetworkLog {
   // network events record no entry.
   std::map<ThreadNum, std::map<EventNum, NetworkLogEntry>> per_thread_;
 };
+
+/// The text both a misused append and a file reader's format error carry.
+std::string duplicate_entry_message(ThreadNum thread, EventNum event_num);
 
 }  // namespace djvu::record

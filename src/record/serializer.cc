@@ -193,7 +193,11 @@ VmLog deserialize(BytesView data) {
     auto t = static_cast<ThreadNum>(r.varint());
     std::uint64_t n = r.varint();
     for (std::uint64_t j = 0; j < n; ++j) {
-      log.network.append(t, read_network_entry(r));
+      NetworkLogEntry entry = read_network_entry(r);
+      const EventNum event_num = entry.event_num;
+      if (!log.network.insert(t, std::move(entry))) {
+        throw LogFormatError(duplicate_entry_message(t, event_num));
+      }
     }
   }
   if (version >= kVersionCausal) {

@@ -310,7 +310,10 @@ void fold_item(SpoolItemKind kind, BytesView body, VmLog& log,
     }
     case SpoolItemKind::kNetwork: {
       auto [thread, entry] = decode_network_item(body);
-      log.network.append(thread, std::move(entry));
+      const EventNum event_num = entry.event_num;
+      if (!log.network.insert(thread, std::move(entry))) {
+        throw LogFormatError(duplicate_entry_message(thread, event_num));
+      }
       break;
     }
     case SpoolItemKind::kTrace: {

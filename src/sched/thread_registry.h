@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/errors.h"
 #include "common/ids.h"
 #include "sched/global_counter.h"
@@ -79,6 +80,16 @@ struct ThreadState {
 
   /// Allocates the eventNum for the network event being executed.
   EventNum take_network_event_num() { return next_network_event++; }
+
+  /// Spooling record mode: this thread's network-log entries not yet
+  /// shipped, as framed spool items (record::append_network_item).  Shipped
+  /// as one batch ahead of each schedule flush, or alone once it holds
+  /// spool_chunk_bytes; clearing keeps the capacity for the next batch.
+  Bytes net_buf;
+
+  /// Spooling record mode: a periodic flush fell due at this thread's last
+  /// event; it runs when the thread's next event begins (vm::Vm explains).
+  bool spool_flush_due = false;
 
   /// Locally buffered trace records (when the Vm keeps a trace): events
   /// append here without any cross-thread lock and the Vm merges the

@@ -3,19 +3,20 @@
 namespace djvu::vm {
 
 NetEvent::NetEvent(Vm& vm, sched::EventKind kind, ConflictKey conflict)
-    : vm_(vm), kind_(kind), conflict_(conflict) {
-  sched::ThreadState& st = vm_.current_state();
+    : vm_(vm),
+      kind_(kind),
+      conflict_(conflict),
+      state_(vm.current_state()) {
   // A network or time gateway may block (and a record-mode one logs its
   // outcome outside any section): hand the record stripe on first.
-  vm_.yield_stripe(st);
-  thread_ = st.num;
-  event_num_ = st.take_network_event_num();
+  vm_.yield_stripe(state_);
+  event_num_ = state_.take_network_event_num();
 }
 
 void NetEvent::append(record::NetworkLogEntry entry) {
   entry.kind = kind_;
   entry.event_num = event_num_;
-  vm_.log_network_entry(thread_, std::move(entry));
+  vm_.log_network_entry(state_, std::move(entry));
 }
 
 void NetEvent::mark_error(NetErrorCode code) {
@@ -23,7 +24,7 @@ void NetEvent::mark_error(NetErrorCode code) {
 }
 
 void NetEvent::lookup(Logs logs) {
-  entry_ = vm_.replay_log()->network.find(thread_, event_num_);
+  entry_ = vm_.replay_log()->network.find(state_.num, event_num_);
   if (entry_ == nullptr) {
     if (logs == Logs::kFailuresOnly) return;
     diverge("event has no recorded entry");

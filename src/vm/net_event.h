@@ -107,7 +107,7 @@ class NetEvent {
   Vm& vm_;
   sched::EventKind kind_;
   ConflictKey conflict_;
-  ThreadNum thread_;
+  sched::ThreadState& state_;
   EventNum event_num_;
   const record::NetworkLogEntry* entry_ = nullptr;
 };

@@ -38,9 +38,13 @@ VmThread::VmThread(Vm& vm, std::function<void()> fn)
       vm_ptr->poison();
     }
     vm_ptr->runner_ended();
-    // Publish this thread's buffered trace records before the thread goes
-    // away (after this point only end-of-phase flushes would see them).
+    // Publish this thread's buffered trace records and staged network
+    // entries before the thread goes away (after this point only
+    // end-of-phase flushes would see them), and give the staging buffer
+    // back: an exited thread stages nothing more.
     vm_ptr->flush_trace(*child_state);
+    vm_ptr->ship_network(*child_state);
+    child_state->net_buf = Bytes();
     Vm::bind_current(nullptr, nullptr);
   });
 }

@@ -255,6 +255,10 @@ void Vm::flush_trace(sched::ThreadState& state) {
 }
 
 void Vm::maybe_spool_flush(sched::ThreadState& state) {
+  state.spool_flush_due = false;
+  // The network batch goes first: a torn spool then never holds an
+  // interval without the entries of the events it covers.
+  ship_network(state);
   sched::IntervalList closed = state.recorder.drain_closed();
   if (!closed.empty()) spooler_->schedule_batch(state.num, closed);
   if (causal_ && !state.causal_buf.empty()) {
@@ -264,16 +268,32 @@ void Vm::maybe_spool_flush(sched::ThreadState& state) {
   flush_trace(state);
 }
 
-void Vm::log_network_entry(ThreadNum thread, record::NetworkLogEntry entry) {
-  if (spooler_ != nullptr) {
-    spooler_->network_entry(thread, entry);
+void Vm::log_network_entry(sched::ThreadState& state,
+                           record::NetworkLogEntry entry) {
+  if (spooler_ == nullptr) {
+    network_log_.append(state.num, std::move(entry));
     return;
   }
-  network_log_.append(thread, std::move(entry));
+  // Staged, not enqueued: one queue handoff per batch instead of one per
+  // event.  The byte bound keeps a thread reading large open-world content
+  // at O(chunk) staged bytes between its event-count flushes.
+  record::append_network_item(state.net_buf, state.num, entry);
+  if (state.net_buf.size() >= config_.tuning.spool_chunk_bytes) {
+    ship_network(state);
+  }
+}
+
+void Vm::ship_network(sched::ThreadState& state) {
+  if (state.net_buf.empty()) return;
+  spooler_->network_batch(state.net_buf);
+  state.net_buf.clear();
 }
 
 void Vm::spool_anchor(const record::SpoolAnchor& anchor) {
   if (spooler_ == nullptr || !config_.tuning.flight_recorder) return;
+  // The checkpointing thread's staged entries belong to events before the
+  // anchor: they ship ahead of it.  Every later entry is staged after it.
+  ship_network(current_state());
   spooler_->anchor(anchor);
 }
 
@@ -298,14 +318,15 @@ record::VmLog Vm::finish_record() {
   log.stats.critical_events = counter_.value();
   log.stats.network_events = nw_events_.load(std::memory_order_relaxed);
   if (spooler_ != nullptr) {
-    // Ship each thread's remaining intervals (everything not drained by
-    // periodic flushes, including the final open interval) behind its
-    // earlier batches — the queue is FIFO and all workers have quiesced
-    // (joined) before finish_record, so append-order reconstruction still
-    // holds.  Then seal the recording with the finish marker and surface
+    // Ship each thread's staged network entries, then its remaining
+    // intervals (everything not drained by periodic flushes, including the
+    // final open interval), behind its earlier batches — the queue is FIFO
+    // and all workers have quiesced (joined) before finish_record, so
+    // append-order reconstruction still holds.  Then seal the recording with the finish marker and surface
     // any writer error.  The returned VmLog is a husk — identity and stats
     // only; the data lives in the spool file.
     registry_.for_each([&](sched::ThreadState& s) {
+      ship_network(s);
       const sched::IntervalList rest = s.recorder.finish();
       if (!rest.empty()) spooler_->schedule_batch(s.num, rest);
       if (causal_ && !s.causal_buf.empty()) {
@@ -462,9 +483,12 @@ void Vm::after_event(sched::ThreadState& state, sched::EventKind kind,
   }
   if (spooler_ != nullptr &&
       state.recorder.local_count() % spool_flush_events_ == 0) {
-    // Periodic per-thread drain: closed intervals + trace buffer go to the
-    // spooler, so resident log state stays bounded however long the run.
-    maybe_spool_flush(state);
+    // Periodic per-thread drain, so resident log state stays bounded
+    // however long the run.  Due now, run when the thread's next event
+    // begins: a gateway may log this event's network entry after the tick
+    // (a time read, a failure inside the section), and the drained schedule
+    // covers this event.
+    state.spool_flush_due = true;
   }
   if (observer_) {
     observer_(sched::TraceRecord{gc, state.num, kind, aux});
@@ -583,6 +607,7 @@ GlobalCount Vm::critical_event(sched::EventKind kind, const EventBody& body,
       return 0;
     case Mode::kRecord: {
       sched::ThreadState& state = current_state();
+      if (state.spool_flush_due) maybe_spool_flush(state);
       // Chaos fuzzing happens before the section: it perturbs which thread
       // wins the next counter value, never what the event does.
       maybe_chaos();

@@ -386,10 +386,17 @@ class Vm {
   friend class NetEvent;
   friend class VmThread;
 
-  /// Records one network event outcome: appended to the in-memory network
-  /// log, or streamed to the spool file when spooling.  Record mode only;
-  /// the gateways log through NetEvent.
-  void log_network_entry(ThreadNum thread, record::NetworkLogEntry entry);
+  /// Records one network event outcome of `state`'s thread: appended to
+  /// the in-memory network log, or, when spooling, staged in
+  /// state.net_buf and shipped once it holds spool_chunk_bytes.  Record
+  /// mode only; the gateways log through NetEvent.
+  void log_network_entry(sched::ThreadState& state,
+                         record::NetworkLogEntry entry);
+
+  /// Spooling record mode: ships the thread's staged network entries to
+  /// the spooler as one batch (a no-op when none are staged).  Called by the
+  /// owning thread, or for every thread once all have quiesced.
+  void ship_network(sched::ThreadState& state);
 
   /// Binds/unbinds the calling OS thread (VmThread internals).
   static void bind_current(Vm* vm, sched::ThreadState* state);
@@ -465,10 +472,12 @@ class Vm {
   /// Merges every thread's buffer (end of phase; all threads finished).
   void flush_all_traces();
 
-  /// Spooling record mode: called by the owning thread after each of its
-  /// critical events; every spool_flush_events_ events it ships the
-  /// thread's closed intervals and trace buffer to the spooler, keeping
-  /// per-thread resident log state O(batch) instead of O(run length).
+  /// Spooling record mode: every spool_flush_events_ events of a thread
+  /// it ships the thread's staged network entries, then its closed
+  /// intervals, causal seqs and trace buffer, keeping per-thread resident
+  /// log state O(batch) instead of O(run length).  Runs as the thread's
+  /// next event begins (ThreadState::spool_flush_due), when every entry of
+  /// the events it ships is staged.
   void maybe_spool_flush(sched::ThreadState& state);
 
   std::shared_ptr<net::Network> network_;

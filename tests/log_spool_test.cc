@@ -16,25 +16,34 @@
 //     queue_high_water_bytes never exceeds the configured buffer even when
 //     the run streams many times that much log data.  An item larger
 //     than the whole buffer is admitted alone, in FIFO order, rather than
-//     deadlocking.
+//     deadlocking;
+//   * per-thread network batches: a torn spool never holds an interval
+//     without its events' network entries, entries reach the writer once
+//     per flush (or per spool_chunk_bytes of staged content), and a chunk
+//     spliced in twice is a format error.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/workload.h"
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "core/session.h"
 #include "record/log_spool.h"
 #include "record/spool_codec.h"
 #include "record/trace_io.h"
+#include "replay/doctor.h"
 #include "tests/test_util.h"
 #include "vm/monitor.h"
 #include "vm/shared_var.h"
 #include "vm/socket_api.h"
+#include "vm/system_api.h"
 #include "vm/thread.h"
 #include "vm/vm.h"
 
@@ -597,9 +606,320 @@ TEST(LogSpool, OversizedNetworkEntryPassesAloneInOrder) {
 
   // The huge entry alone overshoots the buffer; nothing rode with it.
   const record::SpoolStats spool = spooler.stats();
+  Bytes huge_item;
+  record::append_network_item(huge_item, 0, huge);
   EXPECT_GT(spool.queue_high_water_bytes, kBuffer);
-  EXPECT_LE(spool.queue_high_water_bytes,
-            kBuffer + record::encode_network_item(0, huge).size());
+  EXPECT_LE(spool.queue_high_water_bytes, kBuffer + huge_item.size());
+}
+
+// --- network log batches ----------------------------------------------------
+
+/// The paper's closed-world client/server (bench/workload.h), spooled.
+core::Session make_spooled_rpc(const std::string& dir,
+                               const bench::WorkloadParams& p,
+                               std::size_t chunk_bytes) {
+  core::SessionConfig cfg;
+  cfg.tuning.spool_dir = dir;
+  cfg.tuning.spool_chunk_bytes = chunk_bytes;
+  cfg.net.stream_delay = {std::chrono::microseconds(0),
+                          std::chrono::microseconds(5)};
+  cfg.net.segmentation.mss = 64;  // several recorded reads per message
+  core::Session s(cfg);
+  s.add_vm("server", 1, true,
+           [p](vm::Vm& v) { bench::server_main(v, p); });
+  s.add_vm("client", 2, true,
+           [p](vm::Vm& v) { bench::client_main(v, p, 1); });
+  return s;
+}
+
+/// The file offset of every chunk of a sealed spool, in order.
+std::vector<std::size_t> chunk_offsets(const Bytes& file,
+                                       const std::string& path) {
+  record::LogSource source(path);
+  const std::uint64_t data_end = source.index()->data_end;
+  std::vector<std::size_t> out;
+  for (std::size_t pos = record::kSpoolHeaderBytes; pos < data_end;) {
+    out.push_back(pos);
+    pos += record::kChunkFrameBytes +
+           ByteReader(BytesView(file).subspan(pos, 4)).u32();
+  }
+  return out;
+}
+
+/// Bind, accept, read and time read log an entry for every outcome, so
+/// the i-th entry of such a kind K of a thread is the event of its i-th
+/// trace record of kind K.
+bool logs_every_outcome(sched::EventKind k) {
+  return k == sched::EventKind::kSockBind ||
+         k == sched::EventKind::kSockAccept ||
+         k == sched::EventKind::kSockRead || k == sched::EventKind::kTimeRead;
+}
+
+/// Checks one VM of a spooled recording made with its trace: no recovered
+/// prefix holds an interval without the network-log entries (of the kinds
+/// above) of the events it covers.  Every chunk tear is loaded; finer,
+/// after every schedule item on disk the items before it must hold them.
+void expect_no_interval_ahead_of_its_entries(const core::VmRunInfo& vm,
+                                             const std::string& dir) {
+  const record::SpoolContents full = record::load_spool(vm.spool_path);
+  ASSERT_TRUE(full.clean_end);
+  // Each such entry with the gc of its event, from the in-memory trace.
+  std::map<std::pair<ThreadNum, sched::EventKind>, std::vector<GlobalCount>>
+      gcs;
+  for (const sched::TraceRecord& r : vm.trace) {
+    if (logs_every_outcome(r.kind)) gcs[{r.thread, r.kind}].push_back(r.gc);
+  }
+  struct Expected {
+    ThreadNum thread;
+    GlobalCount gc;
+    record::NetworkLogEntry entry;
+  };
+  std::vector<Expected> expected;
+  for (ThreadNum t : full.log.network.threads()) {
+    std::map<sched::EventKind, std::size_t> ordinal;
+    for (const record::NetworkLogEntry& e :
+         full.log.network.thread_entries(t)) {
+      if (!logs_every_outcome(e.kind)) continue;  // e.g. a refused connect
+      const std::vector<GlobalCount>& of_kind = gcs[{t, e.kind}];
+      const std::size_t i = ordinal[e.kind]++;
+      ASSERT_LT(i, of_kind.size());
+      expected.push_back({t, of_kind[i], e});
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+
+  // Checks that `log` holds every expected entry of the events its
+  // schedule covers.  A thread's intervals in a prefix are a prefix of
+  // its list, so they cover exactly its events up to their last gc.
+  std::size_t checked = 0;
+  const auto holds_covered_entries = [&](const record::VmLog& log,
+                                         const std::string& where) {
+    const auto& per_thread = log.schedule.per_thread;
+    for (const Expected& x : expected) {
+      if (x.thread >= per_thread.size() || per_thread[x.thread].empty() ||
+          x.gc > per_thread[x.thread].back().last) {
+        continue;
+      }
+      const record::NetworkLogEntry* got =
+          log.network.find(x.thread, x.entry.event_num);
+      ASSERT_NE(got, nullptr)
+          << where << ": thread " << x.thread << " event "
+          << x.entry.event_num << " (gc " << x.gc << ") has no entry";
+      EXPECT_EQ(*got, x.entry);
+      ++checked;
+    }
+  };
+
+  // Tear every chunk in turn: each tear is a distinct recovered prefix.
+  const Bytes file = read_file(vm.spool_path);
+  const std::string torn = dir + "/torn.djvuspool";
+  for (std::size_t off : chunk_offsets(file, vm.spool_path)) {
+    write_file(torn, BytesView(file).first(off + record::kChunkFrameBytes));
+    bool clean = true;
+    const record::VmLog prefix = record::load_spooled_log(torn, &clean);
+    ASSERT_FALSE(clean);
+    holds_covered_entries(prefix, "torn at " + std::to_string(off));
+  }
+
+  // Finer than any tear: after every schedule item on disk, the items
+  // before it already hold the entries of the events it covers.
+  record::VmLog prefix;
+  record::LogSource source(vm.spool_path);
+  while (std::optional<record::SpoolItem> item = source.next()) {
+    if (item->kind == record::SpoolItemKind::kNetwork) {
+      auto [thread, entry] = record::decode_network_item(item->body);
+      prefix.network.insert(thread, std::move(entry));
+    } else if (item->kind == record::SpoolItemKind::kSchedule) {
+      auto [thread, list] = record::decode_schedule_item(item->body);
+      auto& per_thread = prefix.schedule.per_thread;
+      if (per_thread.size() <= thread) per_thread.resize(thread + 1);
+      per_thread[thread].insert(per_thread[thread].end(), list.begin(),
+                                list.end());
+      holds_covered_entries(prefix, "schedule item of thread " +
+                                        std::to_string(thread));
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+// A recording thread stages its network entries and ships them ahead of its
+// schedule batch, so wherever a crash tears the spool, every interval it
+// kept comes with the network-log entries of the events it covers.
+TEST(LogSpool, TornSpoolNeverRunsAheadOfItsNetworkLog) {
+  const std::string dir = fresh_dir("net_prefix");
+  bench::WorkloadParams p;
+  p.threads = 2;
+  p.sessions = 2;
+  p.connects_per_session = 3;
+  p.fixed_iters = 200;
+  p.per_thread_iters = 20;
+  p.local_work = 1;
+  p.message_size = 192;
+  // 64-byte chunks: a thread flushes every 64 events, and a batch spans
+  // several chunks, so a tear can fall between any two of its items.
+  core::Session s = make_spooled_rpc(dir, p, 64);
+  const core::RunResult rec = s.record(971);
+  for (const char* name : {"server", "client"}) {
+    SCOPED_TRACE(name);
+    expect_no_interval_ahead_of_its_entries(rec.vm(name), dir);
+  }
+}
+
+// A time read logs its entry after its tick, so a flush falling due at it
+// waits for the thread's next event: by then the entry is staged.
+TEST(LogSpool, EntryLoggedAfterItsTickPrecedesItsInterval) {
+  const std::string dir = fresh_dir("net_after_tick");
+  core::SessionConfig cfg;
+  cfg.tuning.spool_dir = dir;
+  cfg.tuning.spool_chunk_bytes = 64;  // a flush every 64 events
+  core::Session s(cfg);
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    vm::SharedVar<std::uint64_t> x(v, 0);
+    std::vector<vm::VmThread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back(v, [&v, &x] {
+        // Every event a time read but one in five: flushes land on both.
+        for (int i = 0; i < 400; ++i) {
+          if (i % 5 == 0) {
+            x.set(i);
+          } else {
+            vm::current_time_millis(v);
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  });
+  const core::RunResult rec = s.record(975);
+  expect_no_interval_ahead_of_its_entries(rec.vm("app"), dir);
+  core::verify(rec, s.replay_from(dir, 976));
+}
+
+// The mechanism as a count: network entries reach the writer in one batch
+// per thread flush, not one queue item per network event.
+TEST(LogSpool, NetworkEntriesShipPerFlushNotPerEvent) {
+  const std::string dir = fresh_dir("net_batches");
+  bench::WorkloadParams p;
+  p.threads = 4;
+  p.sessions = 16;
+  p.connects_per_session = 8;
+  p.fixed_iters = 100;
+  p.per_thread_iters = 10;
+  p.local_work = 1;
+  p.message_size = 64;
+  core::Session s = make_spooled_rpc(dir, p, TuningConfig{}.spool_chunk_bytes);
+  const core::RunResult rec = s.record(981);
+  for (const char* name : {"server", "client"}) {
+    SCOPED_TRACE(name);
+    const core::VmRunInfo& vm = rec.vm(name);
+    ASSERT_GT(vm.network_events, 1000u);
+    EXPECT_LT(vm.spool.items_enqueued, vm.network_events / 50);
+  }
+  core::verify(rec, s.replay_from(dir, 982));
+}
+
+// The byte bound: a thread reading large open-world content ships its
+// staged entries whenever they reach spool_chunk_bytes, long before its
+// event-count flush, so the staging buffer stays O(spool_chunk_bytes).
+TEST(LogSpool, LargeOpenWorldReadsShipBeforeTheEventFlush) {
+  const std::string dir = fresh_dir("net_bytes");
+  constexpr int kReads = 64;
+  constexpr std::size_t kContent = 64 << 10;
+  core::SessionConfig cfg;
+  cfg.tuning.spool_dir = dir;
+  cfg.net.segmentation.mss = kContent;  // one read per 64 KiB write
+  core::Session s(cfg);
+  s.add_vm("peer", 1, /*djvm=*/false, [](vm::Vm& v) {
+    vm::ServerSocket listener(v, 4800);
+    auto sock = listener.accept();
+    for (int i = 0; i < kReads; ++i) {
+      sock->output_stream().write(Bytes(kContent, static_cast<std::uint8_t>(i)));
+    }
+    sock->close();
+    listener.close();
+  });
+  s.add_vm("app", 2, /*djvm=*/true, [](vm::Vm& v) {
+    auto sock = testutil::connect_retry(v, {1, 4800});
+    for (int i = 0; i < kReads; ++i) {
+      const Bytes got = testutil::read_exactly(*sock, kContent);
+      if (got != Bytes(kContent, static_cast<std::uint8_t>(i))) {
+        throw Error("content mismatch");
+      }
+    }
+    sock->close();
+  });
+  const core::RunResult rec = s.record(991);
+  const core::VmRunInfo& app = rec.vm("app");
+  // No event-count flush ran: the thread stayed below one flush interval.
+  ASSERT_LT(app.critical_events,
+            std::max<std::size_t>(64, TuningConfig{}.spool_chunk_bytes / 16));
+  // Yet each read's entry, alone over the bound, shipped as its own batch,
+  // and no batch held the run's whole content.
+  EXPECT_GE(app.spool.items_enqueued, static_cast<std::uint64_t>(kReads));
+  EXPECT_LE(app.spool.queue_high_water_bytes,
+            TuningConfig{}.spool_buffer_bytes);
+  core::verify(rec, s.replay_from(dir, 992));
+}
+
+// A CRC-valid chunk spliced in twice repeats its network entries: that is a
+// damaged file, reported as a format error by every reader, not as misuse.
+TEST(LogSpool, DuplicatedNetworkChunkIsAFormatError) {
+  const std::string dir = fresh_dir("dup_net");
+  core::SessionConfig cfg;
+  cfg.tuning.spool_dir = dir;
+  cfg.tuning.spool_chunk_bytes = 64;  // small chunks, a few items each
+  core::Session s(cfg);
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    vm::SharedVar<std::uint64_t> x(v, 0);
+    for (int i = 0; i < 40; ++i) {
+      x.set(x.get() + vm::current_time_millis(v) % 7);
+    }
+  });
+  const core::RunResult rec = s.record(1001);
+  const std::string path = rec.vm("app").spool_path;
+
+  // Duplicate the first chunk that carries a kNetwork item, in place.
+  Bytes file = read_file(path);
+  bool spliced = false;
+  for (std::size_t pos : chunk_offsets(file, path)) {
+    ByteReader frame(BytesView(file).subspan(pos, record::kChunkFrameBytes));
+    const std::uint32_t len = frame.u32();
+    ASSERT_EQ(frame.u8(), 0u) << "raw chunks expected";
+    const std::size_t end = pos + record::kChunkFrameBytes + len;
+    const BytesView payload =
+        BytesView(file).subspan(pos + record::kChunkFrameBytes, len);
+    for (std::size_t at = 0; at < payload.size();) {
+      ByteReader item(payload.subspan(at));
+      const std::uint8_t kind = item.u8();
+      const std::uint64_t body_len = item.varint();
+      spliced = spliced || kind == static_cast<std::uint8_t>(
+                                       record::SpoolItemKind::kNetwork);
+      at += item.position() + body_len;
+    }
+    if (spliced) {
+      const Bytes chunk(file.begin() + static_cast<std::ptrdiff_t>(pos),
+                        file.begin() + static_cast<std::ptrdiff_t>(end));
+      file.insert(file.begin() + static_cast<std::ptrdiff_t>(end),
+                  chunk.begin(), chunk.end());
+      break;
+    }
+  }
+  ASSERT_TRUE(spliced);
+  write_file(path, file);
+
+  EXPECT_THROW(record::load_spool(path), LogFormatError);
+  EXPECT_THROW(s.replay_from(dir, 1002), LogFormatError);
+  sched::DivergenceReport report;
+  report.vm_id = 1;
+  report.vm_name = "app";
+  const replay::DoctorReport doc = replay::diagnose_spool(report, path);
+  EXPECT_TRUE(doc.log_found);
+  bool finding = false;
+  for (const std::string& n : doc.notes) {
+    finding = finding || n.find("duplicate network log entry") !=
+                             std::string::npos;
+  }
+  EXPECT_TRUE(finding);
 }
 
 }  // namespace
