@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "sched/global_counter.h"
 #include "sched/interval.h"
 #include "sched/spin_wait.h"
+#include "sched/trace.h"
 #include "vm/shared_var.h"
 #include "vm/vm.h"
 
@@ -259,6 +261,60 @@ void BM_LogDeserialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LogDeserialize)->Arg(100)->Arg(10000);
+
+// A VM's trace as a replay run leaves it: one part per thread, each the
+// thread's events in gc order.  Arg 0 is hot_shared's shape, 200,004
+// records in 4 threads' ~285-event intervals; arg 1 is private_keys', 24,380
+// records in one-event intervals.
+std::vector<std::vector<sched::TraceRecord>> bench_trace_parts(
+    std::int64_t shape) {
+  const std::size_t n = shape == 0 ? 200'004 : 24'380;
+  std::vector<std::vector<sched::TraceRecord>> parts(4);
+  GlobalCount gc = 0;
+  for (std::size_t t = 0; gc < n; t = (t + 1) % parts.size()) {
+    const std::size_t run = shape == 0 ? 250 + (gc * 7919) % 71 : 1;
+    for (std::size_t i = 0; i < run && gc < n; ++i, ++gc) {
+      parts[t].push_back({gc, static_cast<ThreadNum>(t),
+                          sched::EventKind::kSharedWrite, gc * 0x9e37});
+    }
+  }
+  return parts;
+}
+
+// What a run pays for its trace now: sched::RunTrace scans the parts into
+// gc-ordered runs and digests them in place, or gathers when they do not
+// tile or are too many (arg 1).  The copy of the parts is not timed.
+void BM_TraceDigestRuns(benchmark::State& state) {
+  const auto parts = bench_trace_parts(state.range(0));
+  std::optional<sched::RunTrace> trace;
+  for (auto _ : state) {
+    state.PauseTiming();
+    trace.reset();
+    auto copy = parts;
+    state.ResumeTiming();
+    trace.emplace(std::move(copy));
+    benchmark::DoNotOptimize(trace->digest());
+  }
+}
+BENCHMARK(BM_TraceDigestRuns)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// What a run paid before: gather every record into a fresh gc-sorted
+// vector, then digest that vector.
+void BM_TraceGatherThenDigest(benchmark::State& state) {
+  const auto parts = bench_trace_parts(state.range(0));
+  std::vector<sched::TraceRecord> sorted;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sorted = {};
+    state.ResumeTiming();
+    sorted = sched::gather_by_gc(parts);
+    benchmark::DoNotOptimize(sched::trace_digest(sorted));
+  }
+}
+BENCHMARK(BM_TraceGatherThenDigest)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace djvu

@@ -58,6 +58,6 @@ int main() {
   // Verify the executions are identical, event by event.
   core::verify(rec, rep);
   std::printf("verify : traces identical (%zu events) — perfect replay\n",
-              rec.vm("app").trace.size());
+              rec.vm("app").trace().size());
   return recorded_value == replayed_value ? 0 : 1;
 }

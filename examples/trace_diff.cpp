@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   auto rec2 = s2.record(202);
   record::TraceFile trace2;
   trace2.vm_id = rec2.vm("app").vm_id;
-  trace2.records = rec2.vm("app").trace;
+  trace2.records = rec2.vm("app").trace();
   const std::string path2 = dir + "/app-202.djvutrace";
   record::save_trace_to_file(trace2, path2);
 
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   auto rep = s3.replay(rec1, 999);
   record::TraceFile replay_trace;
   replay_trace.vm_id = rep.vm("app").vm_id;
-  replay_trace.records = rep.vm("app").trace;
+  replay_trace.records = rep.vm("app").trace();
   print_diff(record::diff_traces(trace1, replay_trace));
 
   std::remove(path1.c_str());

@@ -51,6 +51,16 @@ std::string divergence_message(const sched::DivergenceReport& r) {
 
 }  // namespace
 
+const std::vector<sched::TraceRecord>& VmRunInfo::trace() const {
+  static const std::vector<sched::TraceRecord> kEmpty;
+  return trace_ ? trace_->sorted() : kEmpty;
+}
+
+void VmRunInfo::set_trace(std::vector<std::vector<sched::TraceRecord>> parts) {
+  trace_ = std::make_shared<const sched::RunTrace>(std::move(parts));
+  trace_digest = trace_->digest();
+}
+
 const VmRunInfo& RunResult::vm(const std::string& name) const {
   for (const auto& info : vms) {
     if (info.name == name) return info;
@@ -520,8 +530,9 @@ RunResult Session::run_impl(
       // Spooled or not, the trace is the one the run kept in memory (a
       // flight recorder keeps none); a spool is never read back for it.
       // finish_record/finish_replay above flushed every thread's buffer.
-      info.trace = r.machine->trace().sorted();
-      info.trace_digest = sched::trace_digest(info.trace);
+      // The parts move out as they are: the digest comes from their
+      // gc-ordered runs, and the sorted vector waits for a reader.
+      info.set_trace(r.machine->take_trace_parts());
     }
     result.vms.push_back(std::move(info));
   }
@@ -545,7 +556,7 @@ void Session::save_traces(const RunResult& run, const std::string& dir) {
     if (!info.djvm) continue;
     record::TraceFile trace;
     trace.vm_id = info.vm_id;
-    trace.records = info.trace;
+    trace.records = info.trace();
     record::save_trace_to_file(trace, dir + "/" + info.name + ".djvutrace");
   }
 }
@@ -581,15 +592,18 @@ void verify(const RunResult& recorded, const RunResult& replayed) {
       throw sched::ReportedDivergenceError(std::move(msg), std::move(d));
     }
     if (rec.trace_digest == rep->trace_digest &&
-        rec.trace.size() == rep->trace.size()) {
+        rec.trace_size() == rep->trace_size()) {
       continue;
     }
-    // Locate the first difference for a useful diagnostic.
-    const std::size_t n = std::min(rec.trace.size(), rep->trace.size());
-    if (const std::size_t i = sched::first_difference(rec.trace, rep->trace);
+    // Locate the first difference for a useful diagnostic: only a mismatch
+    // builds the two sorted traces.
+    const std::vector<sched::TraceRecord>& rec_trace = rec.trace();
+    const std::vector<sched::TraceRecord>& rep_trace = rep->trace();
+    const std::size_t n = std::min(rec_trace.size(), rep_trace.size());
+    if (const std::size_t i = sched::first_difference(rec_trace, rep_trace);
         i < n) {
-      const auto& a = rec.trace[i];
-      const auto& b = rep->trace[i];
+      const auto& a = rec_trace[i];
+      const auto& b = rep_trace[i];
       d.thread = b.thread;
       d.gc = b.gc;
       d.has_expected = true;
@@ -606,10 +620,10 @@ void verify(const RunResult& recorded, const RunResult& replayed) {
       std::string msg = d.detail;
       throw sched::ReportedDivergenceError(std::move(msg), std::move(d));
     }
-    d.gc = n > 0 ? rec.trace[n - 1].gc : 0;
+    d.gc = n > 0 ? rec_trace[n - 1].gc : 0;
     d.detail = "VM '" + rec.name + "' trace length differs: recorded " +
-               std::to_string(rec.trace.size()) + " vs replayed " +
-               std::to_string(rep->trace.size());
+               std::to_string(rec_trace.size()) + " vs replayed " +
+               std::to_string(rep_trace.size());
     std::string msg = d.detail;
     throw sched::ReportedDivergenceError(std::move(msg), std::move(d));
   }
@@ -633,7 +647,7 @@ void export_chrome_trace(const RunResult& run, const std::string& path,
           record::load_spooled_log(info.spool_path)));
       vm.log = loaded.back().get();
     }
-    if (!info.trace.empty()) vm.trace = &info.trace;
+    if (info.trace_size() > 0) vm.trace = &info.trace();
     if (divergence != nullptr && divergence->vm_id == info.vm_id) {
       vm.divergence = divergence;
     }

@@ -69,9 +69,21 @@ struct VmRunInfo {
   /// spooled record run included, whose spool is never read back for it.
   /// Empty when tracing is off, the VM is plain, or the VM recorded as a
   /// flight recorder (its trace lives only in the bounded spool tail).
-  std::vector<sched::TraceRecord> trace;
+  /// The run keeps the trace as its threads' parts and sorts it only here,
+  /// on the first call (sched::RunTrace; safe from concurrent readers):
+  /// a run compared only by trace_digest never builds it.  Copies of this
+  /// VmRunInfo share one trace.
+  const std::vector<sched::TraceRecord>& trace() const;
 
-  /// Trace digest (0 whenever `trace` is empty).
+  /// Number of records in trace(), known without building it.
+  std::size_t trace_size() const { return trace_ ? trace_->size() : 0; }
+
+  /// Keeps `parts` (records in any order) as this VM's trace and sets
+  /// trace_digest from them: how a run fills its result, and how a
+  /// hand-built result (a tampered copy in a test) gets its trace.
+  void set_trace(std::vector<std::vector<sched::TraceRecord>> parts);
+
+  /// Trace digest (0 whenever the trace is empty).
   std::uint64_t trace_digest = 0;
 
   /// Complete log bundle (record runs of DJVMs only; empty when the run
@@ -99,6 +111,9 @@ struct VmRunInfo {
   /// Wall-clock seconds of this VM's main (its component's execution time;
   /// the per-component "rec ovhd" rows divide record by native per VM).
   double wall_seconds = 0;
+
+ private:
+  std::shared_ptr<const sched::RunTrace> trace_;  // null: no trace kept
 };
 
 /// Handle to a spooled recording on disk: the directory holding one

@@ -114,29 +114,55 @@ std::vector<TraceRecord> ExecutionTrace::sorted() const {
   return gather_by_gc(parts_);
 }
 
-std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {
+std::optional<std::vector<std::span<const TraceRecord>>> gc_ordered_runs(
+    std::span<const std::vector<TraceRecord>> parts) {
+  std::size_t n = 0;
+  for (const auto& part : parts) n += part.size();
+  // Past this many runs the scan stops, and the caller gathers.
+  const std::size_t max_runs =
+      std::max<std::size_t>(1, n / kMinMeanRunRecords);
+  std::vector<std::span<const TraceRecord>> runs;
+  for (const auto& part : parts) {
+    std::size_t begin = 0;
+    for (std::size_t i = 1; i <= part.size(); ++i) {
+      if (i < part.size() && part[i].gc == part[i - 1].gc + 1) continue;
+      if (runs.size() == max_runs) return std::nullopt;
+      runs.emplace_back(part.data() + begin, i - begin);
+      begin = i;
+    }
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](std::span<const TraceRecord> a, std::span<const TraceRecord> b) {
+              return a.front().gc < b.front().gc;
+            });
+  // Sorted by first gc, the runs tile [min, max] when each starts where the
+  // one before it ends; the difference cannot overflow as a sum could.
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    if (runs[k].front().gc - runs[k - 1].front().gc != runs[k - 1].size()) {
+      return std::nullopt;
+    }
+  }
+  return runs;
+}
+
+std::uint64_t trace_digest_runs(
+    std::span<const std::span<const TraceRecord>> runs) {
   // The digest is two CRC-32s of the serialized trace: `lo` over all of it,
-  // `hi` over its second half.  The records are encoded a block at a time
-  // and each block feeds `first` (bytes [0, split)) or `second` (bytes
-  // [split, total)), split where it straddles the half; `lo` is then
-  // `first` and `second` combined.  One pass, no buffer of the whole trace.
-  const std::uint64_t total = sorted_records.size() * kDigestRecordBytes;
+  // `hi` over its second half.  The records are encoded a block at a time,
+  // a block filling across run boundaries, and each block feeds `first`
+  // (bytes [0, split)) or `second` (bytes [split, total)), split where it
+  // straddles the half; `lo` is then `first` and `second` combined.  One
+  // pass, no buffer of the whole trace.
+  std::uint64_t records = 0;
+  for (const auto& run : runs) records += run.size();
+  const std::uint64_t total = records * kDigestRecordBytes;
   const std::uint64_t split = total / 2;
   Crc32 first;
   Crc32 second;
   std::uint64_t fed = 0;
   std::array<std::uint8_t, kDigestBlockRecords * kDigestRecordBytes> block{};
-  for (std::size_t i = 0; i < sorted_records.size();) {
-    const std::size_t end =
-        std::min(sorted_records.size(), i + kDigestBlockRecords);
-    std::uint8_t* p = block.data();
-    for (; i < end; ++i) {
-      const TraceRecord& r = sorted_records[i];
-      p = put_le(p, r.gc);
-      p = put_le(p, r.thread);
-      p = put_le(p, static_cast<std::uint8_t>(r.kind));
-      p = put_le(p, r.aux);
-    }
+  std::uint8_t* p = block.data();
+  const auto feed = [&] {
     const BytesView bytes(block.data(), p);
     if (fed >= split) {
       second.update(bytes);
@@ -148,10 +174,64 @@ std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {
       second.update(bytes.subspan(head));
     }
     fed += bytes.size();
+    p = block.data();
+  };
+  std::size_t room = kDigestBlockRecords;  // records the block can still take
+  for (const auto& run : runs) {
+    for (std::size_t i = 0; i < run.size();) {
+      const std::size_t end = std::min(run.size(), i + room);
+      room -= end - i;
+      for (; i < end; ++i) {
+        const TraceRecord& r = run[i];
+        p = put_le(p, r.gc);
+        p = put_le(p, r.thread);
+        p = put_le(p, static_cast<std::uint8_t>(r.kind));
+        p = put_le(p, r.aux);
+      }
+      if (room == 0) {
+        feed();
+        room = kDigestBlockRecords;
+      }
+    }
   }
+  if (p != block.data()) feed();
   const std::uint32_t hi = second.value();
   const std::uint32_t lo = crc32_combine(first.value(), hi, total - split);
   return (std::uint64_t{hi} << 32) | lo;
+}
+
+std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records) {
+  const std::span<const TraceRecord> whole(sorted_records);
+  return trace_digest_runs({&whole, 1});
+}
+
+RunTrace::RunTrace(std::vector<std::vector<TraceRecord>> parts)
+    : parts_(std::move(parts)) {
+  for (const auto& part : parts_) size_ += part.size();
+  if (auto runs = gc_ordered_runs(parts_)) {
+    runs_ = std::move(*runs);
+    digest_ = trace_digest_runs(runs_);
+    return;
+  }
+  // The runs do not tile: gather now, and digest the gathered vector.
+  std::call_once(built_, [this] {
+    sorted_ = gather_by_gc(parts_);
+    parts_ = {};
+  });
+  digest_ = trace_digest(sorted_);
+}
+
+const std::vector<TraceRecord>& RunTrace::sorted() const {
+  // Runs only for tiling runs: the constructor built the gathered case.
+  std::call_once(built_, [this] {
+    sorted_.reserve(size_);
+    for (const auto& run : runs_) {
+      sorted_.insert(sorted_.end(), run.begin(), run.end());
+    }
+    runs_ = {};
+    parts_ = {};
+  });
+  return sorted_;
 }
 
 std::size_t first_difference(std::span<const TraceRecord> a,

@@ -13,9 +13,12 @@
 // batches, so trace-keeping adds no cross-thread contention per event.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -65,11 +68,34 @@ std::vector<TraceRecord> gather_by_gc(
 /// True when `records` is in sort_by_gc's order.
 bool is_sorted_by_gc(const std::vector<TraceRecord>& records);
 
-/// Order-significant digest of a trace, which must already be in
-/// sort_by_gc's order: two CRC-32s of the records serialized as 21
-/// little-endian bytes each, the high word over the second half of the
-/// bytes and the low word over all of them.  Computed in one streaming
-/// pass with no buffer of the whole trace.
+/// Fewest records per run, on average, for which gc_ordered_runs sorts the
+/// runs rather than leave the trace to gather_by_gc.  A conservative bound:
+/// a trace of one-event runs stops its scan after n / 16 records, and then
+/// costs what gathering it did (bench_micro BM_TraceDigestRuns/1).
+inline constexpr std::size_t kMinMeanRunRecords = 16;
+
+/// The gc order of `parts` as the gc-consecutive runs it is made of, found
+/// without moving a record: each part splits into maximal runs whose gcs
+/// step by one (a thread's logical schedule interval, traced as it ran),
+/// and the runs are sorted by first gc.  Returned when the runs tile
+/// [min, max] exactly — every gc once, which a recorded trace meets — so
+/// that concatenating them is sort_by_gc's order.  nullopt when they do not
+/// (ties, gaps, overlaps: hand-built or sparse traces), and when the parts
+/// hold more than one run per kMinMeanRunRecords records; the caller
+/// gathers then.  The spans point into `parts`.
+std::optional<std::vector<std::span<const TraceRecord>>> gc_ordered_runs(
+    std::span<const std::vector<TraceRecord>> parts);
+
+/// Order-significant digest of the trace that concatenating `runs` gives,
+/// which must be in sort_by_gc's order: two CRC-32s of the records
+/// serialized as 21 little-endian bytes each, the high word over the second
+/// half of the bytes and the low word over all of them.  Computed in one
+/// streaming pass with no buffer of the whole trace, so the runs of
+/// gc_ordered_runs digest in place.
+std::uint64_t trace_digest_runs(
+    std::span<const std::span<const TraceRecord>> runs);
+
+/// trace_digest_runs of the one run `sorted_records`.
 std::uint64_t trace_digest(const std::vector<TraceRecord>& sorted_records);
 
 /// Index of the first record where `a` and `b` differ, or min(a.size(),
@@ -88,7 +114,8 @@ class ExecutionTrace {
   /// whichever thread appends, and glibc keeps those multi-megabyte blocks
   /// cached in that thread's malloc arena after the trace is gone, so peak
   /// RSS would climb with every replay.  The merged view is built by the
-  /// reading thread (sorted()).
+  /// reading thread: a finished run moves the parts into a RunTrace
+  /// (take_parts), and sorted() gathers them for any other reader.
   void append_batch(std::vector<TraceRecord> batch) {
     if (batch.empty()) return;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -107,10 +134,47 @@ class ExecutionTrace {
   /// under the lock (gather_by_gc); every call builds a new vector.
   std::vector<TraceRecord> sorted() const;
 
+  /// Moves the parts out, leaving the trace empty: how a finished run hands
+  /// its trace to a RunTrace without copying or sorting a record.
+  std::vector<std::vector<TraceRecord>> take_parts() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(parts_, {});
+  }
+
  private:
   mutable std::mutex mutex_;
   /// Appended records in arrival order, one part per batch.
   std::vector<std::vector<TraceRecord>> parts_;
+};
+
+/// A finished run's trace, immutable: the parts its ExecutionTrace kept,
+/// with the record count and digest computed once at construction, and the
+/// gc-sorted vector built only when first read.  A recorded trace digests
+/// straight from its gc-ordered runs (gc_ordered_runs), so a run whose
+/// trace is only compared by digest never sorts a record.  A trace whose
+/// runs do not tile is gathered (gather_by_gc) at construction and digested
+/// from that one vector, so sorted() is already built for it.
+class RunTrace {
+ public:
+  explicit RunTrace(std::vector<std::vector<TraceRecord>> parts);
+
+  std::size_t size() const { return size_; }
+  std::uint64_t digest() const { return digest_; }
+
+  /// All records in sort_by_gc's order.  The first call concatenates the
+  /// runs (under std::call_once, so concurrent first readers are safe) and
+  /// frees the parts; later calls return the same vector.
+  const std::vector<TraceRecord>& sorted() const;
+
+ private:
+  std::size_t size_ = 0;
+  std::uint64_t digest_ = 0;
+  mutable std::once_flag built_;
+  // Until built_: the records as appended and their gc order.  Freed by
+  // the build, after which sorted_ alone holds the records.
+  mutable std::vector<std::vector<TraceRecord>> parts_;
+  mutable std::vector<std::span<const TraceRecord>> runs_;
+  mutable std::vector<TraceRecord> sorted_;
 };
 
 }  // namespace djvu::sched

@@ -20,6 +20,9 @@ struct ThreadBinding {
 
 thread_local ThreadBinding t_binding;
 
+/// Records per trace part when no spooler drains the trace (96 KiB).
+constexpr std::size_t kTracePartRecords = 4096;
+
 /// The record-section stripe key a conflict key maps to: the object
 /// address, or — for thread-local events — an odd key derived from the
 /// thread number (never collides with an aligned object address).
@@ -473,7 +476,15 @@ void Vm::after_event(sched::ThreadState& state, sched::EventKind kind,
   }
   if (config_.keep_trace) {
     // Buffered locally; merged into trace_ when this thread finishes (or
-    // on explicit trace() access) — no cross-thread lock per event.
+    // on explicit trace() access) — no cross-thread lock per event.  With
+    // no spooler to drain it, a buffer of kTracePartRecords moves to trace_
+    // whole instead of doubling: a run's result keeps the parts as they are
+    // (sched::RunTrace), and a doubled buffer could hold half its capacity
+    // unused.
+    if (spooler_ == nullptr && state.trace_buf.size() == kTracePartRecords) {
+      flush_trace(state);
+      state.trace_buf.reserve(kTracePartRecords);
+    }
     state.trace_buf.push_back({gc, state.num, kind, aux});
   }
   if (config_.mode == Mode::kReplay) {

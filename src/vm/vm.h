@@ -238,8 +238,16 @@ class Vm {
   /// recorder, whose trace lives only in its bounded spool).  Non-const:
   /// records are buffered per thread on the hot path, so this first flushes
   /// the calling thread's buffer (when the caller is bound to this Vm) —
-  /// other threads' buffers merge when those threads finish or detach.
+  /// other threads' buffers merge when those threads finish or detach, and
+  /// in fixed-size parts (a spool flush, or 4,096 records) as they run.
   const sched::ExecutionTrace& trace();
+
+  /// Moves the trace's records out, leaving trace() empty: how a finished
+  /// run (after finish_record / finish_replay flushed every thread) hands
+  /// its trace to a sched::RunTrace without copying a record.
+  std::vector<std::vector<sched::TraceRecord>> take_trace_parts() {
+    return trace_.take_parts();
+  }
 
   /// Critical events executed so far (the global counter).  When the
   /// calling thread holds a replay interval lease, its own unpublished

@@ -318,8 +318,7 @@ core::RunResult trace_copy(const core::RunResult& run) {
     info.name = vm.name;
     info.vm_id = vm.vm_id;
     info.djvm = vm.djvm;
-    info.trace = vm.trace;
-    info.trace_digest = vm.trace_digest;
+    info.set_trace({vm.trace()});
     out.vms.push_back(std::move(info));
   }
   return out;
@@ -344,15 +343,15 @@ TEST(Divergence, VerifyReportsTamperedPayloadPosition) {
   auto s = counter_app(nullptr);
   const auto rec = s.record(4);
   ASSERT_EQ(rec.vms.size(), 1u);
-  ASSERT_GT(rec.vms[0].trace.size(), 40u);
+  ASSERT_GT(rec.vms[0].trace().size(), 40u);
   EXPECT_NO_THROW(core::verify(rec, trace_copy(rec)));
 
   // Same schedule, one different payload: only the trace shows it.
   core::RunResult rep = trace_copy(rec);
-  auto& trace = rep.vms[0].trace;
+  auto trace = rep.vms[0].trace();
   const std::size_t i = 37;
   trace[i].aux ^= 1;
-  rep.vms[0].trace_digest = sched::trace_digest(trace);
+  rep.vms[0].set_trace({trace});
   const sched::DivergenceReport d = verify_report(rec, rep);
   EXPECT_EQ(d.vm_name, "app");
   EXPECT_EQ(d.gc, trace[i].gc);
@@ -365,10 +364,10 @@ TEST(Divergence, VerifyReportsDroppedLastRecord) {
   auto s = counter_app(nullptr);
   const auto rec = s.record(5);
   core::RunResult rep = trace_copy(rec);
-  auto& trace = rep.vms[0].trace;
+  auto trace = rep.vms[0].trace();
   ASSERT_FALSE(trace.empty());
   trace.pop_back();
-  rep.vms[0].trace_digest = sched::trace_digest(trace);
+  rep.vms[0].set_trace({trace});
   const sched::DivergenceReport d = verify_report(rec, rep);
   EXPECT_NE(d.detail.find("trace length differs"), std::string::npos)
       << d.detail;

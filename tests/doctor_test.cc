@@ -261,7 +261,7 @@ TEST(ChromeTrace, OneTrackPerThreadAndBalancedJson) {
   vm.name = "app";
   vm.vm_id = info.vm_id;
   vm.log = &*info.log;
-  vm.trace = &info.trace;
+  vm.trace = &info.trace();
   const std::string json = record::chrome_trace_json({vm});
 
   // One thread_name metadata entry per recorded thread.
@@ -270,7 +270,7 @@ TEST(ChromeTrace, OneTrackPerThreadAndBalancedJson) {
   EXPECT_EQ(count_occurrences(json, "\"process_name\""), 1u);
   // One "X" slice per interval plus one per traced event.
   EXPECT_EQ(count_occurrences(json, "\"ph\": \"X\""),
-            info.log->schedule.interval_count() + info.trace.size());
+            info.log->schedule.interval_count() + info.trace().size());
   EXPECT_EQ(count_occurrences(json, "{"), count_occurrences(json, "}"));
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }

@@ -393,7 +393,7 @@ TEST(FlightRecorder, RunResultCarriesNoTraceButTailDoes) {
   auto rec = recorder.record(43);
   const core::VmRunInfo& info = rec.vm("app");
   ASSERT_GE(info.spool.evicted_chunks, 1u) << "retention never bit";
-  EXPECT_TRUE(info.trace.empty());
+  EXPECT_TRUE(info.trace().empty());
   EXPECT_EQ(info.trace_digest, 0u);
 
   const record::SpoolContents tail = record::load_spool(info.spool_path);

@@ -369,10 +369,10 @@ TEST(LogSpool, RecordedTraceEqualsSpooledTrace) {
           record::load_spool(info.spool_path);
       EXPECT_TRUE(contents.clean_end) << info.name;
       const auto& spooled = contents.trace.records;
-      ASSERT_FALSE(info.trace.empty()) << info.name;
-      ASSERT_EQ(info.trace.size(), spooled.size()) << info.name;
+      ASSERT_FALSE(info.trace().empty()) << info.name;
+      ASSERT_EQ(info.trace().size(), spooled.size()) << info.name;
       for (std::size_t i = 0; i < spooled.size(); ++i) {
-        ASSERT_EQ(info.trace[i], spooled[i]) << info.name << " at " << i;
+        ASSERT_EQ(info.trace()[i], spooled[i]) << info.name << " at " << i;
       }
       EXPECT_EQ(info.trace_digest, sched::trace_digest(spooled)) << info.name;
     }
@@ -417,7 +417,7 @@ TEST(LogSpool, TornFinishChunkReplaysCompletely) {
   record::SpoolContents torn = record::load_spool(path);
   EXPECT_FALSE(torn.clean_end);
   EXPECT_GT(torn.truncated_bytes, 0u);
-  EXPECT_EQ(torn.trace.records.size(), rec.vm("app").trace.size());
+  EXPECT_EQ(torn.trace.records.size(), rec.vm("app").trace().size());
   EXPECT_EQ(sched::trace_digest(torn.trace.records),
             rec.vm("app").trace_digest);
   // Reconstructed stats: the intervals encode every critical event.
@@ -666,7 +666,7 @@ void expect_no_interval_ahead_of_its_entries(const core::VmRunInfo& vm,
   // Each such entry with the gc of its event, from the in-memory trace.
   std::map<std::pair<ThreadNum, sched::EventKind>, std::vector<GlobalCount>>
       gcs;
-  for (const sched::TraceRecord& r : vm.trace) {
+  for (const sched::TraceRecord& r : vm.trace()) {
     if (logs_every_outcome(r.kind)) gcs[{r.thread, r.kind}].push_back(r.gc);
   }
   struct Expected {

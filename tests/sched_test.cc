@@ -1348,5 +1348,167 @@ TEST(Trace, GatherByGcEmptyAndZeroParts) {
                                    {}});
 }
 
+
+// --- RunTrace: digest from gc-ordered runs, sort on read ---------------------
+
+// Threads taking turns at the counter in runs of [min_run, max_run] events
+// (a recording's logical intervals), `n` records in all, every gc from
+// `base` taken once.  Each thread's records are cut into parts of at most
+// `part_records` (its flushed batches), and the parts arrive interleaved.
+std::vector<std::vector<TraceRecord>> interval_parts(
+    std::size_t threads, std::size_t n, std::size_t min_run,
+    std::size_t max_run, std::size_t part_records, std::uint64_t seed,
+    GlobalCount base = 0) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<TraceRecord>> per_thread(threads);
+  GlobalCount gc = base;
+  for (std::size_t t = 0; gc - base < n; t = (t + 1) % threads) {
+    const std::size_t run = min_run + rng.next_below(max_run - min_run + 1);
+    for (std::size_t i = 0; i < run && gc - base < n; ++i, ++gc) {
+      per_thread[t].push_back({gc, static_cast<ThreadNum>(t),
+                               static_cast<EventKind>(rng.next_below(12)),
+                               rng.next()});
+    }
+  }
+  std::vector<std::vector<TraceRecord>> parts;
+  std::vector<std::size_t> next(threads, 0);
+  for (bool more = true; more;) {
+    more = false;
+    for (std::size_t t = 0; t < threads; ++t) {
+      const std::size_t end =
+          std::min(per_thread[t].size(), next[t] + part_records);
+      if (next[t] == end) continue;
+      parts.emplace_back(per_thread[t].begin() + next[t],
+                         per_thread[t].begin() + end);
+      next[t] = end;
+      more = true;
+    }
+  }
+  return parts;
+}
+
+// A RunTrace of `parts` must digest exactly like gathering then digesting,
+// and build exactly gather_by_gc's vector.  `tiles` is the path the shape
+// must take: digested from its runs, or gathered.
+void expect_run_trace_matches_gather(
+    const std::vector<std::vector<TraceRecord>>& parts, bool tiles) {
+  const std::vector<TraceRecord> gathered = gather_by_gc(parts);
+  EXPECT_EQ(gc_ordered_runs(parts).has_value(), tiles);
+  const RunTrace trace(parts);
+  EXPECT_EQ(trace.size(), gathered.size());
+  EXPECT_EQ(trace.digest(), trace_digest(gathered));
+  EXPECT_TRUE(trace.sorted() == gathered);
+  EXPECT_EQ(&trace.sorted(), &trace.sorted());  // built once
+}
+
+TEST(Trace, RunTraceHotSharedShapeDigestsFromItsRuns) {
+  // hot_shared's shape: 4 threads, ~285-event intervals, 200,004 records.
+  expect_run_trace_matches_gather(
+      interval_parts(4, 200'004, 250, 320, 4'096, 31), true);
+  // Far from gc 0.
+  expect_run_trace_matches_gather(
+      interval_parts(4, 20'000, 250, 320, 4'096, 32, 1'000'000'007), true);
+}
+
+TEST(Trace, RunTraceOneEventRunsAreGathered) {
+  // private_keys' shape: one run per record, past the run-count bound.
+  expect_run_trace_matches_gather(interval_parts(4, 24'380, 1, 1, 512, 33),
+                                  false);
+  // One-event runs among long ones still tile.
+  std::vector<std::vector<TraceRecord>> mixed = {{}, {}};
+  for (GlobalCount gc = 0; gc < 3'000; ++gc) {
+    mixed[(gc % 300 < 297) ? 0 : 1].push_back(
+        {gc, static_cast<ThreadNum>(gc % 300 < 297 ? 0 : 1),
+         EventKind::kSharedWrite, gc * 7});
+  }
+  expect_run_trace_matches_gather(mixed, true);
+}
+
+TEST(Trace, RunTraceRunsSplitAcrossPartsTile) {
+  // Parts of 100 records cut each ~285-event interval into several runs.
+  expect_run_trace_matches_gather(
+      interval_parts(4, 30'000, 250, 320, 100, 34), true);
+  // One thread alone, flushed in parts of 37.
+  expect_run_trace_matches_gather(interval_parts(1, 5'000, 1, 1, 37, 35),
+                                  true);
+}
+
+TEST(Trace, RunTraceRunStraddlingTheDigestSplit) {
+  // 1,025 records: the half split falls inside record 512, and the digest's
+  // 512-record block boundary too; one run covers both.
+  std::vector<std::vector<TraceRecord>> parts = {{}, {}};
+  for (GlobalCount gc = 0; gc < 1'025; ++gc) {
+    const ThreadNum t = (gc >= 300 && gc < 800) ? 1 : 0;
+    parts[t].push_back({gc, t, EventKind::kSharedRead, gc ^ 0x55});
+  }
+  expect_run_trace_matches_gather(parts, true);
+  // The runs as their own parts, in reverse arrival order.
+  std::vector<std::vector<TraceRecord>> reversed = {
+      {parts[0].begin() + 300, parts[0].end()},
+      parts[1],
+      {parts[0].begin(), parts[0].begin() + 300}};
+  expect_run_trace_matches_gather(reversed, true);
+}
+
+// Hand-built inputs whose runs do not tile take the gather, ties in stable
+// order included.
+TEST(Trace, RunTraceTiesGapsOverlapsAndSparseRangesAreGathered) {
+  const auto run = [](GlobalCount first, std::size_t len, ThreadNum t) {
+    std::vector<TraceRecord> out;
+    for (std::size_t i = 0; i < len; ++i) {
+      out.push_back({first + i, t, EventKind::kSharedWrite, first * 31 + i});
+    }
+    return out;
+  };
+  // Ties: the same gc twice, across parts and inside one.
+  expect_run_trace_matches_gather({run(0, 100, 0), run(99, 100, 1)}, false);
+  std::vector<TraceRecord> dup = run(0, 100, 0);
+  dup.insert(dup.begin() + 50, dup[50]);
+  expect_run_trace_matches_gather({dup, run(100, 100, 1)}, false);
+  // A gap, and an overlap, between runs.
+  expect_run_trace_matches_gather({run(0, 100, 0), run(150, 100, 1)}, false);
+  expect_run_trace_matches_gather({run(0, 100, 0), run(50, 100, 1)}, false);
+  // A sparse range: max - min >= 2n.
+  std::vector<std::vector<TraceRecord>> sparse;
+  for (GlobalCount k = 0; k < 20; ++k) sparse.push_back(run(k * 1'000, 20, 0));
+  expect_run_trace_matches_gather(sparse, false);
+}
+
+TEST(Trace, RunTraceSingleRecordAndEmptyTrace) {
+  expect_run_trace_matches_gather({{{7, 0, EventKind::kNotify, 9}}}, true);
+  expect_run_trace_matches_gather({}, true);
+  expect_run_trace_matches_gather({{}, {}}, true);
+  EXPECT_EQ(RunTrace({}).digest(), 0u);
+}
+
+// Two threads reading one const VmRunInfo's trace at once: the first read
+// builds it, and both see the one vector (TSan checks the build).
+TEST(Trace, RunTraceConcurrentFirstReadsBuildOnce) {
+  const auto parts = interval_parts(4, 50'000, 250, 320, 4'096, 36);
+  core::VmRunInfo writable;
+  writable.set_trace(parts);
+  const core::VmRunInfo& info = writable;
+  EXPECT_EQ(info.trace_size(), 50'000u);
+  EXPECT_EQ(info.trace_digest, trace_digest(gather_by_gc(parts)));
+
+  std::atomic<bool> go{false};
+  const std::vector<TraceRecord>* seen[2] = {};
+  std::thread a([&] {
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    seen[0] = &info.trace();
+  });
+  std::thread b([&] {
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    seen[1] = &info.trace();
+  });
+  go.store(true, std::memory_order_release);
+  a.join();
+  b.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_TRUE(*seen[0] == gather_by_gc(parts));
+}
+
 }  // namespace
 }  // namespace djvu::sched

@@ -359,10 +359,10 @@ TEST(TraceIo, SessionSaveTraces) {
   core::Session::save_traces(rec, dir);
   TraceFile loaded = load_trace_from_file(dir + "/app.djvutrace");
   EXPECT_EQ(loaded.vm_id, rec.vm("app").vm_id);
-  EXPECT_EQ(loaded.records.size(), rec.vm("app").trace.size());
+  EXPECT_EQ(loaded.records.size(), rec.vm("app").trace().size());
   // Replay trace diffs clean against the loaded record trace.
   auto rep = s.replay(rec, 2);
-  TraceFile replay_trace{rep.vm("app").vm_id, rep.vm("app").trace};
+  TraceFile replay_trace{rep.vm("app").vm_id, rep.vm("app").trace()};
   EXPECT_TRUE(diff_traces(loaded, replay_trace).identical);
   std::remove((dir + "/app.djvutrace").c_str());
 }
